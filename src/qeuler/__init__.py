@@ -7,8 +7,7 @@ and complex evaluations carry a certified decimal precision.
 
 from .errors import DomainError, NonConvergence, NotExactPower
 from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, binom,
-                       format_rational, gen_binom, parse_rational, rat_pow,
-                       real_pow, tolerance)
+                       format_rational, parse_rational, rat_pow, tolerance)
 from .classical import (alt_power_sum, alt_power_sum_closed, bernoulli_number,
                         euler_number, euler_poly, power_sum, power_sum_closed)
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
@@ -19,16 +18,15 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
 from .qzeta import (ZetaQuery, interpolate_check, partial_zeta,
                     partial_zeta_series, partial_zeta_special_value, zeta,
                     zeta_euler_transform)
-from .characters import (CharacterGroup, DirichletCharacter, characters_mod,
-                         generalized_q_euler, l_function,
-                         l_function_special_value)
+from .characters import (DirichletCharacter, characters_mod,
+                         generalized_q_euler, l_function)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "NonConvergence", "NotExactPower",
     "DEFAULT_PRECISION", "ComplexP", "RealP", "binom", "format_rational",
-    "gen_binom", "parse_rational", "rat_pow", "real_pow", "tolerance",
+    "parse_rational", "rat_pow", "tolerance",
     "alt_power_sum", "alt_power_sum_closed", "bernoulli_number",
     "euler_number", "euler_poly", "power_sum", "power_sum_closed",
     "QBase", "QPower", "alt_q_power_sum", "alt_q_power_sum_closed",
@@ -37,6 +35,6 @@ __all__ = [
     "q_int", "weighted_alt_q_power_sum", "weighted_alt_q_power_sum_closed",
     "ZetaQuery", "interpolate_check", "partial_zeta", "partial_zeta_series",
     "partial_zeta_special_value", "zeta", "zeta_euler_transform",
-    "CharacterGroup", "DirichletCharacter", "characters_mod",
-    "generalized_q_euler", "l_function", "l_function_special_value",
+    "DirichletCharacter", "characters_mod", "generalized_q_euler",
+    "l_function",
 ]

@@ -31,8 +31,9 @@ from .exactnum import ComplexP, RealP
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as (p, e) pairs, p ascending."""
     factors = []
-    p = 3
+    p = 2
     while p * p <= n:
         if n % p == 0:
             e = 0
@@ -40,31 +41,17 @@ def _factorize(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             factors.append((p, e))
-        p += 2
+        p += 1
     if n > 1:
         factors.append((n, 1))
     return factors
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _primitive_root(p: int, e: int) -> int:
     """Smallest primitive root mod p^e for an odd prime p."""
     pe = p ** e
     phi = pe - pe // p
-    checks = _prime_factors(phi)
+    checks = [r for r, _ in _factorize(phi)]
     for g in range(2, pe):
         if gcd(g, pe) != 1:
             continue
@@ -136,29 +123,8 @@ def _canonical(modulus: int, span: int,
     return DirichletCharacter(modulus, order, exps)
 
 
-@dataclass(frozen=True)
-class CharacterGroup:
-    """All phi(d) characters mod d, canonically ordered."""
-
-    modulus: int
-    characters: tuple[DirichletCharacter, ...]
-
-    def __len__(self) -> int:
-        return len(self.characters)
-
-    def __iter__(self):
-        return iter(self.characters)
-
-    def __getitem__(self, index: int) -> DirichletCharacter:
-        return self.characters[index]
-
-    @property
-    def principal(self) -> DirichletCharacter:
-        return next(chi for chi in self.characters if chi.is_principal)
-
-
-def characters_mod(d: int) -> CharacterGroup:
-    """The complete character group mod odd d >= 1.
+def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
+    """The complete character group mod odd d >= 1, all phi(d) characters.
 
     Ordering is deterministic: prime-power factors ascending, one exponent
     choice per factor, tuples enumerated lexicographically.  d = 1 yields
@@ -168,7 +134,7 @@ def characters_mod(d: int) -> CharacterGroup:
     if d < 1 or d % 2 == 0:
         raise DomainError("modulus must be an odd positive integer")
     if d == 1:
-        return CharacterGroup(1, (DirichletCharacter(1, 1, (0,)),))
+        return (DirichletCharacter(1, 1, (0,)),)
 
     components = []
     for p, e in _factorize(d):
@@ -201,7 +167,7 @@ def characters_mod(d: int) -> CharacterGroup:
                                for c, l, (_, phi, _)
                                in zip(choice, entry, components)) % span)
         characters.append(_canonical(d, span, raw))
-    return CharacterGroup(d, tuple(characters))
+    return tuple(characters)
 
 
 def _materialize(coefficients: dict[int, Fraction], order: int,
@@ -278,35 +244,3 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
             total += chi.value(a) * h.value
         return ComplexP(total, precision)
 
-
-def l_function_special_value(n: int, chi: DirichletCharacter, q: Fraction,
-                             precision: int = DEFAULT_PRECISION):
-    """Exact l_{E,q}(-n, chi) through the residue decomposition with every
-    partial zeta taken in closed form; equals generalized_q_euler(...)/2.
-
-    Supports n = 0 (where each H term is just (-1)^a / 2).  Real characters
-    give an exact Fraction, others an mpc at `precision`.
-    """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("requires rational q in (0, 1)")
-    F = chi.modulus
-    if F == 1:
-        if n == 0:
-            return Fraction(-1, 2)  # Abel value of sum_{n>=1} (-1)^n
-        return -q_euler_poly(n, QPower.from_integer(QBase(q), 1)) / 2
-    coefficients: dict[int, Fraction] = {}
-    base = QBase(q)
-    base_f = QBase(q ** F)
-    scale = q_int(F, base) ** n
-    for a in range(1, F):
-        e = chi.exponents[a]
-        if e is None:
-            continue
-        h = scale * q_euler_poly(n, QPower(base_f, q ** a, Fraction(a, F))) / 2
-        if a % 2:
-            h = -h
-        coefficients[e] = coefficients.get(e, Fraction(0)) + h
-    return _materialize(coefficients, chi.order, Fraction(1), precision)

@@ -28,7 +28,8 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_star_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
 from .qzeta import ZetaQuery, partial_zeta, zeta
-from .verify import MAX_M, MAX_N, SUITES, VerificationReport
+from .verify import (MAX_M, MAX_MODULUS, MAX_N, SUITES, VerificationReport,
+                     run_suite)
 
 FORMAT_OPTION = click.option("--format", "fmt",
                              type=click.Choice(["json", "csv"]),
@@ -49,6 +50,11 @@ def _emit(query: dict, results: list[dict], precision: int | None,
         for row in results:
             click.echo(",".join(str(row[h]) if row[h] is not None else ""
                                 for h in headers))
+
+
+def _check_modulus(modulus: int) -> None:
+    if modulus > MAX_MODULUS:
+        raise click.UsageError(f"--modulus must be at most {MAX_MODULUS}")
 
 
 def _parse_q(text: str) -> Fraction:
@@ -229,6 +235,7 @@ def cmd_partial_zeta(s_text: str, a: int, period: int, q_text: str,
 def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
                   prec: int, fmt: str) -> int:
     """q-L-function value for a Dirichlet character of odd modulus."""
+    _check_modulus(modulus)
     group = characters_mod(modulus)
     if not 0 <= char_index < len(group):
         raise click.UsageError(
@@ -254,6 +261,7 @@ def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
 @FORMAT_OPTION
 def cmd_characters(modulus: int, fmt: str) -> int:
     """List the character group mod an odd modulus (exponent tables)."""
+    _check_modulus(modulus)
     group = characters_mod(modulus)
     query = {"command": "characters", "modulus": modulus}
     results = []
@@ -311,33 +319,26 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
     return 0 if all(r.passed for r in reports) else 2
 
 
+#: For each suite with grid options: verify option -> suite keyword.
+_GRID_KEYWORDS = {
+    "thm2": {"max_n": "max_n"},
+    "thm3": {"max_m": "max_m", "max_n": "max_n"},
+    "weighted": {"max_m": "max_m", "max_n": "max_n"},
+    "thm4": {"max_m": "max_m", "fs": "fs"},
+    "classical": {"max_m": "max_m", "max_n": "max_k"},
+}
+
+
 def _run_suites(suite: str, max_m: int | None, max_n: int | None,
                 f_only: int | None, prec: int) -> list[VerificationReport]:
+    options = {"max_m": max_m, "max_n": max_n,
+               "fs": None if f_only is None else (f_only,)}
     names = sorted(SUITES) if suite == "all" else [suite]
-    reports = []
-    for name in names:
-        kwargs: dict = {}
-        if name in ("thm3", "weighted"):
-            if max_m is not None:
-                kwargs["max_m"] = max_m
-            if max_n is not None:
-                kwargs["max_n"] = max_n
-        elif name == "thm2" and max_n is not None:
-            kwargs["max_n"] = max_n
-        elif name == "thm4":
-            if max_m is not None:
-                kwargs["max_m"] = max_m
-            if f_only is not None:
-                kwargs["fs"] = (f_only,)
-        elif name == "classical":
-            if max_m is not None:
-                kwargs["max_m"] = max_m
-            if max_n is not None:
-                kwargs["max_k"] = max_n
-        elif name in ("zeta", "partial-zeta", "lfunction"):
-            kwargs["precision"] = prec
-        reports.append(SUITES[name](**kwargs))
-    return reports
+    return [run_suite(name, prec,
+                      **{keyword: options[option] for option, keyword
+                         in _GRID_KEYWORDS.get(name, {}).items()
+                         if options[option] is not None})
+            for name in names]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -346,9 +347,6 @@ def main(argv: list[str] | None = None) -> int:
         result = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from mpmath import mp, mpf
 
@@ -81,11 +81,6 @@ class RealP:
         with mp.workdps(precision + GUARD_DIGITS):
             return cls(to_mpf(fr), precision)
 
-    def neg(self) -> RealP:
-        # negation still rounds to the ambient context, so enter ours
-        with mp.workdps(self.precision + GUARD_DIGITS):
-            return RealP(-self.value, self.precision)
-
     def digits(self) -> str:
         """Decimal string with `precision` significant digits."""
         with mp.workdps(self.precision + GUARD_DIGITS):
@@ -119,22 +114,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def gen_binom(s: RealP, k: int) -> RealP:
-    """Rising binomial coefficient C(s+k-1, k) = prod_{i<k}(s+i) / k!.
-
-    At s = -m with m a nonnegative integer this equals (-1)^k * C(m, k) for
-    k <= m and vanishes beyond, which is what makes the zeta continuation
-    series terminate at negative integer arguments.
-    """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    with mp.workdps(s.precision + GUARD_DIGITS):
-        acc = mpf(1)
-        for i in range(k):
-            acc *= s.value + i
-        return RealP(acc / factorial(k), s.precision)
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
@@ -179,11 +158,3 @@ def rat_pow(q: Fraction, r: Fraction) -> Fraction:
         raise NotExactPower(f"({q})**({r}) is irrational")
     return Fraction(num, den)
 
-
-def real_pow(q: RealP, r: RealP) -> RealP:
-    """exp(r * ln q) at the operating precision (the smaller of the two)."""
-    if q.value <= 0:
-        raise DomainError("real_pow requires q > 0")
-    precision = min(q.precision, r.precision)
-    with mp.workdps(precision + GUARD_DIGITS):
-        return RealP(mp.power(q.value, r.value), precision)

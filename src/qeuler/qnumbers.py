@@ -21,15 +21,15 @@ a brute-force partner it can be compared with bit for bit.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .exactnum import binom, rat_pow
 
-_cache_lock = threading.Lock()
-_number_cache: dict[tuple[str, int, Fraction], Fraction] = {}
+#: Most q-Euler numbers (plain and star, any n and q) kept in memory.
+NUMBER_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -94,49 +94,40 @@ def q_int(k: int, q: QBase) -> Fraction:
     return (1 - q.q ** k) / (1 - q.q)
 
 
-def _cached_number(kind: str, n: int, q: Fraction, compute) -> Fraction:
-    key = (kind, n, q)
-    value = _number_cache.get(key)
-    if value is None:
-        value = compute()
-        with _cache_lock:
-            _number_cache[key] = value
-    return value
+def _kernel(n: int, q: Fraction, t: Fraction | int, shift: int) -> Fraction:
+    """(1+q^shift) (1/(1-q))^n sum_{j<=n} C(n,j) (-1)^j t^j / (1+q^(j+shift)),
+    the one sum behind all four closed forms: shift 0 (prefactor 2) gives
+    E_{n,q}(x), shift 1 (prefactor [2]_q) gives E*_{n,q}(x), and t = 1
+    gives the numbers."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    total = Fraction(0)
+    q_power = q ** shift
+    prefactor = 1 + q_power
+    t_power = 1
+    for j in range(n + 1):
+        term = binom(n, j) * t_power / (1 + q_power)
+        total += term if j % 2 == 0 else -term
+        q_power *= q
+        t_power *= t
+    return prefactor * total / (1 - q) ** n
+
+
+@lru_cache(maxsize=NUMBER_CACHE_SIZE)
+def _number(n: int, q: Fraction, shift: int) -> Fraction:
+    # t is the int 1, so t^j stays an int and costs no Fraction arithmetic
+    return _kernel(n, q, 1, shift)
 
 
 def q_euler_number(n: int, q: QBase) -> Fraction:
     """E_{n,q} = 2 (1/(1-q))^n sum_j C(n,j) (-1)^j / (1+q^j)."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-
-    def compute() -> Fraction:
-        qq = q.q
-        total = Fraction(0)
-        power = Fraction(1)
-        for j in range(n + 1):
-            term = binom(n, j) / (1 + power)
-            total += term if j % 2 == 0 else -term
-            power *= qq
-        return 2 * total / (1 - qq) ** n
-
-    return _cached_number("plain", n, q.q, compute)
+    return _number(n, q.q, 0)
 
 
 def q_euler_poly(n: int, qp: QPower) -> Fraction:
     """E_{n,q}(x) = 2 (1/(1-q))^n sum_j C(n,j) (-1)^j t^j / (1+q^j),
     with t = q^x carried by `qp`.  At t = 1 this is E_{n,q}."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    qq = qp.base.q
-    total = Fraction(0)
-    q_power = Fraction(1)
-    t_power = Fraction(1)
-    for j in range(n + 1):
-        term = binom(n, j) * t_power / (1 + q_power)
-        total += term if j % 2 == 0 else -term
-        q_power *= qq
-        t_power *= qp.t
-    return 2 * total / (1 - qq) ** n
+    return _kernel(n, qp.base.q, qp.t, 0)
 
 
 def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
@@ -159,20 +150,7 @@ def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
 def q_euler_star_number(n: int, q: QBase) -> Fraction:
     """E*_{n,q} = [2]_q (1/(1-q))^n sum_l C(n,l) (-1)^l / (1+q^(l+1)),
     the q^l-weighted variant of E_{n,q}."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-
-    def compute() -> Fraction:
-        qq = q.q
-        total = Fraction(0)
-        power = qq
-        for l in range(n + 1):
-            term = binom(n, l) / (1 + power)
-            total += term if l % 2 == 0 else -term
-            power *= qq
-        return (1 + qq) * total / (1 - qq) ** n
-
-    return _cached_number("star", n, q.q, compute)
+    return _number(n, q.q, 1)
 
 
 def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
@@ -182,18 +160,7 @@ def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
     unique form consistent with the weighted generating function; validated
     through the weighted alternating-sum identity below.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    qq = qp.base.q
-    total = Fraction(0)
-    q_power = qq
-    t_power = Fraction(1)
-    for j in range(n + 1):
-        term = binom(n, j) * t_power / (1 + q_power)
-        total += term if j % 2 == 0 else -term
-        q_power *= qq
-        t_power *= qp.t
-    return (1 + qq) * total / (1 - qq) ** n
+    return _kernel(n, qp.base.q, qp.t, 1)
 
 
 def alt_q_power_sum(m: int, n: int, q: QBase) -> Fraction:

@@ -8,7 +8,7 @@ Two independent summation routes are implemented:
 * `zeta` expands [n+x]_q^(-s) = (1-q)^s sum_k C(s+k-1,k) q^((n+x)k) and
   resums the alternating n-series termwise to 1/(1+q^k), giving
 
-      zeta(s, x) = (1-q)^s sum_k gen_binom(s,k) q^(xk) / (1+q^k),
+      zeta(s, x) = (1-q)^s sum_k C(s+k-1,k) q^(xk) / (1+q^k),
 
   a series whose terms decay geometrically (q^(xk)) against polynomial
   coefficient growth.  This is the primary route; at s = -n it truncates
@@ -18,6 +18,7 @@ Two independent summation routes are implemented:
   transformation sum_k (-1)^k (forward differences at 0) / 2^(k+1), the
   independent cross-check.
 
+The partial zeta H_q(s, a; F) takes either route at base q^F, x = a/F.
 Both routes work at precision + GUARD_DIGITS internal digits and certify
 10**-(P-10).
 """
@@ -71,7 +72,7 @@ def zeta(zq: ZetaQuery) -> RealP:
         prefactor = mp.power(1 - qv, sv)
         threshold = mpf(10) ** (-(precision + 15))
         total = mpf(0)
-        coeff = mpf(1)   # gen_binom(s, k), updated by *(s+k)/(k+1)
+        coeff = mpf(1)   # C(s+k-1, k), updated by *(s+k)/(k+1)
         qxk = mpf(1)     # q^(xk)
         qk = mpf(1)      # q^k
         small_streak = 0
@@ -175,19 +176,18 @@ def _check_residue(a: int, period: int) -> None:
         raise DomainError("need 0 < a < F")
 
 
-def partial_zeta(s: RealP, a: int, period: int, q: QBase,
-                 precision: int = DEFAULT_PRECISION) -> RealP:
-    """Partial q-zeta over the residue class a mod F (F odd, 0 < a < F):
-
-        H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F).
-
-    Delegates to `zeta` with base q^F and x = a/F.
-    """
+def _residue_class(route: Callable[[ZetaQuery], RealP], s: RealP, a: int,
+                   period: int, q: QBase, precision: int) -> RealP:
+    """[F]_q^(-s) (-1)^a route(s, a/F) at base q^F: the residue-class
+    sum H_q(s, a; F) from a q-zeta route, since [a+nF]_q equals
+    [F]_q [n+a/F]_(q^F)."""
     _check_residue(a, period)
     if not 0 < q.q < 1:
         raise DomainError("partial zeta requires 0 < q < 1")
-    inner = zeta(ZetaQuery(s, RealP.from_rational(Fraction(a, period), precision),
-                           QBase(q.q ** period, zeta_domain=True), precision))
+    inner = route(ZetaQuery(s, RealP.from_rational(Fraction(a, period),
+                                                   precision),
+                            QBase(q.q ** period, zeta_domain=True),
+                            precision))
     with mp.workdps(precision + GUARD_DIGITS):
         scale = mp.power(to_mpf(q_int(period, q)), -s.value)
         value = scale * inner.value
@@ -196,30 +196,24 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
         return RealP(value, precision)
 
 
+def partial_zeta(s: RealP, a: int, period: int, q: QBase,
+                 precision: int = DEFAULT_PRECISION) -> RealP:
+    """Partial q-zeta over the residue class a mod F (F odd, 0 < a < F):
+
+        H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F).
+
+    Delegates to `zeta` with base q^F and x = a/F.
+    """
+    return _residue_class(zeta, s, a, period, q, precision)
+
+
 def partial_zeta_series(s: RealP, a: int, period: int, q: QBase,
                         precision: int = DEFAULT_PRECISION) -> RealP:
-    """Direct route for H_q(s, a; F): Euler-transform summation of
-    sum_n (-1)^(a+nF) / [a+nF]_q^s (for odd F, (-1)^(nF) = (-1)^n).
-    Cross-check for `partial_zeta`."""
-    _check_residue(a, period)
-    if not 0 < q.q < 1:
-        raise DomainError("partial zeta requires 0 < q < 1")
-    with mp.workdps(precision + GUARD_DIGITS):
-        qv = to_mpf(q.q)
-        sv = s.value
-        one_minus_q = 1 - qv
-        q_period = mp.power(qv, period)
-        state = [mp.power(qv, a)]  # q^(a+nF)
-
-        def term(_j: int) -> mpf:
-            bracket = (1 - state[0]) / one_minus_q
-            state[0] *= q_period
-            return mp.power(bracket, -sv)
-
-        value = euler_transform(term, precision)
-        if a % 2:
-            value = -value
-        return RealP(value, precision)
+    """Direct route for H_q(s, a; F): the same decomposition with the raw
+    series sum_n (-1)^n [n+a/F]_(q^F)^(-s) summed by `zeta_euler_transform`
+    (for odd F, (-1)^(a+nF) = (-1)^(a+n)).  Cross-check for
+    `partial_zeta`."""
+    return _residue_class(zeta_euler_transform, s, a, period, q, precision)
 
 
 def partial_zeta_special_value(n: int, a: int, period: int,

@@ -5,20 +5,14 @@ every cell, and collects the disagreements.  Exact suites compare Fractions
 bit for bit and report deviation "exact"; numeric suites compare
 precision-P reals against the certified bound 10**-(P-10).
 
-Exact-suite cells are fanned out across a thread pool (the evaluators are
-pure Fraction computations) and merged back in canonical grid order.
-Numeric cells run sequentially: the working-precision context of the real
-arithmetic backend is process-global, so concurrent cells would clobber
-each other's precision.  Either way the reports are deterministic apart
-from the elapsed_ms measurement.
+Cells run one after another in canonical grid order, so the reports are
+deterministic apart from the elapsed_ms measurement.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,11 +38,14 @@ ZETA_X = ("1/2", "1", "2", "7/2")
 ZETA_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 LFUNCTION_Q = (Fraction(1, 3), Fraction(1, 2))
 
-#: Hard grid bounds accepted by the CLI (keeps runs at desk scale).
+#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
+#: and the modulus of `characters` and `lfunction`.
 MAX_M = 16
 MAX_N = 64
+MAX_MODULUS = 1001
 
-_WORKERS = min(8, os.cpu_count() or 1)
+#: Suites whose cells are real-valued and take the certified precision.
+PRECISION_SUITES = ("zeta", "partial-zeta", "lfunction")
 
 
 @dataclass
@@ -84,17 +81,10 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _map_cells(evaluate, cells, parallel: bool = True):
-    if parallel and _WORKERS > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-            return list(pool.map(evaluate, cells))
-    return [evaluate(cell) for cell in cells]
-
-
 def _exact_suite(name: str, grid: dict, cells, evaluate) -> VerificationReport:
     """Run cells whose evaluator yields (inputs, lhs, rhs) Fractions."""
     start = time.perf_counter()
-    outcomes = _map_cells(evaluate, cells)
+    outcomes = [evaluate(cell) for cell in cells]
     failures = []
     worst = Fraction(0)
     for inputs, lhs, rhs in outcomes:
@@ -116,12 +106,9 @@ def _exact_suite(name: str, grid: dict, cells, evaluate) -> VerificationReport:
 
 def _numeric_suite(name: str, grid: dict, cells, evaluate,
                    precision: int) -> VerificationReport:
-    """Run cells whose evaluator yields (inputs, lhs_str, rhs_str, |dev|).
-
-    Sequential: working precision is a process-global setting.
-    """
+    """Run cells whose evaluator yields (inputs, lhs_str, rhs_str, |dev|)."""
     start = time.perf_counter()
-    outcomes = _map_cells(evaluate, cells, parallel=False)
+    outcomes = [evaluate(cell) for cell in cells]
     with mp.workdps(precision + GUARD_DIGITS):
         bound = tolerance(precision)
         failures = []
@@ -328,11 +315,15 @@ SUITES = {
 }
 
 
+def run_suite(name: str, precision: int = DEFAULT_PRECISION,
+              **grid) -> VerificationReport:
+    """Run SUITES[name] over `grid`, handing `precision` to the suites in
+    PRECISION_SUITES.  The table is read at call time, so replacing one of
+    its entries replaces the suite everywhere."""
+    if name in PRECISION_SUITES:
+        grid["precision"] = precision
+    return SUITES[name](**grid)
+
+
 def run_all(precision: int = DEFAULT_PRECISION) -> list[VerificationReport]:
-    reports = []
-    for name, runner in SUITES.items():
-        if name in ("zeta", "partial-zeta", "lfunction"):
-            reports.append(runner(precision=precision))
-        else:
-            reports.append(runner())
-    return reports
+    return [run_suite(name, precision) for name in SUITES]

@@ -12,8 +12,7 @@ from math import gcd
 import pytest
 from mpmath import mp
 
-from qeuler.characters import (characters_mod, generalized_q_euler,
-                               l_function, l_function_special_value)
+from qeuler.characters import characters_mod, generalized_q_euler, l_function
 from qeuler.errors import DomainError
 from qeuler.exactnum import GUARD_DIGITS, RealP, to_mpf, tolerance
 from qeuler.qnumbers import QBase, q_euler_number
@@ -149,22 +148,6 @@ def test_l_function_special_values_all_characters():
                         assert abs(numeric.value - half) <= tolerance(P)
 
 
-def test_l_special_value_route_matches_generalized():
-    # decomposition through closed-form partial zetas, exact for real chi
-    for d in (1, 3, 5):
-        for chi in characters_mod(d):
-            for q in (Fraction(1, 3), Fraction(1, 2)):
-                for n in range(1, 7):
-                    via_partial = l_function_special_value(n, chi, q, P)
-                    direct = generalized_q_euler(n, chi, q, P)
-                    if isinstance(via_partial, Fraction):
-                        assert via_partial == direct / 2
-                    else:
-                        with mp.workdps(P + GUARD_DIGITS):
-                            assert abs(via_partial - direct / 2) \
-                                <= tolerance(P)
-
-
 def test_l_function_modulus_one():
     # degenerates to -zeta(s, 1); at s = -1 the value is E_{1,q}/2
     chi = characters_mod(1)[0]
@@ -176,5 +159,4 @@ def test_l_function_modulus_one():
 
 def test_l_special_value_n0():
     chi = characters_mod(3)[1]
-    assert l_function_special_value(0, chi, Fraction(1, 2)) == -1
     assert generalized_q_euler(0, chi, Fraction(1, 2)) == -2

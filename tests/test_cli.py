@@ -135,6 +135,22 @@ def test_characters_even_modulus_fails(capsys):
     assert code == 1
 
 
+def test_modulus_bound(capsys):
+    from qeuler.verify import MAX_MODULUS
+    too_big = str(MAX_MODULUS + 2)
+    code, out, err = run(capsys, "characters", "--modulus", too_big)
+    assert (code, out) == (1, "")
+    assert f"Error: --modulus must be at most {MAX_MODULUS}" in err
+    code, out, err = run(capsys, "lfunction", "--s", "1/2", "--modulus",
+                         "30001", "--char-index", "1", "--q", "1/2")
+    assert (code, out) == (1, "")
+    assert "Usage:" in err and "--modulus" in err
+    # the largest modulus the benchmark asks for stays accepted
+    code, _, _ = run(capsys, "lfunction", "--s", "1/2", "--modulus", "21",
+                     "--char-index", "5", "--q", "1/2", "--prec", "15")
+    assert code == 0
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--suite", "thm3", "--max-m", "4",

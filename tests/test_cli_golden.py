@@ -1,0 +1,173 @@
+"""Golden CLI outputs: every command, byte for byte.
+
+`tests/cli_golden.json` holds the exit code, stdout and stderr of each
+invocation below, recorded from the program before its q-Euler kernels,
+verification runner and character code were consolidated.  Any change to
+a single output byte fails here.  Every JSON document is also validated
+against the schemas in `docs/`.
+
+To record the file afresh after an intended output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import types
+from pathlib import Path
+from unittest import mock
+
+import jsonschema
+import pytest
+
+from qeuler.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+REPORT = "{report}"  # stands for a fresh report path in an argv
+
+CASES = [
+    ["numbers", "--max-n", "6", "--q", "1/2"],
+    ["numbers", "--max-n", "5", "--q", "2/3", "--variant", "star",
+     "--format", "csv"],
+    ["numbers", "--max-n", "8", "--q", "5/2", "--format", "csv"],
+    ["numbers", "--max-n", "4", "--q", "3/2", "--variant", "star"],
+    ["numbers", "--max-n", "9", "--variant", "classical-euler"],
+    ["numbers", "--max-n", "8", "--variant", "classical-bernoulli",
+     "--format", "csv"],
+    ["numbers", "--max-n", "2"],
+    ["poly", "--n", "3", "--x", "1/2", "--q", "1/4"],
+    ["poly", "--n", "4", "--x", "2", "--q", "3/2", "--variant", "star",
+     "--format", "csv"],
+    ["poly", "--n", "5", "--x", "2/3", "--q", "8/27", "--variant", "star"],
+    ["poly", "--n", "3", "--x", "1/3", "--variant", "classical"],
+    ["poly", "--n", "2", "--x", "1/2", "--q", "1/2"],
+    ["sums", "--variant", "q-alt", "--m", "3", "--n", "5", "--q", "1/3"],
+    ["sums", "--variant", "q-alt-weighted", "--m", "2", "--n", "4", "--q",
+     "5/2", "--format", "csv"],
+    ["sums", "--variant", "power", "--m", "4", "--n", "10"],
+    ["sums", "--variant", "alt-power", "--m", "3", "--n", "7", "--format",
+     "csv"],
+    ["zeta", "--s", "1/2", "--x", "1", "--q", "1/2"],
+    ["zeta", "--s", "-2", "--x", "7/2", "--q", "1/5", "--prec", "30",
+     "--format", "csv"],
+    ["zeta", "--s", "1", "--x", "1", "--q", "2"],
+    ["partial-zeta", "--s", "1/2", "--a", "2", "--f", "5", "--q", "1/3"],
+    ["partial-zeta", "--s", "-1", "--a", "1", "--f", "3", "--q", "1/2",
+     "--prec", "25", "--format", "csv"],
+    ["lfunction", "--s", "1/2", "--modulus", "5", "--char-index", "1",
+     "--q", "1/2"],
+    ["lfunction", "--s", "-2", "--modulus", "5", "--char-index", "3",
+     "--q", "1/3", "--prec", "30", "--format", "csv"],
+    ["lfunction", "--s", "-1", "--modulus", "3", "--char-index", "1",
+     "--q", "1/2"],
+    ["lfunction", "--s", "2", "--modulus", "1", "--char-index", "0",
+     "--q", "1/2", "--format", "csv"],
+    ["lfunction", "--s", "1", "--modulus", "3", "--char-index", "2",
+     "--q", "1/2"],
+    ["characters", "--modulus", "15"],
+    ["characters", "--modulus", "9", "--format", "csv"],
+    ["characters", "--modulus", "1"],
+    ["characters", "--modulus", "6"],
+    ["verify", "--suite", "thm3", "--max-m", "4", "--max-n", "6"],
+    ["verify", "--suite", "thm4", "--max-m", "3", "--f", "3"],
+    ["verify", "--suite", "all", "--max-m", "3", "--max-n", "5", "--f", "3",
+     "--prec", "20", "--report", REPORT],
+    ["verify", "--suite", "lfunction", "--prec", "20", "--report", REPORT],
+    ["verify", "--suite", "thm2", "--max-n", "99"],
+]
+
+
+def invoke(argv: list[str]) -> dict:
+    """Run the CLI in-process and return its exit code, stdout, stderr and,
+    for a --report run, the report with every elapsed_ms removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        args = [path if a == REPORT else a for a in argv]
+        # usage messages name the program as an installed script would
+        script = types.ModuleType("__main__")
+        with mock.patch.object(sys, "argv", ["qeuler"]), \
+                mock.patch.dict(sys.modules, {"__main__": script}), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(args)
+        record = {"argv": argv, "exit": code, "stdout": out.getvalue(),
+                  "stderr": err.getvalue()}
+        if REPORT in argv:
+            with open(path, encoding="utf-8") as handle:
+                record["report"] = handle.read()
+    return record
+
+
+def _without_timings(report_text: str) -> list[dict]:
+    reports = json.loads(report_text)
+    for report in reports:
+        del report["elapsed_ms"]
+    return reports
+
+
+def _schema(name: str) -> dict:
+    with open(ROOT / "docs" / name, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _golden() -> dict:
+    with open(GOLDEN, encoding="utf-8") as handle:
+        return {" ".join(r["argv"]): r for r in json.load(handle)}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    want = _golden()[" ".join(argv)]
+    got = invoke(argv)
+    assert got["exit"] == want["exit"]
+    assert got["stdout"] == want["stdout"]
+    assert got["stderr"] == want["stderr"]
+    if "report" in want:
+        assert _without_timings(got["report"]) \
+            == _without_timings(want["report"])
+
+
+def test_golden_covers_every_command_and_format():
+    commands = {"numbers", "poly", "sums", "zeta", "partial-zeta",
+                "lfunction", "characters", "verify"}
+    assert {argv[0] for argv in CASES} == commands
+    csv = {argv[0] for argv in CASES if "csv" in argv}
+    assert csv == commands - {"verify"}  # verify has no --format
+    assert set(_golden()) == {" ".join(argv) for argv in CASES}
+
+
+def test_json_outputs_match_schema():
+    validator = jsonschema.Draft202012Validator(
+        _schema("cli-output.schema.json"))
+    checked = 0
+    for record in _golden().values():
+        if record["exit"] == 0 and record["argv"][0] != "verify" \
+                and "csv" not in record["argv"]:
+            validator.validate(json.loads(record["stdout"]))
+            checked += 1
+    assert checked >= 7
+
+
+def test_report_files_match_schema():
+    validator = jsonschema.Draft202012Validator(
+        _schema("verification-report.schema.json"))
+    reports = [r for r in _golden().values() if "report" in r]
+    assert reports
+    for record in reports:
+        validator.validate(json.loads(invoke(record["argv"])["report"]))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump([invoke(argv) for argv in CASES], handle, indent=1)
+        handle.write("\n")

@@ -5,12 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp
 
 from qeuler.errors import DomainError, NotExactPower
-from qeuler.exactnum import (GUARD_DIGITS, RealP, binom, format_rational,
-                             gen_binom, iroot, parse_rational, rat_pow,
-                             real_pow, to_mpf, tolerance)
+from qeuler.exactnum import (RealP, binom, format_rational, iroot,
+                             parse_rational, rat_pow)
 
 
 def pascal_triangle(n_max):
@@ -54,26 +52,6 @@ def test_binom_pascal_rule(n, data):
     assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
 
 
-def test_gen_binom_examples():
-    s = RealP.from_rational(2)
-    assert abs(float(gen_binom(s, 3)) - 4) < 1e-30
-    s = RealP.from_rational(-2)
-    assert float(gen_binom(s, 3)) == 0  # factor (s + 2) vanishes
-    assert abs(float(gen_binom(s, 1)) - (-2)) < 1e-30
-    assert float(gen_binom(s, 0)) == 1
-
-
-def test_gen_binom_at_negative_integers_matches_binom():
-    # gen_binom(-m, k) == (-1)^k C(m, k) for k <= m and 0 beyond
-    for m in range(13):
-        s = RealP.from_rational(-m)
-        for k in range(41):
-            got = gen_binom(s, k)
-            expected = (-1) ** k * binom(m, k) if k <= m else 0
-            with mp.workdps(got.precision + GUARD_DIGITS):
-                assert abs(got.value - expected) <= tolerance(got.precision)
-
-
 def test_iroot_exact_and_floor():
     assert iroot(27, 3) == (3, True)
     assert iroot(28, 3) == (3, False)
@@ -109,31 +87,6 @@ def test_rat_pow_roundtrip(num, den, a, f):
     r = Fraction(a, f)
     result = rat_pow(q, r)
     assert result ** r.denominator == q ** r.numerator
-
-
-def test_real_pow_examples():
-    four = RealP.from_rational(4)
-    half = RealP.from_rational(Fraction(1, 2))
-    got = real_pow(four, half)
-    with mp.workdps(70):
-        assert abs(got.value - 2) < tolerance(50)
-    assert real_pow(half, RealP.from_rational(0)).value == 1
-
-
-def test_real_pow_agrees_with_rat_pow():
-    cases = [(Fraction(1, 8), Fraction(1, 3)), (Fraction(9, 4), Fraction(1, 2)),
-             (Fraction(32), Fraction(3, 5)), (Fraction(1, 2), Fraction(-3)),
-             (Fraction(27, 64), Fraction(2, 3))]
-    for q, r in cases:
-        exact = rat_pow(q, r)
-        approx = real_pow(RealP.from_rational(q), RealP.from_rational(r))
-        with mp.workdps(70):
-            assert abs(approx.value - to_mpf(exact)) <= tolerance(50)
-
-
-def test_real_pow_rejects_nonpositive_base():
-    with pytest.raises(DomainError):
-        real_pow(RealP.from_rational(-4), RealP.from_rational(Fraction(1, 2)))
 
 
 def test_rational_serialization_canonical():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuler import qnumbers
 from qeuler.classical import euler_number, euler_poly
 from qeuler.errors import DomainError
 from qeuler.qnumbers import (QBase, QPower, alt_q_power_sum,
@@ -123,6 +124,20 @@ def test_q_euler_star_anchors():
         for n in range(6):
             assert q_euler_star_poly(n, QPower(base, Fraction(1))) \
                 == q_euler_star_number(n, base)
+
+
+def test_number_cache_stays_bounded():
+    base = QBase(Fraction(2, 7))
+    before = (q_euler_number(5, base), q_euler_star_number(5, base))
+    # more distinct q than the cache holds push the first entries out
+    for k in range(qnumbers.NUMBER_CACHE_SIZE + 10):
+        q_euler_number(1, QBase(Fraction(1, k + 11)))
+    info = qnumbers._number.cache_info()
+    assert info.maxsize == qnumbers.NUMBER_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+    after = (q_euler_number(5, base), q_euler_star_number(5, base))
+    assert qnumbers._number.cache_info().misses == info.misses + 2
+    assert after == before
 
 
 def test_alt_q_power_sum_examples():

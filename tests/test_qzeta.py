@@ -28,7 +28,7 @@ def query(s, x, q, precision=P):
 def continuation_exact(n, x, q):
     """Oracle: the continuation series at s = -n computed in Fractions.
 
-    gen_binom(-n, k) = (-1)^k C(n, k), so the series truncates at k = n and
+    C(-n+k-1, k) = (-1)^k C(n, k), so the series truncates at k = n and
     the value is (1-q)^(-n) sum_k (-1)^k C(n,k) q^(xk) / (1+q^k)."""
     acc = Fraction(0)
     for k in range(n + 1):
