@@ -28,15 +28,24 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_star_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
 from .qzeta import ZetaQuery, partial_zeta, zeta
-from .verify import (MAX_M, MAX_MODULUS, MAX_N, SUITES, VerificationReport,
-                     run_suite)
+from .verify import (MAX_M, MAX_MODULUS, MAX_N, MAX_NUMBERS_N, MAX_PRECISION,
+                     SUITES, VerificationReport, run_suite)
 
 FORMAT_OPTION = click.option("--format", "fmt",
                              type=click.Choice(["json", "csv"]),
                              default="json", show_default=True,
                              help="Output format.")
+
+
+def _check_precision(_ctx: click.Context, _param: click.Parameter,
+                     prec: int) -> int:
+    if prec > MAX_PRECISION:
+        raise click.UsageError(f"--prec must be at most {MAX_PRECISION}")
+    return prec
+
+
 PREC_OPTION = click.option("--prec", type=int, default=DEFAULT_PRECISION,
-                           show_default=True,
+                           show_default=True, callback=_check_precision,
                            help="Certified decimal precision P.")
 
 
@@ -84,6 +93,8 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
     """Table of q-Euler, star q-Euler, Euler, or Bernoulli numbers."""
     if max_n < 0:
         raise click.UsageError("--max-n must be nonnegative")
+    if max_n > MAX_NUMBERS_N:
+        raise click.UsageError(f"--max-n must be at most {MAX_NUMBERS_N}")
     query: dict = {"command": "numbers", "variant": variant, "max_n": max_n}
     if variant in ("plain", "star"):
         if q_text is None:

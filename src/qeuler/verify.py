@@ -38,11 +38,14 @@ ZETA_X = ("1/2", "1", "2", "7/2")
 ZETA_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 LFUNCTION_Q = (Fraction(1, 3), Fraction(1, 2))
 
-#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
-#: and the modulus of `characters` and `lfunction`.
+#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids,
+#: the modulus of `characters` and `lfunction`, the certified precision
+#: `--prec` and the length of a `numbers` table.
 MAX_M = 16
 MAX_N = 64
 MAX_MODULUS = 1001
+MAX_PRECISION = 500
+MAX_NUMBERS_N = 100
 
 #: Suites whose cells are real-valued and take the certified precision.
 PRECISION_SUITES = ("zeta", "partial-zeta", "lfunction")
@@ -229,7 +232,8 @@ def verify_classical(max_m: int = 12, max_k: int = 50) -> VerificationReport:
 
 
 def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
-    """Dual-route zeta: continuation series vs Euler-transform summation."""
+    """Dual-route zeta: continuation series vs CVZ-accelerated summation of
+    the raw series."""
     cells = [(s, x, q) for s in ZETA_S for x in ZETA_X for q in ZETA_Q]
 
     def evaluate(cell):

@@ -1,6 +1,7 @@
 """CLI surface: output formats, determinism, exit codes."""
 
 import json
+import time
 
 from qeuler.cli import main
 
@@ -149,6 +150,47 @@ def test_modulus_bound(capsys):
     code, _, _ = run(capsys, "lfunction", "--s", "1/2", "--modulus", "21",
                      "--char-index", "5", "--q", "1/2", "--prec", "15")
     assert code == 0
+
+
+def test_precision_bound(capsys):
+    from qeuler.verify import MAX_PRECISION
+    too_big = str(MAX_PRECISION + 1)
+    for argv in (["zeta", "--s", "1/2", "--x", "1", "--q", "1/2"],
+                 ["partial-zeta", "--s", "1/2", "--a", "1", "--f", "3",
+                  "--q", "1/2"],
+                 ["lfunction", "--s", "1/2", "--modulus", "3",
+                  "--char-index", "1", "--q", "1/2"],
+                 ["verify", "--suite", "zeta"]):
+        code, out, err = run(capsys, *argv, "--prec", too_big)
+        assert (code, out) == (1, "")
+        assert f"Error: --prec must be at most {MAX_PRECISION}" in err
+    code, _, _ = run(capsys, "zeta", "--s", "1/2", "--x", "1", "--q", "1/2",
+                     "--prec", str(MAX_PRECISION))
+    assert code == 0
+
+
+def test_numbers_bound(capsys):
+    from qeuler.verify import MAX_NUMBERS_N
+    too_big = str(MAX_NUMBERS_N + 1)
+    for variant in ("plain", "star", "classical-euler",
+                    "classical-bernoulli"):
+        code, out, err = run(capsys, "numbers", "--max-n", too_big,
+                             "--q", "1/2", "--variant", variant)
+        assert (code, out) == (1, "")
+        assert f"Error: --max-n must be at most {MAX_NUMBERS_N}" in err
+    code, _, _ = run(capsys, "numbers", "--max-n", str(MAX_NUMBERS_N),
+                     "--variant", "classical-euler")
+    assert code == 0
+
+
+def test_zeta_term_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zeta", "--s", "1/2", "--x", "1",
+                         "--q", "999999999/1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_pass_and_report(tmp_path, capsys):

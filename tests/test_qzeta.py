@@ -1,6 +1,7 @@
 """q-zeta evaluation: the two summation routes are each other's oracle,
 and negative-integer values must hit the exact polynomial interpolation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from mpmath import mp, mpf
 from qeuler.errors import DomainError, NonConvergence
 from qeuler.exactnum import GUARD_DIGITS, RealP, binom, rat_pow, to_mpf, \
     tolerance
+from qeuler import qzeta
 from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
 from qeuler.qzeta import (ZetaQuery, euler_transform, interpolate_check,
                           partial_zeta, partial_zeta_series,
@@ -108,10 +110,107 @@ def test_euler_transform_known_values():
 
 
 def test_euler_transform_nonconvergence():
+    calls = []
+
+    def term(j):
+        calls.append(j)
+        return mpf(1)
+
     with mp.workdps(40):
         with pytest.raises(NonConvergence):
-            # |Delta^k a_0| = 2^k exactly cancels the 2^(k+1) damping
-            euler_transform(lambda j: mpf(3) ** j, 20, cap=100)
+            # the a-priori count for a variation of 10^100 is 177 terms
+            euler_transform(term, 20, cap=100, variation=mpf(10) ** 100)
+    assert calls == []  # refused before summing
+
+
+def record_transform(monkeypatch):
+    """Patch qzeta.euler_transform to record, per call, the variation
+    bound it was handed and how many terms it asked for."""
+    calls = []
+    real = qzeta.euler_transform
+
+    def spy(terms, precision, cap=None, variation=1):
+        record = {"variation": variation, "terms": 0}
+        calls.append(record)
+
+        def counted(j):
+            record["terms"] += 1
+            return terms(j)
+
+        return real(counted, precision, cap, variation)
+
+    monkeypatch.setattr(qzeta, "euler_transform", spy)
+    return calls
+
+
+def test_variation_bound_covers_measure(monkeypatch):
+    # [n+x]_q^(-s) = sum_j c_j (q^j)^n with c_j = (1-q)^s C(s+j-1,j) q^(xj)
+    calls = record_transform(monkeypatch)
+    for s in (Fraction(-7, 2), Fraction(-2), Fraction(-1, 2), Fraction(1, 2),
+              Fraction(3)):
+        for x in (Fraction(1, 2), Fraction(2)):
+            for q in (Fraction(1, 5), Fraction(4, 5)):
+                zeta_euler_transform(query(s, x, q))
+                bound = calls[-1]["variation"]
+                with mp.workdps(P + GUARD_DIGITS):
+                    sv, qv = to_mpf(s), to_mpf(q)
+                    step = mp.power(qv, to_mpf(x))
+                    coeff, weight, total = mpf(1), mpf(1), mpf(0)
+                    j = 0
+                    while True:
+                        term = abs(coeff) * weight
+                        total += term
+                        if j > 10 and term < mpf(10) ** -30 * total:
+                            break
+                        coeff *= (sv + j) / (j + 1)
+                        weight *= step
+                        j += 1
+                    total *= mp.power(1 - qv, sv)
+                    assert total <= bound
+                    if s > 0:  # every c_j is positive: the bound is exact
+                        assert total >= bound * (1 - mpf(10) ** -25)
+
+
+def expected_terms(precision, variation):
+    """n(P, V): the least n with 2 V / (3 + sqrt 8)^n <= 10^-(P+15)."""
+    return math.ceil(((precision + 15) * math.log(10)
+                      + math.log(2 * float(variation)))
+                     / math.log(3 + math.sqrt(8)))
+
+
+def test_cvz_term_count_fixed_and_linear(monkeypatch):
+    calls = record_transform(monkeypatch)
+    counts = []
+    for precision in (50, 100, 200, 400):
+        zeta_euler_transform(query("-1/2", "1/2", Fraction(4, 5), precision))
+        record = calls[-1]
+        assert record["terms"] == expected_terms(precision,
+                                                 record["variation"])
+        counts.append(record["terms"])
+    per_digit = math.log(10) / math.log(3 + math.sqrt(8))  # about 1.31
+    for (p0, n0), (p1, n1) in zip(zip((50, 100, 200), counts),
+                                  zip((100, 200, 400), counts[1:])):
+        assert abs((n1 - n0) - (p1 - p0) * per_digit) <= 1
+
+
+def test_cvz_agrees_with_continuation_near_one():
+    q = Fraction(99, 100)
+    for s in ("-3/2", "1/2", "2"):
+        zq = query(s, 1, q)
+        with mp.workdps(P + GUARD_DIGITS):
+            assert abs(zeta(zq).value - zeta_euler_transform(zq).value) \
+                <= tolerance(P)
+
+
+def test_zeta_term_cap(monkeypatch):
+    # q^(xk) would need about 1.5 * 10^11 terms: refused before summing
+    with pytest.raises(NonConvergence):
+        zeta(query("1/2", 1, Fraction(999999999, 10 ** 9)))
+    # the estimate (216 terms) passes, but C(s+k-1, k) for s = 200 keeps
+    # the terms large well past 300
+    monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
+    with pytest.raises(NonConvergence):
+        zeta(query(200, 1, Fraction(1, 2)))
 
 
 def test_partial_zeta_anchors():
