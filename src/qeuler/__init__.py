@@ -6,8 +6,8 @@ and complex evaluations carry a certified decimal precision.
 """
 
 from .errors import DomainError, NonConvergence, NotExactPower
-from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, binom,
-                       format_rational, parse_rational, rat_pow, tolerance)
+from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
+                       parse_rational, rat_pow, tolerance)
 from .classical import (alt_power_sum, alt_power_sum_closed, bernoulli_number,
                         euler_number, euler_poly, power_sum, power_sum_closed)
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
@@ -15,8 +15,7 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_poly_via_numbers, q_euler_star_number,
                        q_euler_star_poly, q_int, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import (ZetaQuery, interpolate_check, partial_zeta,
-                    partial_zeta_series, partial_zeta_special_value, zeta,
+from .qzeta import (ZetaQuery, partial_zeta, partial_zeta_special_value, zeta,
                     zeta_euler_transform)
 from .characters import (DirichletCharacter, characters_mod,
                          generalized_q_euler, l_function)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "NonConvergence", "NotExactPower",
-    "DEFAULT_PRECISION", "ComplexP", "RealP", "binom", "format_rational",
+    "DEFAULT_PRECISION", "ComplexP", "RealP", "format_rational",
     "parse_rational", "rat_pow", "tolerance",
     "alt_power_sum", "alt_power_sum_closed", "bernoulli_number",
     "euler_number", "euler_poly", "power_sum", "power_sum_closed",
@@ -33,8 +32,8 @@ __all__ = [
     "distribution_sum", "q_euler_number", "q_euler_poly",
     "q_euler_poly_via_numbers", "q_euler_star_number", "q_euler_star_poly",
     "q_int", "weighted_alt_q_power_sum", "weighted_alt_q_power_sum_closed",
-    "ZetaQuery", "interpolate_check", "partial_zeta", "partial_zeta_series",
-    "partial_zeta_special_value", "zeta", "zeta_euler_transform",
+    "ZetaQuery", "partial_zeta", "partial_zeta_special_value", "zeta",
+    "zeta_euler_transform",
     "DirichletCharacter", "characters_mod", "generalized_q_euler",
     "l_function",
 ]

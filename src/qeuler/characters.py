@@ -6,7 +6,7 @@ off the units, and otherwise to an integer e with chi(a) = exp(2*pi*i*e/m),
 m the character's order.  Multiplicativity and orthogonality are therefore
 exact integer statements; complex values are materialized only at the final
 arithmetic step, at the requested precision.  Characters whose order is at
-most 2 take values in {0, 1, -1} and get a fully rational path.
+most 2 take values in {0, 1, -1}; their generalized numbers stay exact.
 
 Construction of the full group: factor d into odd prime powers, take the
 smallest primitive root for each, read discrete logs off the root, and
@@ -80,15 +80,6 @@ class DirichletCharacter:
     @property
     def is_real(self) -> bool:
         return self.order <= 2
-
-    def value_exact(self, a: int) -> Fraction:
-        """chi(a) as a Fraction; only real characters (order <= 2) qualify."""
-        if not self.is_real:
-            raise DomainError("character is not real-valued")
-        e = self.exponents[a % self.modulus]
-        if e is None:
-            return Fraction(0)
-        return Fraction(1) if e == 0 else Fraction(-1)
 
     def value(self, a: int):
         """chi(a) as an mpmath complex at the current working precision."""
@@ -234,13 +225,10 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
     parts = [(a, partial_zeta(s, a, F, q, precision))
              for a in range(1, F) if chi.exponents[a] is not None]
     with mp.workdps(precision + GUARD_DIGITS):
-        if chi.is_real:
-            total = mpf(0)
-            for a, h in parts:
-                total += to_mpf(chi.value_exact(a)) * h.value
-            return RealP(total, precision)
         total = mp.mpc(0)
         for a, h in parts:
             total += chi.value(a) * h.value
+        if chi.is_real:
+            return RealP(total.real, precision)
         return ComplexP(total, precision)
 

@@ -16,26 +16,31 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError
-from .exactnum import binom
 
 _lock = threading.Lock()
 _euler: list[Fraction] = [Fraction(1)]
 _bernoulli: list[Fraction] = [Fraction(1)]
 
 
-def euler_numbers(n_max: int) -> list[Fraction]:
-    """E_0..E_n from the recurrence sum_k C(n,k) E_k + E_n = 0 (n >= 1)."""
+def _extend(table: list[Fraction], n_max: int, step) -> list[Fraction]:
+    """table[0..n_max], appending step(n) for each missing index n under the
+    writer lock."""
     if n_max < 0:
         raise DomainError("n must be nonnegative")
-    if len(_euler) <= n_max:
+    if len(table) <= n_max:
         with _lock:
-            while len(_euler) <= n_max:
-                n = len(_euler)
-                acc = sum(binom(n, k) * _euler[k] for k in range(n))
-                _euler.append(-acc / 2)
-    return _euler[: n_max + 1]
+            while len(table) <= n_max:
+                table.append(step(len(table)))
+    return table[: n_max + 1]
+
+
+def euler_numbers(n_max: int) -> list[Fraction]:
+    """E_0..E_n from the recurrence sum_k C(n,k) E_k + E_n = 0 (n >= 1)."""
+    return _extend(_euler, n_max, lambda n: -sum(
+        comb(n, k) * _euler[k] for k in range(n)) / 2)
 
 
 def euler_number(n: int) -> Fraction:
@@ -45,15 +50,8 @@ def euler_number(n: int) -> Fraction:
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """B_0..B_n from sum_{k<=n} C(n+1,k) B_k = 0 (n >= 1), so B_1 = -1/2."""
-    if n_max < 0:
-        raise DomainError("n must be nonnegative")
-    if len(_bernoulli) <= n_max:
-        with _lock:
-            while len(_bernoulli) <= n_max:
-                n = len(_bernoulli)
-                acc = sum(binom(n + 1, k) * _bernoulli[k] for k in range(n))
-                _bernoulli.append(Fraction(-acc, n + 1))
-    return _bernoulli[: n_max + 1]
+    return _extend(_bernoulli, n_max, lambda n: Fraction(-sum(
+        comb(n + 1, k) * _bernoulli[k] for k in range(n)), n + 1))
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -68,7 +66,7 @@ def euler_poly(n: int, x: Fraction | int) -> Fraction:
     """
     x = Fraction(x)
     numbers = euler_numbers(n)
-    return sum(binom(n, k) * numbers[k] * x ** (n - k) for k in range(n + 1))
+    return sum(comb(n, k) * numbers[k] * x ** (n - k) for k in range(n + 1))
 
 
 def power_sum(n: int, k: int) -> Fraction:
@@ -81,7 +79,7 @@ def power_sum_closed(n: int, k: int) -> Fraction:
     """sum_{l=0}^{k-1} l^n via (1/(n+1)) sum_i C(n+1,i) B_i k^(n+1-i)."""
     _check_positive(n, k)
     numbers = bernoulli_numbers(n)
-    acc = sum(binom(n + 1, i) * numbers[i] * Fraction(k) ** (n + 1 - i)
+    acc = sum(comb(n + 1, i) * numbers[i] * Fraction(k) ** (n + 1 - i)
               for i in range(n + 1))
     return acc / (n + 1)
 

@@ -129,6 +129,8 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
     otherwise the command fails rather than approximate."""
     if n < 0:
         raise click.UsageError("--n must be nonnegative")
+    if n > MAX_NUMBERS_N:
+        raise click.UsageError(f"--n must be at most {MAX_NUMBERS_N}")
     x = _parse_q(x_text)
     query: dict = {"command": "poly", "variant": variant, "n": n,
                    "x": format_rational(x)}
@@ -161,6 +163,10 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
 def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
              fmt: str) -> int:
     """Power sums: direct summation next to the closed form (always equal)."""
+    if m > MAX_M:
+        raise click.UsageError(f"--m must be at most {MAX_M}")
+    if n > MAX_N:
+        raise click.UsageError(f"--n must be at most {MAX_N}")
     query: dict = {"command": "sums", "variant": variant, "m": m, "n": n}
     if variant == "power":
         direct, closed = classical.power_sum(m, n), \

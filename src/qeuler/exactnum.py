@@ -14,9 +14,9 @@ absolute error is at most ``10**-(P - 10)``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from mpmath import mp, mpf
 
@@ -43,9 +43,15 @@ def tolerance(precision: int) -> mpf:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Canonical serialization "num/den", denominator printed even when 1."""
+    """Canonical serialization "num/den", denominator printed even when 1;
+    DomainError past the interpreter's int-to-str digit limit."""
     fr = Fraction(value)
-    return f"{fr.numerator}/{fr.denominator}"
+    try:
+        return f"{fr.numerator}/{fr.denominator}"
+    except ValueError as exc:
+        raise DomainError(
+            f"exact value too long to print: more than "
+            f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -104,16 +110,6 @@ class ComplexP:
             im = mp.nstr(self.value.imag, self.precision, strip_zeros=False)
         joiner = "" if im.startswith("-") else "+"
         return f"{re}{joiner}{im}i"
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero outside 0 <= k <= n, so Pascal's
-    rule C(n,k) = C(n-1,k-1) + C(n-1,k) holds on the whole row."""
-    if n < 0:
-        raise DomainError("binom requires nonnegative n")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

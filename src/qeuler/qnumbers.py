@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import DomainError
-from .exactnum import binom, rat_pow
+from .exactnum import rat_pow
 
 #: Most q-Euler numbers (plain and star, any n and q) kept in memory.
 NUMBER_CACHE_SIZE = 4096
@@ -106,7 +107,7 @@ def _kernel(n: int, q: Fraction, t: Fraction | int, shift: int) -> Fraction:
     prefactor = 1 + q_power
     t_power = 1
     for j in range(n + 1):
-        term = binom(n, j) * t_power / (1 + q_power)
+        term = comb(n, j) * t_power / (1 + q_power)
         total += term if j % 2 == 0 else -term
         q_power *= q
         t_power *= t
@@ -141,7 +142,7 @@ def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
     total = Fraction(0)
     t_power = Fraction(1)
     for k in range(n + 1):
-        total += binom(n, k) * t_power * q_euler_number(k, qp.base) \
+        total += comb(n, k) * t_power * q_euler_number(k, qp.base) \
             * bracket_x ** (n - k)
         t_power *= qp.t
     return total
@@ -163,8 +164,9 @@ def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
     return _kernel(n, qp.base.q, qp.t, 1)
 
 
-def alt_q_power_sum(m: int, n: int, q: QBase) -> Fraction:
-    """sum_{l=0}^{n-1} (-1)^l [l]_q^m by direct summation (brute force)."""
+def _direct_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
+    """sum_{l=0}^{n-1} (-1)^l q^(shift*l) [l]_q^m by direct summation; it
+    never calls the kernel, so it stays independent of the closed form."""
     _check_sum_args(m, n)
     qq = q.q
     total = Fraction(0)
@@ -172,54 +174,48 @@ def alt_q_power_sum(m: int, n: int, q: QBase) -> Fraction:
     power = Fraction(1)  # q^l
     for l in range(n):
         term = bracket ** m
+        if shift:
+            term *= power
         total += term if l % 2 == 0 else -term
         bracket += power
         power *= qq
     return total
 
 
-def alt_q_power_sum_closed(m: int, n: int, q: QBase) -> Fraction:
-    """sum_{l=0}^{n-1} (-1)^l [l]_q^m = (E_{m,q} + (-1)^(n+1) E_{m,q}(n))/2.
-
-    The sign exponent is the summation length n: splitting the alternating
-    generating function at l = n carries (-1)^(n+1) onto the shifted tail.
-    Must equal alt_q_power_sum bit for bit.
-    """
+def _closed_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
+    """(E_{m,q} + (-1)^(n+1) q^(shift*n) E_{m,q}(n)) / (1+q^shift), star
+    numbers and polynomials at shift 1: splitting the generating function
+    at l = n puts (-1)^(n+1) and the weight q^(shift*n) on the tail."""
     _check_sum_args(m, n)
-    shifted = q_euler_poly(m, QPower.from_integer(q, n))
+    qq = q.q
+    t = qq ** n
+    shifted = _kernel(m, qq, t, shift)
+    if shift:
+        shifted *= t
     if n % 2 == 0:
         shifted = -shifted
-    return (q_euler_number(m, q) + shifted) / 2
+    return (_number(m, qq, shift) + shifted) / (1 + qq ** shift)
+
+
+def alt_q_power_sum(m: int, n: int, q: QBase) -> Fraction:
+    """sum_{l=0}^{n-1} (-1)^l [l]_q^m by direct summation (brute force)."""
+    return _direct_sum(m, n, q, 0)
+
+
+def alt_q_power_sum_closed(m: int, n: int, q: QBase) -> Fraction:
+    """sum_{l<n} (-1)^l [l]_q^m = (E_{m,q} + (-1)^(n+1) E_{m,q}(n)) / 2."""
+    return _closed_sum(m, n, q, 0)
 
 
 def weighted_alt_q_power_sum(m: int, n: int, q: QBase) -> Fraction:
     """sum_{l=0}^{n-1} (-1)^l q^l [l]_q^m by direct summation."""
-    _check_sum_args(m, n)
-    qq = q.q
-    total = Fraction(0)
-    bracket = Fraction(0)
-    power = Fraction(1)  # q^l
-    for l in range(n):
-        term = power * bracket ** m
-        total += term if l % 2 == 0 else -term
-        bracket += power
-        power *= qq
-    return total
+    return _direct_sum(m, n, q, 1)
 
 
 def weighted_alt_q_power_sum_closed(m: int, n: int, q: QBase) -> Fraction:
     """sum_{l<n} (-1)^l q^l [l]_q^m
-    = (E*_{m,q} + (-1)^(n+1) q^n E*_{m,q}(n)) / [2]_q.
-
-    Both the (-1)^(n+1) exponent and the q^n weight on the shifted term
-    come from splitting the weighted generating function at l = n.
-    """
-    _check_sum_args(m, n)
-    qq = q.q
-    shifted = qq ** n * q_euler_star_poly(m, QPower.from_integer(q, n))
-    if n % 2 == 0:
-        shifted = -shifted
-    return (q_euler_star_number(m, q) + shifted) / (1 + qq)
+    = (E*_{m,q} + (-1)^(n+1) q^n E*_{m,q}(n)) / [2]_q."""
+    return _closed_sum(m, n, q, 1)
 
 
 def distribution_sum(m: int, f: int, x: int, q: QBase) -> Fraction:

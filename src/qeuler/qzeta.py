@@ -20,9 +20,9 @@ Two independent summation routes are implemented:
   (0, 1].  Its term count is fixed in advance from an a-priori error
   bound, so it runs in time linear in P.
 
-The partial zeta H_q(s, a; F) takes either route at base q^F, x = a/F.
-Both routes work at precision + GUARD_DIGITS internal digits and certify
-10**-(P-10).
+The partial zeta H_q(s, a; F) has one route: `zeta` at base q^F, x = a/F.
+Its cross-check is the exact special value at s = -n.  Both zeta routes
+work at precision + GUARD_DIGITS internal digits and certify 10**-(P-10).
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Callable
 from mpmath import mp, mpf
 
 from .errors import DomainError, NonConvergence
-from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf,
-                       tolerance)
+from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf
 from .qnumbers import QBase, QPower, q_euler_poly, q_int
 
 #: Most terms `zeta` sums.  The continuation series needs about
@@ -111,7 +110,7 @@ def zeta(zq: ZetaQuery) -> RealP:
 
 
 def euler_transform(terms: Callable[[int], mpf], precision: int,
-                    cap: int | None = None, variation=1) -> mpf:
+                    variation=1) -> mpf:
     """Abel value of sum_{n>=0} (-1)^n a_n by the convergence acceleration
     of Cohen, Rodriguez Villegas and Zagier (CVZ), "Convergence
     acceleration of alternating series", Experimental Math. 9 (2000),
@@ -123,11 +122,10 @@ def euler_transform(terms: Callable[[int], mpf], precision: int,
     fixed before summing as the least one that brings this bound to
     10**-(P+15), and `terms(j)` is called once for each j < n in increasing
     order, in constant memory.  The caller must already hold the
-    working-precision context.  Raises NonConvergence when n exceeds `cap`
-    (default 4 * precision + 200).
+    working-precision context.  Raises NonConvergence when n exceeds
+    4 * precision + 200.
     """
-    if cap is None:
-        cap = 4 * precision + 200
+    cap = 4 * precision + 200
     rate = 3 + mp.sqrt(8)
     count = max(0, int(mp.ceil(((precision + 15) * mp.log(10)
                                 + mp.log(2 * variation)) / mp.log(rate))))
@@ -174,27 +172,6 @@ def zeta_euler_transform(zq: ZetaQuery) -> RealP:
                      precision)
 
 
-def interpolate_check(n: int, x: int, q: QBase,
-                      precision: int = DEFAULT_PRECISION
-                      ) -> tuple[Fraction, RealP]:
-    """Exact E_{n,q}(x)/2 alongside zeta(-n, x, q).
-
-    Returns the pair and raises ArithmeticError if the two differ by more
-    than the certified 10**-(P-10).
-    """
-    if n < 0 or x < 1:
-        raise DomainError("need n >= 0 and integer x >= 1")
-    exact = q_euler_poly(n, QPower.from_integer(q, x)) / 2
-    approx = zeta(ZetaQuery(RealP.from_rational(-n, precision),
-                            RealP.from_rational(x, precision),
-                            q, precision))
-    with mp.workdps(precision + GUARD_DIGITS):
-        if abs(approx.value - to_mpf(exact)) > tolerance(precision):
-            raise ArithmeticError(
-                f"interpolation mismatch at n={n}, x={x}, q={q.q}")
-    return exact, approx
-
-
 def _check_residue(a: int, period: int) -> None:
     if period % 2 == 0:
         raise DomainError("the period F must be odd")
@@ -202,44 +179,28 @@ def _check_residue(a: int, period: int) -> None:
         raise DomainError("need 0 < a < F")
 
 
-def _residue_class(route: Callable[[ZetaQuery], RealP], s: RealP, a: int,
-                   period: int, q: QBase, precision: int) -> RealP:
-    """[F]_q^(-s) (-1)^a route(s, a/F) at base q^F: the residue-class
-    sum H_q(s, a; F) from a q-zeta route, since [a+nF]_q equals
-    [F]_q [n+a/F]_(q^F)."""
+def partial_zeta(s: RealP, a: int, period: int, q: QBase,
+                 precision: int = DEFAULT_PRECISION) -> RealP:
+    """Partial q-zeta over the residue class a mod F (F odd, 0 < a < F):
+
+        H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F),
+
+    since [a+nF]_q = [F]_q [n+a/F]_(q^F).  Delegates to `zeta` with base
+    q^F and x = a/F.
+    """
     _check_residue(a, period)
     if not 0 < q.q < 1:
         raise DomainError("partial zeta requires 0 < q < 1")
-    inner = route(ZetaQuery(s, RealP.from_rational(Fraction(a, period),
-                                                   precision),
-                            QBase(q.q ** period, zeta_domain=True),
-                            precision))
+    inner = zeta(ZetaQuery(s, RealP.from_rational(Fraction(a, period),
+                                                  precision),
+                           QBase(q.q ** period, zeta_domain=True),
+                           precision))
     with mp.workdps(precision + GUARD_DIGITS):
         scale = mp.power(to_mpf(q_int(period, q)), -s.value)
         value = scale * inner.value
         if a % 2:
             value = -value
         return RealP(value, precision)
-
-
-def partial_zeta(s: RealP, a: int, period: int, q: QBase,
-                 precision: int = DEFAULT_PRECISION) -> RealP:
-    """Partial q-zeta over the residue class a mod F (F odd, 0 < a < F):
-
-        H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F).
-
-    Delegates to `zeta` with base q^F and x = a/F.
-    """
-    return _residue_class(zeta, s, a, period, q, precision)
-
-
-def partial_zeta_series(s: RealP, a: int, period: int, q: QBase,
-                        precision: int = DEFAULT_PRECISION) -> RealP:
-    """Direct route for H_q(s, a; F): the same decomposition with the raw
-    series sum_n (-1)^n [n+a/F]_(q^F)^(-s) summed by `zeta_euler_transform`
-    (for odd F, (-1)^(a+nF) = (-1)^(a+n)).  Cross-check for
-    `partial_zeta`."""
-    return _residue_class(zeta_euler_transform, s, a, period, q, precision)
 
 
 def partial_zeta_special_value(n: int, a: int, period: int,

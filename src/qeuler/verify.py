@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -38,9 +38,10 @@ ZETA_X = ("1/2", "1", "2", "7/2")
 ZETA_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 LFUNCTION_Q = (Fraction(1, 3), Fraction(1, 2))
 
-#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids,
-#: the modulus of `characters` and `lfunction`, the certified precision
-#: `--prec` and the length of a `numbers` table.
+#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
+#: and `sums --m/--n`, the modulus of `characters` and `lfunction`, the
+#: certified precision `--prec`, and the length of a `numbers` table and
+#: the degree `poly --n`.
 MAX_M = 16
 MAX_N = 64
 MAX_MODULUS = 1001
@@ -71,14 +72,7 @@ class VerificationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "cases_run": self.cases_run,
-            "failures": self.failures,
-            "max_deviation": self.max_deviation,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -100,11 +94,10 @@ def _exact_suite(name: str, grid: dict, cells, evaluate) -> VerificationReport:
                 "rhs": format_rational(rhs),
                 "deviation": format_rational(deviation),
             })
-    report = VerificationReport(
+    return VerificationReport(
         suite=name, grid=grid, cases_run=len(cells), failures=failures,
         max_deviation="exact" if not failures else _decimal(worst),
         elapsed_ms=int((time.perf_counter() - start) * 1000))
-    return report
 
 
 def _numeric_suite(name: str, grid: dict, cells, evaluate,
@@ -137,9 +130,9 @@ def _decimal(value: Fraction) -> str:
         return mp.nstr(to_mpf(value), 10)
 
 
-def verify_thm3(max_m: int = 10, max_n: int = 20,
-                qs=IDENTITY_Q) -> VerificationReport:
-    """Alternating q-power sums: closed form vs brute force, exact."""
+def _sum_suite(name: str, closed, direct, max_m: int, max_n: int,
+              qs) -> VerificationReport:
+    """Power sums over (m, n, q): closed form vs brute force, exact."""
     cells = [(m, n, q) for m in range(1, max_m + 1)
              for n in range(1, max_n + 1) for q in qs]
 
@@ -147,30 +140,25 @@ def verify_thm3(max_m: int = 10, max_n: int = 20,
         m, n, q = cell
         base = QBase(q)
         return ({"m": m, "n": n, "q": format_rational(q)},
-                alt_q_power_sum_closed(m, n, base),
-                alt_q_power_sum(m, n, base))
+                closed(m, n, base), direct(m, n, base))
 
     grid = {"m": [1, max_m], "n": [1, max_n],
             "q": [format_rational(q) for q in qs]}
-    return _exact_suite("thm3", grid, cells, evaluate)
+    return _exact_suite(name, grid, cells, evaluate)
+
+
+def verify_thm3(max_m: int = 10, max_n: int = 20,
+                qs=IDENTITY_Q) -> VerificationReport:
+    """Alternating q-power sums: closed form vs brute force, exact."""
+    return _sum_suite("thm3", alt_q_power_sum_closed, alt_q_power_sum,
+                      max_m, max_n, qs)
 
 
 def verify_weighted(max_m: int = 10, max_n: int = 20,
                     qs=IDENTITY_Q) -> VerificationReport:
     """Weighted alternating q-power sums: closed form vs brute force."""
-    cells = [(m, n, q) for m in range(1, max_m + 1)
-             for n in range(1, max_n + 1) for q in qs]
-
-    def evaluate(cell):
-        m, n, q = cell
-        base = QBase(q)
-        return ({"m": m, "n": n, "q": format_rational(q)},
-                weighted_alt_q_power_sum_closed(m, n, base),
-                weighted_alt_q_power_sum(m, n, base))
-
-    grid = {"m": [1, max_m], "n": [1, max_n],
-            "q": [format_rational(q) for q in qs]}
-    return _exact_suite("weighted", grid, cells, evaluate)
+    return _sum_suite("weighted", weighted_alt_q_power_sum_closed,
+                      weighted_alt_q_power_sum, max_m, max_n, qs)
 
 
 def verify_thm2(max_n: int = 10, max_x: int = 8,

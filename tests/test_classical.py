@@ -93,6 +93,24 @@ def test_euler_poly_functional_equation():
             assert euler_poly(n, x) + euler_poly(n, x + 1) == 2 * x ** n
 
 
+def test_tables_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def exact(value):
+        return Fraction(int(value.p), int(value.q))
+
+    for n in range(61):
+        assert euler_number(n) == exact(sympy.euler(n, 0))
+        # sympy takes B_1 = +1/2; this package takes B_1 = -1/2
+        expected = exact(sympy.bernoulli(n))
+        assert bernoulli_number(n) == (-expected if n == 1 else expected)
+    for n in range(13):
+        for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2),
+                  Fraction(7, 3)):
+            value = sympy.euler(n, sympy.Rational(x.numerator, x.denominator))
+            assert euler_poly(n, x) == exact(value)
+
+
 def test_power_sum_examples():
     assert power_sum(3, 4) == 36          # 0 + 1 + 8 + 27
     assert power_sum(5, 1) == 0

@@ -183,6 +183,45 @@ def test_numbers_bound(capsys):
     assert code == 0
 
 
+def test_sums_bound(capsys):
+    from qeuler.verify import MAX_M, MAX_N
+    for variant in ("power", "alt-power", "q-alt", "q-alt-weighted"):
+        for option, bound, m, n in (("--m", MAX_M, MAX_M + 1, 2),
+                                    ("--n", MAX_N, 2, MAX_N + 1)):
+            code, out, err = run(capsys, "sums", "--variant", variant,
+                                 "--m", str(m), "--n", str(n), "--q", "1/2")
+            assert (code, out) == (1, "")
+            assert f"Error: {option} must be at most {bound}" in err
+    code, _, _ = run(capsys, "sums", "--variant", "power", "--m", str(MAX_M),
+                     "--n", str(MAX_N))
+    assert code == 0
+
+
+def test_poly_bound(capsys):
+    from qeuler.verify import MAX_NUMBERS_N
+    too_big = str(MAX_NUMBERS_N + 1)
+    for variant in ("plain", "star", "classical"):
+        code, out, err = run(capsys, "poly", "--n", too_big, "--x", "1",
+                             "--q", "1/2", "--variant", variant)
+        assert (code, out) == (1, "")
+        assert f"Error: --n must be at most {MAX_NUMBERS_N}" in err
+    code, _, _ = run(capsys, "poly", "--n", str(MAX_NUMBERS_N), "--x", "2",
+                     "--q", "1/2")
+    assert code == 0
+
+
+def test_value_too_long_to_print_fails_cleanly(capsys):
+    # inside every bound, but the exact value passes the interpreter's
+    # int-to-str limit
+    for argv in (["poly", "--n", "100", "--x", "2", "--q", "1009/1013"],
+                 ["sums", "--variant", "q-alt", "--m", "16", "--n", "64",
+                  "--q", "99991/99989"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too long to print" in err and "Traceback" not in err
+
+
 def test_zeta_term_cap_fails_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "zeta", "--s", "1/2", "--x", "1",

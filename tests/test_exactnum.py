@@ -1,5 +1,6 @@
-"""Exact arithmetic kernel: binomials, rational powers, precision reals."""
+"""Exact arithmetic kernel: rational powers, precision reals."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,49 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qeuler.errors import DomainError, NotExactPower
-from qeuler.exactnum import (RealP, binom, format_rational, iroot,
-                             parse_rational, rat_pow)
-
-
-def pascal_triangle(n_max):
-    """Oracle: Pascal's triangle built by addition only."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return rows
-
-
-def test_binom_examples():
-    assert binom(4, 2) == 6
-    assert binom(7, 0) == 1
-    # value produced by the additive oracle, frozen here
-    assert pascal_triangle(10)[10][4] == 210
-    assert binom(10, 4) == 210
-
-
-def test_binom_zero_beyond_row():
-    assert binom(5, 6) == 0
-    assert binom(0, 3) == 0
-    assert binom(3, -2) == 0
-
-
-def test_binom_rejects_negative_n():
-    with pytest.raises(DomainError):
-        binom(-1, 0)
-
-
-def test_binom_matches_pascal_triangle():
-    rows = pascal_triangle(30)
-    for n in range(31):
-        for k in range(n + 1):
-            assert binom(n, k) == rows[n][k]
-
-
-@given(st.integers(min_value=1, max_value=30), st.data())
-def test_binom_pascal_rule(n, data):
-    k = data.draw(st.integers(min_value=0, max_value=n))
-    assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
+from qeuler.exactnum import (RealP, format_rational, iroot, parse_rational,
+                             rat_pow)
 
 
 def test_iroot_exact_and_floor():
@@ -98,6 +58,17 @@ def test_rational_serialization_canonical():
     assert parse_rational("0.25") == Fraction(1, 4)
     with pytest.raises(DomainError):
         parse_rational("eleven")
+
+
+def test_format_rational_print_limit():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("the interpreter prints ints of any length")
+    longest = 10 ** (limit - 1)  # exactly `limit` digits
+    assert format_rational(Fraction(1, longest)) == f"1/{longest}"
+    for value in (Fraction(10 * longest, 3), Fraction(3, 10 * longest)):
+        with pytest.raises(DomainError, match=str(limit)):
+            format_rational(value)
 
 
 def test_realp_digits_and_precision():

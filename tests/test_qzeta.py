@@ -8,12 +8,10 @@ import pytest
 from mpmath import mp, mpf
 
 from qeuler.errors import DomainError, NonConvergence
-from qeuler.exactnum import GUARD_DIGITS, RealP, binom, rat_pow, to_mpf, \
-    tolerance
+from qeuler.exactnum import GUARD_DIGITS, RealP, rat_pow, to_mpf, tolerance
 from qeuler import qzeta
 from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
-from qeuler.qzeta import (ZetaQuery, euler_transform, interpolate_check,
-                          partial_zeta, partial_zeta_series,
+from qeuler.qzeta import (ZetaQuery, euler_transform, partial_zeta,
                           partial_zeta_special_value, zeta,
                           zeta_euler_transform)
 
@@ -34,7 +32,7 @@ def continuation_exact(n, x, q):
     the value is (1-q)^(-n) sum_k (-1)^k C(n,k) q^(xk) / (1+q^k)."""
     acc = Fraction(0)
     for k in range(n + 1):
-        term = binom(n, k) * q ** (x * k) / (1 + q ** k)
+        term = math.comb(n, k) * q ** (x * k) / (1 + q ** k)
         acc += term if k % 2 == 0 else -term
     return acc / (1 - q) ** n
 
@@ -58,6 +56,7 @@ def test_zeta_interpolation_anchors():
     assert_close(zeta(query(0, 1, Fraction(1, 2))), Fraction(1, 2))
     assert_close(zeta(query(-1, 1, Fraction(1, 2))), Fraction(1, 3))
     assert_close(zeta(query(-2, 2, Fraction(1, 2))), Fraction(13, 15))
+    assert_close(zeta(query(-2, 3, Fraction(1, 2))), Fraction(83, 60))
     assert_close(zeta(query(0, 5, Fraction(1, 3))), Fraction(1, 2))
 
 
@@ -80,23 +79,20 @@ def test_continuation_truncates_at_negative_integers():
                 assert continuation_exact(n, x, q) == exact
 
 
-def test_interpolate_check_returns_pair():
-    exact, approx = interpolate_check(2, 3, HALF)
-    assert exact == Fraction(83, 60)
-    assert_close(approx, exact)
-    exact, approx = interpolate_check(0, 3, HALF)
-    assert exact == Fraction(1, 2)
-
-
 def test_dual_route_subgrid():
-    for s in ("-2", "-1/2", "0", "1/2", "2"):
-        for x in ("1/2", "2"):
-            for q in (Fraction(1, 5), Fraction(4, 5)):
-                zq = query(s, x, q)
-                a = zeta(zq)
-                b = zeta_euler_transform(zq)
-                with mp.workdps(P + GUARD_DIGITS):
-                    assert abs(a.value - b.value) <= tolerance(P)
+    cells = [(s, x, q) for s in ("-2", "-1/2", "0", "1/2", "2")
+             for x in ("1/2", "2") for q in (Fraction(1, 5), Fraction(4, 5))]
+    # the residue-class bases of partial zeta at q = 1/2: q^3 with
+    # x = a/3 and q^5 with x = a/5
+    cells += [(s, x, q) for s in ("-2", "-1", "1/2", "2")
+              for x, q in (("1/3", Fraction(1, 8)), ("2/3", Fraction(1, 8)),
+                           ("1/5", Fraction(1, 32)), ("4/5", Fraction(1, 32)))]
+    for s, x, q in cells:
+        zq = query(s, x, q)
+        a = zeta(zq)
+        b = zeta_euler_transform(zq)
+        with mp.workdps(P + GUARD_DIGITS):
+            assert abs(a.value - b.value) <= tolerance(P)
 
 
 def test_euler_transform_known_values():
@@ -118,8 +114,9 @@ def test_euler_transform_nonconvergence():
 
     with mp.workdps(40):
         with pytest.raises(NonConvergence):
-            # the a-priori count for a variation of 10^100 is 177 terms
-            euler_transform(term, 20, cap=100, variation=mpf(10) ** 100)
+            # the a-priori count for a variation of 10^200 is 308 terms,
+            # more than the 4P + 200 = 280 allowed at P = 20
+            euler_transform(term, 20, variation=mpf(10) ** 200)
     assert calls == []  # refused before summing
 
 
@@ -129,7 +126,7 @@ def record_transform(monkeypatch):
     calls = []
     real = qzeta.euler_transform
 
-    def spy(terms, precision, cap=None, variation=1):
+    def spy(terms, precision, variation=1):
         record = {"variation": variation, "terms": 0}
         calls.append(record)
 
@@ -137,7 +134,7 @@ def record_transform(monkeypatch):
             record["terms"] += 1
             return terms(j)
 
-        return real(counted, precision, cap, variation)
+        return real(counted, precision, variation)
 
     monkeypatch.setattr(qzeta, "euler_transform", spy)
     return calls
@@ -264,13 +261,3 @@ def test_partial_zeta_matches_special_values():
                                            a, F, base, P)
                     assert_close(numeric,
                                  partial_zeta_special_value(n, a, F, q))
-
-
-def test_partial_zeta_series_route_agrees():
-    for s in ("-2", "-1", "1/2", "2"):
-        for (a, F) in ((1, 3), (2, 3), (1, 5), (4, 5)):
-            sv = RealP.from_rational(s, P)
-            closed = partial_zeta(sv, a, F, HALF, P)
-            series = partial_zeta_series(sv, a, F, HALF, P)
-            with mp.workdps(P + GUARD_DIGITS):
-                assert abs(closed.value - series.value) <= tolerance(P)
