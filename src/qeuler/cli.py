@@ -28,8 +28,9 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_star_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
 from .qzeta import ZetaQuery, partial_zeta, zeta
-from .verify import (MAX_M, MAX_MODULUS, MAX_N, MAX_NUMBERS_N, MAX_PRECISION,
-                     SUITES, VerificationReport, run_suite)
+from .verify import (MAX_F, MAX_M, MAX_MODULUS, MAX_N, MAX_NUMBERS_N,
+                     MAX_PRECISION, MAX_Q_HEIGHT, MAX_X_HEIGHT, SUITES,
+                     VerificationReport, run_suite)
 
 FORMAT_OPTION = click.option("--format", "fmt",
                              type=click.Choice(["json", "csv"]),
@@ -73,6 +74,17 @@ def _parse_q(text: str) -> Fraction:
         raise click.UsageError(str(exc)) from exc
 
 
+def _parse_bounded(text: str, option: str, height: int) -> Fraction:
+    """Parse an exact-command rational and refuse it, before any power of
+    it is taken, when its numerator or denominator exceeds `height`."""
+    value = _parse_q(text)
+    if max(abs(value.numerator), value.denominator) > height:
+        raise click.UsageError(
+            f"{option} must have numerator and denominator at most "
+            f"{height} in absolute value")
+    return value
+
+
 @click.group()
 def cli() -> None:
     """Exact q-Euler numbers and polynomials, their alternating power-sum
@@ -99,7 +111,7 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
     if variant in ("plain", "star"):
         if q_text is None:
             raise click.UsageError(f"variant {variant} requires --q")
-        base = QBase(_parse_q(q_text))
+        base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
         query["q"] = format_rational(base.q)
         fn = q_euler_number if variant == "plain" else q_euler_star_number
         values = [fn(n, base) for n in range(max_n + 1)]
@@ -131,7 +143,7 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
         raise click.UsageError("--n must be nonnegative")
     if n > MAX_NUMBERS_N:
         raise click.UsageError(f"--n must be at most {MAX_NUMBERS_N}")
-    x = _parse_q(x_text)
+    x = _parse_bounded(x_text, "--x", MAX_X_HEIGHT)
     query: dict = {"command": "poly", "variant": variant, "n": n,
                    "x": format_rational(x)}
     if variant == "classical":
@@ -139,7 +151,7 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
     else:
         if q_text is None:
             raise click.UsageError(f"variant {variant} requires --q")
-        base = QBase(_parse_q(q_text))
+        base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
         query["q"] = format_rational(base.q)
         qp = QPower.from_exponent(base, x)
         value = q_euler_poly(n, qp) if variant == "plain" \
@@ -177,7 +189,7 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
     else:
         if q_text is None:
             raise click.UsageError(f"variant {variant} requires --q")
-        base = QBase(_parse_q(q_text))
+        base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
         query["q"] = format_rational(base.q)
         if variant == "q-alt":
             direct = alt_q_power_sum(m, n, base)
@@ -305,7 +317,8 @@ def cmd_characters(modulus: int, fmt: str) -> int:
 @click.option("--max-n", "max_n", type=int, default=None,
               help=f"Override the n/length bound (max {MAX_N}).")
 @click.option("--f", "f_only", type=int, default=None,
-              help="Restrict the distribution suite to one odd f.")
+              help=f"Restrict the distribution suite to one odd f "
+              f"(max {MAX_F}).")
 @PREC_OPTION
 def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
                max_n: int | None, f_only: int | None, prec: int) -> int:
@@ -320,6 +333,8 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
         raise click.UsageError(f"--max-n must lie in 1..{MAX_N}")
     if f_only is not None and (f_only < 1 or f_only % 2 == 0):
         raise click.UsageError("--f must be an odd positive integer")
+    if f_only is not None and f_only > MAX_F:
+        raise click.UsageError(f"--f must be at most {MAX_F}")
     if prec < 15:
         raise click.UsageError("--prec must be at least 15")
 

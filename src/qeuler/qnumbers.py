@@ -15,8 +15,10 @@ in this module silently approximates.
 The star variants E*_{n,q} and E*_{n,q}(x) weight the alternating sum by
 q^l, shifting the denominators to 1+q^(j+1) and the prefactor to [2]_q.
 
-Everything is exact Fraction arithmetic, and every closed-form identity has
-a brute-force partner it can be compared with bit for bit.
+Everything is exact.  The kernel and the direct sums build each value as one
+integer numerator over one integer denominator and reduce it once into a
+Fraction, instead of reducing after every term.  Every closed-form identity
+has a brute-force partner it can be compared with bit for bit.
 """
 
 from __future__ import annotations
@@ -99,24 +101,35 @@ def _kernel(n: int, q: Fraction, t: Fraction | int, shift: int) -> Fraction:
     """(1+q^shift) (1/(1-q))^n sum_{j<=n} C(n,j) (-1)^j t^j / (1+q^(j+shift)),
     the one sum behind all four closed forms: shift 0 (prefactor 2) gives
     E_{n,q}(x), shift 1 (prefactor [2]_q) gives E*_{n,q}(x), and t = 1
-    gives the numbers."""
+    gives the numbers.
+
+    Built in integers and reduced once.  With q = a/b and t = c/d in lowest
+    terms the value is (b^shift + a^shift) b^n / ((b-a)^n d^n) times
+    sum_j C(n,j) (-1)^j (bc)^j d^(n-j) / (b^(j+shift) + a^(j+shift)); the
+    sum is kept as one numerator over the product of its denominators.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    total = Fraction(0)
-    q_power = q ** shift
-    prefactor = 1 + q_power
-    t_power = 1
+    a, b = q.numerator, q.denominator
+    c, d = t.numerator, t.denominator
+    num, den = 0, 1
+    pole_a, pole_b = a ** shift, b ** shift  # a^(j+shift), b^(j+shift)
+    bc_power, d_power = 1, d ** n  # (bc)^j, d^(n-j)
     for j in range(n + 1):
-        term = comb(n, j) * t_power / (1 + q_power)
-        total += term if j % 2 == 0 else -term
-        q_power *= q
-        t_power *= t
-    return prefactor * total / (1 - q) ** n
+        term = comb(n, j) * bc_power * d_power
+        pole = pole_b + pole_a
+        num = num * pole + (-term if j % 2 else term) * den
+        den *= pole
+        pole_a *= a
+        pole_b *= b
+        bc_power *= b * c
+        d_power //= d
+    return Fraction((b ** shift + a ** shift) * b ** n * num,
+                    (b - a) ** n * d ** n * den)
 
 
 @lru_cache(maxsize=NUMBER_CACHE_SIZE)
 def _number(n: int, q: Fraction, shift: int) -> Fraction:
-    # t is the int 1, so t^j stays an int and costs no Fraction arithmetic
     return _kernel(n, q, 1, shift)
 
 
@@ -166,20 +179,25 @@ def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
 
 def _direct_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
     """sum_{l=0}^{n-1} (-1)^l q^(shift*l) [l]_q^m by direct summation; it
-    never calls the kernel, so it stays independent of the closed form."""
+    never calls the kernel, so it stays independent of the closed form.
+
+    Built in integers and reduced once.  With q = a/b, [l]_q = N_l / b^(l-1)
+    where N_1 = 1 and N_{l+1} = N_l b + a^l, so term l is
+    (-1)^l a^(shift*l) N_l^m over b^((shift+m) l - m).  Horner's rule in
+    b^(shift+m) puts the whole sum over b^((shift+m)(n-1) - m).
+    """
     _check_sum_args(m, n)
-    qq = q.q
-    total = Fraction(0)
-    bracket = Fraction(0)
-    power = Fraction(1)  # q^l
-    for l in range(n):
-        term = bracket ** m
-        if shift:
-            term *= power
-        total += term if l % 2 == 0 else -term
-        bracket += power
-        power *= qq
-    return total
+    a, b = q.q.numerator, q.q.denominator
+    step = b ** (shift + m)
+    total = 0
+    bracket, a_power = 1, a  # N_l and a^l, from l = 1
+    for l in range(1, n):
+        term = bracket ** m * a_power ** shift
+        total = total * step + (-term if l % 2 else term)
+        bracket = bracket * b + a_power
+        a_power *= a
+    # n = 1 leaves the empty sum 0 over b^0
+    return Fraction(total, b ** max(0, (shift + m) * (n - 1) - m))
 
 
 def _closed_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:

@@ -210,6 +210,60 @@ def test_poly_bound(capsys):
     assert code == 0
 
 
+def assert_refused_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines()
+            if line.startswith("Error:")] == [f"Error: {message}"]
+
+
+def test_q_height_bound(capsys):
+    from qeuler.verify import MAX_Q_HEIGHT
+    message = (f"--q must have numerator and denominator at most "
+               f"{MAX_Q_HEIGHT} in absolute value")
+    for q in ("1/" + "1" + "0" * 1000, str(MAX_Q_HEIGHT + 1),
+              f"-1/{MAX_Q_HEIGHT + 1}"):
+        for argv in (["numbers", "--max-n", "30"],
+                     ["numbers", "--max-n", "30", "--variant", "star"],
+                     ["poly", "--n", "2", "--x", "1"],
+                     ["sums", "--variant", "q-alt", "--m", "16", "--n", "64"],
+                     ["sums", "--variant", "q-alt-weighted", "--m", "16",
+                      "--n", "64"]):
+            assert_refused_fast(capsys, argv + ["--q", q], message)
+    code, _, _ = run(capsys, "numbers", "--max-n", "3",
+                     "--q", f"-{MAX_Q_HEIGHT}/{MAX_Q_HEIGHT - 1}")
+    assert code == 0
+
+
+def test_poly_x_bound(capsys):
+    from qeuler.verify import MAX_X_HEIGHT
+    message = (f"--x must have numerator and denominator at most "
+               f"{MAX_X_HEIGHT} in absolute value")
+    # a tall numerator means a huge power of q, a tall denominator a root
+    # of huge degree; both are refused before any power is taken
+    for x in ("1000000", "-3000000", "1/100000000000"):
+        for variant in ("plain", "star", "classical"):
+            assert_refused_fast(capsys, ["poly", "--n", "2", "--x", x,
+                                         "--q", "2/3", "--variant", variant],
+                                message)
+    code, _, _ = run(capsys, "poly", "--n", "2", "--x", str(MAX_X_HEIGHT),
+                     "--q", "2/3")
+    assert code == 0
+
+
+def test_verify_f_bound(capsys):
+    from qeuler.verify import MAX_F
+    for suite in ("thm4", "all"):
+        assert_refused_fast(capsys, ["verify", "--suite", suite,
+                                     "--f", str(MAX_F + 2)],
+                            f"--f must be at most {MAX_F}")
+    code, _, _ = run(capsys, "verify", "--suite", "thm4", "--max-m", "1",
+                     "--f", str(MAX_F))
+    assert code == 0
+
+
 def test_value_too_long_to_print_fails_cleanly(capsys):
     # inside every bound, but the exact value passes the interpreter's
     # int-to-str limit

@@ -5,6 +5,7 @@ polynomial forms check each other; all equalities are exact on Fractions.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,13 @@ HALF = QBase(Fraction(1, 2))
 IDENTITY_Q = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(3, 2), Fraction(5, 2)]
 
-rational_q = st.builds(Fraction, st.integers(min_value=1, max_value=9),
+# negative q and q > 1 reach the sign paths of the integer kernel and sums:
+# q = a/b with a < 0, and b - a < 0
+rational_q = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
                        st.integers(min_value=1, max_value=9)) \
-    .filter(lambda q: q != 1)
+    .filter(lambda q: q not in (0, 1, -1))
+rational_t = st.builds(Fraction, st.integers(min_value=1, max_value=50),
+                       st.integers(min_value=1, max_value=50))
 
 
 def test_qbase_validation():
@@ -124,6 +129,59 @@ def test_q_euler_star_anchors():
         for n in range(6):
             assert q_euler_star_poly(n, QPower(base, Fraction(1))) \
                 == q_euler_star_number(n, base)
+
+
+def fraction_kernel(n, q, t, shift):
+    """The kernel as a loop of Fraction operations, reducing every term."""
+    total = Fraction(0)
+    q_power = q ** shift
+    prefactor = 1 + q_power
+    t_power = 1
+    for j in range(n + 1):
+        term = comb(n, j) * t_power / (1 + q_power)
+        total += term if j % 2 == 0 else -term
+        q_power *= q
+        t_power *= t
+    return prefactor * total / (1 - q) ** n
+
+
+def test_kernel_matches_fraction_loop():
+    for q in (Fraction(1, 2), Fraction(49, 144), Fraction(5, 2),
+              Fraction(-1, 3), Fraction(-7, 4)):
+        for t in (1, q ** 3, Fraction(11, 7)):
+            for shift in (0, 1):
+                for n in range(46):
+                    assert qnumbers._kernel(n, q, t, shift) \
+                        == fraction_kernel(n, q, t, shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_q, rational_t, st.integers(min_value=0, max_value=20))
+def test_kernel_shift_identity_random(q, t, n):
+    # E(x) + E(x+1) = 2 [x]_q^n and E*(x) + q E*(x+1) = [2]_q [x]_q^n,
+    # with t = q^x, q^(x+1) = q t and [x]_q = (1-t)/(1-q)
+    kernel = qnumbers._kernel
+    bracket = (1 - t) / (1 - q)
+    assert kernel(n, q, t, 0) + kernel(n, q, q * t, 0) == 2 * bracket ** n
+    assert kernel(n, q, t, 1) + q * kernel(n, q, q * t, 1) \
+        == (1 + q) * bracket ** n
+
+
+def test_direct_sums_never_call_the_kernel(monkeypatch):
+    cells = [(m, n, QBase(q)) for q in IDENTITY_Q + [Fraction(-2, 3)]
+             for m in (1, 4, 9) for n in (1, 2, 7, 16)]
+    expected = [(alt_q_power_sum_closed(*cell),
+                 weighted_alt_q_power_sum_closed(*cell)) for cell in cells]
+
+    def refuse(*_args):
+        raise AssertionError("the direct sums must not use the closed form")
+
+    monkeypatch.setattr(qnumbers, "_kernel", refuse)
+    monkeypatch.setattr(qnumbers, "_number", refuse)
+    with pytest.raises(AssertionError):
+        alt_q_power_sum_closed(2, 3, HALF)
+    assert [(alt_q_power_sum(*cell), weighted_alt_q_power_sum(*cell))
+            for cell in cells] == expected
 
 
 def test_number_cache_stays_bounded():
