@@ -114,11 +114,13 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
         base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
         query["q"] = format_rational(base.q)
         fn = q_euler_number if variant == "plain" else q_euler_star_number
-        values = [fn(n, base) for n in range(max_n + 1)]
+        values = (fn(n, base) for n in range(max_n + 1))
     elif variant == "classical-euler":
         values = classical.euler_numbers(max_n)
     else:
         values = classical.bernoulli_numbers(max_n)
+    # each value is formatted as it is computed, so the first one past the
+    # print limit stops the table before the later ones are computed
     results = [{"n": n, "value": format_rational(v)}
                for n, v in enumerate(values)]
     _emit(query, results, None, fmt, ["n", "value"])

@@ -117,12 +117,15 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 
     Integer Newton iteration started from a power-of-two overestimate; no
     floating point is involved, so the exactness flag is trustworthy at any
-    magnitude.
+    magnitude.  A degree k >= n.bit_length() gives 1 < n**(1/k) < 2 at
+    once, whatever the size of k.
     """
     if n < 0 or k < 1:
         raise DomainError("iroot requires n >= 0, k >= 1")
     if k == 1 or n in (0, 1):
         return n, True
+    if k >= n.bit_length():
+        return 1, False
     x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) >= n**(1/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -21,17 +21,24 @@ Two independent summation routes are implemented:
   bound, so it runs in time linear in P.
 
 The partial zeta H_q(s, a; F) has one route: `zeta` at base q^F, x = a/F.
-Its cross-check is the exact special value at s = -n.  Both zeta routes
-work at precision + GUARD_DIGITS internal digits and certify 10**-(P-10).
+Its cross-check is the exact special value at s = -n.
+
+Both zeta routes sum in integer fixed point: each term is a Python int at
+a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
+the final integer.  Their terms reach V = (1-q)^s (1-q^x)^(-|s|) in size, so
+both work at P + GUARD_DIGITS + ceil(log10 V) digits (`cancellation_digits`)
+and certify 10**-(P-10) even where the terms cancel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+import itertools
+from typing import Callable, Iterator
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergence
 from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf
@@ -41,6 +48,16 @@ from .qnumbers import QBase, QPower, q_euler_poly, q_int
 #: (P+15) ln 10 / (x ln(1/q)) terms: about 1.5 * 10**5 at q = 999/1000,
 #: x = 1, P = 50, which takes a few seconds.
 MAX_ZETA_TERMS = 200_000
+
+#: Most digits either zeta route adds for cancellation (`cancellation_digits`),
+#: which bounds the working digits: at q = 1/2, x = 1 it admits s down to
+#: about -830.
+MAX_CANCELLATION_DIGITS = 500
+
+#: Bits the fixed-point word carries beyond the context's precision, which
+#: already holds the digits of V: room for one rounding in each of up to
+#: 2**18 terms, with 6 bits to spare.
+WORD_GUARD_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -62,8 +79,71 @@ class ZetaQuery:
             raise DomainError("x must be positive")
 
 
+def cancellation_digits(q: Fraction, s: mpf, x: mpf) -> int:
+    """max(0, ceil(log10 V)) with V = (1-q)^s (1-q^x)^(-|s|).
+
+    V bounds the terms of both zeta routes, and the value, in absolute
+    size: the continuation terms sum in absolute value to at most V, and V
+    is the total variation of the measure whose moments CVZ sums.  Both
+    routes work with this many digits on top of P + GUARD_DIGITS, so
+    cancellation among terms of size V still leaves 10**-(P+20).
+
+    Raises DomainError when V needs more than MAX_CANCELLATION_DIGITS.
+    """
+    with mp.workdps(15):
+        digits = max(0, int(mp.ceil(mp.log10(_variation(q, s, x)))))
+    if digits > MAX_CANCELLATION_DIGITS:
+        raise DomainError(
+            f"the zeta series at s = {mp.nstr(s, 15)} cancels about "
+            f"{digits} digits, more than {MAX_CANCELLATION_DIGITS}")
+    return digits
+
+
+def _variation(q: Fraction, s: mpf, x: mpf) -> mpf:
+    """V = (1-q)^s (1-q^x)^(-|s|) at the context's precision, with 1-q
+    taken exactly and 1-q^x without cancellation for q near 1."""
+    one_minus_qx = -mp.expm1(x * mp.log1p(to_mpf(q - 1)))
+    return mp.power(to_mpf(1 - q), s) * mp.power(one_minus_qx, -abs(s))
+
+
+def _working_digits(zq: ZetaQuery) -> int:
+    return (zq.precision + GUARD_DIGITS
+            + cancellation_digits(zq.q.q, zq.s.value, zq.x.value))
+
+
+def _to_fixed(value: mpf, wp: int) -> int:
+    """floor(value * 2**wp)."""
+    return to_fixed(value._mpf_, wp)
+
+
+def _from_fixed(man: int, wp: int) -> mpf:
+    """man * 2**-wp, rounded to the context's precision."""
+    return mpf((man, -wp))
+
+
+def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
+                        wp: int) -> Iterator[int]:
+    """The terms C(s+k-1,k) q^(xk) / (1+q^k), k = 0, 1, ..., of the
+    continuation series at binary point wp, from s, q^x and q at that
+    point.  u_k = C(s+k-1,k) q^(xk) is carried as one int and updated by
+    *(s+k) q^x / (k+1), so at s = -n it is exactly 0 from k = n+1 on."""
+    one = 1 << wp
+    u = one   # C(s+k-1, k) q^(xk)
+    qk = one  # q^k
+    for k in itertools.count():
+        yield (u << wp) // (one + qk)
+        u = ((u * (s_fix + k * one) >> wp) * qx_fix >> wp) // (k + 1)
+        qk = qk * q_fix >> wp
+
+
 def zeta(zq: ZetaQuery) -> RealP:
     """Euler q-zeta value via the binomial continuation series.
+
+    The terms (`_continuation_terms`) are summed over Python ints at a
+    fixed binary point of mp.prec + WORD_GUARD_BITS bits inside
+    P + GUARD_DIGITS + `cancellation_digits` working digits, and one mpf is
+    built from the final sum.  At s = -n the sum has exactly n+1 nonzero
+    terms.
 
     Truncation rule: stop once k >= 8 and three consecutive terms fall
     below 10**-(P+15) * (1 + |partial sum|); q^(xk) decays geometrically
@@ -75,7 +155,7 @@ def zeta(zq: ZetaQuery) -> RealP:
     itself reaches that cap.
     """
     precision = zq.precision
-    with mp.workdps(precision + GUARD_DIGITS):
+    with mp.workdps(_working_digits(zq)):
         qv = to_mpf(zq.q.q)
         needed = (precision + 15) * mp.log(10) / (zq.x.value * -mp.log(qv))
         if needed > MAX_ZETA_TERMS:
@@ -84,29 +164,45 @@ def zeta(zq: ZetaQuery) -> RealP:
                 f"at q = {zq.q.q}, more than its cap of "
                 f"{MAX_ZETA_TERMS}")
         sv = zq.s.value
-        qx = mp.power(qv, zq.x.value)
         prefactor = mp.power(1 - qv, sv)
-        threshold = mpf(10) ** (-(precision + 15))
-        total = mpf(0)
-        coeff = mpf(1)   # C(s+k-1, k), updated by *(s+k)/(k+1)
-        qxk = mpf(1)     # q^(xk)
-        qk = mpf(1)      # q^k
+        wp = mp.prec + WORD_GUARD_BITS
+        one = 1 << wp
+        terms = _continuation_terms(
+            _to_fixed(sv, wp), _to_fixed(mp.power(qv, zq.x.value), wp),
+            (zq.q.q.numerator << wp) // zq.q.q.denominator, wp)
+        threshold = _to_fixed(mpf(10) ** (-(precision + 15)), wp)
+        total = 0
         small_streak = 0
-        for k in range(MAX_ZETA_TERMS):
-            term = coeff * qxk / (1 + qk)
+        for k, term in zip(range(MAX_ZETA_TERMS), terms):
             total += term
-            if k >= 8 and abs(term) < threshold * (1 + abs(total)):
+            if k >= 8 and abs(term) << wp < threshold * (one + abs(total)):
                 small_streak += 1
                 if small_streak >= 3:
-                    return RealP(prefactor * total, precision)
+                    return RealP(prefactor * _from_fixed(total, wp),
+                                 precision)
             else:
                 small_streak = 0
-            coeff = coeff * (sv + k) / (k + 1)
-            qxk *= qx
-            qk *= qv
     raise NonConvergence(
         f"the continuation series did not settle within {MAX_ZETA_TERMS} "
         f"terms")
+
+
+def _cvz_weights(count: int) -> tuple[int, Iterator[int]]:
+    """d and the weights c_0..c_{n-1} of CVZ Algorithm 1 for n = count, all
+    exact integers: d = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 = T_n(3), and
+    b_{k+1} = b_k * 2(k+n)(k-n) / ((2k+1)(k+1)) divides exactly."""
+    d, previous = 1, 3  # T_0(3) and T_{-1}(3) = T_1(3)
+    for _ in range(count):
+        d, previous = 6 * d - previous, d
+
+    def weights():
+        b, c = -1, -d
+        for k in range(count):
+            c = b - c
+            yield c
+            b = b * 2 * (k + count) * (k - count) // ((2 * k + 1) * (k + 1))
+
+    return d, weights()
 
 
 def euler_transform(terms: Callable[[int], mpf], precision: int,
@@ -121,9 +217,12 @@ def euler_transform(terms: Callable[[int], mpf], precision: int,
     error of at most 2 * variation / (3 + sqrt 8)^n.  The term count n is
     fixed before summing as the least one that brings this bound to
     10**-(P+15), and `terms(j)` is called once for each j < n in increasing
-    order, in constant memory.  The caller must already hold the
-    working-precision context.  Raises NonConvergence when n exceeds
-    4 * precision + 200.
+    order, in constant memory.  The weights are exact integers and each
+    term is taken to a fixed binary point of mp.prec + WORD_GUARD_BITS
+    bits, so the sum is one integer and one mpf is built from it.  The
+    caller must already hold the working-precision context, which must
+    carry the digits of `variation` (see `cancellation_digits`).  Raises
+    NonConvergence when n exceeds 4 * precision + 200.
     """
     cap = 4 * precision + 200
     rate = 3 + mp.sqrt(8)
@@ -132,16 +231,12 @@ def euler_transform(terms: Callable[[int], mpf], precision: int,
     if count > cap:
         raise NonConvergence(
             f"CVZ summation needs {count} terms, more than its cap of {cap}")
-    d = rate ** count
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    total = mpf(0)
-    for k in range(count):
-        c = b - c
-        total += c * terms(k)
-        b = b * (k + count) * (k - count) / ((k + mpf(0.5)) * (k + 1))
-    return total / d
+    wp = mp.prec + WORD_GUARD_BITS
+    d, weights = _cvz_weights(count)
+    total = 0
+    for k, c in enumerate(weights):
+        total += c * _to_fixed(terms(k), wp)
+    return _from_fixed(total // d, wp)
 
 
 def zeta_euler_transform(zq: ZetaQuery) -> RealP:
@@ -151,17 +246,16 @@ def zeta_euler_transform(zq: ZetaQuery) -> RealP:
 
     The terms [n+x]_q^(-s) = (1-q)^s sum_j C(s+j-1,j) q^(xj) (q^j)^n are
     the moments of a signed measure on (0, 1] whose total variation is at
-    most (1-q)^s (1-q^x)^(-|s|), since |C(s+j-1,j)| <= (|s|)_j / j! for
-    every real s.
+    most V = (1-q)^s (1-q^x)^(-|s|), since |C(s+j-1,j)| <= (|s|)_j / j! for
+    every real s.  Works at P + GUARD_DIGITS + `cancellation_digits`.
     """
     precision = zq.precision
-    with mp.workdps(precision + GUARD_DIGITS):
+    with mp.workdps(_working_digits(zq)):
         qv = to_mpf(zq.q.q)
         sv = zq.s.value
         one_minus_q = 1 - qv
-        qx = mp.power(qv, zq.x.value)
-        variation = mp.power(one_minus_q, sv) * mp.power(1 - qx, -abs(sv))
-        state = [qx]  # q^(x+n), advanced per call
+        variation = _variation(zq.q.q, sv, zq.x.value)
+        state = [mp.power(qv, zq.x.value)]  # q^(x+n), advanced per call
 
         def term(_j: int) -> mpf:
             bracket = (1 - state[0]) / one_minus_q

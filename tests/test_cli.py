@@ -183,6 +183,24 @@ def test_numbers_bound(capsys):
     assert code == 0
 
 
+def test_numbers_stop_at_first_unprintable_value(capsys, monkeypatch):
+    import qeuler.cli as cli_module
+    calls = []
+    real = cli_module.q_euler_number
+
+    def counted(n, base):
+        calls.append(n)
+        return real(n, base)
+
+    monkeypatch.setattr(cli_module, "q_euler_number", counted)
+    code, out, err = run(capsys, "numbers", "--max-n", "100",
+                         "--q", "1/99999")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too long to print" in err
+    assert len(calls) < 101
+
+
 def test_sums_bound(capsys):
     from qeuler.verify import MAX_M, MAX_N
     for variant in ("power", "alt-power", "q-alt", "q-alt-weighted"):

@@ -9,6 +9,9 @@ against the schemas in `docs/`.
 To record the file afresh after an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
+
+A re-record keeps each report's recorded elapsed_ms, so the diff shows
+only what moved.
 """
 
 from __future__ import annotations
@@ -165,9 +168,43 @@ def test_report_files_match_schema():
         validator.validate(json.loads(invoke(record["argv"])["report"]))
 
 
+def test_rerecord_keeps_recorded_timings():
+    old = {"argv": ["verify"], "report": json.dumps(
+        [{"suite": "zeta", "max_deviation": "1e-30", "elapsed_ms": 7}])}
+    new = {"argv": ["verify"], "stdout": "x", "report": json.dumps(
+        [{"suite": "zeta", "max_deviation": "2e-30", "elapsed_ms": 900},
+         {"suite": "thm2", "max_deviation": "exact", "elapsed_ms": 40}])}
+    kept = _keep_timings(new, old)
+    assert json.loads(kept["report"]) == [
+        {"suite": "zeta", "max_deviation": "2e-30", "elapsed_ms": 7},
+        {"suite": "thm2", "max_deviation": "exact", "elapsed_ms": 40}]
+    assert kept["stdout"] == "x"
+    assert _keep_timings(new, None) is new
+
+
+def _keep_timings(record: dict, old: dict | None) -> dict:
+    """The fresh record with each report's elapsed_ms taken from the old
+    record of the same invocation, where that report has one."""
+    if old is None or "report" not in record or "report" not in old:
+        return record
+    recorded = {r["suite"]: r["elapsed_ms"] for r in json.loads(old["report"])}
+    reports = json.loads(record["report"])
+    for report in reports:
+        report["elapsed_ms"] = recorded.get(report["suite"],
+                                            report["elapsed_ms"])
+    return {**record, "report": json.dumps(reports, indent=2) + "\n"}
+
+
+def write_golden() -> None:
+    old = _golden() if GOLDEN.exists() else {}
+    records = [_keep_timings(invoke(argv), old.get(" ".join(argv)))
+               for argv in CASES]
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1)
+        handle.write("\n")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump([invoke(argv) for argv in CASES], handle, indent=1)
-        handle.write("\n")
+    write_golden()

@@ -22,6 +22,16 @@ def test_iroot_exact_and_floor():
     assert iroot(big + 1, 11) == (123456789, False)
 
 
+def test_iroot_degree_past_bit_length_returns_at_once():
+    # 1 < n**(1/k) < 2: no Newton step, no 2**(k-1)
+    assert iroot(3, 10 ** 12) == (1, False)
+    assert iroot(2, 2) == (1, False)
+    assert iroot(7, 3) == (1, False)
+    assert iroot(8, 3) == (2, True)  # k < bit length: Newton as before
+    with pytest.raises(NotExactPower):
+        rat_pow(Fraction(2, 3), Fraction(1, 10 ** 11))
+
+
 def test_rat_pow_examples():
     assert rat_pow(Fraction(1, 8), Fraction(1, 3)) == Fraction(1, 2)
     assert rat_pow(Fraction(1, 2), Fraction(-2)) == 4

@@ -11,9 +11,11 @@ from qeuler.errors import DomainError, NonConvergence
 from qeuler.exactnum import GUARD_DIGITS, RealP, rat_pow, to_mpf, tolerance
 from qeuler import qzeta
 from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
-from qeuler.qzeta import (ZetaQuery, euler_transform, partial_zeta,
+from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, cancellation_digits,
+                          euler_transform, partial_zeta,
                           partial_zeta_special_value, zeta,
                           zeta_euler_transform)
+from qeuler.verify import ZETA_Q, ZETA_S, ZETA_X
 
 P = 50
 HALF = QBase(Fraction(1, 2), zeta_domain=True)
@@ -208,6 +210,163 @@ def test_zeta_term_cap(monkeypatch):
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
     with pytest.raises(NonConvergence):
         zeta(query(200, 1, Fraction(1, 2)))
+
+
+def zeta_mpf_loop(zq):
+    """Oracle: the continuation series summed term by term in mpf, as
+    `zeta` did before its fixed-point loop, in the caller's context."""
+    precision = zq.precision
+    qv = to_mpf(zq.q.q)
+    sv = zq.s.value
+    qx = mp.power(qv, zq.x.value)
+    prefactor = mp.power(1 - qv, sv)
+    threshold = mpf(10) ** (-(precision + 15))
+    total = mpf(0)
+    coeff = mpf(1)   # C(s+k-1, k), updated by *(s+k)/(k+1)
+    qxk = mpf(1)     # q^(xk)
+    qk = mpf(1)      # q^k
+    small_streak = 0
+    for k in range(MAX_ZETA_TERMS):
+        term = coeff * qxk / (1 + qk)
+        total += term
+        if k >= 8 and abs(term) < threshold * (1 + abs(total)):
+            small_streak += 1
+            if small_streak >= 3:
+                return prefactor * total
+        else:
+            small_streak = 0
+        coeff = coeff * (sv + k) / (k + 1)
+        qxk *= qx
+        qk *= qv
+    raise AssertionError("the oracle did not settle")
+
+
+def euler_transform_mpf_loop(terms, precision, variation=1):
+    """Oracle: CVZ Algorithm 1 with its weights in mpf, as
+    `euler_transform` did before its integer weights."""
+    rate = 3 + mp.sqrt(8)
+    count = max(0, int(mp.ceil(((precision + 15) * mp.log(10)
+                                + mp.log(2 * variation)) / mp.log(rate))))
+    d = rate ** count
+    d = (d + 1 / d) / 2
+    b = mpf(-1)
+    c = -d
+    total = mpf(0)
+    for k in range(count):
+        c = b - c
+        total += c * terms(k)
+        b = b * (k + count) * (k - count) / ((k + mpf(0.5)) * (k + 1))
+    return total / d
+
+
+@pytest.mark.parametrize("precision", (20, 50, 100))
+def test_fixed_point_loops_match_mpf_loops(precision, monkeypatch):
+    # each oracle runs in the same working digits as the code; the CVZ
+    # oracle is fed the same term values as the integer weights
+    pairs = []
+    real = qzeta.euler_transform
+
+    def both(terms, precision, variation=1):
+        memo = {}
+
+        def once(k):
+            if k not in memo:
+                memo[k] = terms(k)
+            return memo[k]
+
+        value = real(once, precision, variation)
+        pairs.append((value, euler_transform_mpf_loop(once, precision,
+                                                      variation)))
+        return value
+
+    monkeypatch.setattr(qzeta, "euler_transform", both)
+    for s in ZETA_S + ("7/3", "-13/4", "16", "-16"):
+        for x in ZETA_X:
+            for q in ZETA_Q:
+                zq = query(s, x, q, precision)
+                zeta_euler_transform(zq)
+                digits = precision + GUARD_DIGITS + cancellation_digits(
+                    q, zq.s.value, zq.x.value)
+                with mp.workdps(digits):
+                    want = zeta_mpf_loop(zq)
+                    got = zeta(zq).value
+                    assert abs(got - want) <= tolerance(precision)
+                    got, want = pairs[-1]
+                    assert abs(got - want) <= tolerance(precision)
+
+
+def record_continuation_terms(monkeypatch):
+    """Patch qzeta._continuation_terms to record every term zeta takes."""
+    taken = []
+    real = qzeta._continuation_terms
+
+    def spy(*args):
+        for term in real(*args):
+            taken.append(term)
+            yield term
+
+    monkeypatch.setattr(qzeta, "_continuation_terms", spy)
+    return taken
+
+
+def test_zeta_sums_n_plus_one_terms_at_negative_integers(monkeypatch):
+    taken = record_continuation_terms(monkeypatch)
+    for n in (0, 1, 5, 16, 40):
+        for x, q in (("1", Fraction(1, 2)), ("7/2", Fraction(4, 5)),
+                     ("1/3", Fraction(1, 8))):
+            taken.clear()
+            zeta(query(-n, x, q))
+            assert all(taken[:n + 1])
+            assert not any(taken[n + 1:])
+            # the stop rule needs k >= 8 and three terms below threshold
+            assert len(taken) == max(n + 4, 11)
+
+
+def test_cvz_weights_are_exact_integers():
+    # b_k = c_k + c_{k-1} (c_{-1} = -d); each step of
+    # b_{k+1} (2k+1)(k+1) = 2 b_k (k+n)(k-n) holds exactly, so no floor
+    # division in the recurrence left a remainder
+    cap = 4 * 500 + 200  # the CVZ term cap at the largest --prec
+    for n in sorted(set(range(64)) | set(range(64, cap + 1, 53)) | {cap}):
+        d, weights = qzeta._cvz_weights(n)
+        with mp.workdps(40 + n):
+            assert d == mp.nint(((3 + mp.sqrt(8)) ** n
+                                 + (3 - mp.sqrt(8)) ** n) / 2)
+        previous = -d
+        b = []
+        for c in weights:
+            b.append(c + previous)
+            previous = c
+        assert len(b) == n
+        assert b[:1] in ([], [-1])
+        for k in range(n - 1):
+            assert b[k + 1] * (2 * k + 1) * (k + 1) \
+                == 2 * b[k] * (k + n) * (k - n)
+
+
+@pytest.mark.parametrize("n", (40, 60, 100))
+@pytest.mark.parametrize("route", (zeta, zeta_euler_transform),
+                         ids=("continuation", "cvz"))
+def test_deep_negative_s_meets_contract(route, n):
+    # terms reach V = 5^n (1/5)^(-n) at q = 4/5, x = 1: about 10^(1.4 n)
+    q = Fraction(4, 5)
+    exact = q_euler_poly(n, QPower.from_integer(QBase(q), 1)) / 2
+    value = route(query(-n, 1, q)).value
+    with mp.workdps(P + GUARD_DIGITS + 140):  # |value| is up to 10^61
+        assert abs(value - to_mpf(exact)) <= tolerance(P)
+
+
+def test_cancellation_digits():
+    for s, x, q, want in ((0, 1, Fraction(1, 2), 0),
+                          (3, 1, Fraction(1, 2), 0),      # V = 1
+                          (-40, 1, Fraction(4, 5), 56),
+                          (-60, 1, Fraction(4, 5), 84),
+                          (-100, 1, Fraction(4, 5), 140)):
+        assert cancellation_digits(q, mpf(s), mpf(x)) == want
+    with pytest.raises(DomainError):
+        cancellation_digits(Fraction(1, 2), mpf(-10 ** 30), mpf(1))
+    with pytest.raises(DomainError):
+        zeta(query(-1000, 1, Fraction(1, 2)))
 
 
 def test_partial_zeta_anchors():
