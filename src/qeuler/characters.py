@@ -24,10 +24,9 @@ from math import gcd, lcm
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, to_mpf
+from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf
 from .qnumbers import QBase, QPower, q_euler_poly, q_int
-from .qzeta import ZetaQuery, partial_zeta, zeta
-from .exactnum import ComplexP, RealP
+from .qzeta import _residue_sum
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -76,10 +75,6 @@ class DirichletCharacter:
     @property
     def is_principal(self) -> bool:
         return self.order == 1
-
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
 
     def value(self, a: int):
         """chi(a) as an mpmath complex at the current working precision."""
@@ -212,23 +207,15 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
 
         l_{E,q}(s, chi) = sum_{a=1..F} chi(a) H_q(s, a; F),  F = modulus.
 
-    Residues with gcd(a, F) > 1 drop out through chi.  F = 1 degenerates to
-    -zeta_{E,q}(s, 1).  Returns RealP for real characters, ComplexP
-    otherwise.
+    Residues with gcd(a, F) > 1 drop out through chi; F = 1 leaves a = 1,
+    where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  All residues are summed in one
+    pass of the continuation series (`qzeta._residue_sum`): the series runs
+    at the smallest residue, each other residue a rides along with the
+    weight (q^(a-a_min))^k, q^a is taken exactly, and the smallest
+    residue's stop rule covers every residue because its terms dominate
+    theirs.  Returns RealP for real characters, ComplexP otherwise.
     """
     F = chi.modulus
-    if F == 1:
-        inner = zeta(ZetaQuery(s, RealP.from_rational(1, precision), q,
-                               precision))
-        with mp.workdps(precision + GUARD_DIGITS):
-            return RealP(-inner.value, precision)
-    parts = [(a, partial_zeta(s, a, F, q, precision))
-             for a in range(1, F) if chi.exponents[a] is not None]
-    with mp.workdps(precision + GUARD_DIGITS):
-        total = mp.mpc(0)
-        for a, h in parts:
-            total += chi.value(a) * h.value
-        if chi.is_real:
-            return RealP(total.real, precision)
-        return ComplexP(total, precision)
-
+    exponents = {a: chi.exponents[a % F] for a in range(1, F + 1)
+                 if chi.exponents[a % F] is not None}
+    return _residue_sum(s, exponents, chi.order, F, q.q, precision)

@@ -88,9 +88,9 @@ class RealP:
             return cls(to_mpf(fr), precision)
 
     def digits(self) -> str:
-        """Decimal string with `precision` significant digits."""
-        with mp.workdps(self.precision + GUARD_DIGITS):
-            return mp.nstr(self.value, self.precision, strip_zeros=False)
+        """Decimal string whose last digit is as fine as the contract:
+        P + max(0, floor(log10|v|)) significant digits (`_printed`)."""
+        return _printed(self.value, self.precision)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -105,11 +105,21 @@ class ComplexP:
     precision: int = DEFAULT_PRECISION
 
     def digits(self) -> str:
-        with mp.workdps(self.precision + GUARD_DIGITS):
-            re = mp.nstr(self.value.real, self.precision, strip_zeros=False)
-            im = mp.nstr(self.value.imag, self.precision, strip_zeros=False)
+        """Real and imaginary parts, each printed as `RealP.digits`."""
+        re = _printed(self.value.real, self.precision)
+        im = _printed(self.value.imag, self.precision)
         joiner = "" if im.startswith("-") else "+"
         return f"{re}{joiner}{im}i"
+
+
+def _printed(value: mpf, precision: int) -> str:
+    """value with P + max(0, floor(log10|value|)) significant digits, so
+    its last digit is at most 10**-(P-1) whatever its size; values below
+    10 in size print exactly P digits."""
+    whole = len(str(int(abs(value)))) - 1  # floor(log10|value|) if >= 1
+    digits = precision + whole
+    with mp.workdps(digits + GUARD_DIGITS):
+        return mp.nstr(value, digits, strip_zeros=False)
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

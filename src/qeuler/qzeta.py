@@ -20,8 +20,12 @@ Two independent summation routes are implemented:
   (0, 1].  Its term count is fixed in advance from an a-priori error
   bound, so it runs in time linear in P.
 
-The partial zeta H_q(s, a; F) has one route: `zeta` at base q^F, x = a/F.
-Its cross-check is the exact special value at s = -n.
+The partial zeta H_q(s, a; F) has one route: the continuation series at
+base q^F, x = a/F, with q^x = q^a taken exactly (`_residue_sum`).  The
+residues of one L value share one pass of that series: it runs at the
+smallest residue a_min, residue a's term is a_min's times (q^(a-a_min))^k,
+and since those weights are at most 1, a_min's stop rule covers every
+residue.  Its cross-check is the exact special value at s = -n.
 
 Both zeta routes sum in integer fixed point: each term is a Python int at
 a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -41,7 +45,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergence
-from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf
+from .exactnum import (ComplexP, DEFAULT_PRECISION, GUARD_DIGITS, RealP,
+                       to_mpf)
 from .qnumbers import QBase, QPower, q_euler_poly, q_int
 
 #: Most terms `zeta` sums.  The continuation series needs about
@@ -111,6 +116,16 @@ def _working_digits(zq: ZetaQuery) -> int:
             + cancellation_digits(zq.q.q, zq.s.value, zq.x.value))
 
 
+def _check_term_count(zq: ZetaQuery, qv: mpf) -> None:
+    """Raise NonConvergence when q^(xk) needs more than MAX_ZETA_TERMS
+    terms to reach 10**-(P+15); qv is q at the working precision."""
+    needed = (zq.precision + 15) * mp.log(10) / (zq.x.value * -mp.log(qv))
+    if needed > MAX_ZETA_TERMS:
+        raise NonConvergence(
+            f"the continuation series needs about {int(needed)} terms "
+            f"at q = {zq.q.q}, more than its cap of {MAX_ZETA_TERMS}")
+
+
 def _to_fixed(value: mpf, wp: int) -> int:
     """floor(value * 2**wp)."""
     return to_fixed(value._mpf_, wp)
@@ -157,12 +172,7 @@ def zeta(zq: ZetaQuery) -> RealP:
     precision = zq.precision
     with mp.workdps(_working_digits(zq)):
         qv = to_mpf(zq.q.q)
-        needed = (precision + 15) * mp.log(10) / (zq.x.value * -mp.log(qv))
-        if needed > MAX_ZETA_TERMS:
-            raise NonConvergence(
-                f"the continuation series needs about {int(needed)} terms "
-                f"at q = {zq.q.q}, more than its cap of "
-                f"{MAX_ZETA_TERMS}")
+        _check_term_count(zq, qv)
         sv = zq.s.value
         prefactor = mp.power(1 - qv, sv)
         wp = mp.prec + WORD_GUARD_BITS
@@ -279,22 +289,92 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
 
         H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F),
 
-    since [a+nF]_q = [F]_q [n+a/F]_(q^F).  Delegates to `zeta` with base
-    q^F and x = a/F.
+    since [a+nF]_q = [F]_q [n+a/F]_(q^F).  Summed as the one-residue case
+    of `_residue_sum`.
     """
     _check_residue(a, period)
     if not 0 < q.q < 1:
         raise DomainError("partial zeta requires 0 < q < 1")
-    inner = zeta(ZetaQuery(s, RealP.from_rational(Fraction(a, period),
-                                                  precision),
-                           QBase(q.q ** period, zeta_domain=True),
-                           precision))
-    with mp.workdps(precision + GUARD_DIGITS):
-        scale = mp.power(to_mpf(q_int(period, q)), -s.value)
-        value = scale * inner.value
-        if a % 2:
-            value = -value
-        return RealP(value, precision)
+    return _residue_sum(s, {a: 0}, 1, period, q.q, precision)
+
+
+def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
+                 period: int, q: Fraction,
+                 precision: int) -> RealP | ComplexP:
+    """sum_a chi(a) H_q(s, a; F) over the residues a in `exponents`, with
+    chi(a) = exp(2 pi i exponents[a] / order), in one pass of the
+    continuation series.  Returns RealP when order <= 2, else ComplexP.
+
+    [F]_q^(-s) (1-q^F)^s = (1-q)^s and (q^F)^(a/F) = q^a, so
+
+        H_q(s, a; F) = (-1)^a (1-q)^s sum_k C(s+k-1,k) q^(ak) / (1+q^(Fk)),
+
+    the continuation series (`_continuation_terms`) at base q^F with the
+    exact q^a in place of its q^x.  The pass runs that series at the
+    smallest residue a_min, and residue a's term is a_min's times
+    (q^(a-a_min))^k, carried as one fixed-point weight per residue and
+    dropped once it underflows to 0.  Those weights are at most 1, so
+    every residue is dominated termwise by a_min, and a_min's
+    three-small-terms rule (see `zeta`) stops them all.  The term-count
+    precheck and the working digits are a_min's too: V at base q, x = a_min
+    is the largest over the residues, and it bounds the scaled terms
+    (1-q)^s C(s+k-1,k) q^(ak) in absolute sum.  The scale (1-q)^s and the
+    character sum are applied in those working digits, so a value far
+    above 1 keeps the absolute 10**-(P-10).
+    """
+    residues = sorted(exponents)
+    a_min = residues[0]
+    zq = ZetaQuery(s, RealP.from_rational(a_min, precision),
+                   QBase(q, zeta_domain=True), precision)
+    with mp.workdps(_working_digits(zq)):
+        _check_term_count(zq, to_mpf(q))
+        wp = mp.prec + WORD_GUARD_BITS
+        one = 1 << wp
+
+        def fixed(r: Fraction) -> int:
+            return (r.numerator << wp) // r.denominator
+
+        terms = _continuation_terms(_to_fixed(s.value, wp),
+                                    fixed(q ** a_min), fixed(q ** period), wp)
+        threshold = _to_fixed(mpf(10) ** (-(precision + 15)), wp)
+        # one row [q^(a-a_min), q^((a-a_min)k), sum] per other residue, a
+        # ascending, so the last row's weight is the first to reach 0
+        rows = [[fixed(q ** (a - a_min)), one, 0] for a in residues[1:]]
+        live = rows[:]
+        total = 0
+        small_streak = 0
+        for k, term in zip(range(MAX_ZETA_TERMS), terms):
+            total += term
+            for row in live:
+                weight = row[1]
+                row[2] += term * weight >> wp
+                row[1] = weight * row[0] >> wp
+            while live and not live[-1][1]:
+                live.pop()
+            if k >= 8 and abs(term) << wp < threshold * (one + abs(total)):
+                small_streak += 1
+                if small_streak >= 3:
+                    break
+            else:
+                small_streak = 0
+        else:
+            raise NonConvergence(
+                f"the continuation series did not settle within "
+                f"{MAX_ZETA_TERMS} terms")
+        by_exponent: dict[int, int] = {}
+        for a, part in zip(residues, [total] + [row[2] for row in rows]):
+            e = exponents[a]
+            by_exponent[e] = by_exponent.get(e, 0) + (-part if a % 2
+                                                      else part)
+        prefactor = mp.power(to_mpf(1 - q), s.value)
+        if order <= 2:  # chi(a) = (-1)^e
+            real = sum(-c if e else c for e, c in by_exponent.items())
+            return RealP(prefactor * _from_fixed(real, wp), precision)
+        value = mp.mpc(0)
+        for e in sorted(by_exponent):
+            value += (_from_fixed(by_exponent[e], wp)
+                      * mp.expjpi(mpf(2 * e) / order))
+        return ComplexP(prefactor * value, precision)
 
 
 def partial_zeta_special_value(n: int, a: int, period: int,

@@ -12,10 +12,12 @@ from math import gcd
 import pytest
 from mpmath import mp
 
+from qeuler import qzeta
 from qeuler.characters import characters_mod, generalized_q_euler, l_function
 from qeuler.errors import DomainError
 from qeuler.exactnum import GUARD_DIGITS, RealP, to_mpf, tolerance
-from qeuler.qnumbers import QBase, q_euler_number
+from qeuler.qnumbers import QBase, q_euler_number, q_int
+from qeuler.qzeta import ZetaQuery, zeta
 
 P = 50
 MODULI = (3, 5, 9, 15)
@@ -160,3 +162,56 @@ def test_l_function_modulus_one():
 def test_l_special_value_n0():
     chi = characters_mod(3)[1]
     assert generalized_q_euler(0, chi, Fraction(1, 2)) == -2
+
+
+def test_l_value_far_above_one_meets_contract():
+    # |L| is about 3.8e39 here; a final scale at P + GUARD_DIGITS relative
+    # digits left an absolute error of about 1e-31
+    chi = characters_mod(3)[1]
+    q = Fraction(4, 5)
+    value = l_function(RealP.from_rational(-60, P), chi,
+                       QBase(q, zeta_domain=True), P)
+    exact = generalized_q_euler(60, chi, q, P) / 2
+    with mp.workdps(P + GUARD_DIGITS + 40):
+        assert abs(value.value - to_mpf(exact)) <= tolerance(P)
+
+
+def partial_zeta_by_zeta(s, a, period, q, precision):
+    """Oracle: H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{q^F}(s, a/F), its
+    own continuation series summed by `zeta` with its own stop rule."""
+    inner = zeta(ZetaQuery(s, RealP.from_rational(Fraction(a, period),
+                                                  precision),
+                           QBase(q ** period, zeta_domain=True), precision))
+    value = mp.power(to_mpf(q_int(period, QBase(q))), -s.value) * inner.value
+    return -value if a % 2 else value
+
+
+def test_l_function_is_one_pass_over_the_residue_sums(monkeypatch):
+    passes = []
+    real = qzeta._continuation_terms
+
+    def spy(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qzeta, "_continuation_terms", spy)
+    for precision in (20, 50):
+        for q in (Fraction(1, 3), Fraction(4, 5)):
+            base = QBase(q, zeta_domain=True)
+            for s_text in ("-7/2", "-2", "1/2", "3"):
+                s = RealP.from_rational(s_text, precision)
+                for d in (3, 5, 7, 9, 15):
+                    units = [a for a in range(1, d) if gcd(a, d) == 1]
+                    with mp.workdps(precision + 2 * GUARD_DIGITS):
+                        parts = {a: partial_zeta_by_zeta(s, a, d, q,
+                                                         precision)
+                                 for a in units}
+                    for chi in characters_mod(d):
+                        passes.clear()
+                        value = l_function(s, chi, base, precision)
+                        assert len(passes) == 1
+                        with mp.workdps(precision + 2 * GUARD_DIGITS):
+                            want = mp.fsum(chi.value(a) * parts[a]
+                                           for a in units)
+                            assert abs(value.value - want) \
+                                <= tolerance(precision)

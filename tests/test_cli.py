@@ -1,9 +1,17 @@
 """CLI surface: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import time
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler.cli import main
+from qeuler.qnumbers import QBase, QPower, q_euler_poly
 
 
 def run(capsys, *argv):
@@ -302,6 +310,67 @@ def test_zeta_term_cap_fails_fast(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_values_above_ten_print_to_the_contract(capsys):
+    # |value| is about 5.5e60: P + 60 significant digits put the last one
+    # at 10^-(P-1), where P digits would stop at 10^11
+    code, out, _ = run(capsys, "zeta", "--s", "-100", "--x", "1", "--q",
+                       "4/5", "--format", "csv")
+    assert code == 0
+    value = out.splitlines()[1].split(",")[3]
+    assert len(value.lstrip("-").replace(".", "")) == 50 + 60
+    exact = q_euler_poly(100, QPower.from_integer(QBase(Fraction(4, 5)),
+                                                  1)) / 2
+    assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 40)
+
+
+def run_quiet(argv):
+    """main(argv) with its output captured; returns (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def text(value):
+    return f"{value.numerator}/{value.denominator}"
+
+
+S_VALUES = st.builds(Fraction, st.integers(-60 * 12, 60 * 12),
+                     st.integers(1, 12))            # |s| <= 60
+Q_VALUES = st.integers(2, 20).flatmap(
+    lambda m: st.builds(Fraction, st.integers(1, m - 1), st.just(m)))
+ODD = st.integers(0, 22).map(lambda i: 2 * i + 1)   # 1..45
+PRECISIONS = st.integers(15, 100)
+
+
+def assert_clean_and_fast(argv):
+    start = time.perf_counter()
+    code, out, err = run_quiet(argv)
+    assert time.perf_counter() - start < 2, argv
+    assert code in (0, 1), argv
+    assert "Traceback" not in out + err
+    assert (code == 1) == bool(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(S_VALUES, ODD, Q_VALUES, PRECISIONS, st.data())
+def test_fuzz_partial_zeta(s, period, q, precision, data):
+    a = data.draw(st.integers(0, period))
+    assert_clean_and_fast(["partial-zeta", "--s", text(s), "--a", str(a),
+                           "--f", str(period), "--q", text(q),
+                           "--prec", str(precision)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(S_VALUES, ODD, Q_VALUES, PRECISIONS, st.data())
+def test_fuzz_lfunction(s, modulus, q, precision, data):
+    units = sum(1 for a in range(1, modulus + 1) if gcd(a, modulus) == 1)
+    index = data.draw(st.integers(0, units - 1))
+    assert_clean_and_fast(["lfunction", "--s", text(s), "--modulus",
+                           str(modulus), "--char-index", str(index),
+                           "--q", text(q), "--prec", str(precision)])
 
 
 def test_verify_pass_and_report(tmp_path, capsys):

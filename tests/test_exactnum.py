@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qeuler.errors import DomainError, NotExactPower
-from qeuler.exactnum import (RealP, format_rational, iroot, parse_rational,
-                             rat_pow)
+from mpmath import mp, mpf
+
+from qeuler.exactnum import (ComplexP, RealP, format_rational, iroot,
+                             parse_rational, rat_pow)
 
 
 def test_iroot_exact_and_floor():
@@ -88,3 +90,14 @@ def test_realp_digits_and_precision():
     assert v.precision == 30
     with pytest.raises(DomainError):
         RealP.from_rational(1, precision=0)
+
+
+def test_digits_grow_with_the_size_of_the_value():
+    # P + max(0, floor(log10|v|)) significant digits, per part: the last
+    # one sits at 10^-(P-1) or finer
+    assert RealP.from_rational("1/3", 20).digits() == "0." + "3" * 20
+    assert RealP.from_rational("-97/10", 20).digits() == "-9.7" + "0" * 18
+    assert RealP.from_rational("1000/3", 20).digits() == "333." + "3" * 19
+    with mp.workdps(40):
+        value = ComplexP(mp.mpc(mpf(1000) / 3, mpf(1) / 3), 20)
+    assert value.digits() == "333." + "3" * 19 + "+0." + "3" * 20 + "i"

@@ -375,6 +375,17 @@ def test_partial_zeta_anchors():
     assert_close(partial_zeta(s, 2, 3, HALF, P), Fraction(5, 9))
 
 
+def test_partial_zeta_far_above_one_meets_contract():
+    # |H| is about 1.7e39 here; a final scale at P + GUARD_DIGITS relative
+    # digits left an absolute error of about 6e-32
+    q = Fraction(4, 5)
+    value = partial_zeta(RealP.from_rational(-60, P), 1, 3,
+                         QBase(q, zeta_domain=True), P)
+    with mp.workdps(P + GUARD_DIGITS + 40):
+        assert abs(value.value - to_mpf(partial_zeta_special_value(
+            60, 1, 3, q))) <= tolerance(P)
+
+
 def test_partial_zeta_validation():
     s = RealP.from_rational(-1, P)
     with pytest.raises(DomainError):
