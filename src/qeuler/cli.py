@@ -28,9 +28,22 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_star_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
 from .qzeta import ZetaQuery, partial_zeta, zeta
-from .verify import (MAX_F, MAX_M, MAX_MODULUS, MAX_N, MAX_NUMBERS_N,
-                     MAX_PRECISION, MAX_Q_HEIGHT, MAX_X_HEIGHT, SUITES,
-                     VerificationReport, run_suite)
+from .verify import SUITES, VerificationReport, run_suite
+
+#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
+#: and `sums --m/--n`, the modulus of `characters` and `lfunction`, the
+#: certified precision `--prec`, the length of a `numbers` table and the
+#: degree `poly --n`, the period `verify --f`, and the height (largest of
+#: |numerator| and denominator) of `--q` for the exact commands and of
+#: `poly --x`.
+MAX_M = 16
+MAX_N = 64
+MAX_MODULUS = 1001
+MAX_PRECISION = 500
+MAX_NUMBERS_N = 100
+MAX_F = 21
+MAX_Q_HEIGHT = 99999
+MAX_X_HEIGHT = 100
 
 FORMAT_OPTION = click.option("--format", "fmt",
                              type=click.Choice(["json", "csv"]),

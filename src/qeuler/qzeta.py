@@ -18,14 +18,19 @@ Two independent summation routes are implemented:
   summation of the raw alternating series (Cohen, Rodriguez Villegas and
   Zagier, Algorithm 1), whose terms are moments of a signed measure on
   (0, 1].  Its term count is fixed in advance from an a-priori error
-  bound, so it runs in time linear in P.
+  bound, so it runs in time linear in P + log10 V, and its cap admits
+  every V that `cancellation_digits` admits.
 
 The partial zeta H_q(s, a; F) has one route: the continuation series at
-base q^F, x = a/F, with q^x = q^a taken exactly (`_residue_sum`).  The
-residues of one L value share one pass of that series: it runs at the
-smallest residue a_min, residue a's term is a_min's times (q^(a-a_min))^k,
-and since those weights are at most 1, a_min's stop rule covers every
-residue.  Its cross-check is the exact special value at s = -n.
+base q^F, x = a/F, with q^x = q^a taken exactly (`_residue_sum`).  Its
+cross-check is the exact special value at s = -n.
+
+`zeta` and the residues of one L value sum through one pass,
+`_continuation_sums`, which alone holds the term-count precheck, the stop
+rule and the loop cap.  `zeta` runs it at base q; the residues run it at
+base q^F and the smallest residue a_min, and residue a's term is a_min's
+times (q^(a-a_min))^k.  Those weights are at most 1, so a_min's stop rule
+covers every residue.
 
 Both zeta routes sum in integer fixed point: each term is a Python int at
 a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
@@ -116,16 +121,6 @@ def _working_digits(zq: ZetaQuery) -> int:
             + cancellation_digits(zq.q.q, zq.s.value, zq.x.value))
 
 
-def _check_term_count(zq: ZetaQuery, qv: mpf) -> None:
-    """Raise NonConvergence when q^(xk) needs more than MAX_ZETA_TERMS
-    terms to reach 10**-(P+15); qv is q at the working precision."""
-    needed = (zq.precision + 15) * mp.log(10) / (zq.x.value * -mp.log(qv))
-    if needed > MAX_ZETA_TERMS:
-        raise NonConvergence(
-            f"the continuation series needs about {int(needed)} terms "
-            f"at q = {zq.q.q}, more than its cap of {MAX_ZETA_TERMS}")
-
-
 def _to_fixed(value: mpf, wp: int) -> int:
     """floor(value * 2**wp)."""
     return to_fixed(value._mpf_, wp)
@@ -151,50 +146,77 @@ def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
         qk = qk * q_fix >> wp
 
 
-def zeta(zq: ZetaQuery) -> RealP:
-    """Euler q-zeta value via the binomial continuation series.
+def _fixed(r: Fraction, wp: int) -> int:
+    """floor(r * 2**wp) for a rational r > 0."""
+    return (r.numerator << wp) // r.denominator
 
-    The terms (`_continuation_terms`) are summed over Python ints at a
-    fixed binary point of mp.prec + WORD_GUARD_BITS bits inside
-    P + GUARD_DIGITS + `cancellation_digits` working digits, and one mpf is
-    built from the final sum.  At s = -n the sum has exactly n+1 nonzero
-    terms.
 
-    Truncation rule: stop once k >= 8 and three consecutive terms fall
-    below 10**-(P+15) * (1 + |partial sum|); q^(xk) decays geometrically
-    while the coefficient grows only polynomially, so three sub-threshold
-    terms bound the tail at guard precision.
+def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
+                       weights: Sequence[int] = ()) -> list[int]:
+    """Fixed-point sums, at binary point wp in the caller's working digits,
+    of the continuation series sum_k C(s+k-1,k) q^(xk) / (1+base^k)
+    (`_continuation_terms`), with s, x, q and P from zq and q^x given at
+    wp: [plain sum] followed by one sum per weight w, whose term k is the
+    plain one times w^k (w descending and at most 1; a sum is dropped once
+    w^k underflows to 0).
 
-    Raises NonConvergence, before summing, when q^(xk) needs more than
-    MAX_ZETA_TERMS terms to reach 10**-(P+15), and also when the loop
-    itself reaches that cap.
+    Stop once k >= 8 and three consecutive plain terms fall below
+    10**-(P+15) * (1 + |plain sum|): q^(xk) decays geometrically while the
+    coefficient grows only polynomially, so three sub-threshold terms bound
+    the tail at guard precision, and the plain terms dominate the weighted
+    ones.  Raises NonConvergence, before summing, when q^(xk) needs more
+    than MAX_ZETA_TERMS terms to reach 10**-(P+15), and when the loop
+    reaches that cap.
     """
-    precision = zq.precision
-    with mp.workdps(_working_digits(zq)):
-        qv = to_mpf(zq.q.q)
-        _check_term_count(zq, qv)
-        sv = zq.s.value
-        prefactor = mp.power(1 - qv, sv)
-        wp = mp.prec + WORD_GUARD_BITS
-        one = 1 << wp
-        terms = _continuation_terms(
-            _to_fixed(sv, wp), _to_fixed(mp.power(qv, zq.x.value), wp),
-            (zq.q.q.numerator << wp) // zq.q.q.denominator, wp)
-        threshold = _to_fixed(mpf(10) ** (-(precision + 15)), wp)
-        total = 0
-        small_streak = 0
-        for k, term in zip(range(MAX_ZETA_TERMS), terms):
-            total += term
-            if k >= 8 and abs(term) << wp < threshold * (one + abs(total)):
-                small_streak += 1
-                if small_streak >= 3:
-                    return RealP(prefactor * _from_fixed(total, wp),
-                                 precision)
-            else:
-                small_streak = 0
+    needed = ((zq.precision + 15) * mp.log(10)
+              / (zq.x.value * -mp.log(to_mpf(zq.q.q))))
+    if needed > MAX_ZETA_TERMS:
+        raise NonConvergence(
+            f"the continuation series needs about {int(needed)} terms "
+            f"at q = {zq.q.q}, more than its cap of {MAX_ZETA_TERMS}")
+    one = 1 << wp
+    terms = _continuation_terms(_to_fixed(zq.s.value, wp), qx_fix,
+                                _fixed(base, wp), wp)
+    threshold = _to_fixed(mpf(10) ** (-(zq.precision + 15)), wp)
+    # one row [w, w^k, sum] per weight; the last row's w^k reaches 0 first
+    rows = [[w, one, 0] for w in weights]
+    live = rows[:]
+    total = 0
+    small_streak = 0
+    for k, term in zip(range(MAX_ZETA_TERMS), terms):
+        total += term
+        if live:
+            for row in live:
+                power = row[1]
+                row[2] += term * power >> wp
+                row[1] = power * row[0] >> wp
+            while live and not live[-1][1]:
+                live.pop()
+        if k >= 8 and abs(term) << wp < threshold * (one + abs(total)):
+            small_streak += 1
+            if small_streak >= 3:
+                return [total] + [row[2] for row in rows]
+        else:
+            small_streak = 0
     raise NonConvergence(
         f"the continuation series did not settle within {MAX_ZETA_TERMS} "
         f"terms")
+
+
+def zeta(zq: ZetaQuery) -> RealP:
+    """Euler q-zeta value via the binomial continuation series, summed by
+    `_continuation_sums` at base q in P + GUARD_DIGITS +
+    `cancellation_digits` working digits; one mpf is built from the
+    fixed-point sum.  At s = -n the sum has exactly n+1 nonzero terms.
+    Raises NonConvergence past MAX_ZETA_TERMS terms.
+    """
+    with mp.workdps(_working_digits(zq)):
+        qv = to_mpf(zq.q.q)
+        wp = mp.prec + WORD_GUARD_BITS
+        total = _continuation_sums(
+            zq, _to_fixed(mp.power(qv, zq.x.value), wp), zq.q.q, wp)[0]
+        return RealP(mp.power(1 - qv, zq.s.value) * _from_fixed(total, wp),
+                     zq.precision)
 
 
 def _cvz_weights(count: int) -> tuple[int, Iterator[int]]:
@@ -232,12 +254,16 @@ def euler_transform(terms: Callable[[int], mpf], precision: int,
     bits, so the sum is one integer and one mpf is built from it.  The
     caller must already hold the working-precision context, which must
     carry the digits of `variation` (see `cancellation_digits`).  Raises
-    NonConvergence when n exceeds 4 * precision + 200.
+    NonConvergence, before summing, when n exceeds its count at the largest
+    variation `cancellation_digits` admits, 10**MAX_CANCELLATION_DIGITS.
     """
-    cap = 4 * precision + 200
-    rate = 3 + mp.sqrt(8)
-    count = max(0, int(mp.ceil(((precision + 15) * mp.log(10)
-                                + mp.log(2 * variation)) / mp.log(rate))))
+    def terms_for(bound) -> int:
+        return max(0, int(mp.ceil(((precision + 15) * mp.log(10)
+                                   + mp.log(2 * bound))
+                                  / mp.log(3 + mp.sqrt(8)))))
+
+    count = terms_for(variation)
+    cap = terms_for(mpf(10) ** MAX_CANCELLATION_DIGITS)
     if count > cap:
         raise NonConvergence(
             f"CVZ summation needs {count} terms, more than its cap of {cap}")
@@ -293,8 +319,6 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
     of `_residue_sum`.
     """
     _check_residue(a, period)
-    if not 0 < q.q < 1:
-        raise DomainError("partial zeta requires 0 < q < 1")
     return _residue_sum(s, {a: 0}, 1, period, q.q, precision)
 
 
@@ -309,60 +333,27 @@ def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
 
         H_q(s, a; F) = (-1)^a (1-q)^s sum_k C(s+k-1,k) q^(ak) / (1+q^(Fk)),
 
-    the continuation series (`_continuation_terms`) at base q^F with the
-    exact q^a in place of its q^x.  The pass runs that series at the
-    smallest residue a_min, and residue a's term is a_min's times
-    (q^(a-a_min))^k, carried as one fixed-point weight per residue and
-    dropped once it underflows to 0.  Those weights are at most 1, so
-    every residue is dominated termwise by a_min, and a_min's
-    three-small-terms rule (see `zeta`) stops them all.  The term-count
-    precheck and the working digits are a_min's too: V at base q, x = a_min
-    is the largest over the residues, and it bounds the scaled terms
-    (1-q)^s C(s+k-1,k) q^(ak) in absolute sum.  The scale (1-q)^s and the
-    character sum are applied in those working digits, so a value far
-    above 1 keeps the absolute 10**-(P-10).
+    the continuation series at base q^F with the exact q^a in place of its
+    q^x.  One pass of `_continuation_sums` runs it at the smallest residue
+    a_min, with weight q^(a-a_min) for each further residue a, so a_min's
+    term-count precheck and stop rule serve them all.  The working digits
+    are a_min's too: V at base q, x = a_min is the largest over the
+    residues, and it bounds the scaled terms (1-q)^s C(s+k-1,k) q^(ak) in
+    absolute sum.  The scale (1-q)^s and the character sum are applied in
+    those working digits, so a value far above 1 keeps the absolute
+    10**-(P-10).
     """
     residues = sorted(exponents)
     a_min = residues[0]
     zq = ZetaQuery(s, RealP.from_rational(a_min, precision),
                    QBase(q, zeta_domain=True), precision)
     with mp.workdps(_working_digits(zq)):
-        _check_term_count(zq, to_mpf(q))
         wp = mp.prec + WORD_GUARD_BITS
-        one = 1 << wp
-
-        def fixed(r: Fraction) -> int:
-            return (r.numerator << wp) // r.denominator
-
-        terms = _continuation_terms(_to_fixed(s.value, wp),
-                                    fixed(q ** a_min), fixed(q ** period), wp)
-        threshold = _to_fixed(mpf(10) ** (-(precision + 15)), wp)
-        # one row [q^(a-a_min), q^((a-a_min)k), sum] per other residue, a
-        # ascending, so the last row's weight is the first to reach 0
-        rows = [[fixed(q ** (a - a_min)), one, 0] for a in residues[1:]]
-        live = rows[:]
-        total = 0
-        small_streak = 0
-        for k, term in zip(range(MAX_ZETA_TERMS), terms):
-            total += term
-            for row in live:
-                weight = row[1]
-                row[2] += term * weight >> wp
-                row[1] = weight * row[0] >> wp
-            while live and not live[-1][1]:
-                live.pop()
-            if k >= 8 and abs(term) << wp < threshold * (one + abs(total)):
-                small_streak += 1
-                if small_streak >= 3:
-                    break
-            else:
-                small_streak = 0
-        else:
-            raise NonConvergence(
-                f"the continuation series did not settle within "
-                f"{MAX_ZETA_TERMS} terms")
+        sums = _continuation_sums(
+            zq, _fixed(q ** a_min, wp), q ** period, wp,
+            [_fixed(q ** (a - a_min), wp) for a in residues[1:]])
         by_exponent: dict[int, int] = {}
-        for a, part in zip(residues, [total] + [row[2] for row in rows]):
+        for a, part in zip(residues, sums):
             e = exponents[a]
             by_exponent[e] = by_exponent.get(e, 0) + (-part if a % 2
                                                       else part)

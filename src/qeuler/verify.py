@@ -38,21 +38,6 @@ ZETA_X = ("1/2", "1", "2", "7/2")
 ZETA_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 LFUNCTION_Q = (Fraction(1, 3), Fraction(1, 2))
 
-#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
-#: and `sums --m/--n`, the modulus of `characters` and `lfunction`, the
-#: certified precision `--prec`, the length of a `numbers` table and the
-#: degree `poly --n`, the period `verify --f`, and the height (largest of
-#: |numerator| and denominator) of `--q` for the exact commands and of
-#: `poly --x`.
-MAX_M = 16
-MAX_N = 64
-MAX_MODULUS = 1001
-MAX_PRECISION = 500
-MAX_NUMBERS_N = 100
-MAX_F = 21
-MAX_Q_HEIGHT = 99999
-MAX_X_HEIGHT = 100
-
 #: Suites whose cells are real-valued and take the certified precision.
 PRECISION_SUITES = ("zeta", "partial-zeta", "lfunction")
 

@@ -177,8 +177,8 @@ def test_l_value_far_above_one_meets_contract():
 
 
 def partial_zeta_by_zeta(s, a, period, q, precision):
-    """Oracle: H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{q^F}(s, a/F), its
-    own continuation series summed by `zeta` with its own stop rule."""
+    """Oracle: H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{q^F}(s, a/F), one
+    residue summed by `zeta` at base q^F with q^(a/F) taken by mp.power."""
     inner = zeta(ZetaQuery(s, RealP.from_rational(Fraction(a, period),
                                                   precision),
                            QBase(q ** period, zeta_domain=True), precision))

@@ -145,7 +145,7 @@ def test_characters_even_modulus_fails(capsys):
 
 
 def test_modulus_bound(capsys):
-    from qeuler.verify import MAX_MODULUS
+    from qeuler.cli import MAX_MODULUS
     too_big = str(MAX_MODULUS + 2)
     code, out, err = run(capsys, "characters", "--modulus", too_big)
     assert (code, out) == (1, "")
@@ -161,7 +161,7 @@ def test_modulus_bound(capsys):
 
 
 def test_precision_bound(capsys):
-    from qeuler.verify import MAX_PRECISION
+    from qeuler.cli import MAX_PRECISION
     too_big = str(MAX_PRECISION + 1)
     for argv in (["zeta", "--s", "1/2", "--x", "1", "--q", "1/2"],
                  ["partial-zeta", "--s", "1/2", "--a", "1", "--f", "3",
@@ -178,7 +178,7 @@ def test_precision_bound(capsys):
 
 
 def test_numbers_bound(capsys):
-    from qeuler.verify import MAX_NUMBERS_N
+    from qeuler.cli import MAX_NUMBERS_N
     too_big = str(MAX_NUMBERS_N + 1)
     for variant in ("plain", "star", "classical-euler",
                     "classical-bernoulli"):
@@ -210,7 +210,7 @@ def test_numbers_stop_at_first_unprintable_value(capsys, monkeypatch):
 
 
 def test_sums_bound(capsys):
-    from qeuler.verify import MAX_M, MAX_N
+    from qeuler.cli import MAX_M, MAX_N
     for variant in ("power", "alt-power", "q-alt", "q-alt-weighted"):
         for option, bound, m, n in (("--m", MAX_M, MAX_M + 1, 2),
                                     ("--n", MAX_N, 2, MAX_N + 1)):
@@ -224,7 +224,7 @@ def test_sums_bound(capsys):
 
 
 def test_poly_bound(capsys):
-    from qeuler.verify import MAX_NUMBERS_N
+    from qeuler.cli import MAX_NUMBERS_N
     too_big = str(MAX_NUMBERS_N + 1)
     for variant in ("plain", "star", "classical"):
         code, out, err = run(capsys, "poly", "--n", too_big, "--x", "1",
@@ -246,7 +246,7 @@ def assert_refused_fast(capsys, argv, message):
 
 
 def test_q_height_bound(capsys):
-    from qeuler.verify import MAX_Q_HEIGHT
+    from qeuler.cli import MAX_Q_HEIGHT
     message = (f"--q must have numerator and denominator at most "
                f"{MAX_Q_HEIGHT} in absolute value")
     for q in ("1/" + "1" + "0" * 1000, str(MAX_Q_HEIGHT + 1),
@@ -264,7 +264,7 @@ def test_q_height_bound(capsys):
 
 
 def test_poly_x_bound(capsys):
-    from qeuler.verify import MAX_X_HEIGHT
+    from qeuler.cli import MAX_X_HEIGHT
     message = (f"--x must have numerator and denominator at most "
                f"{MAX_X_HEIGHT} in absolute value")
     # a tall numerator means a huge power of q, a tall denominator a root
@@ -280,7 +280,7 @@ def test_poly_x_bound(capsys):
 
 
 def test_verify_f_bound(capsys):
-    from qeuler.verify import MAX_F
+    from qeuler.cli import MAX_F
     for suite in ("thm4", "all"):
         assert_refused_fast(capsys, ["verify", "--suite", suite,
                                      "--f", str(MAX_F + 2)],
@@ -341,6 +341,8 @@ S_VALUES = st.builds(Fraction, st.integers(-60 * 12, 60 * 12),
                      st.integers(1, 12))            # |s| <= 60
 Q_VALUES = st.integers(2, 20).flatmap(
     lambda m: st.builds(Fraction, st.integers(1, m - 1), st.just(m)))
+X_VALUES = st.integers(1, 12).flatmap(              # 0 < x <= 12
+    lambda d: st.builds(Fraction, st.integers(1, 12 * d), st.just(d)))
 ODD = st.integers(0, 22).map(lambda i: 2 * i + 1)   # 1..45
 PRECISIONS = st.integers(15, 100)
 
@@ -352,6 +354,13 @@ def assert_clean_and_fast(argv):
     assert code in (0, 1), argv
     assert "Traceback" not in out + err
     assert (code == 1) == bool(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(S_VALUES, X_VALUES, Q_VALUES, PRECISIONS)
+def test_fuzz_zeta(s, x, q, precision):
+    assert_clean_and_fast(["zeta", "--s", text(s), "--x", text(x),
+                           "--q", text(q), "--prec", str(precision)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 from qeuler.errors import DomainError, NonConvergence
 from qeuler.exactnum import GUARD_DIGITS, RealP, rat_pow, to_mpf, tolerance
 from qeuler import qzeta
+from qeuler.characters import characters_mod, l_function
 from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
 from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, cancellation_digits,
                           euler_transform, partial_zeta,
@@ -116,9 +117,9 @@ def test_euler_transform_nonconvergence():
 
     with mp.workdps(40):
         with pytest.raises(NonConvergence):
-            # the a-priori count for a variation of 10^200 is 308 terms,
-            # more than the 4P + 200 = 280 allowed at P = 20
-            euler_transform(term, 20, variation=mpf(10) ** 200)
+            # the a-priori count for a variation of 10^600 is 830 terms,
+            # more than the 700 allowed at P = 20 (the count at 10^500)
+            euler_transform(term, 20, variation=mpf(10) ** 600)
     assert calls == []  # refused before summing
 
 
@@ -210,6 +211,12 @@ def test_zeta_term_cap(monkeypatch):
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
     with pytest.raises(NonConvergence):
         zeta(query(200, 1, Fraction(1, 2)))
+    # the same cap stops the residue pass behind partial zeta and L
+    s = RealP.from_rational(200, P)
+    with pytest.raises(NonConvergence):
+        partial_zeta(s, 1, 3, HALF, P)
+    with pytest.raises(NonConvergence):
+        l_function(s, characters_mod(5)[1], HALF, P)
 
 
 def zeta_mpf_loop(zq):
@@ -326,7 +333,7 @@ def test_cvz_weights_are_exact_integers():
     # b_k = c_k + c_{k-1} (c_{-1} = -d); each step of
     # b_{k+1} (2k+1)(k+1) = 2 b_k (k+n)(k-n) holds exactly, so no floor
     # division in the recurrence left a remainder
-    cap = 4 * 500 + 200  # the CVZ term cap at the largest --prec
+    cap = 4 * 500 + 200  # above the CVZ term cap at the largest --prec
     for n in sorted(set(range(64)) | set(range(64, cap + 1, 53)) | {cap}):
         d, weights = qzeta._cvz_weights(n)
         with mp.workdps(40 + n):
@@ -344,7 +351,7 @@ def test_cvz_weights_are_exact_integers():
                 == 2 * b[k] * (k + n) * (k - n)
 
 
-@pytest.mark.parametrize("n", (40, 60, 100))
+@pytest.mark.parametrize("n", (40, 60, 100, 200, 300))
 @pytest.mark.parametrize("route", (zeta, zeta_euler_transform),
                          ids=("continuation", "cvz"))
 def test_deep_negative_s_meets_contract(route, n):
@@ -352,7 +359,7 @@ def test_deep_negative_s_meets_contract(route, n):
     q = Fraction(4, 5)
     exact = q_euler_poly(n, QPower.from_integer(QBase(q), 1)) / 2
     value = route(query(-n, 1, q)).value
-    with mp.workdps(P + GUARD_DIGITS + 140):  # |value| is up to 10^61
+    with mp.workdps(P + GUARD_DIGITS + 220):  # |value| is up to 10^201
         assert abs(value - to_mpf(exact)) <= tolerance(P)
 
 
@@ -394,6 +401,9 @@ def test_partial_zeta_validation():
         partial_zeta(s, 3, 3, HALF, P)
     with pytest.raises(DomainError):
         partial_zeta(s, 0, 3, HALF, P)
+    for q in (Fraction(3, 2), Fraction(-1, 2)):  # refused by its ZetaQuery
+        with pytest.raises(DomainError):
+            partial_zeta(s, 1, 3, QBase(q), P)
 
 
 def test_partial_zeta_special_value_anchors():
