@@ -72,29 +72,12 @@ class DirichletCharacter:
     order: int
     exponents: tuple[int | None, ...]
 
-    @property
-    def is_principal(self) -> bool:
-        return self.order == 1
-
     def value(self, a: int):
         """chi(a) as an mpmath complex at the current working precision."""
         e = self.exponents[a % self.modulus]
         if e is None:
             return mp.mpc(0)
         return mp.expjpi(mpf(2 * e) / self.order)
-
-    def __mul__(self, other: DirichletCharacter) -> DirichletCharacter:
-        if self.modulus != other.modulus:
-            raise DomainError("characters live mod different moduli")
-        common = lcm(self.order, other.order)
-        raw = []
-        for ea, eb in zip(self.exponents, other.exponents):
-            if ea is None:
-                raw.append(None)
-            else:
-                raw.append((ea * (common // self.order)
-                            + eb * (common // other.order)) % common)
-        return _canonical(self.modulus, common, raw)
 
 
 def _canonical(modulus: int, span: int,

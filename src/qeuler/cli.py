@@ -3,15 +3,19 @@
 Commands: numbers, poly, sums, zeta, partial-zeta, lfunction, characters,
 verify.  Output is JSON by default (top-level object with "query",
 "results" and "precision" keys; rationals as "num/den" strings, reals as
-decimal strings) or CSV.  Identical invocations produce byte-identical
-output; the only nondeterministic field anywhere is elapsed_ms inside
-verification report files.
+decimal strings) or CSV, whose columns are the keys of the result rows.
+Identical invocations produce byte-identical output; the only
+nondeterministic field anywhere is elapsed_ms inside verification report
+files.  verify passes each suite only the options it takes
+(`verify.run_suite`), and refuses a --report path it cannot open for
+writing before any suite runs.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -21,14 +25,14 @@ import click
 from . import classical
 from .characters import characters_mod, l_function
 from .errors import DomainError, NonConvergence, NotExactPower
-from .exactnum import (DEFAULT_PRECISION, RealP, format_rational,
+from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
                        parse_rational)
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_number, q_euler_poly, q_euler_star_number,
                        q_euler_star_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
 from .qzeta import ZetaQuery, partial_zeta, zeta
-from .verify import SUITES, VerificationReport, run_suite
+from .verify import SUITES, run_suite
 
 #: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
 #: and `sums --m/--n`, the modulus of `characters` and `lfunction`, the
@@ -64,15 +68,25 @@ PREC_OPTION = click.option("--prec", type=int, default=DEFAULT_PRECISION,
 
 
 def _emit(query: dict, results: list[dict], precision: int | None,
-          fmt: str, headers: list[str]) -> None:
+          fmt: str) -> None:
+    """Print the document; CSV columns are the keys of the first row."""
     if fmt == "json":
         doc = {"query": query, "results": results, "precision": precision}
         click.echo(json.dumps(doc, indent=2))
     else:
-        click.echo(",".join(headers))
+        click.echo(",".join(results[0]))
         for row in results:
-            click.echo(",".join(str(row[h]) if row[h] is not None else ""
-                                for h in headers))
+            click.echo(",".join("" if v is None else str(v)
+                                for v in row.values()))
+
+
+def _emit_value(command: str, value: RealP | ComplexP, fmt: str,
+                **inputs) -> None:
+    """Print a numeric value's one row: the command's inputs, then the value
+    and its certified precision."""
+    prec = value.precision
+    _emit({"command": command, **inputs, "prec": prec},
+          [{**inputs, "value": value.digits(), "precision": prec}], prec, fmt)
 
 
 def _check_modulus(modulus: int) -> None:
@@ -96,6 +110,16 @@ def _parse_bounded(text: str, option: str, height: int) -> Fraction:
             f"{option} must have numerator and denominator at most "
             f"{height} in absolute value")
     return value
+
+
+def _q_base(q_text: str | None, variant: str, query: dict) -> QBase:
+    """The bounded --q that a q variant of an exact command requires; it
+    joins the query as "q"."""
+    if q_text is None:
+        raise click.UsageError(f"variant {variant} requires --q")
+    base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
+    query["q"] = format_rational(base.q)
+    return base
 
 
 @click.group()
@@ -122,10 +146,7 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
         raise click.UsageError(f"--max-n must be at most {MAX_NUMBERS_N}")
     query: dict = {"command": "numbers", "variant": variant, "max_n": max_n}
     if variant in ("plain", "star"):
-        if q_text is None:
-            raise click.UsageError(f"variant {variant} requires --q")
-        base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
-        query["q"] = format_rational(base.q)
+        base = _q_base(q_text, variant, query)
         fn = q_euler_number if variant == "plain" else q_euler_star_number
         values = (fn(n, base) for n in range(max_n + 1))
     elif variant == "classical-euler":
@@ -136,7 +157,7 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
     # print limit stops the table before the later ones are computed
     results = [{"n": n, "value": format_rational(v)}
                for n, v in enumerate(values)]
-    _emit(query, results, None, fmt, ["n", "value"])
+    _emit(query, results, None, fmt)
     return 0
 
 
@@ -164,16 +185,12 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
     if variant == "classical":
         value = classical.euler_poly(n, x)
     else:
-        if q_text is None:
-            raise click.UsageError(f"variant {variant} requires --q")
-        base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
-        query["q"] = format_rational(base.q)
-        qp = QPower.from_exponent(base, x)
+        qp = QPower.from_exponent(_q_base(q_text, variant, query), x)
         value = q_euler_poly(n, qp) if variant == "plain" \
             else q_euler_star_poly(n, qp)
     results = [{"n": n, "x": format_rational(x),
                 "value": format_rational(value)}]
-    _emit(query, results, None, fmt, ["n", "x", "value"])
+    _emit(query, results, None, fmt)
     return 0
 
 
@@ -202,10 +219,7 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
         direct, closed = classical.alt_power_sum(m, n), \
             classical.alt_power_sum_closed(m, n)
     else:
-        if q_text is None:
-            raise click.UsageError(f"variant {variant} requires --q")
-        base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
-        query["q"] = format_rational(base.q)
+        base = _q_base(q_text, variant, query)
         if variant == "q-alt":
             direct = alt_q_power_sum(m, n, base)
             closed = alt_q_power_sum_closed(m, n, base)
@@ -215,7 +229,7 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
     results = [{"m": m, "n": n, "direct": format_rational(direct),
                 "closed": format_rational(closed),
                 "equal": direct == closed}]
-    _emit(query, results, None, fmt, ["m", "n", "direct", "closed", "equal"])
+    _emit(query, results, None, fmt)
     return 0
 
 
@@ -234,12 +248,8 @@ def cmd_zeta(s_text: str, x_text: str, q_text: str, prec: int,
     value = zeta(ZetaQuery(RealP.from_rational(s, prec),
                            RealP.from_rational(x, prec),
                            QBase(q, zeta_domain=True), prec))
-    query = {"command": "zeta", "s": format_rational(s),
-             "x": format_rational(x), "q": format_rational(q), "prec": prec}
-    results = [{"s": format_rational(s), "x": format_rational(x),
-                "q": format_rational(q), "value": value.digits(),
-                "precision": prec}]
-    _emit(query, results, prec, fmt, ["s", "x", "q", "value", "precision"])
+    _emit_value("zeta", value, fmt, s=format_rational(s),
+                x=format_rational(x), q=format_rational(q))
     return 0
 
 
@@ -258,13 +268,8 @@ def cmd_partial_zeta(s_text: str, a: int, period: int, q_text: str,
     q = _parse_q(q_text)
     value = partial_zeta(RealP.from_rational(s, prec), a, period,
                          QBase(q, zeta_domain=True), prec)
-    query = {"command": "partial-zeta", "s": format_rational(s), "a": a,
-             "f": period, "q": format_rational(q), "prec": prec}
-    results = [{"s": format_rational(s), "a": a, "f": period,
-                "q": format_rational(q), "value": value.digits(),
-                "precision": prec}]
-    _emit(query, results, prec, fmt,
-          ["s", "a", "f", "q", "value", "precision"])
+    _emit_value("partial-zeta", value, fmt, s=format_rational(s), a=a,
+                f=period, q=format_rational(q))
     return 0
 
 
@@ -289,14 +294,8 @@ def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
     q = _parse_q(q_text)
     value = l_function(RealP.from_rational(s, prec), group[char_index],
                        QBase(q, zeta_domain=True), prec)
-    query = {"command": "lfunction", "s": format_rational(s),
-             "modulus": modulus, "char_index": char_index,
-             "q": format_rational(q), "prec": prec}
-    results = [{"s": format_rational(s), "modulus": modulus,
-                "char_index": char_index, "q": format_rational(q),
-                "value": value.digits(), "precision": prec}]
-    _emit(query, results, prec, fmt,
-          ["s", "modulus", "char_index", "q", "value", "precision"])
+    _emit_value("lfunction", value, fmt, s=format_rational(s),
+                modulus=modulus, char_index=char_index, q=format_rational(q))
     return 0
 
 
@@ -317,8 +316,7 @@ def cmd_characters(modulus: int, fmt: str) -> int:
                                  for e in chi.exponents)
         results.append({"modulus": modulus, "index": index,
                         "order": chi.order, "exponents": exponents})
-    _emit(query, results, None, fmt,
-          ["modulus", "index", "order", "exponents"])
+    _emit(query, results, None, fmt)
     return 0
 
 
@@ -337,11 +335,8 @@ def cmd_characters(modulus: int, fmt: str) -> int:
 @PREC_OPTION
 def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
                max_n: int | None, f_only: int | None, prec: int) -> int:
-    """Run an identity-verification suite; exit 2 on any failure.
-
-    Suites: thm2 (polynomial forms), thm3 (alternating q-power sums),
-    thm4 (distribution relation), weighted (q^l-weighted sums), classical
-    (power sums), zeta (dual-route), partial-zeta, lfunction, all."""
+    """Run an identity-verification suite, or all of them; exit 2 on any
+    failure.  Each suite takes only the options it has a use for."""
     if max_m is not None and not 1 <= max_m <= MAX_M:
         raise click.UsageError(f"--max-m must lie in 1..{MAX_M}")
     if max_n is not None and not 1 <= max_n <= MAX_N:
@@ -352,40 +347,27 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
         raise click.UsageError(f"--f must be at most {MAX_F}")
     if prec < 15:
         raise click.UsageError("--prec must be at least 15")
+    try:  # an unwritable report path fails before any suite runs
+        report_file = contextlib.nullcontext() if report_path is None \
+            else open(report_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(report_path, exc.strerror) from exc
 
-    reports = _run_suites(suite, max_m, max_n, f_only, prec)
-    for report in reports:
-        status = "PASS" if report.passed else "FAIL"
-        click.echo(f"suite {report.suite}: {status} "
-                   f"cases={report.cases_run} "
-                   f"max_deviation={report.max_deviation}")
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as handle:
+    with report_file as handle:
+        names = sorted(SUITES) if suite == "all" else [suite]
+        reports = [run_suite(name, max_m=max_m, max_n=max_n,
+                             fs=None if f_only is None else (f_only,),
+                             precision=prec)
+                   for name in names]
+        for report in reports:
+            status = "PASS" if report.passed else "FAIL"
+            click.echo(f"suite {report.suite}: {status} "
+                       f"cases={report.cases_run} "
+                       f"max_deviation={report.max_deviation}")
+        if handle is not None:
             json.dump([r.to_dict() for r in reports], handle, indent=2)
             handle.write("\n")
     return 0 if all(r.passed for r in reports) else 2
-
-
-#: For each suite with grid options: verify option -> suite keyword.
-_GRID_KEYWORDS = {
-    "thm2": {"max_n": "max_n"},
-    "thm3": {"max_m": "max_m", "max_n": "max_n"},
-    "weighted": {"max_m": "max_m", "max_n": "max_n"},
-    "thm4": {"max_m": "max_m", "fs": "fs"},
-    "classical": {"max_m": "max_m", "max_n": "max_k"},
-}
-
-
-def _run_suites(suite: str, max_m: int | None, max_n: int | None,
-                f_only: int | None, prec: int) -> list[VerificationReport]:
-    options = {"max_m": max_m, "max_n": max_n,
-               "fs": None if f_only is None else (f_only,)}
-    names = sorted(SUITES) if suite == "all" else [suite]
-    return [run_suite(name, prec,
-                      **{keyword: options[option] for option, keyword
-                         in _GRID_KEYWORDS.get(name, {}).items()
-                         if options[option] is not None})
-            for name in names]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -61,7 +61,8 @@ MAX_ZETA_TERMS = 200_000
 
 #: Most digits either zeta route adds for cancellation (`cancellation_digits`),
 #: which bounds the working digits: at q = 1/2, x = 1 it admits s down to
-#: about -830.
+#: about -830.  Also the most digits the continuation's unscaled sum may
+#: reach at s > 0 (`_continuation_sums`): at q = 1/2, x = 1, s up to 1660.
 MAX_CANCELLATION_DIGITS = 500
 
 #: Bits the fixed-point word carries beyond the context's precision, which
@@ -164,16 +165,36 @@ def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
     10**-(P+15) * (1 + |plain sum|): q^(xk) decays geometrically while the
     coefficient grows only polynomially, so three sub-threshold terms bound
     the tail at guard precision, and the plain terms dominate the weighted
-    ones.  Raises NonConvergence, before summing, when q^(xk) needs more
-    than MAX_ZETA_TERMS terms to reach 10**-(P+15), and when the loop
-    reaches that cap.
+    ones.
+
+    Refuses before summing what the loop cannot finish.  For s > 1/q^x
+    the terms rise to a peak at k = (s q^x - 1) / (1 - q^x), where the
+    ratio (s+k) q^x / (k+1) of consecutive terms falls to 1, and fall no
+    faster than q^(xk) after it: NonConvergence when the peak plus the
+    terms q^(xk) takes to reach 10**-(P+15) pass MAX_ZETA_TERMS.  For s > 0
+    the unscaled terms sum to (1-q^x)^(-s), which the fixed-point ints
+    carry in s log10(1/(1-q^x)) digits above wp: DomainError past
+    MAX_CANCELLATION_DIGITS.  Raises NonConvergence also when the loop
+    reaches its cap.
     """
-    needed = ((zq.precision + 15) * mp.log(10)
-              / (zq.x.value * -mp.log(to_mpf(zq.q.q))))
+    log_qx = zq.x.value * mp.log(to_mpf(zq.q.q))
+    needed = (zq.precision + 15) * mp.log(10) / -log_qx
+    growth = 0
+    if zq.s.value > 0 and needed <= MAX_ZETA_TERMS:
+        # q^x < 1 - 3e-4 here, so 1 - q^x keeps its digits
+        with mp.workdps(15):
+            qx = mp.exp(log_qx)
+            needed += max(0, (zq.s.value * qx - 1) / (1 - qx))
+            growth = zq.s.value * -mp.ln(1 - qx) / mp.ln(10)
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
             f"the continuation series needs about {int(needed)} terms "
             f"at q = {zq.q.q}, more than its cap of {MAX_ZETA_TERMS}")
+    if growth > MAX_CANCELLATION_DIGITS:
+        raise DomainError(
+            f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
+            f"grows to about {int(growth)} digits, more than "
+            f"{MAX_CANCELLATION_DIGITS}")
     one = 1 << wp
     terms = _continuation_terms(_to_fixed(zq.s.value, wp), qx_fix,
                                 _fixed(base, wp), wp)

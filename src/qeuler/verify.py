@@ -7,11 +7,13 @@ precision-P reals against the certified bound 10**-(P-10).
 
 Cells run one after another in canonical grid order, so the reports are
 deterministic apart from the elapsed_ms measurement.
+
+`run_suite` looks a suite up in SUITES at call time and passes it only the
+options that `_SUITE_OPTIONS` lists for it; it ignores the others.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -38,9 +40,6 @@ ZETA_X = ("1/2", "1", "2", "7/2")
 ZETA_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 LFUNCTION_Q = (Fraction(1, 3), Fraction(1, 2))
 
-#: Suites whose cells are real-valued and take the certified precision.
-PRECISION_SUITES = ("zeta", "partial-zeta", "lfunction")
-
 
 @dataclass
 class VerificationReport:
@@ -63,9 +62,6 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _exact_suite(name: str, grid: dict, cells, evaluate) -> VerificationReport:
@@ -187,12 +183,13 @@ def verify_thm4(max_m: int = 8, fs=(1, 3, 5), max_x: int = 5,
     return _exact_suite("thm4", grid, cells, evaluate)
 
 
-def verify_classical(max_m: int = 12, max_k: int = 50) -> VerificationReport:
-    """Classical power sums and alternating power sums vs closed forms."""
+def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
+    """Classical power sums and alternating power sums vs closed forms, for
+    exponents up to max_m and lengths k up to max_n."""
     cells = [("plain", n, k) for n in range(1, max_m + 1)
-             for k in range(1, max_k + 1)]
+             for k in range(1, max_n + 1)]
     cells += [("alt", m, k) for m in range(1, max_m + 1)
-              for k in range(1, max_k + 1)]
+              for k in range(1, max_n + 1)]
 
     def evaluate(cell):
         kind, m, k = cell
@@ -204,7 +201,7 @@ def verify_classical(max_m: int = 12, max_k: int = 50) -> VerificationReport:
                 classical.alt_power_sum_closed(m, k),
                 classical.alt_power_sum(m, k))
 
-    grid = {"exponent": [1, max_m], "k": [1, max_k],
+    grid = {"exponent": [1, max_m], "k": [1, max_n],
             "sums": ["plain", "alt"]}
     return _exact_suite("classical", grid, cells, evaluate)
 
@@ -297,15 +294,24 @@ SUITES = {
 }
 
 
-def run_suite(name: str, precision: int = DEFAULT_PRECISION,
-              **grid) -> VerificationReport:
-    """Run SUITES[name] over `grid`, handing `precision` to the suites in
-    PRECISION_SUITES.  The table is read at call time, so replacing one of
-    its entries replaces the suite everywhere."""
-    if name in PRECISION_SUITES:
-        grid["precision"] = precision
-    return SUITES[name](**grid)
+#: The options each suite takes, by the verify command's names: grid bounds
+#: for the exact suites, the certified precision for the real-valued ones.
+_SUITE_OPTIONS = {
+    "thm2": ("max_n",),
+    "thm3": ("max_m", "max_n"),
+    "thm4": ("max_m", "fs"),
+    "weighted": ("max_m", "max_n"),
+    "classical": ("max_m", "max_n"),
+    "zeta": ("precision",),
+    "partial-zeta": ("precision",),
+    "lfunction": ("precision",),
+}
 
 
-def run_all(precision: int = DEFAULT_PRECISION) -> list[VerificationReport]:
-    return [run_suite(name, precision) for name in SUITES]
+def run_suite(name: str, **options) -> VerificationReport:
+    """Run SUITES[name] with the options `_SUITE_OPTIONS` lists for it that
+    are given and not None; the others are ignored, and the suite's
+    defaults fill in.  SUITES is read at call time, so replacing one of its
+    entries replaces the suite everywhere."""
+    return SUITES[name](**{key: options[key] for key in _SUITE_OPTIONS[name]
+                           if options.get(key) is not None})

@@ -98,7 +98,7 @@ def test_criterion_04_distribution_relation():
 
 def test_criterion_05_classical_identities():
     start = time.perf_counter()
-    suite = verify_classical(max_m=12, max_k=50)
+    suite = verify_classical(max_m=12, max_n=50)
     anchors = (euler_number(1) == Fraction(-1, 2)
                and euler_number(3) == Fraction(1, 4)
                and euler_number(7) == Fraction(17, 8))
@@ -232,7 +232,7 @@ def test_criterion_10_character_groups():
                         ok = ok and chi.exponents[a * b % d] \
                             == (chi.exponents[a] + chi.exponents[b]) % m
             counts = Counter(e for e in chi.exponents if e is not None)
-            if chi.is_principal:
+            if chi.order == 1:
                 ok = ok and set(counts) == {0}
             else:
                 ok = ok and set(counts) == set(range(m)) \

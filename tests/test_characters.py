@@ -73,7 +73,7 @@ def test_orthogonality_exact():
         for chi in group:
             exponents = [e for e in chi.exponents if e is not None]
             counts = Counter(exponents)
-            if chi.is_principal:
+            if chi.order == 1:
                 principals += 1
                 assert set(counts) == {0}
             else:
@@ -84,13 +84,17 @@ def test_orthogonality_exact():
 
 
 def test_group_closed_under_product():
+    # chi(a) = exp(2 pi i e_a / order), so a character is its table of
+    # e_a / order mod 1, and a product's table is the sum mod 1
     for d in MODULI:
         group = characters_mod(d)
-        members = set(group)
-        assert len(members) == len(group)
-        for a in group:
-            for b in group:
-                assert a * b in members
+        tables = {tuple(None if e is None else Fraction(e, chi.order)
+                        for e in chi.exponents) for chi in group}
+        assert len(tables) == len(group)
+        for a in tables:
+            for b in tables:
+                assert tuple(None if x is None else (x + y) % 1
+                             for x, y in zip(a, b)) in tables
 
 
 def test_order_divides_group_order():

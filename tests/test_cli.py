@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -10,6 +13,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qeuler
 from qeuler.cli import main
 from qeuler.qnumbers import QBase, QPower, q_euler_poly
 
@@ -312,6 +316,41 @@ def test_zeta_term_cap_fails_fast(capsys):
     assert "Traceback" not in err
 
 
+#: Runs each argv of a JSON list through main() and prints, per argv, the
+#: exit code and the seconds main() took, import time excluded.
+TIMED_CHILD = """
+import json, sys, time
+from qeuler.cli import main
+timings = []
+for argv in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    timings.append([main(argv), time.perf_counter() - start])
+print(json.dumps(timings))
+"""
+
+
+def test_huge_positive_s_refused_fast():
+    # the terms rise until k is about s q^x / (1 - q^x); a fresh
+    # interpreter lets a run that does not stop be killed, not waited on
+    argvs = [["zeta", "--s", "1e20", "--x", "1", "--q", "1/2"],
+             ["partial-zeta", "--s", "1e20", "--a", "1", "--f", "3",
+              "--q", "1/2"],
+             ["lfunction", "--s", "1e20", "--modulus", "3",
+              "--char-index", "1", "--q", "1/2"]]
+    src = os.path.dirname(os.path.dirname(qeuler.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", TIMED_CHILD,
+         json.dumps([argv + ["--prec", "20"] for argv in argvs])],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    timings = json.loads(child.stdout)
+    assert [code for code, _ in timings] == [1, 1, 1]
+    assert all(seconds < 1 for _, seconds in timings), timings
+    lines = child.stderr.splitlines()
+    assert len(lines) == 3 and all(line.startswith("error: ")
+                                   for line in lines), child.stderr
+
+
 def test_values_above_ten_print_to_the_contract(capsys):
     # |value| is about 5.5e60: P + 60 significant digits put the last one
     # at 10^-(P-1), where P digits would stop at 10^11
@@ -395,6 +434,16 @@ def test_verify_pass_and_report(tmp_path, capsys):
                         "max_deviation", "elapsed_ms"}
     assert doc["failures"] == []
     assert doc["max_deviation"] == "exact"
+
+
+def test_verify_report_path_checked_before_suites(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "thm3", "--max-m",
+                         "1", "--max-n", "1", "--report", str(path))
+    assert (code, out) == (1, "")  # no suite ran
+    assert err.startswith("Error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    assert not path.parent.exists()
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

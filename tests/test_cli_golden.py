@@ -84,6 +84,12 @@ CASES = [
      "--prec", "20", "--report", REPORT],
     ["verify", "--suite", "lfunction", "--prec", "20", "--report", REPORT],
     ["verify", "--suite", "thm2", "--max-n", "99"],
+    ["verify", "--suite", "classical", "--max-m", "2", "--max-n", "4"],
+    ["verify", "--suite", "weighted", "--max-m", "2", "--max-n", "3", "--f",
+     "5"],
+    ["verify", "--suite", "thm2", "--max-m", "3", "--max-n", "2"],
+    ["verify", "--suite", "zeta", "--max-m", "2", "--max-n", "2", "--prec",
+     "15"],
 ]
 
 

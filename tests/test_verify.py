@@ -2,7 +2,7 @@
 
 import json
 
-from qeuler.verify import SUITES, run_all, verify_thm3, verify_zeta
+from qeuler.verify import SUITES, run_suite, verify_thm3, verify_zeta
 
 
 def test_report_fields_and_passing():
@@ -13,7 +13,7 @@ def test_report_fields_and_passing():
     assert report.failures == []
     assert report.max_deviation == "exact"
     assert report.elapsed_ms >= 0
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["grid"]["m"] == [1, 3]
     assert doc["grid"]["q"] == ["1/3", "1/2", "2/3", "3/2", "5/2"]
 
@@ -39,6 +39,6 @@ def test_reports_deterministic_apart_from_timing():
 
 
 def test_run_all_passes():
-    reports = run_all(precision=20)
+    reports = [run_suite(name, precision=20) for name in SUITES]
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.passed for r in reports)
