@@ -17,7 +17,7 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        weighted_alt_q_power_sum_closed)
 from .qzeta import (ZetaQuery, partial_zeta, partial_zeta_special_value, zeta,
                     zeta_euler_transform)
-from .characters import (DirichletCharacter, characters_mod,
+from .characters import (DirichletCharacter, character, characters_mod,
                          generalized_q_euler, l_function)
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ __all__ = [
     "q_int", "weighted_alt_q_power_sum", "weighted_alt_q_power_sum_closed",
     "ZetaQuery", "partial_zeta", "partial_zeta_special_value", "zeta",
     "zeta_euler_transform",
-    "DirichletCharacter", "characters_mod", "generalized_q_euler",
+    "DirichletCharacter", "character", "characters_mod",
+    "generalized_q_euler",
     "l_function",
 ]

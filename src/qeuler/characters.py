@@ -8,25 +8,27 @@ exact integer statements; complex values are materialized only at the final
 arithmetic step, at the requested precision.  Characters whose order is at
 most 2 take values in {0, 1, -1}; their generalized numbers stay exact.
 
-Construction of the full group: factor d into odd prime powers, take the
-smallest primitive root for each, read discrete logs off the root, and
-combine one cyclic character per factor through the CRT decomposition of
-the unit group.
+Construction: factor d into odd prime powers, take the smallest primitive
+root for each, and read discrete logs off the root, so a unit a has one log
+l_i per factor.  Character number `index` is the mixed-radix choice
+(c_1, ..., c_k), c_i < phi_i and the first factor most significant, and it
+maps a to sum_i c_i l_i / phi_i mod 1.  `character` builds that one table
+in O(d); `characters_mod` builds all phi(d) tables from one log table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc
 
 from .errors import DomainError
 from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf
 from .qnumbers import QBase, QPower, q_euler_poly, q_int
-from .qzeta import _residue_sum
+from .qzeta import _residue_sum, _root_sum
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -72,24 +74,57 @@ class DirichletCharacter:
     order: int
     exponents: tuple[int | None, ...]
 
-    def value(self, a: int):
-        """chi(a) as an mpmath complex at the current working precision."""
-        e = self.exponents[a % self.modulus]
-        if e is None:
-            return mp.mpc(0)
-        return mp.expjpi(mpf(2 * e) / self.order)
+
+def _logs(d: int) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]]:
+    """phi of each prime-power factor of odd d >= 1, ascending, and each
+    residue's discrete logs, one per factor, or None off the units.  d = 1
+    has no factors, so its one residue is a unit with no logs."""
+    if d < 1 or d % 2 == 0:
+        raise DomainError("modulus must be an odd positive integer")
+    factors = []
+    for p, e in _factorize(d):
+        pe = p ** e
+        phi = pe - pe // p
+        g = _primitive_root(p, e)
+        dlog: list[int | None] = [None] * pe
+        value = 1
+        for l in range(phi):
+            dlog[value] = l
+            value = value * g % pe
+        factors.append((pe, phi, dlog))
+    logs = []
+    for a in range(d):
+        entry = tuple(dlog[a % pe] for pe, _, dlog in factors)
+        logs.append(None if None in entry else entry)
+    return tuple(phi for _, phi, _ in factors), logs
 
 
-def _canonical(modulus: int, span: int,
-               raw: list[int | None]) -> DirichletCharacter:
-    """Reduce a raw exponent table mod `span` to the character's true order."""
-    g = span
-    for e in raw:
-        if e:
-            g = gcd(g, e)
-    order = span // g
-    exps = tuple(None if e is None else (e // g) % order for e in raw)
-    return DirichletCharacter(modulus, order, exps)
+def _character(d: int, phis: tuple[int, ...],
+               logs: list[tuple[int, ...] | None],
+               index: int) -> DirichletCharacter:
+    """Character number `index` from the factors' phis and the log table.
+    Its order is the lcm of the component orders phi_i / gcd(c_i, phi_i),
+    so c_i l_i / phi_i = w_i l_i / order with integer weights w_i."""
+    choice = []
+    for phi in reversed(phis):
+        index, c = divmod(index, phi)
+        choice.insert(0, c)
+    order = lcm(*(phi // gcd(c, phi) for c, phi in zip(choice, phis)))
+    weights = [c * order // phi for c, phi in zip(choice, phis)]
+    return DirichletCharacter(d, order, tuple(
+        None if entry is None else sum(map(mul, weights, entry)) % order
+        for entry in logs))
+
+
+def character(d: int, index: int) -> DirichletCharacter:
+    """Character number `index` mod odd d >= 1, in the ordering of
+    `characters_mod`, built alone in O(d).  Raises IndexError unless
+    0 <= index < phi(d)."""
+    phis, logs = _logs(d)
+    size = prod(phis)
+    if not 0 <= index < size:
+        raise IndexError(f"index must lie in 0..{size - 1} for modulus {d}")
+    return _character(d, phis, logs, index)
 
 
 def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
@@ -100,57 +135,9 @@ def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
     the single trivial character with chi(0) = 1, so the generalized
     numbers degenerate to the plain q-Euler numbers.
     """
-    if d < 1 or d % 2 == 0:
-        raise DomainError("modulus must be an odd positive integer")
-    if d == 1:
-        return (DirichletCharacter(1, 1, (0,)),)
-
-    components = []
-    for p, e in _factorize(d):
-        pe = p ** e
-        phi = pe - pe // p
-        g = _primitive_root(p, e)
-        dlog = {}
-        value = 1
-        for l in range(phi):
-            dlog[value] = l
-            value = value * g % pe
-        components.append((pe, phi, dlog))
-    span = lcm(*(phi for _, phi, _ in components))
-
-    logs: list[tuple[int, ...] | None] = []
-    for a in range(d):
-        if gcd(a, d) != 1:
-            logs.append(None)
-        else:
-            logs.append(tuple(dlog[a % pe] for pe, _, dlog in components))
-
-    characters = []
-    for choice in itertools.product(*(range(phi) for _, phi, _ in components)):
-        raw: list[int | None] = []
-        for entry in logs:
-            if entry is None:
-                raw.append(None)
-            else:
-                raw.append(sum(c * l * (span // phi)
-                               for c, l, (_, phi, _)
-                               in zip(choice, entry, components)) % span)
-        characters.append(_canonical(d, span, raw))
-    return tuple(characters)
-
-
-def _materialize(coefficients: dict[int, Fraction], order: int,
-                 scale: Fraction, precision: int):
-    """Turn sum_e coeff_e * exp(2*pi*i*e/order), times scale, into a value:
-    exact Fraction when every exponent is real (+1/-1), else mpc."""
-    if all(e == 0 or 2 * e == order for e in coefficients):
-        total = sum(c if e == 0 else -c for e, c in coefficients.items())
-        return scale * total
-    with mp.workdps(precision + GUARD_DIGITS):
-        total = mp.mpc(0)
-        for e in sorted(coefficients):
-            total += to_mpf(coefficients[e]) * mp.expjpi(mpf(2 * e) / order)
-        return total * to_mpf(scale)
+    phis, logs = _logs(d)
+    return tuple(_character(d, phis, logs, index)
+                 for index in range(prod(phis)))
 
 
 def generalized_q_euler(n: int, chi: DirichletCharacter, q: Fraction,
@@ -180,7 +167,10 @@ def generalized_q_euler(n: int, chi: DirichletCharacter, q: Fraction,
             term = -term
         coefficients[e] = coefficients.get(e, Fraction(0)) + term
     scale = q_int(d, QBase(q)) ** n
-    return _materialize(coefficients, chi.order, scale, precision)
+    with mp.workdps(precision + GUARD_DIGITS):
+        total = _root_sum(coefficients, chi.order)
+        return total * to_mpf(scale) if isinstance(total, mpc) \
+            else scale * total
 
 
 def l_function(s: RealP, chi: DirichletCharacter, q: QBase,

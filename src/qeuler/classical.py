@@ -9,19 +9,21 @@ formulas they must satisfy:
   sum_{l<k} l^n = (1/(n+1)) sum_i C(n+1,i) B_i k^{n+1-i}.
 
 Number tables are memoized; the recurrences run once, exactly, under a
-single writer lock, after which reads are lock-free.
+single writer lock, after which reads are lock-free.  The Euler numbers are
+the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
+gives the q-Euler numbers their route apart from the closed form.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import DomainError
 
 _lock = threading.Lock()
-_euler: list[Fraction] = [Fraction(1)]
 _bernoulli: list[Fraction] = [Fraction(1)]
 
 
@@ -37,10 +39,25 @@ def _extend(table: list[Fraction], n_max: int, step) -> list[Fraction]:
     return table[: n_max + 1]
 
 
+@lru_cache(maxsize=64)
+def _euler_table(q: Fraction | int) -> list[Fraction]:
+    """The memo table of `_euler_recurrence` at base q, for at most 64 q."""
+    return [Fraction(1)]
+
+
+def _euler_recurrence(n_max: int, q: Fraction | int) -> list[Fraction]:
+    """E_{0,q}..E_{n,q} from E_0 = 1 and
+    (1+q^n) E_{n,q} = -sum_{k<n} C(n,k) q^k E_{k,q} (n >= 1), which is
+    E_{n,q}(1) + E_{n,q}(0) = 2 [0]_q^n: the q-Euler numbers, and the
+    Euler numbers at q = 1."""
+    table = _euler_table(q)
+    return _extend(table, n_max, lambda n: -sum(
+        comb(n, k) * q ** k * table[k] for k in range(n)) / (1 + q ** n))
+
+
 def euler_numbers(n_max: int) -> list[Fraction]:
     """E_0..E_n from the recurrence sum_k C(n,k) E_k + E_n = 0 (n >= 1)."""
-    return _extend(_euler, n_max, lambda n: -sum(
-        comb(n, k) * _euler[k] for k in range(n)) / 2)
+    return _euler_recurrence(n_max, 1)
 
 
 def euler_number(n: int) -> Fraction:

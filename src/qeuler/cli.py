@@ -23,7 +23,7 @@ from fractions import Fraction
 import click
 
 from . import classical
-from .characters import characters_mod, l_function
+from .characters import character, characters_mod, l_function
 from .errors import DomainError, NonConvergence, NotExactPower
 from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
                        parse_rational)
@@ -285,14 +285,13 @@ def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
                   prec: int, fmt: str) -> int:
     """q-L-function value for a Dirichlet character of odd modulus."""
     _check_modulus(modulus)
-    group = characters_mod(modulus)
-    if not 0 <= char_index < len(group):
-        raise click.UsageError(
-            f"--char-index must lie in 0..{len(group) - 1} for modulus "
-            f"{modulus}")
+    try:
+        chi = character(modulus, char_index)
+    except IndexError as exc:  # "index must lie in 0..N for modulus d"
+        raise click.UsageError(f"--char-{exc}") from exc
     s = _parse_q(s_text)
     q = _parse_q(q_text)
-    value = l_function(RealP.from_rational(s, prec), group[char_index],
+    value = l_function(RealP.from_rational(s, prec), chi,
                        QBase(q, zeta_domain=True), prec)
     _emit_value("lfunction", value, fmt, s=format_rational(s),
                 modulus=modulus, char_index=char_index, q=format_rational(q))

@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .classical import _euler_recurrence
 from .errors import DomainError
 from .exactnum import rat_pow
 
@@ -147,16 +148,16 @@ def q_euler_poly(n: int, qp: QPower) -> Fraction:
 def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
     """Binomial form sum_{k<=n} C(n,k) t^k E_{k,q} [x]_q^(n-k), where
     [x]_q = (1-t)/(1-q).  Agrees with q_euler_poly on every exact input;
-    the sum is finite because C(n,k) kills all k > n."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    the sum is finite because C(n,k) kills all k > n.  The numbers come
+    from their recurrence (`classical._euler_recurrence`), never from the
+    kernel, so the two forms check each other's 1/(1+q^j)."""
     qq = qp.base.q
+    numbers = _euler_recurrence(n, qq)
     bracket_x = (1 - qp.t) / (1 - qq)
     total = Fraction(0)
     t_power = Fraction(1)
     for k in range(n + 1):
-        total += comb(n, k) * t_power * q_euler_number(k, qp.base) \
-            * bracket_x ** (n - k)
+        total += comb(n, k) * t_power * numbers[k] * bracket_x ** (n - k)
         t_power *= qp.t
     return total
 

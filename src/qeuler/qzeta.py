@@ -44,9 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
+from math import lgamma
 from typing import Callable, Iterator, Sequence
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergence
@@ -99,10 +100,21 @@ def cancellation_digits(q: Fraction, s: mpf, x: mpf) -> int:
     routes work with this many digits on top of P + GUARD_DIGITS, so
     cancellation among terms of size V still leaves 10**-(P+20).
 
+    log10 V = s log10(1-q) - |s| log10(1-q^x) is taken in the log domain at
+    15 digits.  For s >= 0 it is -s log10((1-q^x)/(1-q)), and
+    (1-q^x)/(1-q) = 1 - q (q^(x-1) - 1)/(1-q) keeps its digits near x = 1,
+    so V is exactly 1 at x = 1 however large s is.
+
     Raises DomainError when V needs more than MAX_CANCELLATION_DIGITS.
     """
     with mp.workdps(15):
-        digits = max(0, int(mp.ceil(mp.log10(_variation(q, s, x)))))
+        ln_q = mp.log1p(to_mpf(q - 1))
+        if s < 0:
+            ln_v = s * (mp.log(to_mpf(1 - q)) + mp.log(-mp.expm1(x * ln_q)))
+        else:
+            ln_v = -s * mp.log1p(-to_mpf(q) * mp.expm1((x - 1) * ln_q)
+                                 / to_mpf(1 - q))
+        digits = max(0, int(mp.ceil(ln_v / mp.ln(10))))
     if digits > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the zeta series at s = {mp.nstr(s, 15)} cancels about "
@@ -152,6 +164,23 @@ def _fixed(r: Fraction, wp: int) -> int:
     return (r.numerator << wp) // r.denominator
 
 
+def _fall_count(s: float, log_qx: float, start: int, floor: float) -> int:
+    """The least k > start, or at most 1% above it, at which
+    ln(C(s+k-1,k) q^(xk)) < floor, for s > 1 and start at or past the
+    peak of these terms, after which they only fall."""
+    def above(k: int) -> bool:
+        return (lgamma(s + k) - lgamma(s) - lgamma(k + 1)
+                + k * log_qx) >= floor
+
+    lo, hi = start, 2 * start + 16
+    while above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1 + hi // 128:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
 def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
                        weights: Sequence[int] = ()) -> list[int]:
     """Fixed-point sums, at binary point wp in the caller's working digits,
@@ -169,11 +198,14 @@ def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
 
     Refuses before summing what the loop cannot finish.  For s > 1/q^x
     the terms rise to a peak at k = (s q^x - 1) / (1 - q^x), where the
-    ratio (s+k) q^x / (k+1) of consecutive terms falls to 1, and fall no
-    faster than q^(xk) after it: NonConvergence when the peak plus the
-    terms q^(xk) takes to reach 10**-(P+15) pass MAX_ZETA_TERMS.  For s > 0
-    the unscaled terms sum to (1-q^x)^(-s), which the fixed-point ints
-    carry in s log10(1/(1-q^x)) digits above wp: DomainError past
+    ratio (s+k) q^x / (k+1) of consecutive terms falls to 1.  The count
+    is the peak plus the terms q^(xk) takes to reach 10**-(P+15); for
+    s > 1 the terms fall more slowly than that, like k^(s-1) q^(xk), so
+    the count runs on to where C(s+k-1,k) q^(xk) falls below the stop
+    threshold (`_fall_count`), and three terms more.  NonConvergence
+    when the count passes MAX_ZETA_TERMS.  For s > 0 the unscaled terms
+    sum to (1-q^x)^(-s), which the fixed-point ints carry in
+    s log10(1/(1-q^x)) digits above wp: DomainError past
     MAX_CANCELLATION_DIGITS.  Raises NonConvergence also when the loop
     reaches its cap.
     """
@@ -183,9 +215,20 @@ def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
     if zq.s.value > 0 and needed <= MAX_ZETA_TERMS:
         # q^x < 1 - 3e-4 here, so 1 - q^x keeps its digits
         with mp.workdps(15):
+            s = zq.s.value
             qx = mp.exp(log_qx)
-            needed += max(0, (zq.s.value * qx - 1) / (1 - qx))
-            growth = zq.s.value * -mp.ln(1 - qx) / mp.ln(10)
+            needed += max(0, (s * qx - 1) / (1 - qx))
+            growth = s * -mp.ln(1 - qx) / mp.ln(10)
+            # past 1e15, s keeps within the growth bound only at
+            # q^x < 1e-12, where the terms fall faster than geometrically
+            # from the peak on
+            if 1 < s < 1e15 and needed <= MAX_ZETA_TERMS \
+                    and growth <= MAX_CANCELLATION_DIGITS:
+                # the stop threshold, with the sum at least half of
+                # (1-q^x)^(-s)
+                floor = (growth - zq.precision - 15) * mp.ln(10) - mp.ln(2)
+                needed = 3 + _fall_count(float(s), float(log_qx),
+                                         int(needed), float(floor))
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
             f"the continuation series needs about {int(needed)} terms "
@@ -378,15 +421,23 @@ def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
             e = exponents[a]
             by_exponent[e] = by_exponent.get(e, 0) + (-part if a % 2
                                                       else part)
+        value = _root_sum(by_exponent, order)
         prefactor = mp.power(to_mpf(1 - q), s.value)
-        if order <= 2:  # chi(a) = (-1)^e
-            real = sum(-c if e else c for e, c in by_exponent.items())
-            return RealP(prefactor * _from_fixed(real, wp), precision)
-        value = mp.mpc(0)
-        for e in sorted(by_exponent):
-            value += (_from_fixed(by_exponent[e], wp)
-                      * mp.expjpi(mpf(2 * e) / order))
-        return ComplexP(prefactor * value, precision)
+        if isinstance(value, mpc):
+            return ComplexP(prefactor * value * _from_fixed(1, wp), precision)
+        return RealP(prefactor * _from_fixed(value, wp), precision)
+
+
+def _root_sum(coefficients: dict[int, int | Fraction], order: int):
+    """sum_e c_e exp(2 pi i e / order): exact, each c_e signed, when every
+    root is +1 or -1 (e = 0 or 2e = order), else an mpc at the context's
+    precision, each c_e rounded to it before its root multiplies it."""
+    if all(e == 0 or 2 * e == order for e in coefficients):
+        return sum(-c if e else c for e, c in coefficients.items())
+    total = mp.mpc(0)
+    for e in sorted(coefficients):
+        total += to_mpf(coefficients[e]) * mp.expjpi(mpf(2 * e) / order)
+    return total
 
 
 def partial_zeta_special_value(n: int, a: int, period: int,

@@ -10,10 +10,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
-from qeuler import qzeta
-from qeuler.characters import characters_mod, generalized_q_euler, l_function
+from qeuler import characters, qzeta
+from qeuler.characters import (character, characters_mod,
+                               generalized_q_euler, l_function)
+from qeuler.cli import main
 from qeuler.errors import DomainError
 from qeuler.exactnum import GUARD_DIGITS, RealP, to_mpf, tolerance
 from qeuler.qnumbers import QBase, q_euler_number, q_int
@@ -106,6 +108,32 @@ def test_order_divides_group_order():
 def test_canonical_ordering_is_deterministic():
     for d in MODULI:
         assert characters_mod(d) == characters_mod(d)
+
+
+def test_one_character_is_its_group_member():
+    for d in range(1, 106, 2):
+        group = characters_mod(d)
+        assert [character(d, i) for i in range(len(group))] == list(group)
+        for index in (-1, len(group)):
+            with pytest.raises(IndexError):
+                character(d, index)
+    with pytest.raises(DomainError):
+        character(4, 0)
+
+
+def test_lfunction_command_builds_one_character(capsys, monkeypatch):
+    built = []
+    real = characters.DirichletCharacter
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(characters, "DirichletCharacter", spy)
+    assert main(["lfunction", "--s", "1/2", "--modulus", "105",
+                 "--char-index", "37", "--q", "1/2", "--prec", "20"]) == 0
+    assert "value" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_generalized_numbers_mod3():
@@ -215,7 +243,9 @@ def test_l_function_is_one_pass_over_the_residue_sums(monkeypatch):
                         value = l_function(s, chi, base, precision)
                         assert len(passes) == 1
                         with mp.workdps(precision + 2 * GUARD_DIGITS):
-                            want = mp.fsum(chi.value(a) * parts[a]
-                                           for a in units)
+                            want = mp.fsum(
+                                mp.expjpi(mpf(2 * chi.exponents[a])
+                                          / chi.order) * parts[a]
+                                for a in units)
                             assert abs(value.value - want) \
                                 <= tolerance(precision)

@@ -90,6 +90,13 @@ CASES = [
     ["verify", "--suite", "thm2", "--max-m", "3", "--max-n", "2"],
     ["verify", "--suite", "zeta", "--max-m", "2", "--max-n", "2", "--prec",
      "15"],
+    ["characters", "--modulus", "105", "--format", "csv"],
+    ["lfunction", "--s", "1/2", "--modulus", "105", "--char-index", "37",
+     "--q", "1/2", "--prec", "20"],
+    ["lfunction", "--s", "-1", "--modulus", "3", "--char-index", "5",
+     "--q", "1/2"],
+    ["lfunction", "--s", "-1", "--modulus", "4", "--char-index", "0",
+     "--q", "1/2"],
 ]
 
 

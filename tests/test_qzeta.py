@@ -16,6 +16,7 @@ from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, cancellation_digits,
                           euler_transform, partial_zeta,
                           partial_zeta_special_value, zeta,
                           zeta_euler_transform)
+from qeuler.cli import main
 from qeuler.verify import ZETA_Q, ZETA_S, ZETA_X
 
 P = 50
@@ -206,8 +207,7 @@ def test_zeta_term_cap(monkeypatch):
     # q^(xk) would need about 1.5 * 10^11 terms: refused before summing
     with pytest.raises(NonConvergence):
         zeta(query("1/2", 1, Fraction(999999999, 10 ** 9)))
-    # the estimate (216 terms) passes, but C(s+k-1, k) for s = 200 keeps
-    # the terms large well past 300
+    # C(s+k-1, k) for s = 200 keeps the terms large well past 300
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
     with pytest.raises(NonConvergence):
         zeta(query(200, 1, Fraction(1, 2)))
@@ -217,6 +217,59 @@ def test_zeta_term_cap(monkeypatch):
         partial_zeta(s, 1, 3, HALF, P)
     with pytest.raises(NonConvergence):
         l_function(s, characters_mod(5)[1], HALF, P)
+
+
+def test_loop_cap_stops_a_series_that_never_settles(monkeypatch):
+    # the precheck admits this input; terms that never fall must still
+    # stop at the cap
+    monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 50)
+    monkeypatch.setattr(qzeta, "_continuation_terms",
+                        lambda *args: iter(lambda: 1 << args[-1], None))
+    with pytest.raises(NonConvergence, match="did not settle"):
+        zeta(query("1/2", 1, Fraction(1, 5), 15))
+
+
+def count_terms(monkeypatch):
+    """Patch qzeta._continuation_terms to count the terms drawn."""
+    drawn = []
+    real = qzeta._continuation_terms
+
+    def spy(*args):
+        for term in real(*args):
+            drawn.append(term)
+            yield term
+
+    monkeypatch.setattr(qzeta, "_continuation_terms", spy)
+    return drawn
+
+
+def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
+    # past the peak the terms fall like k^(s-1) q^(xk); counting q^(xk)
+    # alone read 0.6-0.74 of the terms the loop takes, so an input just
+    # under the cap ran the whole cap before NonConvergence
+    drawn = count_terms(monkeypatch)
+    for s, x, q, precision in ((20, 1, "1/2", 15), (200, 1, "1/2", 15),
+                               (1000, 1, "1/2", 15), (1600, 1, "1/2", 15),
+                               (40, "1/2", "9/10", 50)):
+        zq = query(s, x, Fraction(q), precision)
+        monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 200_000)
+        drawn.clear()
+        zeta(zq)
+        taken = len(drawn)
+        drawn.clear()
+        monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", taken - 1)
+        with pytest.raises(NonConvergence, match="needs about"):
+            zeta(zq)
+        assert drawn == []  # refused before summing
+        monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", taken * 21 // 20)
+        zeta(zq)
+    monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 200_000)
+    for s, x, q in ((215, Fraction(1, 99), "1/2"),
+                    (200, Fraction(1, 12), "919/1000")):
+        drawn.clear()
+        with pytest.raises(NonConvergence, match="needs about"):
+            zeta(query(s, x, Fraction(q), 500))
+        assert drawn == []
 
 
 def zeta_mpf_loop(zq):
@@ -374,6 +427,26 @@ def test_cancellation_digits():
         cancellation_digits(Fraction(1, 2), mpf(-10 ** 30), mpf(1))
     with pytest.raises(DomainError):
         zeta(query(-1000, 1, Fraction(1, 2)))
+
+
+def test_cancellation_digits_in_the_log_domain(capsys):
+    # V is exactly 1 at x = 1 for every s > 0; taken from two powers of
+    # size 2^(-1e100) at 15 digits it read as about 4.8e82 digits
+    for s in ("3", "1e30", "1e100"):
+        for q in (Fraction(1, 2), Fraction(1, 3), Fraction(4, 5)):
+            assert cancellation_digits(q, mpf(s), mpf(1)) == 0
+    # just below x = 1, V = ((1-q)/(1-q^x))^s and log10 V is
+    # s (1-x) q ln(1/q) / ((1-q) ln 10) = 10**10 log10 2 to 30 digits here
+    with mp.workdps(60):
+        x = 1 - mpf(10) ** -40
+    with pytest.raises(DomainError, match="about 3010299957 digits"):
+        cancellation_digits(Fraction(1, 2), mpf(10) ** 50, x)
+    # the command still fails at once, now on the true reason: the terms
+    # rise for about 10**100 terms
+    assert main(["zeta", "--s", "1e100", "--x", "1", "--q", "1/2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the continuation series needs about 1")
+    assert "cancels" not in err
 
 
 def test_partial_zeta_anchors():

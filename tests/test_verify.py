@@ -1,8 +1,11 @@
 """Verification suite plumbing: reports, grids, determinism."""
 
 import json
+from math import comb
 
-from qeuler.verify import SUITES, run_suite, verify_thm3, verify_zeta
+from qeuler import qnumbers
+from qeuler.verify import (SUITES, run_suite, verify_thm2, verify_thm3,
+                           verify_zeta)
 
 
 def test_report_fields_and_passing():
@@ -42,3 +45,22 @@ def test_run_all_passes():
     reports = [run_suite(name, precision=20) for name in SUITES]
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.passed for r in reports)
+
+
+def test_thm2_detects_a_wrong_kernel(monkeypatch):
+    # the kernel's poles 1/(1+q^(j+shift)) become 1/(2+q^(j+shift)); the
+    # second thm2 route takes its numbers from the recurrence, never from
+    # the kernel, so the two routes must now disagree
+    def corrupted(n, q, t, shift):
+        return (1 + q ** shift) / (1 - q) ** n * sum(
+            comb(n, j) * (-t) ** j / (2 + q ** (j + shift))
+            for j in range(n + 1))
+
+    monkeypatch.setattr(qnumbers, "_kernel", corrupted)
+    qnumbers._number.cache_clear()  # cached numbers came from the kernel
+    try:
+        report = verify_thm2(max_n=4)
+    finally:
+        qnumbers._number.cache_clear()
+    assert not report.passed
+    assert len(report.failures) > report.cases_run // 2
