@@ -182,9 +182,10 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
 
     Residues with gcd(a, F) > 1 drop out through chi; F = 1 leaves a = 1,
     where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  All residues are summed in one
-    pass of the continuation series (`qzeta._residue_sum`): the series runs
-    at the smallest residue, each other residue a rides along with the
-    weight (q^(a-a_min))^k, q^a is taken exactly, and the smallest
+    pass of the continuation series (`qzeta._residue_sum`): after J head
+    terms of every residue the series runs at the smallest residue shifted
+    by J periods, each other residue a rides along with the weight
+    (q^(a-a_min))^k, q^(a+JF) is taken exactly, and the smallest
     residue's stop rule covers every residue because its terms dominate
     theirs.  Returns RealP for real characters, ComplexP otherwise.
     """

@@ -68,11 +68,14 @@ class RealP:
 
     The wrapped mpf was produced under at least ``precision + GUARD_DIGITS``
     working digits; downstream consumers re-enter that working precision
-    before operating on it.
+    before operating on it.  A value built from a rational also keeps it as
+    `exact`, so a series that works with more digits than that can take the
+    value from it (`exact_value`).
     """
 
     value: mpf
     precision: int = DEFAULT_PRECISION
+    exact: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.precision < 1:
@@ -85,7 +88,12 @@ class RealP:
         finite decimal string."""
         fr = value if isinstance(value, Fraction) else parse_rational(str(value))
         with mp.workdps(precision + GUARD_DIGITS):
-            return cls(to_mpf(fr), precision)
+            return cls(to_mpf(fr), precision, fr)
+
+    def exact_value(self) -> mpf:
+        """The value at the context's precision: rounded afresh from
+        `exact` when there is one, else the stored mpf."""
+        return self.value if self.exact is None else to_mpf(self.exact)
 
     def digits(self) -> str:
         """Decimal string whose last digit is as fine as the contract:

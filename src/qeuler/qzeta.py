@@ -12,7 +12,14 @@ Two independent summation routes are implemented:
 
   a series whose terms decay geometrically (q^(xk)) against polynomial
   coefficient growth.  This is the primary route; at s = -n it truncates
-  after n+1 terms and reproduces E_{n,q}(x)/2 exactly.
+  after n+1 terms and reproduces E_{n,q}(x)/2 exactly.  Its sum S(x) has
+  S(x) + S(x+1) = (1-q^x)^(-s), so
+
+      zeta(s, x) = sum_(j<J) (-1)^j [j+x]_q^(-s) + (-1)^J zeta(s, x+J),
+
+  and the series at x + J needs only about x/(x+J) of the terms it needs
+  at x: `zeta` sums J raw head terms first, with J chosen by `_shift`
+  against the terms it saves (J = 0 at s = -n).
 
 * `zeta_euler_transform` is the independent cross-check: CVZ-accelerated
   summation of the raw alternating series (Cohen, Rodriguez Villegas and
@@ -21,16 +28,20 @@ Two independent summation routes are implemented:
   bound, so it runs in time linear in P + log10 V, and its cap admits
   every V that `cancellation_digits` admits.
 
-The partial zeta H_q(s, a; F) has one route: the continuation series at
-base q^F, x = a/F, with q^x = q^a taken exactly (`_residue_sum`).  Its
+The partial zeta H_q(s, a; F) has one route: head terms and the
+continuation series at base q^F, x = a/F, with q^x = q^a taken exactly
+(`_residue_sum`).  Its
 cross-check is the exact special value at s = -n.
 
 `zeta` and the residues of one L value sum through one pass,
-`_continuation_sums`, which alone holds the term-count precheck, the stop
-rule and the loop cap.  `zeta` runs it at base q; the residues run it at
-base q^F and the smallest residue a_min, and residue a's term is a_min's
-times (q^(a-a_min))^k.  Those weights are at most 1, so a_min's stop rule
-covers every residue.
+`_continuation_sums`, which alone holds the stop rule and the loop cap;
+`_shift` holds the term-count precheck.  `zeta` runs the pass at base q
+and x + J; the residues run it at base q^F and the smallest residue
+shifted by J periods, a_min + JF, and residue a's term is a_min's times
+(q^(a-a_min))^k.  Those weights are at most 1, so a_min's stop rule covers
+every residue.  The stop rule is absolute: it stops once a geometric bound
+on the scaled tail is at most 10**-(P+15), and at once on the exact
+truncation at s = -n.
 
 Both zeta routes sum in integer fixed point: each term is a Python int at
 a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -44,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
+import math
 from math import lgamma
 from typing import Callable, Iterator, Sequence
 
@@ -65,6 +77,19 @@ MAX_ZETA_TERMS = 200_000
 #: about -830.  Also the most digits the continuation's unscaled sum may
 #: reach at s > 0 (`_continuation_sums`): at q = 1/2, x = 1, s up to 1660.
 MAX_CANCELLATION_DIGITS = 500
+
+#: The cost of one head term of the shift (an mp.power at working digits)
+#: in continuation terms, against which `_shift` prices the terms a shift
+#: saves: measured at 9-17 for P = 50 to 500.
+HEAD_TERM_COST = 15
+
+#: The cost of one weighted row of a residue pass per term, in plain
+#: continuation terms: measured at 0.3-0.5.
+ROW_COST = 0.5
+
+#: Most head terms the shift takes over all residues, which then cost at
+#: most MAX_ZETA_TERMS continuation terms.
+MAX_HEAD_TERMS = MAX_ZETA_TERMS // HEAD_TERM_COST
 
 #: Bits the fixed-point word carries beyond the context's precision, which
 #: already holds the digits of V: room for one rounding in each of up to
@@ -164,89 +189,180 @@ def _fixed(r: Fraction, wp: int) -> int:
     return (r.numerator << wp) // r.denominator
 
 
-def _fall_count(s: float, log_qx: float, start: int, floor: float) -> int:
-    """The least k > start, or at most 1% above it, at which
-    ln(C(s+k-1,k) q^(xk)) < floor, for s > 1 and start at or past the
-    peak of these terms, after which they only fall."""
-    def above(k: int) -> bool:
-        return (lgamma(s + k) - lgamma(s) - lgamma(k + 1)
-                + k * log_qx) >= floor
+def _log(r: Fraction) -> float:
+    """ln r in floats for a rational 0 < r < 1, keeping its digits near 1
+    and its range near 0."""
+    if 2 * r > 1:
+        return math.log1p(float(r - 1))
+    return math.log(r.numerator) - math.log(r.denominator)
 
-    lo, hi = start, 2 * start + 16
+
+def _first_stop(above: Callable[[int], bool], lo: int) -> int:
+    """The least k >= lo at which `above` turns false, or at most 1% past
+    it, for an `above` that stays false once it turns false."""
+    if not above(lo):
+        return lo
+    step = 16
+    hi = lo + step
     while above(hi):
-        lo, hi = hi, 2 * hi
+        lo, step = hi, 2 * step
+        hi = lo + step
     while hi - lo > 1 + hi // 128:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if above(mid) else (lo, mid)
     return hi
 
 
-def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
-                       weights: Sequence[int] = ()) -> list[int]:
-    """Fixed-point sums, at binary point wp in the caller's working digits,
-    of the continuation series sum_k C(s+k-1,k) q^(xk) / (1+base^k)
-    (`_continuation_terms`), with s, x, q and P from zq and q^x given at
-    wp: [plain sum] followed by one sum per weight w, whose term k is the
-    plain one times w^k (w descending and at most 1; a sum is dropped once
-    w^k underflows to 0).
+def _term_count(s: float, log_qy: float, log_base: float, floor: float,
+                exact: bool = False) -> float:
+    """The terms the continuation pass at q^y = e^log_qy and base
+    e^log_base takes before its stop rule holds, floor being the log of
+    the rule's unscaled threshold (see `_continuation_sums`).
 
-    Stop once k >= 8 and three consecutive plain terms fall below
-    10**-(P+15) * (1 + |plain sum|): q^(xk) decays geometrically while the
-    coefficient grows only polynomially, so three sub-threshold terms bound
-    the tail at guard precision, and the plain terms dominate the weighted
-    ones.
-
-    Refuses before summing what the loop cannot finish.  For s > 1/q^x
-    the terms rise to a peak at k = (s q^x - 1) / (1 - q^x), where the
-    ratio (s+k) q^x / (k+1) of consecutive terms falls to 1.  The count
-    is the peak plus the terms q^(xk) takes to reach 10**-(P+15); for
-    s > 1 the terms fall more slowly than that, like k^(s-1) q^(xk), so
-    the count runs on to where C(s+k-1,k) q^(xk) falls below the stop
-    threshold (`_fall_count`), and three terms more.  NonConvergence
-    when the count passes MAX_ZETA_TERMS.  For s > 0 the unscaled terms
-    sum to (1-q^x)^(-s), which the fixed-point ints carry in
-    s log10(1/(1-q^x)) digits above wp: DomainError past
-    MAX_CANCELLATION_DIGITS.  Raises NonConvergence also when the loop
-    reaches its cap.
+    At s = -n that is n + 1.  Otherwise the rule can hold from k0 on, the
+    least k with k + s >= 0 and, for s > 1, R_k = q^y (s+k)/(k+1) < 1, and
+    from k0 on |u_k| = |C(s+k-1,k)| q^(yk) falls by at least q^y per term
+    for s <= 1: the geometric count from |u_k0| bounds the terms.  For
+    s > 1 the terms fall more slowly, like k^(s-1) q^(yk), so that count
+    is low; with `exact` the rule itself is searched for (`_first_stop`).
     """
-    log_qx = zq.x.value * mp.log(to_mpf(zq.q.q))
-    needed = (zq.precision + 15) * mp.log(10) / -log_qx
-    growth = 0
-    if zq.s.value > 0 and needed <= MAX_ZETA_TERMS:
-        # q^x < 1 - 3e-4 here, so 1 - q^x keeps its digits
-        with mp.workdps(15):
-            s = zq.s.value
-            qx = mp.exp(log_qx)
-            needed += max(0, (s * qx - 1) / (1 - qx))
-            growth = s * -mp.ln(1 - qx) / mp.ln(10)
-            # past 1e15, s keeps within the growth bound only at
-            # q^x < 1e-12, where the terms fall faster than geometrically
-            # from the peak on
-            if 1 < s < 1e15 and needed <= MAX_ZETA_TERMS \
-                    and growth <= MAX_CANCELLATION_DIGITS:
-                # the stop threshold, with the sum at least half of
-                # (1-q^x)^(-s)
-                floor = (growth - zq.precision - 15) * mp.ln(10) - mp.ln(2)
-                needed = 3 + _fall_count(float(s), float(log_qx),
-                                         int(needed), float(floor))
+    if s <= 0 and s.is_integer():
+        return 1 - s
+    if not log_qy < 0:
+        return math.inf
+    qy = math.exp(log_qy)
+    one_minus_qy = -math.expm1(log_qy)
+    k0 = math.ceil(-s) if s < 0 else 0
+    if qy == 0:
+        return k0 + 1
+    if s > 1:
+        peak = (s * qy - 1) / one_minus_qy
+        if peak > 1e18:  # at least the peak, and falling in y
+            return peak
+        k0 = max(0, math.floor(peak) + 1)
+
+    def log_u(k: int) -> float:  # ln |C(s+k-1,k)| q^(yk)
+        return lgamma(s + k) - lgamma(s) - lgamma(k + 1) + k * log_qy
+
+    if s >= 1e15:
+        # every u_k is positive and they sum to (1-q^y)^(-s)
+        return k0 + 1 + max(0.0, (-s * math.log1p(-qy) - floor)
+                            / -log_qy)
+    if exact and s > 1:
+        def above(k: int) -> bool:
+            r = qy * (s + k) / (k + 1)
+            return r >= 1 or (log_u(k) - math.log1p(math.exp(k * log_base))
+                              + math.log(2 * r / (1 - r))) > floor
+        return 1 + _first_stop(above, k0)
+    return k0 + 1 + max(0.0, (log_u(k0) + math.log(2 * qy / one_minus_qy)
+                              - floor) / -log_qy)
+
+
+def _shift(zq: ZetaQuery, step: int, residues: int = 1,
+           weights: int = 0) -> int:
+    """The number J of head terms to sum before the continuation series,
+    for a pass at base b = q^step (zeta at step 1, or the residues of
+    period `step`), after the term-count precheck at x + J step.
+
+    The continuation sum S(y) = sum_k C(s+k-1,k) q^(yk) / (1+b^k) has
+    S(y) + S(y+step) = (1-q^y)^(-s), so
+
+        S(x) = sum_(m<J) (-1)^m (1-q^(x+m step))^(-s)
+               + (-1)^J S(x + J step):
+
+    J raw head terms and a pass at x + J step, which needs about
+    x / (x + J step) of the terms the pass at x needs.  J minimises the
+    head, J residues HEAD_TERM_COST, plus the pass, its estimated term
+    count (`_term_count`) times 1 + weights ROW_COST; J residues stays
+    within MAX_HEAD_TERMS.  At s = -n the count is n + 1 wherever the pass
+    runs, so J is 0.
+
+    Refuses before summing what the pass cannot finish: NonConvergence when
+    its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
+    head terms reach (1-q^x)^(-s), which the fixed-point ints carry in
+    s log10(1/(1-q^x)) digits above wp: DomainError past
+    MAX_CANCELLATION_DIGITS.
+    """
+    q = zq.q.q
+    s, x = float(zq.s.value), float(zq.x.value)
+    log_q = _log(q)
+    growth = 0.0
+    if s > 0:  # s log10(1/(1-q^x)), infinite once x log q underflows
+        one_minus_qx = -math.expm1(x * log_q)
+        growth = math.inf if one_minus_qx == 0 \
+            else s * -math.log10(one_minus_qx)
+    # the log of the pass's unscaled threshold (`_continuation_sums`)
+    floor = min(-(zq.precision + 15) * math.log(10) - s * _log(1 - q),
+                (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
+    head_cost = residues * HEAD_TERM_COST
+    row_cost = 1 + weights * ROW_COST
+
+    def count(j: int, exact: bool = False) -> float:
+        return _term_count(s, (x + j * step) * log_q, step * log_q, floor,
+                           exact)
+
+    def cost(j: int) -> float:
+        return j * head_cost + row_cost * count(j)
+
+    lo = 0
+    hi = int(min(MAX_HEAD_TERMS // residues, cost(0) / head_cost))
+    while lo < hi:  # cost falls, then rises, in J
+        mid = (lo + hi) // 2
+        if cost(mid + 1) >= cost(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    needed = count(lo, exact=True)
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
-            f"the continuation series needs about {int(needed)} terms "
-            f"at q = {zq.q.q}, more than its cap of {MAX_ZETA_TERMS}")
+            f"the continuation series needs about {needed:.0f} terms "
+            f"at q = {q}, more than its cap of {MAX_ZETA_TERMS}")
     if growth > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
-            f"grows to about {int(growth)} digits, more than "
+            f"grows to about {growth:.0f} digits, more than "
             f"{MAX_CANCELLATION_DIGITS}")
+    return lo
+
+
+def _continuation_sums(zq: ZetaQuery, scale: mpf, qy_fix: int,
+                       base: Fraction, wp: int,
+                       weights: Sequence[int] = ()) -> list[int]:
+    """Fixed-point sums, at binary point wp in the caller's working digits,
+    of the continuation series sum_k C(s+k-1,k) q^(yk) / (1+base^k)
+    (`_continuation_terms`), with s and P from zq, q^y given at wp and
+    scale = (1-q)^s, the factor the caller puts on the sums: [plain sum]
+    followed by one sum per weight w, whose term k is the plain one times
+    w^k (w descending and at most 1; a sum is dropped once w^k underflows
+    to 0).
+
+    Stop after term k once the scaled tail is at most 10**-(P+15).  From
+    k + s >= 0 on, the ratio |s+j|/(j+1) q^y of consecutive numerators
+    u_j = C(s+j-1,j) q^(yj) stays at most R = q^y max(1, |s+k|/(k+1)),
+    and |u_k| <= 2 |term|, so once R < 1 the tail is at most
+    2 |term| R / (1-R); that must be at most 10**-(P+15) / scale.  The
+    weighted terms are at most the plain ones, so the rule covers every
+    sum.  At s = -n the terms are exactly 0 past k = n: stop there.  The
+    unscaled threshold is capped at 10**(MAX_CANCELLATION_DIGITS + 20),
+    above every term the precheck (`_shift`) admits, so it stays a bounded
+    int.  Raises NonConvergence when the loop reaches MAX_ZETA_TERMS
+    terms.
+    """
     one = 1 << wp
-    terms = _continuation_terms(_to_fixed(zq.s.value, wp), qx_fix,
-                                _fixed(base, wp), wp)
-    threshold = _to_fixed(mpf(10) ** (-(zq.precision + 15)), wp)
+    s_fix = _to_fixed(zq.s.exact_value(), wp)
+    terms = _continuation_terms(s_fix, qy_fix, _fixed(base, wp), wp)
+    threshold = _to_fixed(min(mpf(10) ** -(zq.precision + 15) / scale,
+                              mpf(10) ** (MAX_CANCELLATION_DIGITS + 20)), wp)
+    # the rule can hold from k = first on, and only once |term| <= limit,
+    # its bound at the least R, q^y
+    first = max(0, -(s_fix >> wp))
+    last = first if s_fix == -first << wp else -1  # s = -last
+    qy_up = qy_fix + 1  # at least q^y
+    limit = threshold * (one - qy_up) // (2 * qy_up)
     # one row [w, w^k, sum] per weight; the last row's w^k reaches 0 first
     rows = [[w, one, 0] for w in weights]
     live = rows[:]
     total = 0
-    small_streak = 0
     for k, term in zip(range(MAX_ZETA_TERMS), terms):
         total += term
         if live:
@@ -256,31 +372,58 @@ def _continuation_sums(zq: ZetaQuery, qx_fix: int, base: Fraction, wp: int,
                 row[1] = power * row[0] >> wp
             while live and not live[-1][1]:
                 live.pop()
-        if k >= 8 and abs(term) << wp < threshold * (one + abs(total)):
-            small_streak += 1
-            if small_streak >= 3:
-                return [total] + [row[2] for row in rows]
-        else:
-            small_streak = 0
-    raise NonConvergence(
-        f"the continuation series did not settle within {MAX_ZETA_TERMS} "
-        f"terms")
+        if k == last:
+            break
+        if abs(term) <= limit and k >= first:
+            r = (qy_up * max(one, abs(s_fix + k * one) // (k + 1)) >> wp) + 1
+            if r < one and 2 * abs(term) * r <= threshold * (one - r):
+                break
+    else:
+        raise NonConvergence(
+            f"the continuation series did not settle within "
+            f"{MAX_ZETA_TERMS} terms")
+    return [total] + [row[2] for row in rows]
+
+
+def _head_sum(s: mpf, gap: mpf, power: mpf, step_gap: mpf, step: mpf,
+              count: int, wp: int) -> int:
+    """sum_(m<count) (-1)^m (1-q^(y+md))^(-s) at binary point wp, from
+    gap = 1 - q^y, power = q^y, step_gap = 1 - q^d and step = q^d.  Each
+    gap is the last plus q^(y+md) (1-q^d), a sum of positive parts, so no
+    gap cancels, however near 1 q^(y+md) is."""
+    total = 0
+    for m in range(count):
+        term = _to_fixed(mp.power(gap, -s), wp)
+        total += -term if m % 2 else term
+        gap += power * step_gap
+        power *= step
+    return total
 
 
 def zeta(zq: ZetaQuery) -> RealP:
-    """Euler q-zeta value via the binomial continuation series, summed by
-    `_continuation_sums` at base q in P + GUARD_DIGITS +
-    `cancellation_digits` working digits; one mpf is built from the
-    fixed-point sum.  At s = -n the sum has exactly n+1 nonzero terms.
-    Raises NonConvergence past MAX_ZETA_TERMS terms.
+    """Euler q-zeta value: J head terms (`_shift`) plus (-1)^J times the
+    binomial continuation series at x + J, summed by `_continuation_sums`
+    at base q, in P + GUARD_DIGITS + `cancellation_digits` working digits;
+    one mpf is built from the fixed-point sum.  The head terms take
+    1 - q^(x+j) without cancellation for q near 1 (`_head_sum`).  At
+    s = -n, J = 0 and the sum has exactly n+1 nonzero terms.  s and x are
+    taken from their exact rationals when they have them.  Raises
+    NonConvergence past MAX_ZETA_TERMS terms.
     """
     with mp.workdps(_working_digits(zq)):
-        qv = to_mpf(zq.q.q)
+        shift = _shift(zq, 1)
+        s, x = zq.s.exact_value(), zq.x.exact_value()
         wp = mp.prec + WORD_GUARD_BITS
-        total = _continuation_sums(
-            zq, _to_fixed(mp.power(qv, zq.x.value), wp), zq.q.q, wp)[0]
-        return RealP(mp.power(1 - qv, zq.s.value) * _from_fixed(total, wp),
-                     zq.precision)
+        q = zq.q.q
+        ln_q = mp.log1p(to_mpf(q - 1))
+        head = _head_sum(s, -mp.expm1(x * ln_q), mp.exp(x * ln_q),
+                         to_mpf(1 - q), to_mpf(q), shift, wp) if shift else 0
+        scale = mp.power(to_mpf(1 - q), s)
+        tail = _continuation_sums(zq, scale,
+                                  _to_fixed(mp.exp((x + shift) * ln_q), wp),
+                                  q, wp)[0]
+        total = head + (-tail if shift % 2 else tail)
+        return RealP(scale * _from_fixed(total, wp), zq.precision)
 
 
 def _cvz_weights(count: int) -> tuple[int, Iterator[int]]:
@@ -347,15 +490,16 @@ def zeta_euler_transform(zq: ZetaQuery) -> RealP:
     The terms [n+x]_q^(-s) = (1-q)^s sum_j C(s+j-1,j) q^(xj) (q^j)^n are
     the moments of a signed measure on (0, 1] whose total variation is at
     most V = (1-q)^s (1-q^x)^(-|s|), since |C(s+j-1,j)| <= (|s|)_j / j! for
-    every real s.  Works at P + GUARD_DIGITS + `cancellation_digits`.
+    every real s.  Works at P + GUARD_DIGITS + `cancellation_digits`, with
+    s and x taken from their exact rationals when they have them.
     """
     precision = zq.precision
     with mp.workdps(_working_digits(zq)):
         qv = to_mpf(zq.q.q)
-        sv = zq.s.value
+        sv, xv = zq.s.exact_value(), zq.x.exact_value()
         one_minus_q = 1 - qv
-        variation = _variation(zq.q.q, sv, zq.x.value)
-        state = [mp.power(qv, zq.x.value)]  # q^(x+n), advanced per call
+        variation = _variation(zq.q.q, sv, xv)
+        state = [mp.power(qv, xv)]  # q^(x+n), advanced per call
 
         def term(_j: int) -> mpf:
             bracket = (1 - state[0]) / one_minus_q
@@ -393,39 +537,53 @@ def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
     chi(a) = exp(2 pi i exponents[a] / order), in one pass of the
     continuation series.  Returns RealP when order <= 2, else ComplexP.
 
-    [F]_q^(-s) (1-q^F)^s = (1-q)^s and (q^F)^(a/F) = q^a, so
+    H_q(s, a; F) = sum_m (-1)^(a+m) [a+mF]_q^(-s) for odd F, and
+    [F]_q^(-s) (1-q^F)^s = (1-q)^s and (q^F)^(a/F) = q^a turn its tail
+    from m = J on into (-1)^J times the continuation series at base q^F
+    with the exact q^(a+JF) in place of its q^x:
 
-        H_q(s, a; F) = (-1)^a (1-q)^s sum_k C(s+k-1,k) q^(ak) / (1+q^(Fk)),
+        H_q(s, a; F) = (-1)^a (1-q)^s [sum_(m<J) (-1)^m (1-q^(a+mF))^(-s)
+                       + (-1)^J sum_k C(s+k-1,k) q^((a+JF)k) / (1+q^(Fk))],
 
-    the continuation series at base q^F with the exact q^a in place of its
-    q^x.  One pass of `_continuation_sums` runs it at the smallest residue
-    a_min, with weight q^(a-a_min) for each further residue a, so a_min's
-    term-count precheck and stop rule serve them all.  The working digits
-    are a_min's too: V at base q, x = a_min is the largest over the
-    residues, and it bounds the scaled terms (1-q)^s C(s+k-1,k) q^(ak) in
-    absolute sum.  The scale (1-q)^s and the character sum are applied in
-    those working digits, so a value far above 1 keeps the absolute
-    10**-(P-10).
+    each head starting from the exact 1 - q^a (`_head_sum`).  `_shift`
+    picks J for all residues at once.  One pass of `_continuation_sums`
+    runs the series at the smallest residue, at a_min + JF, with weight
+    q^(a-a_min) for each further residue a, so a_min's term-count precheck
+    and stop rule serve them all.  The working digits are a_min's: V at
+    base q, x = a_min is the largest over the residues, and it bounds the
+    head terms and the scaled terms (1-q)^s C(s+k-1,k) q^(ak) in absolute
+    sum.  The scale (1-q)^s and the
+    character sum are applied in those working digits, so a value far
+    above 1 keeps the absolute 10**-(P-10).
     """
     residues = sorted(exponents)
     a_min = residues[0]
     zq = ZetaQuery(s, RealP.from_rational(a_min, precision),
                    QBase(q, zeta_domain=True), precision)
     with mp.workdps(_working_digits(zq)):
+        shift = _shift(zq, period, len(residues), len(residues) - 1)
+        sv = s.exact_value()
         wp = mp.prec + WORD_GUARD_BITS
+        step_gap, step = to_mpf(1 - q ** period), to_mpf(q ** period)
+        scale = mp.power(to_mpf(1 - q), sv)
         sums = _continuation_sums(
-            zq, _fixed(q ** a_min, wp), q ** period, wp,
+            zq, scale, _fixed(q ** (a_min + shift * period), wp),
+            q ** period, wp,
             [_fixed(q ** (a - a_min), wp) for a in residues[1:]])
         by_exponent: dict[int, int] = {}
         for a, part in zip(residues, sums):
+            if shift % 2:
+                part = -part
+            if shift:
+                part += _head_sum(sv, to_mpf(1 - q ** a), to_mpf(q ** a),
+                                  step_gap, step, shift, wp)
             e = exponents[a]
             by_exponent[e] = by_exponent.get(e, 0) + (-part if a % 2
                                                       else part)
         value = _root_sum(by_exponent, order)
-        prefactor = mp.power(to_mpf(1 - q), s.value)
         if isinstance(value, mpc):
-            return ComplexP(prefactor * value * _from_fixed(1, wp), precision)
-        return RealP(prefactor * _from_fixed(value, wp), precision)
+            return ComplexP(scale * value * _from_fixed(1, wp), precision)
+        return RealP(scale * _from_fixed(value, wp), precision)
 
 
 def _root_sum(coefficients: dict[int, int | Fraction], order: int):

@@ -204,19 +204,23 @@ def test_cvz_agrees_with_continuation_near_one():
 
 
 def test_zeta_term_cap(monkeypatch):
-    # q^(xk) would need about 1.5 * 10^11 terms: refused before summing
+    # q^(xk) would need about 1.5 * 10^11 terms, and still about 1.5 * 10^7
+    # past the largest shift: refused before summing
     with pytest.raises(NonConvergence):
         zeta(query("1/2", 1, Fraction(999999999, 10 ** 9)))
-    # C(s+k-1, k) for s = 200 keeps the terms large well past 300
+    # at q = 999/1000 the best shift still leaves more than 300 terms
+    drawn = count_terms(monkeypatch)
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
     with pytest.raises(NonConvergence):
-        zeta(query(200, 1, Fraction(1, 2)))
+        zeta(query("1/2", 1, Fraction(999, 1000)))
     # the same cap stops the residue pass behind partial zeta and L
-    s = RealP.from_rational(200, P)
+    s = RealP.from_rational("1/2", P)
+    q = QBase(Fraction(999, 1000), zeta_domain=True)
     with pytest.raises(NonConvergence):
-        partial_zeta(s, 1, 3, HALF, P)
+        partial_zeta(s, 1, 3, q, P)
     with pytest.raises(NonConvergence):
-        l_function(s, characters_mod(5)[1], HALF, P)
+        l_function(s, characters_mod(5)[1], q, P)
+    assert drawn == []
 
 
 def test_loop_cap_stops_a_series_that_never_settles(monkeypatch):
@@ -264,12 +268,24 @@ def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
         monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", taken * 21 // 20)
         zeta(zq)
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 200_000)
-    for s, x, q in ((215, Fraction(1, 99), "1/2"),
-                    (200, Fraction(1, 12), "919/1000")):
+    # past the best shift these still need more terms than the cap
+    for s, x, q in ((20, 1, "9999999/10000000"),
+                    (50, Fraction(1, 2), "9999999/10000000")):
         drawn.clear()
         with pytest.raises(NonConvergence, match="needs about"):
             zeta(query(s, x, Fraction(q), 500))
         assert drawn == []
+
+
+def test_shift_serves_what_the_unshifted_count_refused():
+    # unshifted, these needed more terms than the cap; at x + J they take
+    # a few hundred and meet the contract against CVZ at P + 100
+    for s, x, q in ((215, Fraction(1, 99), "1/2"),
+                    (200, Fraction(1, 12), "919/1000")):
+        value = zeta(query(s, x, Fraction(q), 500)).value
+        want = zeta_euler_transform(query(s, x, Fraction(q), 600)).value
+        with mp.workdps(1200):  # |value| is up to 10^399
+            assert abs(value - want) <= tolerance(500)
 
 
 def zeta_mpf_loop(zq):
@@ -376,10 +392,9 @@ def test_zeta_sums_n_plus_one_terms_at_negative_integers(monkeypatch):
                      ("1/3", Fraction(1, 8))):
             taken.clear()
             zeta(query(-n, x, q))
-            assert all(taken[:n + 1])
-            assert not any(taken[n + 1:])
-            # the stop rule needs k >= 8 and three terms below threshold
-            assert len(taken) == max(n + 4, 11)
+            # the pass stops at once on the exact truncation
+            assert len(taken) == n + 1
+            assert all(taken)
 
 
 def test_cvz_weights_are_exact_integers():
@@ -416,6 +431,51 @@ def test_deep_negative_s_meets_contract(route, n):
         assert abs(value - to_mpf(exact)) <= tolerance(P)
 
 
+def partial_zeta_by_cvz(s, a, period, q, precision):
+    """Oracle: H_q(s, a; F) = (-1)^a [F]_q^(-s) zeta_{q^F}(s, a/F), the
+    inner zeta summed by CVZ over its raw series, at the caller's
+    precision."""
+    inner = zeta_euler_transform(query(s, Fraction(a, period), q ** period,
+                                       precision)).value
+    value = mp.power(to_mpf(q_int(period, QBase(q))), -to_mpf(s)) * inner
+    return -value if a % 2 else value
+
+
+@pytest.mark.parametrize("s", ("-81/2", "-121/2", "-201/2"))
+def test_deep_negative_non_integer_s_meets_contract(s):
+    # a relative stop rule, three terms below 10^-(P+15) (1 + |sum|), left
+    # 1.2e-37, 5.3e-24 and 7.1e3 here: the sum is far above 1 while the
+    # terms are still large against the absolute 10^-(P-10)
+    q = Fraction(4, 5)
+    base = QBase(q, zeta_domain=True)
+    sp = RealP.from_rational(s, P)
+    wide = P + 100
+    with mp.workdps(wide + GUARD_DIGITS + 200):  # |values| up to 10^79
+        for x in ("1", "1/2"):
+            want = zeta_euler_transform(query(s, x, q, wide)).value
+            assert abs(zeta(query(s, x, q, P)).value - want) <= tolerance(P)
+        parts = {a: partial_zeta_by_cvz(Fraction(s), a, 3, q, wide)
+                 for a in (1, 2)}
+        assert abs(partial_zeta(sp, 1, 3, base, P).value - parts[1]) \
+            <= tolerance(P)
+        chi = characters_mod(3)[1]  # the real character: chi(2) = -1
+        value = l_function(sp, chi, base, P)
+        assert abs(value.value - (parts[1] - parts[2])) <= tolerance(P)
+
+
+def test_inputs_keep_their_exact_rationals():
+    # x = 1/99 rounded to P + 20 digits moved this value, about 6e92, by
+    # 9.9e29 on the continuation route and by 1.6e22 on CVZ at P = 50
+    wide = P + 100
+    want = zeta_euler_transform(query(50, "1/99", Fraction(1, 2), wide))
+    with mp.workdps(wide + GUARD_DIGITS + 100):
+        for route in (zeta, zeta_euler_transform):
+            value = route(query(50, "1/99", Fraction(1, 2))).value
+            assert abs(value - want.value) <= tolerance(P)
+    assert RealP.from_rational("1/99", P).exact == Fraction(1, 99)
+    assert RealP(mpf(1), P).exact is None
+
+
 def test_cancellation_digits():
     for s, x, q, want in ((0, 1, Fraction(1, 2), 0),
                           (3, 1, Fraction(1, 2), 0),      # V = 1
@@ -441,11 +501,13 @@ def test_cancellation_digits_in_the_log_domain(capsys):
         x = 1 - mpf(10) ** -40
     with pytest.raises(DomainError, match="about 3010299957 digits"):
         cancellation_digits(Fraction(1, 2), mpf(10) ** 50, x)
-    # the command still fails at once, now on the true reason: the terms
-    # rise for about 10**100 terms
+    # the command still fails at once, now on the true reason: the shift
+    # leaves few terms past the peak, but the unscaled head term
+    # (1-q)^(-s) = 2^(10^100) has about 3 * 10^99 digits
     assert main(["zeta", "--s", "1e100", "--x", "1", "--q", "1/2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the continuation series needs about 1")
+    assert err.startswith("error: the continuation series at s = 1.0e+100 "
+                          "grows to about 3")
     assert "cancels" not in err
 
 
