@@ -125,26 +125,49 @@ def cancellation_digits(q: Fraction, s: mpf, x: mpf) -> int:
     routes work with this many digits on top of P + GUARD_DIGITS, so
     cancellation among terms of size V still leaves 10**-(P+20).
 
-    log10 V = s log10(1-q) - |s| log10(1-q^x) is taken in the log domain at
-    15 digits.  For s >= 0 it is -s log10((1-q^x)/(1-q)), and
-    (1-q^x)/(1-q) = 1 - q (q^(x-1) - 1)/(1-q) keeps its digits near x = 1,
-    so V is exactly 1 at x = 1 however large s is.
+    log10 V = s log10(1-q) - |s| log10(1-q^x) is taken in floats in the
+    log domain (`_log_gap`).  For s >= 0 it is
+    -s ln((1-q^x)/(1-q)) / ln 10, exactly 0 at x = 1 however large s is.
 
     Raises DomainError when V needs more than MAX_CANCELLATION_DIGITS.
     """
-    with mp.workdps(15):
-        ln_q = mp.log1p(to_mpf(q - 1))
-        if s < 0:
-            ln_v = s * (mp.log(to_mpf(1 - q)) + mp.log(-mp.expm1(x * ln_q)))
-        else:
-            ln_v = -s * mp.log1p(-to_mpf(q) * mp.expm1((x - 1) * ln_q)
-                                 / to_mpf(1 - q))
-        digits = max(0, int(mp.ceil(ln_v / mp.ln(10))))
-    if digits > MAX_CANCELLATION_DIGITS:
+    gap = _log_gap(q, x)
+    s_float = float(s)
+    factor = -gap if s_float >= 0 else 2 * _log(1 - q) + gap
+    log10_v = s_float * factor / math.log(10) if factor else 0.0
+    if log10_v > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the zeta series at s = {mp.nstr(s, 15)} cancels about "
-            f"{digits} digits, more than {MAX_CANCELLATION_DIGITS}")
-    return digits
+            f"{log10_v:.0f} digits, more than {MAX_CANCELLATION_DIGITS}")
+    return math.ceil(max(0.0, log10_v))
+
+
+def _log(r: Fraction) -> float:
+    """ln r in floats for a rational 0 < r < 1, keeping its digits near 1
+    and its range near 0."""
+    if 2 * r > 1:
+        return math.log1p(float(r - 1))
+    return math.log(r.numerator) - math.log(r.denominator)
+
+
+def _log_gap(q: Fraction, x: mpf) -> float:
+    """ln((1-q^x)/(1-q)) in floats.  Near x = 1 it is
+    ln(1 - q (q^(x-1) - 1)/(1-q)), exactly 0 at x = 1; elsewhere
+    ln(1-q^x) - ln(1-q), with ln(1-q^x) = ln(-x ln q) once -x ln q is
+    below 10**-300, where x may lie below the float range.  DomainError
+    when ln q lies below it (q within about 10**-308 of 1)."""
+    log_q = _log(q)
+    if not log_q:
+        raise DomainError(f"q = {q} lies too close to 1 for the zeta series")
+    if abs(x - 1) <= 0.5 and log_q > -1000:  # q^(x-1) stays in range
+        return math.log1p(-float(q) * math.expm1(float(x - 1) * log_q)
+                          / float(1 - q))
+    scaled = float(x) * -log_q
+    if scaled > 1e-300:
+        log_gap = math.log(-math.expm1(-scaled))
+    else:
+        log_gap = float(mp.log(x)) + math.log(-log_q)
+    return log_gap - _log(1 - q)
 
 
 def _variation(q: Fraction, s: mpf, x: mpf) -> mpf:
@@ -189,14 +212,6 @@ def _fixed(r: Fraction, wp: int) -> int:
     return (r.numerator << wp) // r.denominator
 
 
-def _log(r: Fraction) -> float:
-    """ln r in floats for a rational 0 < r < 1, keeping its digits near 1
-    and its range near 0."""
-    if 2 * r > 1:
-        return math.log1p(float(r - 1))
-    return math.log(r.numerator) - math.log(r.denominator)
-
-
 def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     """The least k >= lo at which `above` turns false, or at most 1% past
     it, for an `above` that stays false once it turns false."""
@@ -213,56 +228,73 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     return hi
 
 
-def _term_count(s: float, log_qy: float, log_base: float, floor: float,
-                exact: bool = False) -> float:
-    """The terms the continuation pass at q^y = e^log_qy and base
-    e^log_base takes before its stop rule holds, floor being the log of
-    the rule's unscaled threshold (see `_continuation_sums`).
+def _series_start(s: mpf) -> tuple[int, float]:
+    """(k, ln |C(s+k-1,k)|) for s <= 1, with k + s >= 0, so that from k on
+    the continuation's numerators u_j = C(s+j-1,j) q^(yj) fall by at least
+    q^y per term (|s+j|/(j+1) <= 1).  k is the least such, ceil(-s), unless
+    the float of s is an integer -n, where s is -n or within its rounding:
+    then k = n + 1, and C(s+n, n+1) = (s+n)/(n+1) C(s+n-1, n) with
+    |C(s+n-1, n)| about 1 and |s+n| bounded from the mpf s.  At s = -n
+    that is 0, the exact truncation."""
+    sf = float(s)
+    if sf == -math.inf:  # more terms than any count
+        return math.inf, 0.0
+    if sf <= 0 and sf.is_integer():
+        n = int(-sf)
+        return n + 1, float(mp.mag(s + n)) * math.log(2) - math.log(n + 1)
+    k = max(0, math.ceil(-sf))
+    return k, lgamma(sf + k) - lgamma(sf) - lgamma(k + 1)
 
-    At s = -n that is n + 1.  Otherwise the rule can hold from k0 on, the
-    least k with k + s >= 0 and, for s > 1, R_k = q^y (s+k)/(k+1) < 1, and
-    from k0 on |u_k| = |C(s+k-1,k)| q^(yk) falls by at least q^y per term
-    for s <= 1: the geometric count from |u_k0| bounds the terms.  For
-    s > 1 the terms fall more slowly, like k^(s-1) q^(yk), so that count
-    is low; with `exact` the rule itself is searched for (`_first_stop`).
-    """
-    if s <= 0 and s.is_integer():
-        return 1 - s
-    if not log_qy < 0:
-        return math.inf
+
+def _geometric_count(k: int, log_c: float, log_qy: float,
+                     floor: float) -> float:
+    """The terms the continuation pass at q^y = e^log_qy < 1 takes when its
+    numerators fall by at least q^y per term from u_k on, |C(s+k-1,k)| =
+    e^log_c (`_series_start`): k + 1, and then as many as bring the stop
+    rule's bound 2 |u_j| q^y / (1-q^y) to e^floor."""
+    over = (log_c + (k + 1) * log_qy + math.log(2 / -math.expm1(log_qy))
+            - floor)
+    return k + 1 + max(0.0, over) / -log_qy
+
+
+def _count_past_peak(s: float, log_qy: float, log_base: float,
+                     floor: float, search: bool) -> float:
+    """The terms the continuation pass at q^y = e^log_qy < 1 and base
+    e^log_base takes for s > 1, floor being the log of its stop rule's
+    unscaled threshold (see `_continuation_sums`).  The numerators
+    u_k = C(s+k-1,k) q^(yk) rise to a peak near (s q^y - 1)/(1-q^y) and
+    then fall like k^(s-1) q^(yk), more slowly than q^y per term: the
+    geometric count from the peak (`_geometric_count`) reads 1.4-1.7 times
+    low.  With `search` the first k past the peak at which the rule holds
+    is searched for (`_first_stop`) instead."""
     qy = math.exp(log_qy)
-    one_minus_qy = -math.expm1(log_qy)
-    k0 = math.ceil(-s) if s < 0 else 0
     if qy == 0:
-        return k0 + 1
-    if s > 1:
-        peak = (s * qy - 1) / one_minus_qy
-        if peak > 1e18:  # at least the peak, and falling in y
-            return peak
-        k0 = max(0, math.floor(peak) + 1)
+        return 1
+    peak = (s * qy - 1) / -math.expm1(log_qy)
+    if peak > 1e18:  # at least the peak, and falling in y
+        return peak
+    k0 = max(0, math.floor(peak) + 1)
+    if s >= 1e15:  # every u_k is positive and they sum to (1-q^y)^(-s)
+        return k0 + 1 + max(0.0, (-s * math.log1p(-qy) - floor) / -log_qy)
+    if not search:
+        return _geometric_count(
+            k0, lgamma(s + k0) - lgamma(s) - lgamma(k0 + 1), log_qy, floor)
 
-    def log_u(k: int) -> float:  # ln |C(s+k-1,k)| q^(yk)
-        return lgamma(s + k) - lgamma(s) - lgamma(k + 1) + k * log_qy
+    def above(k: int) -> bool:
+        r = qy * (s + k) / (k + 1)
+        return r >= 1 or (lgamma(s + k) - lgamma(s) - lgamma(k + 1)
+                          + k * log_qy - math.log1p(math.exp(k * log_base))
+                          + math.log(2 * r / (1 - r))) > floor
 
-    if s >= 1e15:
-        # every u_k is positive and they sum to (1-q^y)^(-s)
-        return k0 + 1 + max(0.0, (-s * math.log1p(-qy) - floor)
-                            / -log_qy)
-    if exact and s > 1:
-        def above(k: int) -> bool:
-            r = qy * (s + k) / (k + 1)
-            return r >= 1 or (log_u(k) - math.log1p(math.exp(k * log_base))
-                              + math.log(2 * r / (1 - r))) > floor
-        return 1 + _first_stop(above, k0)
-    return k0 + 1 + max(0.0, (log_u(k0) + math.log(2 * qy / one_minus_qy)
-                              - floor) / -log_qy)
+    return 1 + _first_stop(above, k0)
 
 
 def _shift(zq: ZetaQuery, step: int, residues: int = 1,
            weights: int = 0) -> int:
     """The number J of head terms to sum before the continuation series,
     for a pass at base b = q^step (zeta at step 1, or the residues of
-    period `step`), after the term-count precheck at x + J step.
+    period `step`), after the term-count precheck at x + J step.  Runs in
+    the caller's working digits, where s is taken as the pass takes it.
 
     The continuation sum S(y) = sum_k C(s+k-1,k) q^(yk) / (1+b^k) has
     S(y) + S(y+step) = (1-q^y)^(-s), so
@@ -272,10 +304,14 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1,
 
     J raw head terms and a pass at x + J step, which needs about
     x / (x + J step) of the terms the pass at x needs.  J minimises the
-    head, J residues HEAD_TERM_COST, plus the pass, its estimated term
-    count (`_term_count`) times 1 + weights ROW_COST; J residues stays
-    within MAX_HEAD_TERMS.  At s = -n the count is n + 1 wherever the pass
-    runs, so J is 0.
+    head, J residues HEAD_TERM_COST, plus the pass, its term count times
+    1 + weights ROW_COST; J residues stays within MAX_HEAD_TERMS.  The
+    count is `_geometric_count` from `_series_start` for s <= 1, n + 2 at
+    s = -n wherever the pass runs, so J is 0 there.  For s > 1 it is
+    `_count_past_peak`: the geometric count while J is chosen, which reads
+    low, and the search for the chosen J: searching at every step of the
+    bisection cost 3.6% of numeric-values requests_per_s (10 interleaved
+    pairs of 20 s runs on a 2-CPU machine).
 
     Refuses before summing what the pass cannot finish: NonConvergence when
     its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
@@ -284,22 +320,23 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1,
     MAX_CANCELLATION_DIGITS.
     """
     q = zq.q.q
-    s, x = float(zq.s.value), float(zq.x.value)
+    sv = zq.s.exact_value()
+    s, x = float(sv), float(zq.x.value)
     log_q = _log(q)
-    growth = 0.0
-    if s > 0:  # s log10(1/(1-q^x)), infinite once x log q underflows
-        one_minus_qx = -math.expm1(x * log_q)
-        growth = math.inf if one_minus_qx == 0 \
-            else s * -math.log10(one_minus_qx)
     # the log of the pass's unscaled threshold (`_continuation_sums`)
     floor = min(-(zq.precision + 15) * math.log(10) - s * _log(1 - q),
                 (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
+    start = None if s > 1 else _series_start(sv)
     head_cost = residues * HEAD_TERM_COST
     row_cost = 1 + weights * ROW_COST
 
-    def count(j: int, exact: bool = False) -> float:
-        return _term_count(s, (x + j * step) * log_q, step * log_q, floor,
-                           exact)
+    def count(j: int, search: bool = False) -> float:
+        log_qy = (x + j * step) * log_q
+        if not log_qy < 0:
+            return math.inf
+        if start is None:
+            return _count_past_peak(s, log_qy, step * log_q, floor, search)
+        return _geometric_count(*start, log_qy, floor)
 
     def cost(j: int) -> float:
         return j * head_cost + row_cost * count(j)
@@ -312,11 +349,13 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1,
             hi = mid
         else:
             lo = mid + 1
-    needed = count(lo, exact=True)
+    needed = count(lo, search=True)
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
             f"the continuation series needs about {needed:.0f} terms "
             f"at q = {q}, more than its cap of {MAX_ZETA_TERMS}")
+    growth = 0.0 if s <= 0 else \
+        -s * (_log_gap(q, zq.x.value) + _log(1 - q)) / math.log(10)
     if growth > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "

@@ -288,6 +288,54 @@ def test_shift_serves_what_the_unshifted_count_refused():
             assert abs(value - want) <= tolerance(500)
 
 
+def test_precheck_takes_s_near_an_integer_from_its_exact_value(monkeypatch):
+    # s = -3 +- 1e-20 reads as -3.0 in floats, but its terms do not stop
+    # after k = 3: they fall from about 1e-20 by q^x per term.  Counted as
+    # n + 1 = 4 terms, these inputs ran the whole cap and then failed
+    drawn = count_terms(monkeypatch)
+    near = ("-2.99999999999999999999", "-3.00000000000000000001")
+    for s in near:
+        for q in ("99999999/100000000", "999999999/1000000000"):
+            with pytest.raises(NonConvergence, match="needs about"):
+                zeta(query(s, 1, Fraction(q)))
+        with pytest.raises(NonConvergence, match="needs about"):
+            partial_zeta(RealP.from_rational(s, P), 1, 3,
+                         QBase(Fraction(99999999, 10 ** 8), zeta_domain=True),
+                         P)
+    assert drawn == []
+    # at q = 99999/100000 the shift serves them within the contract, and
+    # s within 1e-400 of 0 stops after two terms
+    for s in near + ("-1e-400", "1e-400"):
+        zq = query(s, 1, Fraction(99999, 100000))
+        want = zeta_euler_transform(query(s, 1, Fraction(99999, 100000),
+                                          P + 100))
+        with mp.workdps(P + GUARD_DIGITS):
+            assert abs(zeta(zq).value - want.value) <= tolerance(P)
+
+
+def test_extreme_q_and_x_are_served_or_refused_cleanly():
+    # ln q at 15 digits read log1p(-1) for q below 1e-16, and x below the
+    # float range gave 1 - q^x = 0: both ended in a ValueError
+    for q in (Fraction(1, 10 ** 20), Fraction(1, 10 ** 5000)):
+        zq = query("1/2", 1, q)
+        with mp.workdps(P + GUARD_DIGITS):
+            assert abs(zeta(zq).value - zeta_euler_transform(zq).value) \
+                <= tolerance(P)
+    # [x]_q^(-1/2) = ((1-q^x)/(1-q))^(-1/2) is about 8.5e199 at x = 1e-400
+    assert cancellation_digits(Fraction(1, 2), mpf("0.5"),
+                               mpf("1e-400")) == 200
+    value = zeta(query("1/2", "1e-400", Fraction(1, 2))).value
+    with mp.workdps(260):
+        x = mpf("1e-400")
+        bracket = -mp.expm1(x * mp.log(mpf(1) / 2)) * 2
+        rest = value - bracket ** mpf(-0.5)  # -zeta(1/2, 1 + x)
+        assert abs(rest + zeta(query("1/2", 1, Fraction(1, 2))).value) \
+            < mpf(10) ** -40
+    # ln q itself below the float range: refused before summing
+    with pytest.raises(DomainError, match="too close to 1"):
+        zeta(query("1/2", 1, 1 - Fraction(1, 10 ** 400)))
+
+
 def zeta_mpf_loop(zq):
     """Oracle: the continuation series summed term by term in mpf, as
     `zeta` did before its fixed-point loop, in the caller's context."""
