@@ -54,6 +54,16 @@ def format_rational(value: Fraction | int) -> str:
             f"{sys.get_int_max_str_digits()} digits") from exc
 
 
+def show_rational(value: Fraction | int) -> str:
+    """str(value) for a message; past the interpreter's int-to-str digit
+    limit, where str raises, "about" and its 15-digit decimal instead."""
+    try:
+        return str(value)
+    except ValueError:
+        with mp.workdps(15):
+            return f"about {mp.nstr(to_mpf(value), 15)}"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a finite decimal string to an exact Fraction."""
     try:
@@ -172,6 +182,7 @@ def rat_pow(q: Fraction, r: Fraction) -> Fraction:
     num, num_exact = iroot(power.numerator, f)
     den, den_exact = iroot(power.denominator, f)
     if not (num_exact and den_exact):
-        raise NotExactPower(f"({q})**({r}) is irrational")
+        raise NotExactPower(
+            f"({show_rational(q)})**({show_rational(r)}) is irrational")
     return Fraction(num, den)
 

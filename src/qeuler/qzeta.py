@@ -64,7 +64,7 @@ from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergence
 from .exactnum import (ComplexP, DEFAULT_PRECISION, GUARD_DIGITS, RealP,
-                       to_mpf)
+                       show_rational, to_mpf)
 from .qnumbers import QBase, QPower, q_euler_poly, q_int
 
 #: Most terms `zeta` sums.  The continuation series needs about
@@ -158,7 +158,8 @@ def _log_gap(q: Fraction, x: mpf) -> float:
     when ln q lies below it (q within about 10**-308 of 1)."""
     log_q = _log(q)
     if not log_q:
-        raise DomainError(f"q = {q} lies too close to 1 for the zeta series")
+        raise DomainError(f"q = {show_rational(q)} lies too close to 1 "
+                          f"for the zeta series")
     if abs(x - 1) <= 0.5 and log_q > -1000:  # q^(x-1) stays in range
         return math.log1p(-float(q) * math.expm1(float(x - 1) * log_q)
                           / float(1 - q))
@@ -168,13 +169,6 @@ def _log_gap(q: Fraction, x: mpf) -> float:
     else:
         log_gap = float(mp.log(x)) + math.log(-log_q)
     return log_gap - _log(1 - q)
-
-
-def _variation(q: Fraction, s: mpf, x: mpf) -> mpf:
-    """V = (1-q)^s (1-q^x)^(-|s|) at the context's precision, with 1-q
-    taken exactly and 1-q^x without cancellation for q near 1."""
-    one_minus_qx = -mp.expm1(x * mp.log1p(to_mpf(q - 1)))
-    return mp.power(to_mpf(1 - q), s) * mp.power(one_minus_qx, -abs(s))
 
 
 def _working_digits(zq: ZetaQuery) -> int:
@@ -289,8 +283,7 @@ def _count_past_peak(s: float, log_qy: float, log_base: float,
     return 1 + _first_stop(above, k0)
 
 
-def _shift(zq: ZetaQuery, step: int, residues: int = 1,
-           weights: int = 0) -> int:
+def _shift(zq: ZetaQuery, step: int, residues: int = 1) -> int:
     """The number J of head terms to sum before the continuation series,
     for a pass at base b = q^step (zeta at step 1, or the residues of
     period `step`), after the term-count precheck at x + J step.  Runs in
@@ -305,9 +298,10 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1,
     J raw head terms and a pass at x + J step, which needs about
     x / (x + J step) of the terms the pass at x needs.  J minimises the
     head, J residues HEAD_TERM_COST, plus the pass, its term count times
-    1 + weights ROW_COST; J residues stays within MAX_HEAD_TERMS.  The
-    count is `_geometric_count` from `_series_start` for s <= 1, n + 2 at
-    s = -n wherever the pass runs, so J is 0 there.  For s > 1 it is
+    1 + (residues - 1) ROW_COST, one weighted row per further residue;
+    J residues stays within MAX_HEAD_TERMS.  The count is `_geometric_count`
+    from `_series_start` for s <= 1, n + 2 at s = -n wherever the pass
+    runs, so J is 0 there.  For s > 1 it is
     `_count_past_peak`: the geometric count while J is chosen, which reads
     low, and the search for the chosen J: searching at every step of the
     bisection cost 3.6% of numeric-values requests_per_s (10 interleaved
@@ -328,7 +322,7 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1,
                 (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
     start = None if s > 1 else _series_start(sv)
     head_cost = residues * HEAD_TERM_COST
-    row_cost = 1 + weights * ROW_COST
+    row_cost = 1 + (residues - 1) * ROW_COST
 
     def count(j: int, search: bool = False) -> float:
         log_qy = (x + j * step) * log_q
@@ -353,7 +347,8 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1,
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
             f"the continuation series needs about {needed:.0f} terms "
-            f"at q = {q}, more than its cap of {MAX_ZETA_TERMS}")
+            f"at q = {show_rational(q)}, more than its cap of "
+            f"{MAX_ZETA_TERMS}")
     growth = 0.0 if s <= 0 else \
         -s * (_log_gap(q, zq.x.value) + _log(1 - q)) / math.log(10)
     if growth > MAX_CANCELLATION_DIGITS:
@@ -424,18 +419,17 @@ def _continuation_sums(zq: ZetaQuery, scale: mpf, qy_fix: int,
     return [total] + [row[2] for row in rows]
 
 
-def _head_sum(s: mpf, gap: mpf, power: mpf, step_gap: mpf, step: mpf,
-              count: int, wp: int) -> int:
+def _head_sum(s: mpf, gap: mpf, step_gap: mpf, step: mpf, count: int,
+              wp: int) -> int:
     """sum_(m<count) (-1)^m (1-q^(y+md))^(-s) at binary point wp, from
-    gap = 1 - q^y, power = q^y, step_gap = 1 - q^d and step = q^d.  Each
-    gap is the last plus q^(y+md) (1-q^d), a sum of positive parts, so no
-    gap cancels, however near 1 q^(y+md) is."""
+    gap = 1 - q^y, step_gap = 1 - q^d and step = q^d.  Each gap is
+    1 - q^(y+(m+1)d) = (1-q^d) + q^d (1-q^(y+md)), a sum of positive parts,
+    so no gap cancels, however near 1 q^(y+md) is."""
     total = 0
     for m in range(count):
         term = _to_fixed(mp.power(gap, -s), wp)
         total += -term if m % 2 else term
-        gap += power * step_gap
-        power *= step
+        gap = step_gap + step * gap
     return total
 
 
@@ -454,15 +448,21 @@ def zeta(zq: ZetaQuery) -> RealP:
         s, x = zq.s.exact_value(), zq.x.exact_value()
         wp = mp.prec + WORD_GUARD_BITS
         q = zq.q.q
-        ln_q = mp.log1p(to_mpf(q - 1))
-        head = _head_sum(s, -mp.expm1(x * ln_q), mp.exp(x * ln_q),
-                         to_mpf(1 - q), to_mpf(q), shift, wp) if shift else 0
+        ln_q = _ln(q)
+        head = _head_sum(s, -mp.expm1(x * ln_q), to_mpf(1 - q), to_mpf(q),
+                         shift, wp) if shift else 0
         scale = mp.power(to_mpf(1 - q), s)
         tail = _continuation_sums(zq, scale,
                                   _to_fixed(mp.exp((x + shift) * ln_q), wp),
                                   q, wp)[0]
         total = head + (-tail if shift % 2 else tail)
         return RealP(scale * _from_fixed(total, wp), zq.precision)
+
+
+def _ln(q: Fraction) -> mpf:
+    """ln q at the context's precision for a rational 0 < q < 1, keeping
+    its digits near 1 and its range near 0 (as `_log`)."""
+    return mp.log1p(to_mpf(q - 1)) if 2 * q > 1 else mp.log(to_mpf(q))
 
 
 def _cvz_weights(count: int) -> tuple[int, Iterator[int]]:
@@ -530,19 +530,24 @@ def zeta_euler_transform(zq: ZetaQuery) -> RealP:
     the moments of a signed measure on (0, 1] whose total variation is at
     most V = (1-q)^s (1-q^x)^(-|s|), since |C(s+j-1,j)| <= (|s|)_j / j! for
     every real s.  Works at P + GUARD_DIGITS + `cancellation_digits`, with
-    s and x taken from their exact rationals when they have them.
+    s and x taken from their exact rationals when they have them.  The
+    brackets take no difference of near-equal numbers, for small x or q
+    near 1: [x]_q = -expm1(x ln q)/(1-q), then [x+n+1]_q = 1 + q [x+n]_q,
+    and V takes its 1 - q^x from the first.
     """
     precision = zq.precision
     with mp.workdps(_working_digits(zq)):
-        qv = to_mpf(zq.q.q)
+        q = zq.q.q
+        qv, one_minus_q = to_mpf(q), to_mpf(1 - q)
         sv, xv = zq.s.exact_value(), zq.x.exact_value()
-        one_minus_q = 1 - qv
-        variation = _variation(zq.q.q, sv, xv)
-        state = [mp.power(qv, xv)]  # q^(x+n), advanced per call
+        one_minus_qx = -mp.expm1(xv * _ln(q))
+        variation = mp.power(one_minus_q, sv) \
+            * mp.power(one_minus_qx, -abs(sv))
+        state = [one_minus_qx / one_minus_q]  # [x+n]_q, advanced per call
 
         def term(_j: int) -> mpf:
-            bracket = (1 - state[0]) / one_minus_q
-            state[0] *= qv
+            bracket = state[0]
+            state[0] = 1 + qv * bracket
             return mp.power(bracket, -sv)
 
         return RealP(euler_transform(term, precision, variation=variation),
@@ -600,7 +605,7 @@ def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
     zq = ZetaQuery(s, RealP.from_rational(a_min, precision),
                    QBase(q, zeta_domain=True), precision)
     with mp.workdps(_working_digits(zq)):
-        shift = _shift(zq, period, len(residues), len(residues) - 1)
+        shift = _shift(zq, period, len(residues))
         sv = s.exact_value()
         wp = mp.prec + WORD_GUARD_BITS
         step_gap, step = to_mpf(1 - q ** period), to_mpf(q ** period)
@@ -614,8 +619,8 @@ def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
             if shift % 2:
                 part = -part
             if shift:
-                part += _head_sum(sv, to_mpf(1 - q ** a), to_mpf(q ** a),
-                                  step_gap, step, shift, wp)
+                part += _head_sum(sv, to_mpf(1 - q ** a), step_gap, step,
+                                  shift, wp)
             e = exponents[a]
             by_exponent[e] = by_exponent.get(e, 0) + (-part if a % 2
                                                       else part)

@@ -8,17 +8,20 @@ precision-P reals against the certified bound 10**-(P-10).
 Cells run one after another in canonical grid order, so the reports are
 deterministic apart from the elapsed_ms measurement.
 
-`run_suite` looks a suite up in SUITES at call time and passes it only the
-options that `_SUITE_OPTIONS` lists for it; it ignores the others.
+A suite's options are its keyword parameters, read from its signature
+when this module is imported (`_SUITE_OPTIONS`); the grids no option varies
+are the module constants below.  `run_suite` looks a suite up in SUITES at
+call time and passes it only its own options; it ignores the others.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, RealP,
                        format_rational, to_mpf, tolerance)
@@ -34,11 +37,16 @@ from .qzeta import ZetaQuery, partial_zeta, partial_zeta_special_value, \
 IDENTITY_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(3, 2), Fraction(5, 2))
 POLY_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
+POLY_X = 8
 DISTRIBUTION_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+DISTRIBUTION_X = 5
 ZETA_S = ("-3", "-2", "-1", "-1/2", "0", "1/2", "1", "2")
 ZETA_X = ("1/2", "1", "2", "7/2")
 ZETA_Q = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
 LFUNCTION_Q = (Fraction(1, 3), Fraction(1, 2))
+SPECIAL_N = 6
+PERIODS = (3, 5)
+MODULI = (3, 5)
 
 
 @dataclass
@@ -64,63 +72,39 @@ class VerificationReport:
         return asdict(self)
 
 
-def _exact_suite(name: str, grid: dict, cells, evaluate) -> VerificationReport:
-    """Run cells whose evaluator yields (inputs, lhs, rhs) Fractions."""
+def _run(name: str, grid: dict, cells, evaluate,
+         precision: int | None = None) -> VerificationReport:
+    """Run cells whose evaluator yields (inputs, lhs, rhs): exact Fractions
+    that must agree bit for bit when precision is None, else strings
+    followed by |lhs - rhs|, which must be within 10**-(P-10)."""
     start = time.perf_counter()
     outcomes = [evaluate(cell) for cell in cells]
-    failures = []
-    worst = Fraction(0)
-    for inputs, lhs, rhs in outcomes:
-        if lhs != rhs:
-            deviation = abs(lhs - rhs)
-            worst = max(worst, deviation)
-            failures.append({
-                "inputs": inputs,
-                "lhs": format_rational(lhs),
-                "rhs": format_rational(rhs),
-                "deviation": format_rational(deviation),
-            })
+    exact = precision is None
+    if exact:
+        outcomes = [(inputs, lhs, rhs, abs(lhs - rhs) if lhs != rhs else 0)
+                    for inputs, lhs, rhs in outcomes]
+    text = format_rational if exact else str
+    with mp.workdps(30 if exact else precision + GUARD_DIGITS):
+        bound = 0 if exact else tolerance(precision)
+        failures = [{"inputs": inputs, "lhs": text(lhs), "rhs": text(rhs),
+                     "deviation": text(deviation) if exact
+                     else mp.nstr(deviation, 10)}
+                    for inputs, lhs, rhs, deviation in outcomes
+                    if deviation > bound]
+        worst = max((outcome[3] for outcome in outcomes), default=0)
+        max_deviation = "exact" if exact and not failures else \
+            mp.nstr(to_mpf(worst) if exact else worst, 10)
     return VerificationReport(
         suite=name, grid=grid, cases_run=len(cells), failures=failures,
-        max_deviation="exact" if not failures else _decimal(worst),
+        max_deviation=max_deviation,
         elapsed_ms=int((time.perf_counter() - start) * 1000))
 
 
-def _numeric_suite(name: str, grid: dict, cells, evaluate,
-                   precision: int) -> VerificationReport:
-    """Run cells whose evaluator yields (inputs, lhs_str, rhs_str, |dev|)."""
-    start = time.perf_counter()
-    outcomes = [evaluate(cell) for cell in cells]
-    with mp.workdps(precision + GUARD_DIGITS):
-        bound = tolerance(precision)
-        failures = []
-        worst = mpf(0)
-        for inputs, lhs, rhs, deviation in outcomes:
-            worst = max(worst, deviation)
-            if deviation > bound:
-                failures.append({
-                    "inputs": inputs,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "deviation": mp.nstr(deviation, 10),
-                })
-        max_dev = mp.nstr(worst, 10)
-    return VerificationReport(
-        suite=name, grid=grid, cases_run=len(cells), failures=failures,
-        max_deviation=max_dev,
-        elapsed_ms=int((time.perf_counter() - start) * 1000))
-
-
-def _decimal(value: Fraction) -> str:
-    with mp.workdps(30):
-        return mp.nstr(to_mpf(value), 10)
-
-
-def _sum_suite(name: str, closed, direct, max_m: int, max_n: int,
-              qs) -> VerificationReport:
+def _sum_suite(name: str, closed, direct, max_m: int,
+              max_n: int) -> VerificationReport:
     """Power sums over (m, n, q): closed form vs brute force, exact."""
     cells = [(m, n, q) for m in range(1, max_m + 1)
-             for n in range(1, max_n + 1) for q in qs]
+             for n in range(1, max_n + 1) for q in IDENTITY_Q]
 
     def evaluate(cell):
         m, n, q = cell
@@ -129,29 +113,26 @@ def _sum_suite(name: str, closed, direct, max_m: int, max_n: int,
                 closed(m, n, base), direct(m, n, base))
 
     grid = {"m": [1, max_m], "n": [1, max_n],
-            "q": [format_rational(q) for q in qs]}
-    return _exact_suite(name, grid, cells, evaluate)
+            "q": [format_rational(q) for q in IDENTITY_Q]}
+    return _run(name, grid, cells, evaluate)
 
 
-def verify_thm3(max_m: int = 10, max_n: int = 20,
-                qs=IDENTITY_Q) -> VerificationReport:
+def verify_thm3(max_m: int = 10, max_n: int = 20) -> VerificationReport:
     """Alternating q-power sums: closed form vs brute force, exact."""
     return _sum_suite("thm3", alt_q_power_sum_closed, alt_q_power_sum,
-                      max_m, max_n, qs)
+                      max_m, max_n)
 
 
-def verify_weighted(max_m: int = 10, max_n: int = 20,
-                    qs=IDENTITY_Q) -> VerificationReport:
+def verify_weighted(max_m: int = 10, max_n: int = 20) -> VerificationReport:
     """Weighted alternating q-power sums: closed form vs brute force."""
     return _sum_suite("weighted", weighted_alt_q_power_sum_closed,
-                      weighted_alt_q_power_sum, max_m, max_n, qs)
+                      weighted_alt_q_power_sum, max_m, max_n)
 
 
-def verify_thm2(max_n: int = 10, max_x: int = 8,
-                qs=POLY_Q) -> VerificationReport:
+def verify_thm2(max_n: int = 10) -> VerificationReport:
     """The two q-Euler polynomial forms agree on exact inputs."""
     cells = [(n, x, q) for n in range(max_n + 1)
-             for x in range(max_x + 1) for q in qs]
+             for x in range(POLY_X + 1) for q in POLY_Q]
 
     def evaluate(cell):
         n, x, q = cell
@@ -160,16 +141,15 @@ def verify_thm2(max_n: int = 10, max_x: int = 8,
                 q_euler_poly(n, qp),
                 q_euler_poly_via_numbers(n, qp))
 
-    grid = {"n": [0, max_n], "x": [0, max_x],
-            "q": [format_rational(q) for q in qs]}
-    return _exact_suite("thm2", grid, cells, evaluate)
+    grid = {"n": [0, max_n], "x": [0, POLY_X],
+            "q": [format_rational(q) for q in POLY_Q]}
+    return _run("thm2", grid, cells, evaluate)
 
 
-def verify_thm4(max_m: int = 8, fs=(1, 3, 5), max_x: int = 5,
-                qs=DISTRIBUTION_Q) -> VerificationReport:
+def verify_thm4(max_m: int = 8, fs=(1, 3, 5)) -> VerificationReport:
     """Distribution relation: the f-part sum reproduces E_{m,q}(x)."""
     cells = [(m, f, x, q) for m in range(max_m + 1) for f in fs
-             for x in range(max_x + 1) for q in qs]
+             for x in range(DISTRIBUTION_X + 1) for q in DISTRIBUTION_Q]
 
     def evaluate(cell):
         m, f, x, q = cell
@@ -178,9 +158,9 @@ def verify_thm4(max_m: int = 8, fs=(1, 3, 5), max_x: int = 5,
                 distribution_sum(m, f, x, base),
                 q_euler_poly(m, QPower.from_integer(base, x)))
 
-    grid = {"m": [0, max_m], "f": list(fs), "x": [0, max_x],
-            "q": [format_rational(q) for q in qs]}
-    return _exact_suite("thm4", grid, cells, evaluate)
+    grid = {"m": [0, max_m], "f": list(fs), "x": [0, DISTRIBUTION_X],
+            "q": [format_rational(q) for q in DISTRIBUTION_Q]}
+    return _run("thm4", grid, cells, evaluate)
 
 
 def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
@@ -203,7 +183,7 @@ def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
 
     grid = {"exponent": [1, max_m], "k": [1, max_n],
             "sums": ["plain", "alt"]}
-    return _exact_suite("classical", grid, cells, evaluate)
+    return _run("classical", grid, cells, evaluate)
 
 
 def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
@@ -226,15 +206,14 @@ def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     grid = {"s": list(ZETA_S), "x": list(ZETA_X),
             "q": [format_rational(q) for q in ZETA_Q],
             "precision": precision}
-    return _numeric_suite("zeta", grid, cells, evaluate, precision)
+    return _run("zeta", grid, cells, evaluate, precision)
 
 
-def verify_partial_zeta(max_n: int = 6, periods=(3, 5), qs=LFUNCTION_Q,
-                        precision: int = DEFAULT_PRECISION
+def verify_partial_zeta(precision: int = DEFAULT_PRECISION
                         ) -> VerificationReport:
     """Partial zeta at negative integers vs its exact special value."""
-    cells = [(n, a, F, q) for n in range(1, max_n + 1) for F in periods
-             for a in range(1, F) for q in qs]
+    cells = [(n, a, F, q) for n in range(1, SPECIAL_N + 1) for F in PERIODS
+             for a in range(1, F) for q in LFUNCTION_Q]
 
     def evaluate(cell):
         n, a, F, q = cell
@@ -246,20 +225,20 @@ def verify_partial_zeta(max_n: int = 6, periods=(3, 5), qs=LFUNCTION_Q,
         return ({"n": n, "a": a, "F": F, "q": format_rational(q)},
                 numeric.digits(), format_rational(exact), deviation)
 
-    grid = {"n": [1, max_n], "F": list(periods),
-            "q": [format_rational(q) for q in qs], "precision": precision}
-    return _numeric_suite("partial-zeta", grid, cells, evaluate, precision)
+    grid = {"n": [1, SPECIAL_N], "F": list(PERIODS),
+            "q": [format_rational(q) for q in LFUNCTION_Q],
+            "precision": precision}
+    return _run("partial-zeta", grid, cells, evaluate, precision)
 
 
-def verify_lfunction(max_n: int = 6, moduli=(3, 5), qs=LFUNCTION_Q,
-                     precision: int = DEFAULT_PRECISION) -> VerificationReport:
+def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     """L-function at negative integers vs generalized numbers over 2."""
     cells = []
-    for d in moduli:
+    for d in MODULI:
         group = characters_mod(d)
         for index, chi in enumerate(group):
-            for n in range(max_n + 1):
-                for q in qs:
+            for n in range(SPECIAL_N + 1):
+                for q in LFUNCTION_Q:
                     cells.append((d, index, chi, n, q))
 
     def evaluate(cell):
@@ -277,9 +256,10 @@ def verify_lfunction(max_n: int = 6, moduli=(3, 5), qs=LFUNCTION_Q,
                  "q": format_rational(q)},
                 lhs.digits(), rhs_str, deviation)
 
-    grid = {"n": [0, max_n], "modulus": list(moduli),
-            "q": [format_rational(q) for q in qs], "precision": precision}
-    return _numeric_suite("lfunction", grid, cells, evaluate, precision)
+    grid = {"n": [0, SPECIAL_N], "modulus": list(MODULI),
+            "q": [format_rational(q) for q in LFUNCTION_Q],
+            "precision": precision}
+    return _run("lfunction", grid, cells, evaluate, precision)
 
 
 SUITES = {
@@ -294,24 +274,17 @@ SUITES = {
 }
 
 
-#: The options each suite takes, by the verify command's names: grid bounds
-#: for the exact suites, the certified precision for the real-valued ones.
-_SUITE_OPTIONS = {
-    "thm2": ("max_n",),
-    "thm3": ("max_m", "max_n"),
-    "thm4": ("max_m", "fs"),
-    "weighted": ("max_m", "max_n"),
-    "classical": ("max_m", "max_n"),
-    "zeta": ("precision",),
-    "partial-zeta": ("precision",),
-    "lfunction": ("precision",),
-}
+#: The options each suite takes: its keyword parameters, by the verify
+#: command's names.  Read once, so an entry later replaced in SUITES (by a
+#: wrapper taking **kwargs, say) still gets the options of its suite.
+_SUITE_OPTIONS = {name: tuple(inspect.signature(suite).parameters)
+                  for name, suite in SUITES.items()}
 
 
 def run_suite(name: str, **options) -> VerificationReport:
-    """Run SUITES[name] with the options `_SUITE_OPTIONS` lists for it that
-    are given and not None; the others are ignored, and the suite's
-    defaults fill in.  SUITES is read at call time, so replacing one of its
-    entries replaces the suite everywhere."""
+    """Run SUITES[name] with those of its options (its keyword parameters,
+    `_SUITE_OPTIONS`) that are given and not None; the others are ignored,
+    and the suite's defaults fill in.  SUITES is read at call time, so
+    replacing one of its entries replaces the suite everywhere."""
     return SUITES[name](**{key: options[key] for key in _SUITE_OPTIONS[name]
                            if options.get(key) is not None})

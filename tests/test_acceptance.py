@@ -71,7 +71,7 @@ def test_criterion_02_weighted_sums():
 
 def test_criterion_03_polynomial_forms():
     start = time.perf_counter()
-    suite = verify_thm2(max_n=10, max_x=8)
+    suite = verify_thm2(max_n=10)
     elapsed = time.perf_counter() - start
     ok = suite.passed and elapsed < 2
     report(3, "polynomial closed forms agree", ok, elapsed,
@@ -82,7 +82,7 @@ def test_criterion_03_polynomial_forms():
 
 def test_criterion_04_distribution_relation():
     start = time.perf_counter()
-    suite = verify_thm4(max_m=8, fs=(1, 3, 5), max_x=5)
+    suite = verify_thm4(max_m=8, fs=(1, 3, 5))
     half = QBase(Fraction(1, 2))
     from qeuler.qnumbers import distribution_sum
     anchor_lhs = distribution_sum(1, 3, 0, half)

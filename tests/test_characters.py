@@ -143,6 +143,14 @@ def test_generalized_numbers_mod3():
     assert generalized_q_euler(1, chi, Fraction(1, 2)) == Fraction(-4, 3)
 
 
+def test_generalized_numbers_validation():
+    chi = characters_mod(3)[1]
+    for n, q in ((-1, Fraction(1, 2)), (1, Fraction(1)),
+                 (1, Fraction(3, 2)), (1, Fraction(0)), (1, Fraction(-1, 2))):
+        with pytest.raises(DomainError):
+            generalized_q_euler(n, chi, q)
+
+
 def test_generalized_numbers_modulus_one_degenerate():
     chi = characters_mod(1)[0]
     for q in (Fraction(1, 3), Fraction(1, 2)):

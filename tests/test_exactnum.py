@@ -37,8 +37,11 @@ def test_iroot_degree_past_bit_length_returns_at_once():
 def test_rat_pow_examples():
     assert rat_pow(Fraction(1, 8), Fraction(1, 3)) == Fraction(1, 2)
     assert rat_pow(Fraction(1, 2), Fraction(-2)) == 4
-    with pytest.raises(NotExactPower):
+    with pytest.raises(NotExactPower, match=r"^\(1/2\)\*\*\(1/2\) is"):
         rat_pow(Fraction(1, 2), Fraction(1, 2))
+    # a base past the int-to-str digit limit still prints in the message
+    with pytest.raises(NotExactPower, match=r"^\(about 1.0e-5000\)\*\*"):
+        rat_pow(Fraction(1, 10 ** 5000), Fraction(1, 3))
 
 
 def test_rat_pow_rejects_nonpositive_base():

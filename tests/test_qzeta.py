@@ -331,9 +331,23 @@ def test_extreme_q_and_x_are_served_or_refused_cleanly():
         rest = value - bracket ** mpf(-0.5)  # -zeta(1/2, 1 + x)
         assert abs(rest + zeta(query("1/2", 1, Fraction(1, 2))).value) \
             < mpf(10) ** -40
+    # small x: CVZ took 1 - q^x from q^x, which cancelled (off by 3e-32 at
+    # x = 1e-40, a ZeroDivisionError at 1e-400); at q = 1e-5000, below the
+    # working digits, zeta took ln q as log1p(-1) = -inf and q^x as 0
+    for q in (Fraction(1, 2), Fraction(1, 10 ** 5000)):
+        for x in ("1e-40", "1e-60", "1e-400"):
+            zq = query("1/2", x, q)
+            with mp.workdps(P + GUARD_DIGITS + 200):
+                assert abs(zeta(zq).value - zeta_euler_transform(zq).value) \
+                    <= tolerance(P)
     # ln q itself below the float range: refused before summing
     with pytest.raises(DomainError, match="too close to 1"):
         zeta(query("1/2", 1, 1 - Fraction(1, 10 ** 400)))
+    # q past the int-to-str digit limit still prints in the refusal
+    with pytest.raises(DomainError, match="q = about 1.0 lies too close"):
+        zeta(query("1/2", 1, 1 - Fraction(1, 10 ** 5000)))
+    with pytest.raises(NonConvergence, match="at q = about 1.0e-5000,"):
+        zeta(query(-10 ** 400, 1, Fraction(1, 10 ** 5000)))
 
 
 def zeta_mpf_loop(zq):
@@ -587,6 +601,10 @@ def test_partial_zeta_validation():
     for q in (Fraction(3, 2), Fraction(-1, 2)):  # refused by its ZetaQuery
         with pytest.raises(DomainError):
             partial_zeta(s, 1, 3, QBase(q), P)
+    for n, q in ((0, Fraction(1, 2)), (-1, Fraction(1, 2)),
+                 (1, Fraction(1)), (1, Fraction(3, 2)), (1, Fraction(0))):
+        with pytest.raises(DomainError):
+            partial_zeta_special_value(n, 1, 3, q)
 
 
 def test_partial_zeta_special_value_anchors():

@@ -1,11 +1,21 @@
 """Verification suite plumbing: reports, grids, determinism."""
 
+import inspect
 import json
+from fractions import Fraction
 from math import comb
+from pathlib import Path
 
-from qeuler import qnumbers
-from qeuler.verify import (SUITES, run_suite, verify_thm2, verify_thm3,
-                           verify_zeta)
+import jsonschema
+from mpmath import mp, mpf
+
+from qeuler import cli, qnumbers, verify
+from qeuler.exactnum import GUARD_DIGITS, RealP
+from qeuler.verify import (SUITES, VerificationReport, _SUITE_OPTIONS,
+                           run_suite, verify_thm2, verify_thm3, verify_zeta)
+
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" \
+    / "verification-report.schema.json"
 
 
 def test_report_fields_and_passing():
@@ -64,3 +74,48 @@ def test_thm2_detects_a_wrong_kernel(monkeypatch):
         qnumbers._number.cache_clear()
     assert not report.passed
     assert len(report.failures) > report.cases_run // 2
+
+
+def test_suite_options_are_the_suites_keyword_parameters(monkeypatch):
+    # the options the verify command hands each suite
+    given = []
+
+    def record(name, **options):
+        given.append(set(options))
+        return VerificationReport(suite=name, grid={}, cases_run=0)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    assert cli.main(["verify", "--suite", "thm3"]) == 0
+    for name, suite in SUITES.items():
+        options = tuple(inspect.signature(suite).parameters)
+        assert options == _SUITE_OPTIONS[name]
+        assert set(options) <= given[0]
+    # a wrapper put in SUITES later still gets its suite's options
+    seen = {}
+    monkeypatch.setitem(SUITES, "thm4", lambda **kwargs: seen.update(kwargs))
+    run_suite("thm4", max_m=2, max_n=3, fs=None, precision=20)
+    assert seen == {"max_m": 2}
+
+
+def test_numeric_failure_is_recorded(monkeypatch, tmp_path, capsys):
+    # the CVZ route moved by 1e-30, past the bound 1e-40 at P = 50
+    cvz = verify.zeta_euler_transform
+
+    def moved(zq):
+        with mp.workdps(zq.precision + GUARD_DIGITS):
+            return RealP(cvz(zq).value + mpf(10) ** -30, zq.precision)
+
+    monkeypatch.setattr(verify, "zeta_euler_transform", moved)
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "zeta", "--report", str(path)]) == 2
+    assert "suite zeta: FAIL" in capsys.readouterr().out
+    reports = json.loads(path.read_text(encoding="utf-8"))
+    with open(SCHEMA, encoding="utf-8") as handle:
+        jsonschema.Draft202012Validator(json.load(handle)).validate(reports)
+    (report,) = reports
+    assert len(report["failures"]) == report["cases_run"] == 96
+    for failure in report["failures"]:
+        moved_by = Fraction(failure["rhs"]) - Fraction(failure["lhs"])
+        assert abs(moved_by - Fraction(1, 10 ** 30)) < Fraction(1, 10 ** 39)
+        assert abs(float(failure["deviation"]) - 1e-30) < 1e-39
+    assert float(report["max_deviation"]) > 1e-31
