@@ -12,6 +12,11 @@ Number tables are memoized; the recurrences run once, exactly, under a
 single writer lock, after which reads are lock-free.  The Euler numbers are
 the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
 gives the q-Euler numbers their route apart from the closed form.
+
+`euler_poly`, `power_sum_closed` and `alt_power_sum_closed` put their
+table of Euler or Bernoulli numbers over one common denominator
+(`_over_one_denominator`) and build the value as one integer Horner sum
+over one denominator, reduced once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError
 
@@ -76,14 +81,33 @@ def bernoulli_number(n: int) -> Fraction:
     return bernoulli_numbers(n)[n]
 
 
+def _over_one_denominator(numbers: list[Fraction]) -> tuple[list[int], int]:
+    """Integers c_i and one denominator D with numbers[i] = c_i / D, D the
+    least common multiple of their denominators."""
+    den = lcm(*(r.denominator for r in numbers))
+    return [r.numerator * (den // r.denominator) for r in numbers], den
+
+
+def _euler_poly_parts(n: int, x: Fraction) -> tuple[int, int]:
+    """E_n(x) as an unreduced numerator over a denominator.  With
+    E_k = e_k / D over one denominator and x = u/v, v^n D E_n(x) =
+    sum_k C(n,k) e_k v^k u^(n-k), one Horner sum in u."""
+    e, den = _over_one_denominator(euler_numbers(n))
+    u, v = x.numerator, x.denominator
+    acc, v_power = 0, 1
+    for k in range(n + 1):
+        acc = acc * u + comb(n, k) * e[k] * v_power
+        v_power *= v
+    return acc, den * v ** n
+
+
 def euler_poly(n: int, x: Fraction | int) -> Fraction:
-    """Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k).
+    """Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k), built as one
+    integer over one denominator and reduced once.
 
     Satisfies E_n(x) + E_n(x+1) = 2 x^n and E_n(0) = E_n.
     """
-    x = Fraction(x)
-    numbers = euler_numbers(n)
-    return sum(comb(n, k) * numbers[k] * x ** (n - k) for k in range(n + 1))
+    return Fraction(*_euler_poly_parts(n, Fraction(x)))
 
 
 def power_sum(n: int, k: int) -> Fraction:
@@ -93,12 +117,17 @@ def power_sum(n: int, k: int) -> Fraction:
 
 
 def power_sum_closed(n: int, k: int) -> Fraction:
-    """sum_{l=0}^{k-1} l^n via (1/(n+1)) sum_i C(n+1,i) B_i k^(n+1-i)."""
+    """sum_{l=0}^{k-1} l^n via (1/(n+1)) sum_i C(n+1,i) B_i k^(n+1-i).
+
+    With B_i = b_i / D over one denominator this is
+    k (sum_i C(n+1,i) b_i k^(n-i)) / ((n+1) D): one Horner sum in k,
+    reduced once."""
     _check_positive(n, k)
-    numbers = bernoulli_numbers(n)
-    acc = sum(comb(n + 1, i) * numbers[i] * Fraction(k) ** (n + 1 - i)
-              for i in range(n + 1))
-    return acc / (n + 1)
+    b, den = _over_one_denominator(bernoulli_numbers(n))
+    acc = 0
+    for i in range(n + 1):
+        acc = acc * k + comb(n + 1, i) * b[i]
+    return Fraction(acc * k, (n + 1) * den)
 
 
 def alt_power_sum(m: int, k: int) -> Fraction:
@@ -116,10 +145,10 @@ def alt_power_sum_closed(m: int, k: int) -> Fraction:
     direct sum.
     """
     _check_positive(m, k)
-    shifted = euler_poly(m, k)
+    shifted, den = _euler_poly_parts(m, Fraction(k))  # over D, as E_m
     if k % 2 == 0:
         shifted = -shifted
-    return (euler_number(m) + shifted) / 2
+    return Fraction(int(euler_number(m) * den) + shifted, 2 * den)
 
 
 def _check_positive(exponent: int, length: int) -> None:

@@ -15,10 +15,13 @@ in this module silently approximates.
 The star variants E*_{n,q} and E*_{n,q}(x) weight the alternating sum by
 q^l, shifting the denominators to 1+q^(j+1) and the prefactor to [2]_q.
 
-Everything is exact.  The kernel and the direct sums build each value as one
-integer numerator over one integer denominator and reduce it once into a
-Fraction, instead of reducing after every term.  Every closed-form identity
-has a brute-force partner it can be compared with bit for bit.
+Everything is exact.  Each value is built as one integer numerator over
+one integer denominator and reduced once into a Fraction, instead of
+reducing after every term: the kernel's values, the direct sums, the
+binomial form over its recurrence numbers (put over one common
+denominator), and the closed sums, which combine the kernel's unreduced
+numerator and denominator with E_{m,q} and q^n.  Every closed-form
+identity has a brute-force partner it can be compared with bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .classical import _euler_recurrence
+from .classical import _euler_recurrence, _over_one_denominator
 from .errors import DomainError
 from .exactnum import rat_pow
 
@@ -99,13 +102,20 @@ def q_int(k: int, q: QBase) -> Fraction:
 
 
 def _kernel(n: int, q: Fraction, t: Fraction | int, shift: int) -> Fraction:
+    """The kernel value (`_kernel_parts`), reduced."""
+    return Fraction(*_kernel_parts(n, q, t, shift))
+
+
+def _kernel_parts(n: int, q: Fraction, t: Fraction | int,
+                  shift: int) -> tuple[int, int]:
     """(1+q^shift) (1/(1-q))^n sum_{j<=n} C(n,j) (-1)^j t^j / (1+q^(j+shift)),
     the one sum behind all four closed forms: shift 0 (prefactor 2) gives
     E_{n,q}(x), shift 1 (prefactor [2]_q) gives E*_{n,q}(x), and t = 1
     gives the numbers.
 
-    Built in integers and reduced once.  With q = a/b and t = c/d in lowest
-    terms the value is (b^shift + a^shift) b^n / ((b-a)^n d^n) times
+    Built in integers, as one unreduced numerator over one denominator.
+    With q = a/b and t = c/d in lowest terms the value is
+    (b^shift + a^shift) b^n / ((b-a)^n d^n) times
     sum_j C(n,j) (-1)^j (bc)^j d^(n-j) / (b^(j+shift) + a^(j+shift)); the
     sum is kept as one numerator over the product of its denominators.
     """
@@ -125,8 +135,8 @@ def _kernel(n: int, q: Fraction, t: Fraction | int, shift: int) -> Fraction:
         pole_b *= b
         bc_power *= b * c
         d_power //= d
-    return Fraction((b ** shift + a ** shift) * b ** n * num,
-                    (b - a) ** n * d ** n * den)
+    return ((b ** shift + a ** shift) * b ** n * num,
+            (b - a) ** n * d ** n * den)
 
 
 @lru_cache(maxsize=NUMBER_CACHE_SIZE)
@@ -150,16 +160,24 @@ def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
     [x]_q = (1-t)/(1-q).  Agrees with q_euler_poly on every exact input;
     the sum is finite because C(n,k) kills all k > n.  The numbers come
     from their recurrence (`classical._euler_recurrence`), never from the
-    kernel, so the two forms check each other's 1/(1+q^j)."""
+    kernel, so the two forms check each other's 1/(1+q^j).
+
+    Built in integers and reduced once.  With E_{k,q} = e_k / D over one
+    denominator, t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for
+    q = a/b), the value is sum_k C(n,k) e_k (ch)^k (gd)^(n-k) over
+    D (dh)^n, one Horner sum in gd.
+    """
     qq = qp.base.q
-    numbers = _euler_recurrence(n, qq)
-    bracket_x = (1 - qp.t) / (1 - qq)
-    total = Fraction(0)
-    t_power = Fraction(1)
+    e, den = _over_one_denominator(_euler_recurrence(n, qq))
+    a, b = qq.numerator, qq.denominator
+    c, d = qp.t.numerator, qp.t.denominator
+    g, h = b * (d - c), d * (b - a)
+    gd, ch = g * d, c * h
+    acc, ch_power = 0, 1
     for k in range(n + 1):
-        total += comb(n, k) * t_power * numbers[k] * bracket_x ** (n - k)
-        t_power *= qp.t
-    return total
+        acc = acc * gd + comb(n, k) * e[k] * ch_power
+        ch_power *= ch
+    return Fraction(acc, den * (d * h) ** n)
 
 
 def q_euler_star_number(n: int, q: QBase) -> Fraction:
@@ -204,16 +222,25 @@ def _direct_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
 def _closed_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
     """(E_{m,q} + (-1)^(n+1) q^(shift*n) E_{m,q}(n)) / (1+q^shift), star
     numbers and polynomials at shift 1: splitting the generating function
-    at l = n puts (-1)^(n+1) and the weight q^(shift*n) on the tail."""
+    at l = n puts (-1)^(n+1) and the weight q^(shift*n) on the tail.
+
+    The kernel's unreduced E_{m,q}(n) = N/M (`_kernel_parts`), the number
+    E_{m,q} = e/f, q^(shift*n) = (a/b)^(shift*n) and
+    1 + q^shift = (b^shift + a^shift)/b^shift make one numerator over one
+    denominator, reduced once."""
     _check_sum_args(m, n)
     qq = q.q
-    t = qq ** n
-    shifted = _kernel(m, qq, t, shift)
+    a, b = qq.numerator, qq.denominator
+    num, den = _kernel_parts(m, qq, qq ** n, shift)
     if shift:
-        shifted *= t
+        num, den = num * a ** n, den * b ** n
     if n % 2 == 0:
-        shifted = -shifted
-    return (_number(m, qq, shift) + shifted) / (1 + qq ** shift)
+        num = -num
+    number = _number(m, qq, shift)
+    e, f = number.numerator, number.denominator
+    b_shift = b ** shift
+    return Fraction((e * den + num * f) * b_shift,
+                    f * den * (b_shift + a ** shift))
 
 
 def alt_q_power_sum(m: int, n: int, q: QBase) -> Fraction:

@@ -45,9 +45,13 @@ truncation at s = -n.
 
 Both zeta routes sum in integer fixed point: each term is a Python int at
 a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
-the final integer.  Their terms reach V = (1-q)^s (1-q^x)^(-|s|) in size, so
-both work at P + GUARD_DIGITS + ceil(log10 V) digits (`cancellation_digits`)
-and certify 10**-(P-10) even where the terms cancel.
+the final integer.  CVZ's terms are made in integers too wherever 2s is an
+integer: its brackets [x+n]_q are ints at a few more bits, raised by binary
+powering and `math.isqrt` (`_bracket_powers`); other s take one mp.power
+of the bracket per term.  Their terms reach V = (1-q)^s (1-q^x)^(-|s|) in
+size, so both work at P + GUARD_DIGITS + ceil(log10 V) digits
+(`cancellation_digits`) and certify 10**-(P-10) even where the terms
+cancel.
 """
 
 from __future__ import annotations
@@ -483,7 +487,7 @@ def _cvz_weights(count: int) -> tuple[int, Iterator[int]]:
     return d, weights()
 
 
-def euler_transform(terms: Callable[[int], mpf], precision: int,
+def euler_transform(terms: Callable[[int], int], precision: int,
                     variation=1) -> mpf:
     """Abel value of sum_{n>=0} (-1)^n a_n by the convergence acceleration
     of Cohen, Rodriguez Villegas and Zagier (CVZ), "Convergence
@@ -495,21 +499,23 @@ def euler_transform(terms: Callable[[int], mpf], precision: int,
     error of at most 2 * variation / (3 + sqrt 8)^n.  The term count n is
     fixed before summing as the least one that brings this bound to
     10**-(P+15), and `terms(j)` is called once for each j < n in increasing
-    order, in constant memory.  The weights are exact integers and each
-    term is taken to a fixed binary point of mp.prec + WORD_GUARD_BITS
-    bits, so the sum is one integer and one mpf is built from it.  The
-    caller must already hold the working-precision context, which must
-    carry the digits of `variation` (see `cancellation_digits`).  Raises
+    order, in constant memory.  Each call returns a_j as an int at the
+    binary point wp = mp.prec + WORD_GUARD_BITS (a_j * 2**wp, rounded by
+    the caller); the weights are exact integers whose ratios to d lie in
+    [0, 1], so n terms each within u units of 2**-wp leave the sum within
+    n u of them, and one mpf is built from the integer sum.  The caller
+    must already hold the working-precision context, which must carry the
+    digits of `variation` (see `cancellation_digits`).  Raises
     NonConvergence, before summing, when n exceeds its count at the largest
     variation `cancellation_digits` admits, 10**MAX_CANCELLATION_DIGITS.
     """
-    def terms_for(bound) -> int:
-        return max(0, int(mp.ceil(((precision + 15) * mp.log(10)
-                                   + mp.log(2 * bound))
-                                  / mp.log(3 + mp.sqrt(8)))))
+    def terms_for(log_bound: float) -> int:
+        return max(0, math.ceil(((precision + 15) * math.log(10)
+                                 + math.log(2) + log_bound)
+                                / math.log(3 + math.sqrt(8))))
 
-    count = terms_for(variation)
-    cap = terms_for(mpf(10) ** MAX_CANCELLATION_DIGITS)
+    count = terms_for(float(mp.log(variation)))
+    cap = terms_for(MAX_CANCELLATION_DIGITS * math.log(10))
     if count > cap:
         raise NonConvergence(
             f"CVZ summation needs {count} terms, more than its cap of {cap}")
@@ -517,8 +523,61 @@ def euler_transform(terms: Callable[[int], mpf], precision: int,
     d, weights = _cvz_weights(count)
     total = 0
     for k, c in enumerate(weights):
-        total += c * _to_fixed(terms(k), wp)
+        total += c * terms(k)
     return _from_fixed(total // d, wp)
+
+
+def _bracket_powers(s: mpf, x: RealP, q: Fraction,
+                    wp: int) -> tuple[mpf, Callable[[int], int]]:
+    """[x]_q and the terms [x+n]_q^(-s), n = 0, 1, ..., of the raw zeta
+    series as ints at binary point wp, for one call each in increasing n.
+
+    The bracket [x+n]_q is an int at the binary point wb = wp + extra: it
+    starts from [x]_q = -expm1(x ln q)/(1-q), taken to wb bits, and steps
+    [x+n+1]_q = 1 + q [x+n]_q with the exact q = a/c, rounding down once a
+    step, so it is at most n + 2 units of 2**-wb low.  When 2s is an
+    integer the power is taken in integers at wb, every product rounded
+    down: binary powering of the base [x+n]_q for s <= 0, or of its
+    inverse for s > 0 (inverted first, never raised and then inverted),
+    times the `math.isqrt` root of the base when 2s is odd.  Every other s
+    takes mp.power of the bracket rounded to the context's precision.
+
+    An absolute error in the bracket is a relative one at most 1/[x]_q
+    times larger, since [x]_q is the least bracket, and b^(-s) multiplies
+    a relative error by |s|, so extra = ceil(log2(1/[x]_q)) +
+    bit_length(|s|) + 8 bits, and one more for log2 [x]_q, which is taken
+    in floats from `_log_gap`.  Term n is then within
+    max(1, V) (n + 5) 2**-(wp+8) + 2**-wp of its value, V >= |term| being
+    the variation bound of `zeta_euler_transform`.
+    """
+    log2_first = _log_gap(q, x.value) / math.log(2)  # log2 [x]_q
+    extra = max(0, math.ceil(-log2_first)) + max(0, mp.mag(s)) + 9
+    wb = wp + extra
+    with mp.workprec(wb + max(0, math.ceil(log2_first)) + 8):
+        first = -mp.expm1(x.exact_value() * _ln(q)) / to_mpf(1 - q)
+        b = _to_fixed(first, wb)
+    one, a, c = 1 << wb, q.numerator, q.denominator
+    twice = 2 * s
+    exponent = int(twice) if mp.isint(twice) else None  # 2s
+    whole, half = divmod(abs(exponent or 0), 2)
+    digits = bin(whole)[3:] if whole else ""
+
+    def term(_n: int) -> int:
+        nonlocal b
+        bracket, b = b, one + b * a // c
+        if exponent is None:
+            return _to_fixed(mp.power(_from_fixed(bracket, wb), -s), wp)
+        base = (one << wb) // bracket if exponent > 0 else bracket
+        value = base if whole else one
+        for digit in digits:  # binary powering, left to right
+            value = value * value >> wb
+            if digit == "1":
+                value = value * base >> wb
+        if half:
+            value = value * math.isqrt(base << wb) >> wb
+        return value >> extra
+
+    return first, term
 
 
 def zeta_euler_transform(zq: ZetaQuery) -> RealP:
@@ -528,29 +587,23 @@ def zeta_euler_transform(zq: ZetaQuery) -> RealP:
 
     The terms [n+x]_q^(-s) = (1-q)^s sum_j C(s+j-1,j) q^(xj) (q^j)^n are
     the moments of a signed measure on (0, 1] whose total variation is at
-    most V = (1-q)^s (1-q^x)^(-|s|), since |C(s+j-1,j)| <= (|s|)_j / j! for
-    every real s.  Works at P + GUARD_DIGITS + `cancellation_digits`, with
-    s and x taken from their exact rationals when they have them.  The
-    brackets take no difference of near-equal numbers, for small x or q
-    near 1: [x]_q = -expm1(x ln q)/(1-q), then [x+n+1]_q = 1 + q [x+n]_q,
-    and V takes its 1 - q^x from the first.
+    most V = (1-q)^s (1-q^x)^(-|s|) = (1-q)^(s-|s|) [x]_q^(-|s|), since
+    |C(s+j-1,j)| <= (|s|)_j / j! for every real s.  Works at
+    P + GUARD_DIGITS + `cancellation_digits`, with s and x taken from their
+    exact rationals when they have them.  The brackets take no difference
+    of near-equal numbers, for small x or q near 1:
+    [x]_q = -expm1(x ln q)/(1-q), then [x+n+1]_q = 1 + q [x+n]_q.  The
+    terms are ints at the binary point of `euler_transform`, computed in
+    integers wherever 2s is an integer (`_bracket_powers`, which states the
+    bracket's extra bits and the rounding bound).
     """
     precision = zq.precision
     with mp.workdps(_working_digits(zq)):
-        q = zq.q.q
-        qv, one_minus_q = to_mpf(q), to_mpf(1 - q)
-        sv, xv = zq.s.exact_value(), zq.x.exact_value()
-        one_minus_qx = -mp.expm1(xv * _ln(q))
-        variation = mp.power(one_minus_q, sv) \
-            * mp.power(one_minus_qx, -abs(sv))
-        state = [one_minus_qx / one_minus_q]  # [x+n]_q, advanced per call
-
-        def term(_j: int) -> mpf:
-            bracket = state[0]
-            state[0] = 1 + qv * bracket
-            return mp.power(bracket, -sv)
-
-        return RealP(euler_transform(term, precision, variation=variation),
+        q, sv = zq.q.q, zq.s.exact_value()
+        first, terms = _bracket_powers(sv, zq.x, q, mp.prec + WORD_GUARD_BITS)
+        variation = mp.power(to_mpf(1 - q), sv - abs(sv)) \
+            * mp.power(first, -abs(sv))
+        return RealP(euler_transform(terms, precision, variation=variation),
                      precision)
 
 

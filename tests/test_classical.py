@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qeuler import classical
 from qeuler.classical import (alt_power_sum, alt_power_sum_closed,
                               bernoulli_number, euler_number, euler_poly,
                               power_sum, power_sum_closed)
@@ -154,3 +155,18 @@ def test_power_sum_recurrence(n, k):
 def test_alt_power_sum_recurrence(m, k):
     step = Fraction(k) ** m if k % 2 == 0 else -Fraction(k) ** m
     assert alt_power_sum(m, k + 1) - alt_power_sum(m, k) == step
+
+
+def test_closed_forms_never_call_the_direct_sums(monkeypatch):
+    cells = [(n, k) for n in (1, 2, 5, 12, 30) for k in (1, 2, 7, 50)]
+    expected = [(power_sum(*cell), alt_power_sum(*cell)) for cell in cells]
+
+    def refuse(*_args):
+        raise AssertionError("the closed forms must not use the direct sums")
+
+    monkeypatch.setattr(classical, "power_sum", refuse)
+    monkeypatch.setattr(classical, "alt_power_sum", refuse)
+    with pytest.raises(AssertionError):
+        classical.power_sum(2, 3)
+    assert [(power_sum_closed(*cell), alt_power_sum_closed(*cell))
+            for cell in cells] == expected

@@ -176,12 +176,27 @@ def test_direct_sums_never_call_the_kernel(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the direct sums must not use the closed form")
 
-    monkeypatch.setattr(qnumbers, "_kernel", refuse)
-    monkeypatch.setattr(qnumbers, "_number", refuse)
+    for name in ("_kernel", "_kernel_parts", "_number"):
+        monkeypatch.setattr(qnumbers, name, refuse)
     with pytest.raises(AssertionError):
         alt_q_power_sum_closed(2, 3, HALF)
     assert [(alt_q_power_sum(*cell), weighted_alt_q_power_sum(*cell))
             for cell in cells] == expected
+
+
+def test_via_numbers_never_calls_the_kernel(monkeypatch):
+    cells = [(n, QPower(QBase(q), t)) for q in IDENTITY_Q + [Fraction(-2, 3)]
+             for t in (1, q ** 2, Fraction(11, 7)) for n in (0, 1, 6, 13)]
+    expected = [q_euler_poly(*cell) for cell in cells]
+
+    def refuse(*_args):
+        raise AssertionError("the binomial form must not use the kernel")
+
+    for name in ("_kernel", "_kernel_parts", "_number"):
+        monkeypatch.setattr(qnumbers, name, refuse)
+    with pytest.raises(AssertionError):
+        q_euler_poly(2, QPower(HALF, Fraction(1, 2)))
+    assert [q_euler_poly_via_numbers(*cell) for cell in cells] == expected
 
 
 def test_number_cache_stays_bounded():

@@ -99,19 +99,26 @@ def test_dual_route_subgrid():
             assert abs(a.value - b.value) <= tolerance(P)
 
 
+def fixed_terms(terms):
+    """mpf terms as ints at the binary point `euler_transform` reads."""
+    wp = mp.prec + qzeta.WORD_GUARD_BITS
+    return lambda j: qzeta._to_fixed(terms(j), wp)
+
+
 def test_euler_transform_known_values():
     with mp.workdps(40):
         # sum (-1)^n x^n = 1/(1+x) at x = 1/3
-        value = euler_transform(lambda j: mpf(3) ** (-j), 20)
+        value = euler_transform(fixed_terms(lambda j: mpf(3) ** (-j)), 20)
         assert abs(value - mpf(3) / 4) < mpf(10) ** -20
         # Grandi's series sums to 1/2
-        value = euler_transform(lambda j: mpf(1), 20)
+        value = euler_transform(fixed_terms(lambda j: mpf(1)), 20)
         assert abs(value - mpf("0.5")) < mpf(10) ** -20
 
 
 def test_euler_transform_nonconvergence():
     calls = []
 
+    @fixed_terms
     def term(j):
         calls.append(j)
         return mpf(1)
@@ -397,39 +404,48 @@ def euler_transform_mpf_loop(terms, precision, variation=1):
     return total / d
 
 
+def raw_series_mpf_terms(zq):
+    """Oracle terms: [x+n]_q^(-s) as mp.power of the bracket
+    (1 - q^x q^n)/(1-q), built in mpf from the exact s and x, in the
+    caller's context."""
+    sv = zq.s.exact_value()
+    qv = to_mpf(zq.q.q)
+    qx = mp.power(qv, zq.x.exact_value())
+    return lambda n: mp.power((1 - qx * qv ** n) / (1 - qv), -sv)
+
+
 @pytest.mark.parametrize("precision", (20, 50, 100))
 def test_fixed_point_loops_match_mpf_loops(precision, monkeypatch):
     # each oracle runs in the same working digits as the code; the CVZ
-    # oracle is fed the same term values as the integer weights
-    pairs = []
+    # oracle builds its own terms, and the extra cells reach every branch
+    # of the integer term power (integer, half-integer and other s) and a
+    # bracket [1/99]_q far below 1
+    variations = []
     real = qzeta.euler_transform
 
-    def both(terms, precision, variation=1):
-        memo = {}
+    def spy(terms, precision, variation=1):
+        variations.append(variation)
+        return real(terms, precision, variation)
 
-        def once(k):
-            if k not in memo:
-                memo[k] = terms(k)
-            return memo[k]
-
-        value = real(once, precision, variation)
-        pairs.append((value, euler_transform_mpf_loop(once, precision,
-                                                      variation)))
-        return value
-
-    monkeypatch.setattr(qzeta, "euler_transform", both)
-    for s in ZETA_S + ("7/3", "-13/4", "16", "-16"):
-        for x in ZETA_X:
-            for q in ZETA_Q:
-                zq = query(s, x, q, precision)
-                zeta_euler_transform(zq)
-                digits = precision + GUARD_DIGITS + cancellation_digits(
-                    q, zq.s.value, zq.x.value)
-                with mp.workdps(digits):
+    monkeypatch.setattr(qzeta, "euler_transform", spy)
+    continuation = [(s, x) for s in ZETA_S + ("7/3", "-13/4", "16", "-16")
+                    for x in ZETA_X]
+    raw_only = [(s, x) for s in ("-201/2", "40") for x in ZETA_X] \
+        + [(s, "1/99") for s in ZETA_S + ("7/3", "-13/4", "16", "-16",
+                                          "-201/2", "40")]
+    for s, x in continuation + raw_only:
+        for q in ZETA_Q:
+            zq = query(s, x, q, precision)
+            got = zeta_euler_transform(zq).value
+            digits = precision + GUARD_DIGITS + cancellation_digits(
+                q, zq.s.value, zq.x.value)
+            with mp.workdps(digits):
+                want = euler_transform_mpf_loop(raw_series_mpf_terms(zq),
+                                                precision, variations[-1])
+                assert abs(got - want) <= tolerance(precision)
+                if (s, x) in continuation:
                     want = zeta_mpf_loop(zq)
                     got = zeta(zq).value
-                    assert abs(got - want) <= tolerance(precision)
-                    got, want = pairs[-1]
                     assert abs(got - want) <= tolerance(precision)
 
 
@@ -536,6 +552,30 @@ def test_inputs_keep_their_exact_rationals():
             assert abs(value - want.value) <= tolerance(P)
     assert RealP.from_rational("1/99", P).exact == Fraction(1, 99)
     assert RealP(mpf(1), P).exact is None
+
+
+def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
+    # every branch of the term power (integer, half-integer and other s)
+    # and a bracket far below 1, against the continuation at P + 100
+    cells = (("-3", "1", Fraction(1, 2)), ("-1/2", "1/2", Fraction(4, 5)),
+             ("1/2", "7/2", Fraction(1, 5)), ("7/3", "1", Fraction(1, 2)),
+             ("-13/4", "2", Fraction(4, 5)), ("40", "1/99", Fraction(1, 2)),
+             ("-201/2", "1", Fraction(4, 5)))
+    wide = P + 100
+    want = [zeta(query(s, x, q, wide)).value for s, x, q in cells]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("CVZ must not use the continuation series")
+
+    for name in ("_continuation_terms", "_continuation_sums", "_head_sum",
+                 "_shift"):
+        monkeypatch.setattr(qzeta, name, refuse)
+    with pytest.raises(AssertionError):
+        zeta(query("1/2", 1, Fraction(1, 2)))
+    with mp.workdps(wide + GUARD_DIGITS + 200):  # |values| up to 10^160
+        for (s, x, q), value in zip(cells, want):
+            got = zeta_euler_transform(query(s, x, q)).value
+            assert abs(got - value) <= tolerance(P)
 
 
 def test_cancellation_digits():
