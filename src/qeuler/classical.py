@@ -13,8 +13,8 @@ single writer lock, after which reads are lock-free.  The Euler numbers are
 the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
 gives the q-Euler numbers their route apart from the closed form.
 
-`euler_poly`, `power_sum_closed` and `alt_power_sum_closed` put their
-table of Euler or Bernoulli numbers over one common denominator
+`euler_poly` and `power_sum_closed` (and so `alt_power_sum_closed`) put
+their table of Euler or Bernoulli numbers over one common denominator
 (`_over_one_denominator`) and build the value as one integer Horner sum
 over one denominator, reduced once.
 """
@@ -88,26 +88,21 @@ def _over_one_denominator(numbers: list[Fraction]) -> tuple[list[int], int]:
     return [r.numerator * (den // r.denominator) for r in numbers], den
 
 
-def _euler_poly_parts(n: int, x: Fraction) -> tuple[int, int]:
-    """E_n(x) as an unreduced numerator over a denominator.  With
+def euler_poly(n: int, x: Fraction | int) -> Fraction:
+    """Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k).
+
+    Satisfies E_n(x) + E_n(x+1) = 2 x^n and E_n(0) = E_n.  With
     E_k = e_k / D over one denominator and x = u/v, v^n D E_n(x) =
-    sum_k C(n,k) e_k v^k u^(n-k), one Horner sum in u."""
+    sum_k C(n,k) e_k v^k u^(n-k): one Horner sum in u, reduced once.
+    """
+    x = Fraction(x)
     e, den = _over_one_denominator(euler_numbers(n))
     u, v = x.numerator, x.denominator
     acc, v_power = 0, 1
     for k in range(n + 1):
         acc = acc * u + comb(n, k) * e[k] * v_power
         v_power *= v
-    return acc, den * v ** n
-
-
-def euler_poly(n: int, x: Fraction | int) -> Fraction:
-    """Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k), built as one
-    integer over one denominator and reduced once.
-
-    Satisfies E_n(x) + E_n(x+1) = 2 x^n and E_n(0) = E_n.
-    """
-    return Fraction(*_euler_poly_parts(n, Fraction(x)))
+    return Fraction(acc, den * v ** n)
 
 
 def power_sum(n: int, k: int) -> Fraction:
@@ -145,10 +140,10 @@ def alt_power_sum_closed(m: int, k: int) -> Fraction:
     direct sum.
     """
     _check_positive(m, k)
-    shifted, den = _euler_poly_parts(m, Fraction(k))  # over D, as E_m
+    shifted = euler_poly(m, k)
     if k % 2 == 0:
         shifted = -shifted
-    return Fraction(int(euler_number(m) * den) + shifted, 2 * den)
+    return (euler_number(m) + shifted) / 2
 
 
 def _check_positive(exponent: int, length: int) -> None:

@@ -501,11 +501,11 @@ def euler_transform(terms: Callable[[int], int], precision: int,
     10**-(P+15), and `terms(j)` is called once for each j < n in increasing
     order, in constant memory.  Each call returns a_j as an int at the
     binary point wp = mp.prec + WORD_GUARD_BITS (a_j * 2**wp, rounded by
-    the caller); the weights are exact integers whose ratios to d lie in
-    [0, 1], so n terms each within u units of 2**-wp leave the sum within
-    n u of them, and one mpf is built from the integer sum.  The caller
-    must already hold the working-precision context, which must carry the
-    digits of `variation` (see `cancellation_digits`).  Raises
+    the caller); the weights are exact integers c_k over one integer d,
+    with |c_k| <= d, so n terms each within u units of 2**-wp leave the
+    sum within n u units, and one mpf is built from the integer sum.  The caller must already
+    hold the working-precision context, which must carry the digits of
+    `variation` (see `cancellation_digits`).  Raises
     NonConvergence, before summing, when n exceeds its count at the largest
     variation `cancellation_digits` admits, 10**MAX_CANCELLATION_DIGITS.
     """

@@ -572,7 +572,7 @@ def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
         monkeypatch.setattr(qzeta, name, refuse)
     with pytest.raises(AssertionError):
         zeta(query("1/2", 1, Fraction(1, 2)))
-    with mp.workdps(wide + GUARD_DIGITS + 200):  # |values| up to 10^160
+    with mp.workdps(wide + GUARD_DIGITS + 200):  # |values| below 10^200
         for (s, x, q), value in zip(cells, want):
             got = zeta_euler_transform(query(s, x, q)).value
             assert abs(got - value) <= tolerance(P)
