@@ -26,8 +26,8 @@ from operator import mul
 from mpmath import mp, mpc
 
 from .errors import DomainError
-from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP, to_mpf
-from .qnumbers import QBase, QPower, q_euler_poly, q_int
+from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP
+from .qnumbers import QBase, _distribution_terms
 from .qzeta import _residue_sum, _root_sum
 
 
@@ -140,37 +140,45 @@ def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
                  for index in range(prod(phis)))
 
 
+def _generalized_parts(n: int, chi: DirichletCharacter,
+                       q: Fraction) -> tuple[dict[int, int], int]:
+    """Integers c_e and one denominator D with
+
+        E_{n,chi,q} = sum_e (c_e / D) exp(2 pi i e / m),
+
+    m the order of chi: c_e / D sums (-1)^a [d]_q^n E_{n,q^d}(a/d) over the
+    units a with exponent e, every term over the one denominator of
+    `qnumbers._distribution_terms`.  Nothing is reduced."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise DomainError("requires rational q in (0, 1)")
+    units = [a for a, e in enumerate(chi.exponents) if e is not None]
+    nums, den = _distribution_terms(n, q, chi.modulus, units)
+    coefficients: dict[int, int] = {}
+    for a, num in zip(units, nums):
+        e = chi.exponents[a]
+        coefficients[e] = coefficients.get(e, 0) + (-num if a % 2 else num)
+    return coefficients, den
+
+
 def generalized_q_euler(n: int, chi: DirichletCharacter, q: Fraction,
                         precision: int = DEFAULT_PRECISION):
     """Generalized q-Euler number attached to chi:
 
         E_{n,chi,q} = [d]_q^n sum_{a<d} chi(a) (-1)^a E_{n,q^d}(a/d),
 
-    each inner polynomial evaluated exactly through t = q^a.  Real
-    characters give an exact Fraction; otherwise the exact root-of-unity
+    each inner polynomial evaluated exactly through t = q^a, all of them
+    over one denominator (`_generalized_parts`).  Real characters give an
+    exact Fraction, reduced once; otherwise the exact root-of-unity
     coefficients are materialized into an mpmath complex at `precision`.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("requires rational q in (0, 1)")
-    d = chi.modulus
-    base_d = QBase(q ** d)
-    coefficients: dict[int, Fraction] = {}
-    for a in range(d):
-        e = chi.exponents[a]
-        if e is None:
-            continue
-        term = q_euler_poly(n, QPower(base_d, q ** a, Fraction(a, d)))
-        if a % 2:
-            term = -term
-        coefficients[e] = coefficients.get(e, Fraction(0)) + term
-    scale = q_int(d, QBase(q)) ** n
+    coefficients, den = _generalized_parts(n, chi, q)
     with mp.workdps(precision + GUARD_DIGITS):
         total = _root_sum(coefficients, chi.order)
-        return total * to_mpf(scale) if isinstance(total, mpc) \
-            else scale * total
+        return total / den if isinstance(total, mpc) \
+            else Fraction(total, den)
 
 
 def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
@@ -192,4 +200,4 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
     F = chi.modulus
     exponents = {a: chi.exponents[a % F] for a in range(1, F + 1)
                  if chi.exponents[a % F] is not None}
-    return _residue_sum(s, exponents, chi.order, F, q.q, precision)
+    return _residue_sum(s, exponents, chi.order, F, q, precision)

@@ -13,10 +13,11 @@ single writer lock, after which reads are lock-free.  The Euler numbers are
 the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
 gives the q-Euler numbers their route apart from the closed form.
 
-`euler_poly` and `power_sum_closed` (and so `alt_power_sum_closed`) put
+`euler_poly` and `power_sum_closed` (and so `alt_power_sum_closed`) take
 their table of Euler or Bernoulli numbers over one common denominator
-(`_over_one_denominator`) and build the value as one integer Horner sum
-over one denominator, reduced once.
+(`_over_one_denominator`, built once per n and kept in bounded caches)
+and build the value as one integer Horner sum over one denominator,
+reduced once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .errors import DomainError
 
 _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
+
+#: Most tables over one denominator (`_over_one_denominator`) kept in
+#: memory, of each kind: Euler or q-Euler numbers per (n, q), Bernoulli
+#: numbers per n.
+TABLE_CACHE_SIZE = 1024
 
 
 def _extend(table: list[Fraction], n_max: int, step) -> list[Fraction]:
@@ -81,11 +87,26 @@ def bernoulli_number(n: int) -> Fraction:
     return bernoulli_numbers(n)[n]
 
 
-def _over_one_denominator(numbers: list[Fraction]) -> tuple[list[int], int]:
+def _over_one_denominator(numbers: list[Fraction]
+                          ) -> tuple[tuple[int, ...], int]:
     """Integers c_i and one denominator D with numbers[i] = c_i / D, D the
     least common multiple of their denominators."""
     den = lcm(*(r.denominator for r in numbers))
-    return [r.numerator * (den // r.denominator) for r in numbers], den
+    return tuple(r.numerator * (den // r.denominator) for r in numbers), den
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _euler_over_one_denominator(n: int, q: Fraction | int
+                                ) -> tuple[tuple[int, ...], int]:
+    """E_{0,q}..E_{n,q} of `_euler_recurrence` over one denominator (the
+    Euler numbers at q = 1)."""
+    return _over_one_denominator(_euler_recurrence(n, q))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _bernoulli_over_one_denominator(n: int) -> tuple[tuple[int, ...], int]:
+    """B_0..B_n over one denominator."""
+    return _over_one_denominator(bernoulli_numbers(n))
 
 
 def euler_poly(n: int, x: Fraction | int) -> Fraction:
@@ -96,7 +117,7 @@ def euler_poly(n: int, x: Fraction | int) -> Fraction:
     sum_k C(n,k) e_k v^k u^(n-k): one Horner sum in u, reduced once.
     """
     x = Fraction(x)
-    e, den = _over_one_denominator(euler_numbers(n))
+    e, den = _euler_over_one_denominator(n, 1)
     u, v = x.numerator, x.denominator
     acc, v_power = 0, 1
     for k in range(n + 1):
@@ -118,7 +139,7 @@ def power_sum_closed(n: int, k: int) -> Fraction:
     k (sum_i C(n+1,i) b_i k^(n-i)) / ((n+1) D): one Horner sum in k,
     reduced once."""
     _check_positive(n, k)
-    b, den = _over_one_denominator(bernoulli_numbers(n))
+    b, den = _bernoulli_over_one_denominator(n)
     acc = 0
     for i in range(n + 1):
         acc = acc * k + comb(n + 1, i) * b[i]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DomainError, NotExactPower
 
@@ -32,9 +33,10 @@ DEFAULT_PRECISION = 50
 
 
 def to_mpf(value: Fraction | int) -> mpf:
-    """Exact rational -> mpf at the current working precision."""
-    fr = Fraction(value)
-    return mpf(fr.numerator) / mpf(fr.denominator)
+    """Exact rational -> mpf at the current working precision, rounded once
+    to nearest."""
+    return mp.make_mpf(from_rational(value.numerator, value.denominator,
+                                     mp.prec, round_nearest))
 
 
 def tolerance(precision: int) -> mpf:

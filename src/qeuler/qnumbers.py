@@ -19,9 +19,11 @@ Everything is exact.  Each value is built as one integer numerator over
 one integer denominator and reduced once into a Fraction, instead of
 reducing after every term: the kernel's values, the direct sums, the
 binomial form over its recurrence numbers (put over one common
-denominator), and the closed sums, which combine the kernel's unreduced
-numerator and denominator with E_{m,q} and q^n.  Every closed-form
-identity has a brute-force partner it can be compared with bit for bit.
+denominator), the closed sums, which combine the kernel's unreduced
+numerator and denominator with E_{m,q} and q^n, and the distribution
+sums, whose kernels at base q^f share one denominator
+(`_distribution_terms`).  Every closed-form identity has a brute-force
+partner it can be compared with bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from typing import Iterable
 
-from .classical import _euler_recurrence, _over_one_denominator
+from .classical import _euler_over_one_denominator
 from .errors import DomainError
 from .exactnum import rat_pow
 
@@ -53,10 +56,12 @@ class QBase:
     zeta_domain: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q in (0, 1, -1):
+        q = self.q if type(self.q) is Fraction else Fraction(self.q)
+        object.__setattr__(self, "q", q)
+        a, b = q.numerator, q.denominator
+        if a == 0 or abs(a) == b:
             raise DomainError("q must avoid 0, 1 and -1")
-        if self.zeta_domain and not 0 < self.q < 1:
+        if self.zeta_domain and not 0 < a < b:
             raise DomainError("zeta domain requires 0 < q < 1")
 
 
@@ -74,13 +79,19 @@ class QPower:
     exponent: Fraction | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", Fraction(self.t))
-        if self.t <= 0:
+        t = self.t if type(self.t) is Fraction else Fraction(self.t)
+        object.__setattr__(self, "t", t)
+        if t.numerator <= 0:
             raise DomainError("t must be positive")
-        if self.exponent is not None:
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
-            y = self.exponent
-            if self.t ** y.denominator != self.base.q ** y.numerator:
+        y = self.exponent
+        if y is not None:
+            y = y if type(y) is Fraction else Fraction(y)
+            object.__setattr__(self, "exponent", y)
+            # t^f == r^|a| for y = a/f and r = q^sign(a), in integers
+            a, f = y.numerator, y.denominator
+            r = self.base.q if a >= 0 else 1 / self.base.q
+            if t.numerator ** f * r.denominator ** abs(a) \
+                    != r.numerator ** abs(a) * t.denominator ** f:
                 raise DomainError("t does not equal q**exponent")
 
     @classmethod
@@ -163,12 +174,13 @@ def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
     kernel, so the two forms check each other's 1/(1+q^j).
 
     Built in integers and reduced once.  With E_{k,q} = e_k / D over one
-    denominator, t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for
+    denominator (built once per (n, q),
+    `classical._euler_over_one_denominator`), t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for
     q = a/b), the value is sum_k C(n,k) e_k (ch)^k (gd)^(n-k) over
     D (dh)^n, one Horner sum in gd.
     """
     qq = qp.base.q
-    e, den = _over_one_denominator(_euler_recurrence(n, qq))
+    e, den = _euler_over_one_denominator(n, qq)
     a, b = qq.numerator, qq.denominator
     c, d = qp.t.numerator, qp.t.denominator
     g, h = b * (d - c), d * (b - a)
@@ -264,24 +276,49 @@ def weighted_alt_q_power_sum_closed(m: int, n: int, q: QBase) -> Fraction:
     return _closed_sum(m, n, q, 1)
 
 
+def _distribution_terms(n: int, q: Fraction, period: int,
+                        exponents: Iterable[int]) -> tuple[list[int], int]:
+    """Integers N_k and one denominator D with N_k / D =
+    [F]_q^n E_{n,q^F}(k/F) for each k in `exponents`, F = period: the
+    kernel at base q^F and t = (q^F)^(k/F) = q^k, scaled by [F]_q^n.
+
+    With q = a/b the kernels at base q^F (`_kernel_parts`) share their
+    poles and the factor (b^F - a^F)^n of their denominators; only d^n
+    differs, d the denominator of t.  Each numerator is lifted by
+    (y/d)^n, y the lcm of the d, onto the one denominator, and [F]_q^n =
+    ((b^F - a^F) / (b^(F-1) (b-a)))^n trades (b^F - a^F)^n in it for
+    (b^(F-1) (b-a))^n.  Nothing is reduced.
+    """
+    base = q ** period
+    ts = [q ** k for k in exponents]
+    parts = [_kernel_parts(n, base, t, 0) for t in ts]
+    y = lcm(*(t.denominator for t in ts))
+    nums = [num * (y // t.denominator) ** n for (num, _), t in zip(parts, ts)]
+    den = parts[0][1] * (y // ts[0].denominator) ** n
+    a, b = q.numerator, q.denominator
+    return nums, den // (base.denominator - base.numerator) ** n \
+        * (b ** (period - 1) * (b - a)) ** n
+
+
 def distribution_sum(m: int, f: int, x: int, q: QBase) -> Fraction:
     """[f]_q^m sum_{a<f} (-1)^a E_{m,q^f}((x+a)/f) for odd f, exactly.
 
     Each inner argument enters through t = (q^f)^((x+a)/f) = q^(x+a), which
-    is rational whenever x is an integer.  The distribution relation says
-    this equals E_{m,q}(x); the outer exponent is m, matching the degree on
-    both sides.
+    is rational whenever x is an integer, and must be positive: q < 0 is
+    refused unless f = 1 and x is even.  The f terms share one denominator
+    (`_distribution_terms`), so the sum is one integer over it, reduced
+    once.  The distribution relation says this equals E_{m,q}(x); the
+    outer exponent is m, matching the degree on both sides.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
     if f < 1 or f % 2 == 0:
         raise DomainError("f must be an odd positive integer")
-    base_f = QBase(q.q ** f)
-    total = Fraction(0)
-    for a in range(f):
-        term = q_euler_poly(m, QPower(base_f, q.q ** (x + a), Fraction(x + a, f)))
-        total += term if a % 2 == 0 else -term
-    return q_int(f, q) ** m * total
+    if q.q < 0 and (f > 1 or x % 2):
+        raise DomainError("t must be positive")
+    nums, den = _distribution_terms(m, q.q, f, range(x, x + f))
+    return Fraction(sum(-num if a % 2 else num
+                        for a, num in enumerate(nums)), den)
 
 
 def _check_sum_args(m: int, n: int) -> None:

@@ -58,10 +58,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 import math
 from math import lgamma
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
@@ -69,7 +70,7 @@ from mpmath.libmp import to_fixed
 from .errors import DomainError, NonConvergence
 from .exactnum import (ComplexP, DEFAULT_PRECISION, GUARD_DIGITS, RealP,
                        show_rational, to_mpf)
-from .qnumbers import QBase, QPower, q_euler_poly, q_int
+from .qnumbers import QBase, _distribution_terms
 
 #: Most terms `zeta` sums.  The continuation series needs about
 #: (P+15) ln 10 / (x ln(1/q)) terms: about 1.5 * 10**5 at q = 999/1000,
@@ -95,6 +96,10 @@ ROW_COST = 0.5
 #: most MAX_ZETA_TERMS continuation terms.
 MAX_HEAD_TERMS = MAX_ZETA_TERMS // HEAD_TERM_COST
 
+#: Most CVZ weight tables (`_cvz_weights`, one per term count) kept in
+#: memory; a table of n weights holds about 2.5 n^2 bits.
+CVZ_WEIGHTS_CACHE_SIZE = 32
+
 #: Bits the fixed-point word carries beyond the context's precision, which
 #: already holds the digits of V: room for one rounding in each of up to
 #: 2**18 terms, with 6 bits to spare.
@@ -112,8 +117,9 @@ class ZetaQuery:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
-        # re-wrap to assert the zeta-side domain 0 < q < 1
-        object.__setattr__(self, "q", QBase(self.q.q, zeta_domain=True))
+        # assert the zeta-side domain 0 < q < 1 unless the base already has
+        if not self.q.zeta_domain:
+            object.__setattr__(self, "q", QBase(self.q.q, zeta_domain=True))
         if self.precision < 15:
             raise DomainError("precision must be at least 15")
         if not self.x.value > 0:
@@ -130,14 +136,48 @@ def cancellation_digits(q: Fraction, s: mpf, x: mpf) -> int:
     cancellation among terms of size V still leaves 10**-(P+20).
 
     log10 V = s log10(1-q) - |s| log10(1-q^x) is taken in floats in the
-    log domain (`_log_gap`).  For s >= 0 it is
+    log domain (`_logs`).  For s >= 0 it is
     -s ln((1-q^x)/(1-q)) / ln 10, exactly 0 at x = 1 however large s is.
 
     Raises DomainError when V needs more than MAX_CANCELLATION_DIGITS.
     """
-    gap = _log_gap(q, x)
+    return _cancellation_digits(s, _logs(q, x))
+
+
+class _Logs(NamedTuple):
+    """ln q, ln(1-q) and the gap ln((1-q^x)/(1-q)) in floats, taken once
+    for a value (`_logs`) and passed to each step that reads them."""
+
+    q: float
+    one_minus_q: float
+    gap: float
+
+
+def _logs(q: Fraction, x: mpf) -> _Logs:
+    """The `_Logs` of q and x.  Near x = 1 the gap is
+    ln(1 - q (q^(x-1) - 1)/(1-q)), exactly 0 at x = 1; elsewhere
+    ln(1-q^x) - ln(1-q), with ln(1-q^x) = ln(-x ln q) once -x ln q is
+    below 10**-300, where x may lie below the float range.  DomainError
+    when ln q lies below it (q within about 10**-308 of 1)."""
+    log_q, log_one_minus_q = _log(q), _log(1 - q)
+    if not log_q:
+        raise DomainError(f"q = {show_rational(q)} lies too close to 1 "
+                          f"for the zeta series")
+    if abs(x - 1) <= 0.5 and log_q > -1000:  # q^(x-1) stays in range
+        gap = math.log1p(-float(q) * math.expm1(float(x - 1) * log_q)
+                         / float(1 - q))
+    else:
+        scaled = float(x) * -log_q
+        gap = (math.log(-math.expm1(-scaled)) if scaled > 1e-300
+               else float(mp.log(x)) + math.log(-log_q)) - log_one_minus_q
+    return _Logs(log_q, log_one_minus_q, gap)
+
+
+def _cancellation_digits(s: mpf, logs: _Logs) -> int:
+    """`cancellation_digits` from the logs of its q and x."""
     s_float = float(s)
-    factor = -gap if s_float >= 0 else 2 * _log(1 - q) + gap
+    factor = -logs.gap if s_float >= 0 \
+        else 2 * logs.one_minus_q + logs.gap
     log10_v = s_float * factor / math.log(10) if factor else 0.0
     if log10_v > MAX_CANCELLATION_DIGITS:
         raise DomainError(
@@ -149,35 +189,15 @@ def cancellation_digits(q: Fraction, s: mpf, x: mpf) -> int:
 def _log(r: Fraction) -> float:
     """ln r in floats for a rational 0 < r < 1, keeping its digits near 1
     and its range near 0."""
-    if 2 * r > 1:
-        return math.log1p(float(r - 1))
-    return math.log(r.numerator) - math.log(r.denominator)
+    n, d = r.numerator, r.denominator
+    if 2 * n > d:
+        return math.log1p((n - d) / d)
+    return math.log(n) - math.log(d)
 
 
-def _log_gap(q: Fraction, x: mpf) -> float:
-    """ln((1-q^x)/(1-q)) in floats.  Near x = 1 it is
-    ln(1 - q (q^(x-1) - 1)/(1-q)), exactly 0 at x = 1; elsewhere
-    ln(1-q^x) - ln(1-q), with ln(1-q^x) = ln(-x ln q) once -x ln q is
-    below 10**-300, where x may lie below the float range.  DomainError
-    when ln q lies below it (q within about 10**-308 of 1)."""
-    log_q = _log(q)
-    if not log_q:
-        raise DomainError(f"q = {show_rational(q)} lies too close to 1 "
-                          f"for the zeta series")
-    if abs(x - 1) <= 0.5 and log_q > -1000:  # q^(x-1) stays in range
-        return math.log1p(-float(q) * math.expm1(float(x - 1) * log_q)
-                          / float(1 - q))
-    scaled = float(x) * -log_q
-    if scaled > 1e-300:
-        log_gap = math.log(-math.expm1(-scaled))
-    else:
-        log_gap = float(mp.log(x)) + math.log(-log_q)
-    return log_gap - _log(1 - q)
-
-
-def _working_digits(zq: ZetaQuery) -> int:
-    return (zq.precision + GUARD_DIGITS
-            + cancellation_digits(zq.q.q, zq.s.value, zq.x.value))
+def _working_digits(zq: ZetaQuery, logs: _Logs) -> int:
+    return zq.precision + GUARD_DIGITS + _cancellation_digits(zq.s.value,
+                                                              logs)
 
 
 def _to_fixed(value: mpf, wp: int) -> int:
@@ -287,11 +307,13 @@ def _count_past_peak(s: float, log_qy: float, log_base: float,
     return 1 + _first_stop(above, k0)
 
 
-def _shift(zq: ZetaQuery, step: int, residues: int = 1) -> int:
+def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
+           residues: int = 1) -> int:
     """The number J of head terms to sum before the continuation series,
     for a pass at base b = q^step (zeta at step 1, or the residues of
-    period `step`), after the term-count precheck at x + J step.  Runs in
-    the caller's working digits, where s is taken as the pass takes it.
+    period `step`), after the term-count precheck at x + J step.  s is
+    the pass's s, in the caller's working digits, and `logs` the floats
+    of q and x (`_logs`).
 
     The continuation sum S(y) = sum_k C(s+k-1,k) q^(yk) / (1+b^k) has
     S(y) + S(y+step) = (1-q^y)^(-s), so
@@ -305,7 +327,8 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1) -> int:
     1 + (residues - 1) ROW_COST, one weighted row per further residue;
     J residues stays within MAX_HEAD_TERMS.  The count is `_geometric_count`
     from `_series_start` for s <= 1, n + 2 at s = -n wherever the pass
-    runs, so J is 0 there.  For s > 1 it is
+    runs, so J is 0 there, and an exact s = -n takes J = 0 without the
+    search.  For s > 1 it is
     `_count_past_peak`: the geometric count while J is chosen, which reads
     low, and the search for the chosen J: searching at every step of the
     bisection cost 3.6% of numeric-values requests_per_s (10 interleaved
@@ -317,12 +340,34 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1) -> int:
     s log10(1/(1-q^x)) digits above wp: DomainError past
     MAX_CANCELLATION_DIGITS.
     """
-    q = zq.q.q
-    sv = zq.s.exact_value()
-    s, x = float(sv), float(zq.x.value)
-    log_q = _log(q)
+    q, exact = zq.q.q, zq.s.exact
+    if exact is not None and exact.denominator == 1 and exact <= 0:
+        # J = 0, and the pass stops after the n + 1 terms of s = -n
+        lo, needed = 0, 2 - float(s)
+    else:
+        lo, needed = _best_shift(zq, s, logs, step, residues)
+    if needed > MAX_ZETA_TERMS:
+        raise NonConvergence(
+            f"the continuation series needs about {needed:.0f} terms "
+            f"at q = {show_rational(q)}, more than its cap of "
+            f"{MAX_ZETA_TERMS}")
+    growth = 0.0 if s <= 0 else \
+        -float(s) * (logs.gap + logs.one_minus_q) / math.log(10)
+    if growth > MAX_CANCELLATION_DIGITS:
+        raise DomainError(
+            f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
+            f"grows to about {growth:.0f} digits, more than "
+            f"{MAX_CANCELLATION_DIGITS}")
+    return lo
+
+
+def _best_shift(zq: ZetaQuery, sv: mpf, logs: _Logs, step: int,
+                residues: int) -> tuple[int, float]:
+    """`_shift`'s J, by bisection on its cost, and the pass's term count
+    at x + J step."""
+    s, x, log_q = float(sv), float(zq.x.value), logs.q
     # the log of the pass's unscaled threshold (`_continuation_sums`)
-    floor = min(-(zq.precision + 15) * math.log(10) - s * _log(1 - q),
+    floor = min(-(zq.precision + 15) * math.log(10) - s * logs.one_minus_q,
                 (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
     start = None if s > 1 else _series_start(sv)
     head_cost = residues * HEAD_TERM_COST
@@ -347,28 +392,15 @@ def _shift(zq: ZetaQuery, step: int, residues: int = 1) -> int:
             hi = mid
         else:
             lo = mid + 1
-    needed = count(lo, search=True)
-    if needed > MAX_ZETA_TERMS:
-        raise NonConvergence(
-            f"the continuation series needs about {needed:.0f} terms "
-            f"at q = {show_rational(q)}, more than its cap of "
-            f"{MAX_ZETA_TERMS}")
-    growth = 0.0 if s <= 0 else \
-        -s * (_log_gap(q, zq.x.value) + _log(1 - q)) / math.log(10)
-    if growth > MAX_CANCELLATION_DIGITS:
-        raise DomainError(
-            f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
-            f"grows to about {growth:.0f} digits, more than "
-            f"{MAX_CANCELLATION_DIGITS}")
-    return lo
+    return lo, count(lo, search=True)
 
 
-def _continuation_sums(zq: ZetaQuery, scale: mpf, qy_fix: int,
+def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
                        base: Fraction, wp: int,
                        weights: Sequence[int] = ()) -> list[int]:
     """Fixed-point sums, at binary point wp in the caller's working digits,
     of the continuation series sum_k C(s+k-1,k) q^(yk) / (1+base^k)
-    (`_continuation_terms`), with s and P from zq, q^y given at wp and
+    (`_continuation_terms`), at precision P, with q^y given at wp and
     scale = (1-q)^s, the factor the caller puts on the sums: [plain sum]
     followed by one sum per weight w, whose term k is the plain one times
     w^k (w descending and at most 1; a sum is dropped once w^k underflows
@@ -387,9 +419,9 @@ def _continuation_sums(zq: ZetaQuery, scale: mpf, qy_fix: int,
     terms.
     """
     one = 1 << wp
-    s_fix = _to_fixed(zq.s.exact_value(), wp)
+    s_fix = _to_fixed(s, wp)
     terms = _continuation_terms(s_fix, qy_fix, _fixed(base, wp), wp)
-    threshold = _to_fixed(min(mpf(10) ** -(zq.precision + 15) / scale,
+    threshold = _to_fixed(min(mpf(10) ** -(precision + 15) / scale,
                               mpf(10) ** (MAX_CANCELLATION_DIGITS + 20)), wp)
     # the rule can hold from k = first on, and only once |term| <= limit,
     # its bound at the least R, q^y
@@ -447,16 +479,18 @@ def zeta(zq: ZetaQuery) -> RealP:
     taken from their exact rationals when they have them.  Raises
     NonConvergence past MAX_ZETA_TERMS terms.
     """
-    with mp.workdps(_working_digits(zq)):
-        shift = _shift(zq, 1)
+    q = zq.q.q
+    logs = _logs(q, zq.x.value)
+    with mp.workdps(_working_digits(zq, logs)):
         s, x = zq.s.exact_value(), zq.x.exact_value()
+        shift = _shift(zq, s, logs, 1)
         wp = mp.prec + WORD_GUARD_BITS
-        q = zq.q.q
         ln_q = _ln(q)
-        head = _head_sum(s, -mp.expm1(x * ln_q), to_mpf(1 - q), to_mpf(q),
+        one_minus_q = to_mpf(1 - q)
+        head = _head_sum(s, -mp.expm1(x * ln_q), one_minus_q, to_mpf(q),
                          shift, wp) if shift else 0
-        scale = mp.power(to_mpf(1 - q), s)
-        tail = _continuation_sums(zq, scale,
+        scale = mp.power(one_minus_q, s)
+        tail = _continuation_sums(s, zq.precision, scale,
                                   _to_fixed(mp.exp((x + shift) * ln_q), wp),
                                   q, wp)[0]
         total = head + (-tail if shift % 2 else tail)
@@ -469,22 +503,23 @@ def _ln(q: Fraction) -> mpf:
     return mp.log1p(to_mpf(q - 1)) if 2 * q > 1 else mp.log(to_mpf(q))
 
 
-def _cvz_weights(count: int) -> tuple[int, Iterator[int]]:
+@lru_cache(maxsize=CVZ_WEIGHTS_CACHE_SIZE)
+def _cvz_weights(count: int) -> tuple[int, tuple[int, ...]]:
     """d and the weights c_0..c_{n-1} of CVZ Algorithm 1 for n = count, all
     exact integers: d = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 = T_n(3), and
-    b_{k+1} = b_k * 2(k+n)(k-n) / ((2k+1)(k+1)) divides exactly."""
+    b_{k+1} = b_k * 2(k+n)(k-n) / ((2k+1)(k+1)) divides exactly.  Built
+    once per count: the counts of one precision differ only by the digits
+    of V."""
     d, previous = 1, 3  # T_0(3) and T_{-1}(3) = T_1(3)
     for _ in range(count):
         d, previous = 6 * d - previous, d
-
-    def weights():
-        b, c = -1, -d
-        for k in range(count):
-            c = b - c
-            yield c
-            b = b * 2 * (k + count) * (k - count) // ((2 * k + 1) * (k + 1))
-
-    return d, weights()
+    weights = []
+    b, c = -1, -d
+    for k in range(count):
+        c = b - c
+        weights.append(c)
+        b = b * 2 * (k + count) * (k - count) // ((2 * k + 1) * (k + 1))
+    return d, tuple(weights)
 
 
 def euler_transform(terms: Callable[[int], int], precision: int,
@@ -503,9 +538,9 @@ def euler_transform(terms: Callable[[int], int], precision: int,
     binary point wp = mp.prec + WORD_GUARD_BITS (a_j * 2**wp, rounded by
     the caller); the weights are exact integers c_k over one integer d,
     with |c_k| <= d, so n terms each within u units of 2**-wp leave the
-    sum within n u units, and one mpf is built from the integer sum.  The caller must already
-    hold the working-precision context, which must carry the digits of
-    `variation` (see `cancellation_digits`).  Raises
+    sum within n u units, and one mpf is built from the integer sum.  The
+    caller must already hold the working-precision context, which must
+    carry the digits of `variation` (see `cancellation_digits`).  Raises
     NonConvergence, before summing, when n exceeds its count at the largest
     variation `cancellation_digits` admits, 10**MAX_CANCELLATION_DIGITS.
     """
@@ -527,7 +562,7 @@ def euler_transform(terms: Callable[[int], int], precision: int,
     return _from_fixed(total // d, wp)
 
 
-def _bracket_powers(s: mpf, x: RealP, q: Fraction,
+def _bracket_powers(s: mpf, x: RealP, q: Fraction, log_gap: float,
                     wp: int) -> tuple[mpf, Callable[[int], int]]:
     """[x]_q and the terms [x+n]_q^(-s), n = 0, 1, ..., of the raw zeta
     series as ints at binary point wp, for one call each in increasing n.
@@ -546,11 +581,11 @@ def _bracket_powers(s: mpf, x: RealP, q: Fraction,
     times larger, since [x]_q is the least bracket, and b^(-s) multiplies
     a relative error by |s|, so extra = ceil(log2(1/[x]_q)) +
     bit_length(|s|) + 8 bits, and one more for log2 [x]_q, which is taken
-    in floats from `_log_gap`.  Term n is then within
-    max(1, V) (n + 5) 2**-(wp+8) + 2**-wp of its value, V >= |term| being
-    the variation bound of `zeta_euler_transform`.
+    in floats from log_gap = ln((1-q^x)/(1-q)) (`_logs`).  Term n is then
+    within max(1, V) (n + 5) 2**-(wp+8) + 2**-wp of its value, V >= |term|
+    being the variation bound of `zeta_euler_transform`.
     """
-    log2_first = _log_gap(q, x.value) / math.log(2)  # log2 [x]_q
+    log2_first = log_gap / math.log(2)  # log2 [x]_q
     extra = max(0, math.ceil(-log2_first)) + max(0, mp.mag(s)) + 9
     wb = wp + extra
     with mp.workprec(wb + max(0, math.ceil(log2_first)) + 8):
@@ -597,10 +632,12 @@ def zeta_euler_transform(zq: ZetaQuery) -> RealP:
     integers wherever 2s is an integer (`_bracket_powers`, which states the
     bracket's extra bits and the rounding bound).
     """
-    precision = zq.precision
-    with mp.workdps(_working_digits(zq)):
-        q, sv = zq.q.q, zq.s.exact_value()
-        first, terms = _bracket_powers(sv, zq.x, q, mp.prec + WORD_GUARD_BITS)
+    precision, q = zq.precision, zq.q.q
+    logs = _logs(q, zq.x.value)
+    with mp.workdps(_working_digits(zq, logs)):
+        sv = zq.s.exact_value()
+        first, terms = _bracket_powers(sv, zq.x, q, logs.gap,
+                                       mp.prec + WORD_GUARD_BITS)
         variation = mp.power(to_mpf(1 - q), sv - abs(sv)) \
             * mp.power(first, -abs(sv))
         return RealP(euler_transform(terms, precision, variation=variation),
@@ -624,11 +661,11 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
     of `_residue_sum`.
     """
     _check_residue(a, period)
-    return _residue_sum(s, {a: 0}, 1, period, q.q, precision)
+    return _residue_sum(s, {a: 0}, 1, period, q, precision)
 
 
 def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
-                 period: int, q: Fraction,
+                 period: int, base: QBase,
                  precision: int) -> RealP | ComplexP:
     """sum_a chi(a) H_q(s, a; F) over the residues a in `exponents`, with
     chi(a) = exp(2 pi i exponents[a] / order), in one pass of the
@@ -655,16 +692,18 @@ def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
     """
     residues = sorted(exponents)
     a_min = residues[0]
-    zq = ZetaQuery(s, RealP.from_rational(a_min, precision),
-                   QBase(q, zeta_domain=True), precision)
-    with mp.workdps(_working_digits(zq)):
-        shift = _shift(zq, period, len(residues))
+    zq = ZetaQuery(s, RealP.from_rational(Fraction(a_min), precision), base,
+                   precision)
+    q = zq.q.q
+    logs = _logs(q, zq.x.value)
+    with mp.workdps(_working_digits(zq, logs)):
         sv = s.exact_value()
+        shift = _shift(zq, sv, logs, period, len(residues))
         wp = mp.prec + WORD_GUARD_BITS
         step_gap, step = to_mpf(1 - q ** period), to_mpf(q ** period)
         scale = mp.power(to_mpf(1 - q), sv)
         sums = _continuation_sums(
-            zq, scale, _fixed(q ** (a_min + shift * period), wp),
+            sv, precision, scale, _fixed(q ** (a_min + shift * period), wp),
             q ** period, wp,
             [_fixed(q ** (a - a_min), wp) for a in residues[1:]])
         by_exponent: dict[int, int] = {}
@@ -699,8 +738,8 @@ def partial_zeta_special_value(n: int, a: int, period: int,
                                q: Fraction) -> Fraction:
     """Exact H_q(-n, a; F) = (-1)^a [F]_q^n E_{n,q^F}(a/F) / 2 for n >= 1.
 
-    (q^F)^(a/F) = q^a is always rational, so the whole computation stays
-    in Fraction arithmetic.
+    (q^F)^(a/F) = q^a is always rational, so the value is one integer over
+    one denominator (`qnumbers._distribution_terms`), reduced once.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -708,8 +747,5 @@ def partial_zeta_special_value(n: int, a: int, period: int,
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError("requires rational q in (0, 1)")
-    base = QBase(q)
-    poly = q_euler_poly(n, QPower(QBase(q ** period), q ** a,
-                                  Fraction(a, period)))
-    value = q_int(period, base) ** n * poly / 2
-    return -value if a % 2 else value
+    (num,), den = _distribution_terms(n, q, period, (a,))
+    return Fraction(-num if a % 2 else num, 2 * den)

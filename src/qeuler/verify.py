@@ -21,12 +21,12 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import mp, mpf
 
-from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, RealP,
+from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, RealP,
                        format_rational, to_mpf, tolerance)
 from . import classical
-from .characters import characters_mod, generalized_q_euler, l_function
+from .characters import _generalized_parts, characters_mod, l_function
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        distribution_sum, q_euler_poly,
                        q_euler_poly_via_numbers, weighted_alt_q_power_sum,
@@ -72,26 +72,38 @@ class VerificationReport:
         return asdict(self)
 
 
-def _run(name: str, grid: dict, cells, evaluate,
+def _run(name: str, grid: dict, cells, evaluate, describe,
          precision: int | None = None) -> VerificationReport:
-    """Run cells whose evaluator yields (inputs, lhs, rhs): exact Fractions
-    that must agree bit for bit when precision is None, else strings
-    followed by |lhs - rhs|, which must be within 10**-(P-10)."""
+    """Run cells whose evaluator yields the two sides of an identity: exact
+    Fractions (lhs, rhs) that must agree bit for bit when precision is
+    None, else (lhs, rhs, |lhs - rhs|), which must be within 10**-(P-10).
+
+    Only a failing cell is written out: its inputs (`describe`) and both
+    sides as text, an exact value by `format_rational`, a RealP or
+    ComplexP by its digits and an mpf or mpc by mp.nstr at P digits."""
     start = time.perf_counter()
     outcomes = [evaluate(cell) for cell in cells]
     exact = precision is None
     if exact:
-        outcomes = [(inputs, lhs, rhs, abs(lhs - rhs) if lhs != rhs else 0)
-                    for inputs, lhs, rhs in outcomes]
-    text = format_rational if exact else str
+        outcomes = [(lhs, rhs, abs(lhs - rhs) if lhs != rhs else 0)
+                    for lhs, rhs in outcomes]
+
+    def text(value) -> str:
+        if exact or isinstance(value, Fraction):
+            return format_rational(value)
+        if isinstance(value, (RealP, ComplexP)):
+            return value.digits()
+        return mp.nstr(value, precision)
+
     with mp.workdps(30 if exact else precision + GUARD_DIGITS):
         bound = 0 if exact else tolerance(precision)
-        failures = [{"inputs": inputs, "lhs": text(lhs), "rhs": text(rhs),
+        failures = [{"inputs": describe(cell), "lhs": text(lhs),
+                     "rhs": text(rhs),
                      "deviation": text(deviation) if exact
                      else mp.nstr(deviation, 10)}
-                    for inputs, lhs, rhs, deviation in outcomes
+                    for cell, (lhs, rhs, deviation) in zip(cells, outcomes)
                     if deviation > bound]
-        worst = max((outcome[3] for outcome in outcomes), default=0)
+        worst = max((outcome[2] for outcome in outcomes), default=0)
         max_deviation = "exact" if exact and not failures else \
             mp.nstr(to_mpf(worst) if exact else worst, 10)
     return VerificationReport(
@@ -100,21 +112,25 @@ def _run(name: str, grid: dict, cells, evaluate,
         elapsed_ms=int((time.perf_counter() - start) * 1000))
 
 
+def _named(*names: str | None):
+    """The inputs of a cell whose fields are the named inputs in order: q,
+    a QBase, as its rational text, and a field named None left out."""
+    return lambda cell: {name: format_rational(value.q) if name == "q"
+                         else value for name, value in zip(names, cell)
+                         if name}
+
+
 def _sum_suite(name: str, closed, direct, max_m: int,
               max_n: int) -> VerificationReport:
     """Power sums over (m, n, q): closed form vs brute force, exact."""
-    cells = [(m, n, q) for m in range(1, max_m + 1)
-             for n in range(1, max_n + 1) for q in IDENTITY_Q]
-
-    def evaluate(cell):
-        m, n, q = cell
-        base = QBase(q)
-        return ({"m": m, "n": n, "q": format_rational(q)},
-                closed(m, n, base), direct(m, n, base))
-
+    bases = [QBase(q) for q in IDENTITY_Q]
+    cells = [(m, n, base) for m in range(1, max_m + 1)
+             for n in range(1, max_n + 1) for base in bases]
     grid = {"m": [1, max_m], "n": [1, max_n],
             "q": [format_rational(q) for q in IDENTITY_Q]}
-    return _run(name, grid, cells, evaluate)
+    return _run(name, grid, cells,
+                lambda cell: (closed(*cell), direct(*cell)),
+                _named("m", "n", "q"))
 
 
 def verify_thm3(max_m: int = 10, max_n: int = 20) -> VerificationReport:
@@ -131,36 +147,35 @@ def verify_weighted(max_m: int = 10, max_n: int = 20) -> VerificationReport:
 
 def verify_thm2(max_n: int = 10) -> VerificationReport:
     """The two q-Euler polynomial forms agree on exact inputs."""
-    cells = [(n, x, q) for n in range(max_n + 1)
-             for x in range(POLY_X + 1) for q in POLY_Q]
+    bases = [QBase(q) for q in POLY_Q]
+    cells = [(n, x, base) for n in range(max_n + 1)
+             for x in range(POLY_X + 1) for base in bases]
 
     def evaluate(cell):
-        n, x, q = cell
-        qp = QPower.from_integer(QBase(q), x)
-        return ({"n": n, "x": x, "q": format_rational(q)},
-                q_euler_poly(n, qp),
-                q_euler_poly_via_numbers(n, qp))
+        n, x, base = cell
+        qp = QPower.from_integer(base, x)
+        return q_euler_poly(n, qp), q_euler_poly_via_numbers(n, qp)
 
     grid = {"n": [0, max_n], "x": [0, POLY_X],
             "q": [format_rational(q) for q in POLY_Q]}
-    return _run("thm2", grid, cells, evaluate)
+    return _run("thm2", grid, cells, evaluate, _named("n", "x", "q"))
 
 
 def verify_thm4(max_m: int = 8, fs=(1, 3, 5)) -> VerificationReport:
     """Distribution relation: the f-part sum reproduces E_{m,q}(x)."""
-    cells = [(m, f, x, q) for m in range(max_m + 1) for f in fs
-             for x in range(DISTRIBUTION_X + 1) for q in DISTRIBUTION_Q]
+    bases = [QBase(q) for q in DISTRIBUTION_Q]
+    cells = [(m, f, x, base) for m in range(max_m + 1) for f in fs
+             for x in range(DISTRIBUTION_X + 1) for base in bases]
 
     def evaluate(cell):
-        m, f, x, q = cell
-        base = QBase(q)
-        return ({"m": m, "f": f, "x": x, "q": format_rational(q)},
-                distribution_sum(m, f, x, base),
+        m, f, x, base = cell
+        return (distribution_sum(m, f, x, base),
                 q_euler_poly(m, QPower.from_integer(base, x)))
 
     grid = {"m": [0, max_m], "f": list(fs), "x": [0, DISTRIBUTION_X],
             "q": [format_rational(q) for q in DISTRIBUTION_Q]}
-    return _run("thm4", grid, cells, evaluate)
+    return _run("thm4", grid, cells, evaluate,
+                _named("m", "f", "x", "q"))
 
 
 def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
@@ -174,92 +189,99 @@ def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
     def evaluate(cell):
         kind, m, k = cell
         if kind == "plain":
-            return ({"sum": kind, "n": m, "k": k},
-                    classical.power_sum_closed(m, k),
+            return (classical.power_sum_closed(m, k),
                     classical.power_sum(m, k))
-        return ({"sum": kind, "m": m, "k": k},
-                classical.alt_power_sum_closed(m, k),
+        return (classical.alt_power_sum_closed(m, k),
                 classical.alt_power_sum(m, k))
+
+    def describe(cell):
+        kind, m, k = cell
+        return {"sum": kind, "n" if kind == "plain" else "m": m, "k": k}
 
     grid = {"exponent": [1, max_m], "k": [1, max_n],
             "sums": ["plain", "alt"]}
-    return _run("classical", grid, cells, evaluate)
+    return _run("classical", grid, cells, evaluate, describe)
 
 
 def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     """Dual-route zeta: continuation series vs CVZ-accelerated summation of
     the raw series."""
-    cells = [(s, x, q) for s in ZETA_S for x in ZETA_X for q in ZETA_Q]
+    reals = {text: RealP.from_rational(text, precision)
+             for text in ZETA_S + ZETA_X}
+    bases = [QBase(q, zeta_domain=True) for q in ZETA_Q]
+    cells = [(s, x, base) for s in ZETA_S for x in ZETA_X for base in bases]
 
     def evaluate(cell):
-        s, x, q = cell
-        zq = ZetaQuery(RealP.from_rational(s, precision),
-                       RealP.from_rational(x, precision),
-                       QBase(q, zeta_domain=True), precision)
+        s, x, base = cell
+        zq = ZetaQuery(reals[s], reals[x], base, precision)
         a = zeta(zq)
         b = zeta_euler_transform(zq)
         with mp.workdps(precision + GUARD_DIGITS):
-            deviation = abs(a.value - b.value)
-        return ({"s": s, "x": x, "q": format_rational(q)},
-                a.digits(), b.digits(), deviation)
+            return a, b, abs(a.value - b.value)
 
     grid = {"s": list(ZETA_S), "x": list(ZETA_X),
             "q": [format_rational(q) for q in ZETA_Q],
             "precision": precision}
-    return _run("zeta", grid, cells, evaluate, precision)
+    return _run("zeta", grid, cells, evaluate, _named("s", "x", "q"),
+                precision)
 
 
 def verify_partial_zeta(precision: int = DEFAULT_PRECISION
                         ) -> VerificationReport:
     """Partial zeta at negative integers vs its exact special value."""
-    cells = [(n, a, F, q) for n in range(1, SPECIAL_N + 1) for F in PERIODS
-             for a in range(1, F) for q in LFUNCTION_Q]
+    minus = {n: RealP.from_rational(-n, precision)
+             for n in range(1, SPECIAL_N + 1)}
+    bases = [QBase(q, zeta_domain=True) for q in LFUNCTION_Q]
+    cells = [(n, a, F, base) for n in range(1, SPECIAL_N + 1)
+             for F in PERIODS for a in range(1, F) for base in bases]
 
     def evaluate(cell):
-        n, a, F, q = cell
-        numeric = partial_zeta(RealP.from_rational(-n, precision), a, F,
-                               QBase(q, zeta_domain=True), precision)
-        exact = partial_zeta_special_value(n, a, F, q)
+        n, a, F, base = cell
+        numeric = partial_zeta(minus[n], a, F, base, precision)
+        exact = partial_zeta_special_value(n, a, F, base.q)
         with mp.workdps(precision + GUARD_DIGITS):
-            deviation = abs(numeric.value - to_mpf(exact))
-        return ({"n": n, "a": a, "F": F, "q": format_rational(q)},
-                numeric.digits(), format_rational(exact), deviation)
+            return numeric, exact, abs(numeric.value - to_mpf(exact))
 
     grid = {"n": [1, SPECIAL_N], "F": list(PERIODS),
             "q": [format_rational(q) for q in LFUNCTION_Q],
             "precision": precision}
-    return _run("partial-zeta", grid, cells, evaluate, precision)
+    return _run("partial-zeta", grid, cells, evaluate,
+                _named("n", "a", "F", "q"), precision)
 
 
 def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
-    """L-function at negative integers vs generalized numbers over 2."""
-    cells = []
-    for d in MODULI:
-        group = characters_mod(d)
-        for index, chi in enumerate(group):
-            for n in range(SPECIAL_N + 1):
-                for q in LFUNCTION_Q:
-                    cells.append((d, index, chi, n, q))
+    """L-function at negative integers vs generalized numbers over 2.
+
+    The right-hand side is summed here from the exact per-exponent
+    coefficients (`characters._generalized_parts`): exactly when every
+    root is +1 or -1, else as sum_e c_e exp(2 pi i e / order) with
+    mp.expjpi.  The L value sums its roots in `qzeta._root_sum`, so a
+    wrong root there is a disagreement here."""
+    bases = [QBase(q, zeta_domain=True) for q in LFUNCTION_Q]
+    cells = [(d, index, chi, n, base) for d in MODULI
+             for index, chi in enumerate(characters_mod(d))
+             for n in range(SPECIAL_N + 1) for base in bases]
+    minus = {n: RealP.from_rational(-n, precision)
+             for n in range(SPECIAL_N + 1)}
 
     def evaluate(cell):
-        d, index, chi, n, q = cell
-        lhs = l_function(RealP.from_rational(-n, precision), chi,
-                         QBase(q, zeta_domain=True), precision)
-        rhs = generalized_q_euler(n, chi, q, precision)
+        _, _, chi, n, base = cell
+        lhs = l_function(minus[n], chi, base, precision)
+        coefficients, den = _generalized_parts(n, chi, base.q)
         with mp.workdps(precision + GUARD_DIGITS):
-            rhs_half = (to_mpf(rhs) if isinstance(rhs, Fraction)
-                        else rhs) / 2
-            deviation = abs(lhs.value - rhs_half)
-            rhs_str = mp.nstr(rhs_half, precision) \
-                if not isinstance(rhs, Fraction) else format_rational(rhs / 2)
-        return ({"modulus": d, "char_index": index, "n": n,
-                 "q": format_rational(q)},
-                lhs.digits(), rhs_str, deviation)
+            if chi.order <= 2:
+                rhs = Fraction(sum(-c if e else c
+                                   for e, c in coefficients.items()), 2 * den)
+                return lhs, rhs, abs(lhs.value - to_mpf(rhs))
+            rhs = mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
+                          for e, c in coefficients.items()) / (2 * den)
+            return lhs, rhs, abs(lhs.value - rhs)
 
     grid = {"n": [0, SPECIAL_N], "modulus": list(MODULI),
             "q": [format_rational(q) for q in LFUNCTION_Q],
             "precision": precision}
-    return _run("lfunction", grid, cells, evaluate, precision)
+    return _run("lfunction", grid, cells, evaluate,
+                _named("modulus", "char_index", None, "n", "q"), precision)
 
 
 SUITES = {

@@ -475,6 +475,25 @@ def test_zeta_sums_n_plus_one_terms_at_negative_integers(monkeypatch):
             assert all(taken)
 
 
+def test_shift_takes_zero_at_negative_integers_without_a_search(monkeypatch):
+    # J is 0 at an exact s = -n, so the term model is not consulted there
+    def refuse(*_args):
+        raise AssertionError("the shift searched at s = -n")
+
+    monkeypatch.setattr(qzeta, "_series_start", refuse)
+    zq = query(-3, 1, Fraction(1, 2))
+    logs = qzeta._logs(zq.q.q, zq.x.value)
+    with mp.workdps(qzeta._working_digits(zq, logs)):
+        assert qzeta._shift(zq, zq.s.exact_value(), logs, 1) == 0
+    exact = q_euler_poly(3, QPower.from_integer(QBase(Fraction(1, 2)), 1))
+    assert_close(zeta(zq), exact / 2)
+    assert_close(partial_zeta(RealP.from_rational(-3, P), 1, 3, HALF, P),
+                 partial_zeta_special_value(3, 1, 3, Fraction(1, 2)))
+    # s only near -3 still takes its count from the term model
+    with pytest.raises(AssertionError, match="searched"):
+        zeta(query("-2.99999999999999999999", 1, Fraction(1, 2)))
+
+
 def test_cvz_weights_are_exact_integers():
     # b_k = c_k + c_{k-1} (c_{-1} = -d); each step of
     # b_{k+1} (2k+1)(k+1) = 2 b_k (k+n)(k-n) holds exactly, so no floor
@@ -656,15 +675,18 @@ def test_partial_zeta_special_value_anchors():
 
 def test_partial_zeta_special_value_matches_direct_formula():
     # recompute the right-hand side through the root-extraction path:
-    # t = (q^F)^(a/F) must equal q^a
-    for q in (Fraction(1, 3), Fraction(1, 2)):
+    # t = (q^F)^(a/F) must equal q^a; the verify grid, then the size of
+    # the exact-sweep benchmark's distribution sums, n = 20 and F = 5
+    for q, periods, ns in ((Fraction(1, 3), (3, 5), range(1, 7)),
+                           (Fraction(1, 2), (3, 5), range(1, 7)),
+                           (Fraction(25, 121), (5,), (20,))):
         base = QBase(q)
-        for F in (3, 5):
+        for F in periods:
             base_f = QBase(q ** F)
             for a in range(1, F):
                 t = rat_pow(q ** F, Fraction(a, F))
                 assert t == q ** a
-                for n in range(1, 7):
+                for n in ns:
                     direct = q_int(F, base) ** n \
                         * q_euler_poly(n, QPower(base_f, t)) / 2
                     if a % 2:

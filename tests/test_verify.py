@@ -9,10 +9,12 @@ from pathlib import Path
 import jsonschema
 from mpmath import mp, mpf
 
-from qeuler import cli, qnumbers, verify
-from qeuler.exactnum import GUARD_DIGITS, RealP
-from qeuler.verify import (SUITES, VerificationReport, _SUITE_OPTIONS,
-                           run_suite, verify_thm2, verify_thm3, verify_zeta)
+from qeuler import characters, cli, qnumbers, qzeta, verify
+from qeuler.exactnum import GUARD_DIGITS, RealP, format_rational, to_mpf
+from qeuler.qnumbers import QBase, alt_q_power_sum
+from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
+                           _SUITE_OPTIONS, run_suite, verify_lfunction,
+                           verify_thm2, verify_thm3, verify_zeta)
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" \
     / "verification-report.schema.json"
@@ -119,3 +121,66 @@ def test_numeric_failure_is_recorded(monkeypatch, tmp_path, capsys):
         assert abs(moved_by - Fraction(1, 10 ** 30)) < Fraction(1, 10 ** 39)
         assert abs(float(failure["deviation"]) - 1e-30) < 1e-39
     assert float(report["max_deviation"]) > 1e-31
+
+
+def _load_report(path):
+    reports = json.loads(path.read_text(encoding="utf-8"))
+    with open(SCHEMA, encoding="utf-8") as handle:
+        jsonschema.Draft202012Validator(json.load(handle)).validate(reports)
+    (report,) = reports
+    return report
+
+
+def test_exact_failure_report_matches_the_eager_text(monkeypatch, tmp_path):
+    # failing cells are written out only once they fail; their text must be
+    # what writing every cell out gave: the inputs, and both sides and the
+    # deviation by format_rational
+    closed = verify.alt_q_power_sum_closed
+
+    def moved(m, n, q):
+        return closed(m, n, q) + Fraction(1, 7)
+
+    monkeypatch.setattr(verify, "alt_q_power_sum_closed", moved)
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "thm3", "--max-m", "2",
+                     "--max-n", "3", "--report", str(path)]) == 2
+    report = _load_report(path)
+    want = []
+    for m in (1, 2):
+        for n in (1, 2, 3):
+            for q in IDENTITY_Q:
+                lhs = moved(m, n, QBase(q))
+                rhs = alt_q_power_sum(m, n, QBase(q))
+                want.append({"inputs": {"m": m, "n": n,
+                                        "q": format_rational(q)},
+                             "lhs": format_rational(lhs),
+                             "rhs": format_rational(rhs),
+                             "deviation": format_rational(abs(lhs - rhs))})
+    assert json.dumps(report["failures"]) == json.dumps(want)
+    assert report["cases_run"] == len(want) == 30
+    assert report["max_deviation"] == "0.1428571429"
+
+
+def test_lfunction_suite_sees_the_roots_of_unity(monkeypatch):
+    # the L value sums its roots in qzeta._root_sum, and the suite sums its
+    # right-hand side's roots itself; exp(pi i e/order) in place of
+    # exp(2 pi i e/order), wherever the library calls _root_sum, moves only
+    # the characters that are not real
+    def half_angle(coefficients, order):
+        if all(e == 0 or 2 * e == order for e in coefficients):
+            return sum(-c if e else c for e, c in coefficients.items())
+        total = mp.mpc(0)
+        for e in sorted(coefficients):
+            total += to_mpf(coefficients[e]) * mp.expjpi(mpf(e) / order)
+        return total
+
+    for module in (qzeta, characters):
+        monkeypatch.setattr(module, "_root_sum", half_angle)
+    report = verify_lfunction(precision=20)
+    assert not report.passed
+    failing = {(f["inputs"]["modulus"], f["inputs"]["char_index"])
+               for f in report.failures}
+    assert failing == {(5, 1), (5, 3)}  # the two characters of order 4
+    for failure in report.failures:  # ComplexP digits against mp.nstr
+        assert failure["lhs"].endswith("i")
+        assert failure["rhs"].endswith("j)")
