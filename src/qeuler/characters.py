@@ -28,7 +28,7 @@ from mpmath import mp, mpc
 from .errors import DomainError
 from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP
 from .qnumbers import QBase, _distribution_terms
-from .qzeta import _residue_sum, _root_sum
+from .qzeta import ZetaQuery, _continued, _root_sum
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -189,15 +189,18 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
         l_{E,q}(s, chi) = sum_{a=1..F} chi(a) H_q(s, a; F),  F = modulus.
 
     Residues with gcd(a, F) > 1 drop out through chi; F = 1 leaves a = 1,
-    where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  All residues are summed in one
-    pass of the continuation series (`qzeta._residue_sum`): after J head
-    terms of every residue the series runs at the smallest residue shifted
-    by J periods, each other residue a rides along with the weight
-    (q^(a-a_min))^k, q^(a+JF) is taken exactly, and the smallest
-    residue's stop rule covers every residue because its terms dominate
-    theirs.  Returns RealP for real characters, ComplexP otherwise.
+    where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  Each unit a is one row of
+    `qzeta._continued` at step F: its offset from the smallest unit, the
+    sign (-1)^a and chi's exponent.  All rows sum in one pass of the
+    continuation series at the smallest unit, which takes q^y exactly
+    there; each other unit rides along with the weight (q^(a-a_min))^k,
+    and the smallest unit's stop rule covers every unit because its terms
+    dominate theirs.  Returns RealP for real characters, ComplexP
+    otherwise.
     """
     F = chi.modulus
-    exponents = {a: chi.exponents[a % F] for a in range(1, F + 1)
-                 if chi.exponents[a % F] is not None}
-    return _residue_sum(s, exponents, chi.order, F, q, precision)
+    units = [a for a in range(1, F + 1) if chi.exponents[a % F] is not None]
+    x = RealP.from_rational(Fraction(units[0]), precision)
+    return _continued(ZetaQuery(s, x, q, precision), F,
+                      [(a - units[0], (-1) ** a, chi.exponents[a % F])
+                       for a in units], chi.order)

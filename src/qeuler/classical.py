@@ -109,21 +109,29 @@ def _bernoulli_over_one_denominator(n: int) -> tuple[tuple[int, ...], int]:
     return _over_one_denominator(bernoulli_numbers(n))
 
 
-def euler_poly(n: int, x: Fraction | int) -> Fraction:
-    """Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k).
-
-    Satisfies E_n(x) + E_n(x+1) = 2 x^n and E_n(0) = E_n.  With
-    E_k = e_k / D over one denominator and x = u/v, v^n D E_n(x) =
-    sum_k C(n,k) e_k v^k u^(n-k): one Horner sum in u, reduced once.
-    """
-    x = Fraction(x)
-    e, den = _euler_over_one_denominator(n, 1)
-    u, v = x.numerator, x.denominator
+def _euler_binomial(n: int, q: Fraction | int, u: int, v: int,
+                    w: int) -> Fraction:
+    """sum_k C(n,k) E_{k,q} v^k u^(n-k) / w^n, E_{k,q} of
+    `_euler_recurrence`: with E_{k,q} = e_k / D over one denominator
+    (`_euler_over_one_denominator`), one Horner sum in u over D w^n,
+    reduced once.  The binomial form of the Euler polynomials at q = 1 and
+    of the q-Euler polynomials (`qnumbers.q_euler_poly_via_numbers`)."""
+    e, den = _euler_over_one_denominator(n, q)
     acc, v_power = 0, 1
     for k in range(n + 1):
         acc = acc * u + comb(n, k) * e[k] * v_power
         v_power *= v
-    return Fraction(acc, den * v ** n)
+    return Fraction(acc, den * w ** n)
+
+
+def euler_poly(n: int, x: Fraction | int) -> Fraction:
+    """Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k).
+
+    Satisfies E_n(x) + E_n(x+1) = 2 x^n and E_n(0) = E_n.  With x = u/v,
+    v^n E_n(x) = sum_k C(n,k) E_k v^k u^(n-k) (`_euler_binomial`).
+    """
+    x = Fraction(x)
+    return _euler_binomial(n, 1, x.numerator, x.denominator, x.denominator)
 
 
 def power_sum(n: int, k: int) -> Fraction:

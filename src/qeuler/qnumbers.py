@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable
 
-from .classical import _euler_over_one_denominator
+from .classical import _euler_binomial
 from .errors import DomainError
 from .exactnum import rat_pow
 
@@ -173,23 +173,15 @@ def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
     from their recurrence (`classical._euler_recurrence`), never from the
     kernel, so the two forms check each other's 1/(1+q^j).
 
-    Built in integers and reduced once.  With E_{k,q} = e_k / D over one
-    denominator (built once per (n, q),
-    `classical._euler_over_one_denominator`), t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for
-    q = a/b), the value is sum_k C(n,k) e_k (ch)^k (gd)^(n-k) over
-    D (dh)^n, one Horner sum in gd.
+    With t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for q = a/b) the
+    value is sum_k C(n,k) E_{k,q} (ch)^k (gd)^(n-k) / (dh)^n: one integer
+    Horner sum over one denominator (`classical._euler_binomial`).
     """
     qq = qp.base.q
-    e, den = _euler_over_one_denominator(n, qq)
     a, b = qq.numerator, qq.denominator
     c, d = qp.t.numerator, qp.t.denominator
     g, h = b * (d - c), d * (b - a)
-    gd, ch = g * d, c * h
-    acc, ch_power = 0, 1
-    for k in range(n + 1):
-        acc = acc * gd + comb(n, k) * e[k] * ch_power
-        ch_power *= ch
-    return Fraction(acc, den * (d * h) ** n)
+    return _euler_binomial(n, qq, g * d, c * h, d * h)
 
 
 def q_euler_star_number(n: int, q: QBase) -> Fraction:

@@ -29,19 +29,23 @@ Two independent summation routes are implemented:
   every V that `cancellation_digits` admits.
 
 The partial zeta H_q(s, a; F) has one route: head terms and the
-continuation series at base q^F, x = a/F, with q^x = q^a taken exactly
-(`_residue_sum`).  Its
+continuation series at base q^F, x = a/F, with q^x = q^a.  Its
 cross-check is the exact special value at s = -n.
 
-`zeta` and the residues of one L value sum through one pass,
-`_continuation_sums`, which alone holds the stop rule and the loop cap;
-`_shift` holds the term-count precheck.  `zeta` runs the pass at base q
-and x + J; the residues run it at base q^F and the smallest residue
-shifted by J periods, a_min + JF, and residue a's term is a_min's times
-(q^(a-a_min))^k.  Those weights are at most 1, so a_min's stop rule covers
-every residue.  The stop rule is absolute: it stops once a geometric bound
-on the scaled tail is at most 10**-(P+15), and at once on the exact
-truncation at s = -n.
+`zeta`, partial zeta and the residues of one L value are one sum, run by
+one function, `_continued`: rows (d, sign, e) over the series at x + d, at
+step 1 for `zeta` and step F for the residues, where residue a is the row
+(a - a_min, (-1)^a, chi's exponent) at x = a_min.  It takes J head terms
+per row (`_shift`, which holds the term-count precheck), then one pass,
+`_continuation_sums`, which alone holds the stop rule and the loop cap:
+the series at x + J step, each further row's term being x's times
+(q^d)^k.  Those weights are at most 1, so x's stop rule covers every row.
+The stop rule is absolute: it stops once a geometric bound on the scaled
+tail is at most 10**-(P+15), and at once on the exact truncation at
+s = -n.  At an integer x (every residue pass, and `zeta` at integer x)
+each q^y and each head's 1 - q^y is the exact rational rounded once, as
+long as those powers stay within _MAX_EXACT_POWER_BITS; otherwise they
+come from exp and expm1 of y ln q.
 
 Both zeta routes sum in integer fixed point: each term is a Python int at
 a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -104,6 +108,14 @@ CVZ_WEIGHTS_CACHE_SIZE = 32
 #: already holds the digits of V: room for one rounding in each of up to
 #: 2**18 terms, with 6 bits to spare.
 WORD_GUARD_BITS = 24
+
+#: Most bits the exact powers q^y of `_continued` may reach at an integer x
+#: (x + (J+1) step times the bits of q's denominator).  At 4000 bits the
+#: exact q^y and 1 - q^y took about 60 us, against 90 us for ln q, exp and
+#: expm1 at 300 bits (2-CPU machine); past the bound they take the exp
+#: route, so zeta at x = 10**6, q = 99999/100000 does not build
+#: 1.7 * 10**7-bit powers, which took 6.3 s.
+_MAX_EXACT_POWER_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -470,31 +482,81 @@ def _head_sum(s: mpf, gap: mpf, step_gap: mpf, step: mpf, count: int,
 
 
 def zeta(zq: ZetaQuery) -> RealP:
-    """Euler q-zeta value: J head terms (`_shift`) plus (-1)^J times the
-    binomial continuation series at x + J, summed by `_continuation_sums`
-    at base q, in P + GUARD_DIGITS + `cancellation_digits` working digits;
-    one mpf is built from the fixed-point sum.  The head terms take
-    1 - q^(x+j) without cancellation for q near 1 (`_head_sum`).  At
-    s = -n, J = 0 and the sum has exactly n+1 nonzero terms.  s and x are
-    taken from their exact rationals when they have them.  Raises
-    NonConvergence past MAX_ZETA_TERMS terms.
+    """Euler q-zeta value: the one row (0, +1, 0) of `_continued` at step
+    1, J head terms plus (-1)^J times the continuation series at x + J,
+    in P + GUARD_DIGITS + `cancellation_digits` working digits.  At s = -n,
+    J = 0 and the sum has exactly n+1 nonzero terms.  s and x are taken
+    from their exact rationals when they have them.  Raises NonConvergence
+    past MAX_ZETA_TERMS terms.
+    """
+    return _continued(zq, 1, [(0, 1, 0)])
+
+
+def _continued(zq: ZetaQuery, step: int,
+               rows: Sequence[tuple[int, int, int]],
+               order: int = 1) -> RealP | ComplexP:
+    """sum over rows (d, sign, e) of sign exp(2 pi i e / order) Z(x + d),
+    the offsets d >= 0 ascending from d = 0, where
+
+        Z(y) = (1-q)^s sum_m (-1)^m (1-q^(y+m step))^(-s)
+             = (1-q)^s sum_k C(s+k-1,k) q^(yk) / (1+q^(step k))
+
+    in the Abel sense: zeta(s, x) = Z(x) at step 1, and
+    H_q(s, a; F) = (-1)^a Z(a) at step F, since [F]_q^(-s) (1-q^F)^s =
+    (1-q)^s and (q^F)^(a/F) = q^a.  Returns RealP when order <= 2, else
+    ComplexP.
+
+    `_shift` picks J head terms for all rows at once; each row adds its
+    raw head (`_head_sum`) and (-1)^J times the series at y + J step.  One
+    pass of `_continuation_sums` runs the series at x + J step, with
+    weight q^d for each further row, so the pass's term-count precheck and
+    stop rule at x serve every row.  The working digits are those of x: V
+    at x is the largest over the rows, and it bounds the head terms and
+    the scaled terms in absolute sum.  The scale (1-q)^s and the character
+    sum are applied in those working digits, so a value far above 1 keeps
+    the absolute 10**-(P-10).
+
+    When x is an integer, each q^y and each head's 1 - q^y is the exact
+    rational rounded once, unless those powers would pass
+    _MAX_EXACT_POWER_BITS; otherwise they are exp and expm1 of y ln q.
     """
     q = zq.q.q
     logs = _logs(q, zq.x.value)
     with mp.workdps(_working_digits(zq, logs)):
         s, x = zq.s.exact_value(), zq.x.exact_value()
-        shift = _shift(zq, s, logs, 1)
+        shift = _shift(zq, s, logs, step, len(rows))
         wp = mp.prec + WORD_GUARD_BITS
-        ln_q = _ln(q)
-        one_minus_q = to_mpf(1 - q)
-        head = _head_sum(s, -mp.expm1(x * ln_q), one_minus_q, to_mpf(q),
-                         shift, wp) if shift else 0
-        scale = mp.power(one_minus_q, s)
-        tail = _continuation_sums(s, zq.precision, scale,
-                                  _to_fixed(mp.exp((x + shift) * ln_q), wp),
-                                  q, wp)[0]
-        total = head + (-tail if shift % 2 else tail)
-        return RealP(scale * _from_fixed(total, wp), zq.precision)
+        exact = zq.x.exact
+        if exact is not None and exact.denominator == 1 and \
+                (exact.numerator + (shift + 1) * step) \
+                * q.denominator.bit_length() <= _MAX_EXACT_POWER_BITS:
+            x = exact.numerator
+
+            def fixed(y): return _fixed(q ** y, wp)
+            def gap(y): return to_mpf(1 - q ** y)
+        else:
+            ln_q = _ln(q)
+
+            def fixed(y): return _to_fixed(mp.exp(y * ln_q), wp)
+            def gap(y): return -mp.expm1(y * ln_q)
+        base = q ** step
+        scale = mp.power(to_mpf(1 - q), s)
+        sums = _continuation_sums(s, zq.precision, scale,
+                                  fixed(x + shift * step), base, wp,
+                                  [fixed(d) for d, _, _ in rows[1:]])
+        step_gap, step_power = to_mpf(1 - base), to_mpf(base)
+        by_exponent: dict[int, int] = {}
+        for (d, sign, e), part in zip(rows, sums):
+            if shift % 2:
+                part = -part
+            if shift:
+                part += _head_sum(s, gap(x + d), step_gap, step_power, shift,
+                                  wp)
+            by_exponent[e] = by_exponent.get(e, 0) + sign * part
+        value = _root_sum(by_exponent, order)
+        if isinstance(value, mpc):
+            return ComplexP(scale * value * _from_fixed(1, wp), zq.precision)
+        return RealP(scale * _from_fixed(value, wp), zq.precision)
 
 
 def _ln(q: Fraction) -> mpf:
@@ -657,69 +719,14 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
 
         H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F),
 
-    since [a+nF]_q = [F]_q [n+a/F]_(q^F).  Summed as the one-residue case
-    of `_residue_sum`.
+    since [a+nF]_q = [F]_q [n+a/F]_(q^F): the one row (0, (-1)^a, 0) of
+    `_continued` at x = a and step F, which takes q^(a+JF) and the head's
+    1 - q^a exactly.
     """
     _check_residue(a, period)
-    return _residue_sum(s, {a: 0}, 1, period, q, precision)
-
-
-def _residue_sum(s: RealP, exponents: dict[int, int], order: int,
-                 period: int, base: QBase,
-                 precision: int) -> RealP | ComplexP:
-    """sum_a chi(a) H_q(s, a; F) over the residues a in `exponents`, with
-    chi(a) = exp(2 pi i exponents[a] / order), in one pass of the
-    continuation series.  Returns RealP when order <= 2, else ComplexP.
-
-    H_q(s, a; F) = sum_m (-1)^(a+m) [a+mF]_q^(-s) for odd F, and
-    [F]_q^(-s) (1-q^F)^s = (1-q)^s and (q^F)^(a/F) = q^a turn its tail
-    from m = J on into (-1)^J times the continuation series at base q^F
-    with the exact q^(a+JF) in place of its q^x:
-
-        H_q(s, a; F) = (-1)^a (1-q)^s [sum_(m<J) (-1)^m (1-q^(a+mF))^(-s)
-                       + (-1)^J sum_k C(s+k-1,k) q^((a+JF)k) / (1+q^(Fk))],
-
-    each head starting from the exact 1 - q^a (`_head_sum`).  `_shift`
-    picks J for all residues at once.  One pass of `_continuation_sums`
-    runs the series at the smallest residue, at a_min + JF, with weight
-    q^(a-a_min) for each further residue a, so a_min's term-count precheck
-    and stop rule serve them all.  The working digits are a_min's: V at
-    base q, x = a_min is the largest over the residues, and it bounds the
-    head terms and the scaled terms (1-q)^s C(s+k-1,k) q^(ak) in absolute
-    sum.  The scale (1-q)^s and the
-    character sum are applied in those working digits, so a value far
-    above 1 keeps the absolute 10**-(P-10).
-    """
-    residues = sorted(exponents)
-    a_min = residues[0]
-    zq = ZetaQuery(s, RealP.from_rational(Fraction(a_min), precision), base,
-                   precision)
-    q = zq.q.q
-    logs = _logs(q, zq.x.value)
-    with mp.workdps(_working_digits(zq, logs)):
-        sv = s.exact_value()
-        shift = _shift(zq, sv, logs, period, len(residues))
-        wp = mp.prec + WORD_GUARD_BITS
-        step_gap, step = to_mpf(1 - q ** period), to_mpf(q ** period)
-        scale = mp.power(to_mpf(1 - q), sv)
-        sums = _continuation_sums(
-            sv, precision, scale, _fixed(q ** (a_min + shift * period), wp),
-            q ** period, wp,
-            [_fixed(q ** (a - a_min), wp) for a in residues[1:]])
-        by_exponent: dict[int, int] = {}
-        for a, part in zip(residues, sums):
-            if shift % 2:
-                part = -part
-            if shift:
-                part += _head_sum(sv, to_mpf(1 - q ** a), step_gap, step,
-                                  shift, wp)
-            e = exponents[a]
-            by_exponent[e] = by_exponent.get(e, 0) + (-part if a % 2
-                                                      else part)
-        value = _root_sum(by_exponent, order)
-        if isinstance(value, mpc):
-            return ComplexP(scale * value * _from_fixed(1, wp), precision)
-        return RealP(scale * _from_fixed(value, wp), precision)
+    x = RealP.from_rational(Fraction(a), precision)
+    return _continued(ZetaQuery(s, x, q, precision), period,
+                      [(0, (-1) ** a, 0)])
 
 
 def _root_sum(coefficients: dict[int, int | Fraction], order: int):

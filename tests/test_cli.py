@@ -474,6 +474,21 @@ def test_verify_bounds_enforced(capsys):
     assert code == 1
 
 
+def test_refusals_exit_one_with_their_message(capsys):
+    for argv, message in (
+            (["zeta", "--s", "abc", "--x", "1", "--q", "1/2"],
+             "not a rational: 'abc'"),
+            (["numbers", "--max-n", "-1"], "--max-n must be nonnegative"),
+            (["poly", "--n", "-1", "--x", "1"], "--n must be nonnegative"),
+            (["verify", "--suite", "thm3", "--max-m", "0"],
+             "--max-m must lie in 1..16"),
+            (["verify", "--suite", "thm3", "--prec", "14"],
+             "--prec must be at least 15")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"\nError: {message}\n")
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 1

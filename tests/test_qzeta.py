@@ -573,6 +573,51 @@ def test_inputs_keep_their_exact_rationals():
     assert RealP(mpf(1), P).exact is None
 
 
+def test_integer_x_takes_q_to_the_y_exactly(monkeypatch):
+    # at an integer x each q^y and each head's 1 - q^y is an exact rational
+    # rounded once, so zeta, partial zeta and L never take ln q there; the
+    # CVZ oracles below do, so they run first
+    q, s, period = Fraction(9, 10), Fraction(1, 2), 5
+    base = QBase(q, zeta_domain=True)
+    sp = RealP.from_rational(s, P)
+    chi = characters_mod(period)[1]  # of order 4
+    wide = P + 20
+    with mp.workdps(wide + GUARD_DIGITS):
+        want = zeta_euler_transform(query(s, 2, q, wide)).value
+        parts = {a: partial_zeta_by_cvz(s, a, period, q, wide)
+                 for a in range(1, period)}
+        want_l = mp.fsum(mp.expjpi(mpf(2 * chi.exponents[a]) / chi.order)
+                         * parts[a] for a in parts)
+    heads = []
+    real_head = qzeta._head_sum
+
+    def spy(*args):
+        heads.append(args[4])
+        return real_head(*args)
+
+    def refuse(_q):
+        raise AssertionError("ln q taken at an integer x")
+
+    def values():
+        return (zeta(query(s, 2, q)), partial_zeta(sp, 2, period, base, P),
+                l_function(sp, chi, base, P))
+
+    monkeypatch.setattr(qzeta, "_head_sum", spy)
+    with monkeypatch.context() as patch:
+        patch.setattr(qzeta, "_ln", refuse)
+        exact = values()
+        assert len(heads) == 1 + 1 + 4 and min(heads) > 0  # every row
+        # past the bound on the exact powers, here 1.7 * 10**7 bits, q^x
+        # is exp(x ln q)
+        with pytest.raises(AssertionError, match="ln q taken"):
+            zeta(query(s, 10 ** 6, Fraction(99999, 100000)))
+    monkeypatch.setattr(qzeta, "_MAX_EXACT_POWER_BITS", 0)
+    for got in (exact, values()):
+        with mp.workdps(wide + GUARD_DIGITS):
+            for value, oracle in zip(got, (want, parts[2], want_l)):
+                assert abs(value.value - oracle) <= tolerance(P)
+
+
 def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
     # every branch of the term power (integer, half-integer and other s)
     # and a bracket far below 1, against the continuation at P + 100

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 from mpmath import mp, mpf
 
-from qeuler import characters, cli, qnumbers, qzeta, verify
+from qeuler import characters, classical, cli, qnumbers, qzeta, verify
 from qeuler.exactnum import GUARD_DIGITS, RealP, format_rational, to_mpf
 from qeuler.qnumbers import QBase, alt_q_power_sum
 from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
@@ -159,6 +159,29 @@ def test_exact_failure_report_matches_the_eager_text(monkeypatch, tmp_path):
     assert json.dumps(report["failures"]) == json.dumps(want)
     assert report["cases_run"] == len(want) == 30
     assert report["max_deviation"] == "0.1428571429"
+
+
+def test_classical_failure_names_its_sum(monkeypatch, tmp_path):
+    # both closed forms off by 1/7 at k = 3: each failing cell names its
+    # sum, the plain one by its exponent n and the alternating one by m
+    def off_at_three(closed):
+        def moved(m, k):
+            return closed(m, k) + (Fraction(1, 7) if k == 3 else 0)
+        return moved
+
+    for name in ("power_sum_closed", "alt_power_sum_closed"):
+        monkeypatch.setattr(classical, name,
+                            off_at_three(getattr(classical, name)))
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "classical", "--max-m", "2",
+                     "--max-n", "4", "--report", str(path)]) == 2
+    report = _load_report(path)
+    assert report["cases_run"] == 16
+    assert [failure["inputs"] for failure in report["failures"]] == [
+        {"sum": "plain", "n": 1, "k": 3}, {"sum": "plain", "n": 2, "k": 3},
+        {"sum": "alt", "m": 1, "k": 3}, {"sum": "alt", "m": 2, "k": 3}]
+    assert {failure["deviation"] for failure in report["failures"]} \
+        == {"1/7"}
 
 
 def test_lfunction_suite_sees_the_roots_of_unity(monkeypatch):
