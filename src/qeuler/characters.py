@@ -192,8 +192,8 @@ def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
     where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  Each unit a is one row of
     `qzeta._continued` at step F: its offset from the smallest unit, the
     sign (-1)^a and chi's exponent.  All rows sum in one pass of the
-    continuation series at the smallest unit, which takes q^y exactly
-    there; each other unit rides along with the weight (q^(a-a_min))^k,
+    continuation series at the smallest unit, which takes each q^y by
+    `_continued`'s per-power rule; each other unit rides along with the weight (q^(a-a_min))^k,
     and the smallest unit's stop rule covers every unit because its terms
     dominate theirs.  Returns RealP for real characters, ComplexP
     otherwise.

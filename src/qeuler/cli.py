@@ -19,6 +19,7 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 import click
 
@@ -35,11 +36,11 @@ from .qzeta import ZetaQuery, partial_zeta, zeta
 from .verify import SUITES, run_suite
 
 #: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
-#: and `sums --m/--n`, the modulus of `characters` and `lfunction`, the
-#: certified precision `--prec`, the length of a `numbers` table and the
-#: degree `poly --n`, the period `verify --f`, and the height (largest of
-#: |numerator| and denominator) of `--q` for the exact commands and of
-#: `poly --x`.
+#: and `sums --m/--n`, the modulus of `characters` and `lfunction` and the
+#: period `partial-zeta --f`, the certified precision `--prec` (at least
+#: 15), the length of a `numbers` table and the degree `poly --n`, the
+#: period `verify --f`, and the height (largest of |numerator| and
+#: denominator) of `--q` for the exact commands and of `poly --x`.
 MAX_M = 16
 MAX_N = 64
 MAX_MODULUS = 1001
@@ -57,6 +58,8 @@ FORMAT_OPTION = click.option("--format", "fmt",
 
 def _check_precision(_ctx: click.Context, _param: click.Parameter,
                      prec: int) -> int:
+    if prec < 15:
+        raise click.UsageError("--prec must be at least 15")
     if prec > MAX_PRECISION:
         raise click.UsageError(f"--prec must be at most {MAX_PRECISION}")
     return prec
@@ -80,18 +83,29 @@ def _emit(query: dict, results: list[dict], precision: int | None,
                                 for v in row.values()))
 
 
-def _emit_value(command: str, value: RealP | ComplexP, fmt: str,
+def _emit_value(command: str, evaluate: Callable[..., RealP | ComplexP],
+                s_text: str, q_text: str, prec: int, fmt: str,
                 **inputs) -> None:
-    """Print a numeric value's one row: the command's inputs, then the value
-    and its certified precision."""
-    prec = value.precision
-    _emit({"command": command, **inputs, "prec": prec},
-          [{**inputs, "value": value.digits(), "precision": prec}], prec, fmt)
+    """Evaluate a numeric command and print its one row: s, the command's
+    own inputs and q, then the value and its certified precision.
+
+    --s, the command's inputs given as text (rationals) and --q are parsed
+    in that order, so the first bad one is named.  `evaluate` gets s as a
+    RealP, q as the zeta-domain QBase and the command's inputs by name,
+    the parsed ones as Fractions."""
+    exact = {name: _parse_q(v) if isinstance(v, str) else v
+             for name, v in {"s": s_text, **inputs, "q": q_text}.items()}
+    row = {name: format_rational(v) if isinstance(v, Fraction) else v
+           for name, v in exact.items()}
+    value = evaluate(RealP.from_rational(exact.pop("s"), prec),
+                     QBase(exact.pop("q"), zeta_domain=True), **exact)
+    _emit({"command": command, **row, "prec": prec},
+          [{**row, "value": value.digits(), "precision": prec}], prec, fmt)
 
 
-def _check_modulus(modulus: int) -> None:
+def _check_modulus(modulus: int, option: str = "--modulus") -> None:
     if modulus > MAX_MODULUS:
-        raise click.UsageError(f"--modulus must be at most {MAX_MODULUS}")
+        raise click.UsageError(f"{option} must be at most {MAX_MODULUS}")
 
 
 def _parse_q(text: str) -> Fraction:
@@ -242,14 +256,9 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
 def cmd_zeta(s_text: str, x_text: str, q_text: str, prec: int,
              fmt: str) -> int:
     """Euler q-zeta value at real s, x > 0, 0 < q < 1."""
-    s = _parse_q(s_text)
-    x = _parse_q(x_text)
-    q = _parse_q(q_text)
-    value = zeta(ZetaQuery(RealP.from_rational(s, prec),
-                           RealP.from_rational(x, prec),
-                           QBase(q, zeta_domain=True), prec))
-    _emit_value("zeta", value, fmt, s=format_rational(s),
-                x=format_rational(x), q=format_rational(q))
+    _emit_value("zeta", lambda s, q, x: zeta(
+        ZetaQuery(s, RealP.from_rational(x, prec), q, prec)),
+        s_text, q_text, prec, fmt, x=x_text)
     return 0
 
 
@@ -264,12 +273,10 @@ def cmd_zeta(s_text: str, x_text: str, q_text: str, prec: int,
 def cmd_partial_zeta(s_text: str, a: int, period: int, q_text: str,
                      prec: int, fmt: str) -> int:
     """Partial q-zeta H_q(s, a; F) over one residue class mod F."""
-    s = _parse_q(s_text)
-    q = _parse_q(q_text)
-    value = partial_zeta(RealP.from_rational(s, prec), a, period,
-                         QBase(q, zeta_domain=True), prec)
-    _emit_value("partial-zeta", value, fmt, s=format_rational(s), a=a,
-                f=period, q=format_rational(q))
+    _check_modulus(period, "--f")
+    _emit_value("partial-zeta",
+                lambda s, q, a, f: partial_zeta(s, a, f, q, prec),
+                s_text, q_text, prec, fmt, a=a, f=period)
     return 0
 
 
@@ -289,12 +296,9 @@ def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
         chi = character(modulus, char_index)
     except IndexError as exc:  # "index must lie in 0..N for modulus d"
         raise click.UsageError(f"--char-{exc}") from exc
-    s = _parse_q(s_text)
-    q = _parse_q(q_text)
-    value = l_function(RealP.from_rational(s, prec), chi,
-                       QBase(q, zeta_domain=True), prec)
-    _emit_value("lfunction", value, fmt, s=format_rational(s),
-                modulus=modulus, char_index=char_index, q=format_rational(q))
+    _emit_value("lfunction", lambda s, q, **_: l_function(s, chi, q, prec),
+                s_text, q_text, prec, fmt, modulus=modulus,
+                char_index=char_index)
     return 0
 
 
@@ -344,8 +348,6 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
         raise click.UsageError("--f must be an odd positive integer")
     if f_only is not None and f_only > MAX_F:
         raise click.UsageError(f"--f must be at most {MAX_F}")
-    if prec < 15:
-        raise click.UsageError("--prec must be at least 15")
     try:  # an unwritable report path fails before any suite runs
         report_file = contextlib.nullcontext() if report_path is None \
             else open(report_path, "w", encoding="utf-8")

@@ -42,10 +42,11 @@ the series at x + J step, each further row's term being x's times
 (q^d)^k.  Those weights are at most 1, so x's stop rule covers every row.
 The stop rule is absolute: it stops once a geometric bound on the scaled
 tail is at most 10**-(P+15), and at once on the exact truncation at
-s = -n.  At an integer x (every residue pass, and `zeta` at integer x)
-each q^y and each head's 1 - q^y is the exact rational rounded once, as
-long as those powers stay within _MAX_EXACT_POWER_BITS; otherwise they
-come from exp and expm1 of y ln q.
+s = -n.  One rule takes each power the pass needs, q^y and each head's
+1 - q^y: the exact rational rounded once when y is an integer (every
+residue pass, and `zeta` at integer x) with y times the bits of q's
+denominator at most _MAX_EXACT_POWER_BITS; otherwise exp and expm1 of
+y ln q, with ln q taken once per pass and only when a power needs it.
 
 Both zeta routes sum in integer fixed point: each term is a Python int at
 a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -109,12 +110,13 @@ CVZ_WEIGHTS_CACHE_SIZE = 32
 #: 2**18 terms, with 6 bits to spare.
 WORD_GUARD_BITS = 24
 
-#: Most bits the exact powers q^y of `_continued` may reach at an integer x
-#: (x + (J+1) step times the bits of q's denominator).  At 4000 bits the
-#: exact q^y and 1 - q^y took about 60 us, against 90 us for ln q, exp and
-#: expm1 at 300 bits (2-CPU machine); past the bound they take the exp
-#: route, so zeta at x = 10**6, q = 99999/100000 does not build
-#: 1.7 * 10**7-bit powers, which took 6.3 s.
+#: Most bits an exact power q^y of `_continued` may reach: y times the
+#: bits of q's denominator, for each integer y on its own.  At 4000 bits
+#: the exact q^y and 1 - q^y took about 60 us, against 90 us for ln q, exp
+#: and expm1 at 300 bits (2-CPU machine); a power past the bound takes the
+#: exp route, so zeta at x = 10**6, q = 99999/100000 does not build
+#: 1.7 * 10**7-bit powers, which took 6.3 s, nor partial zeta at
+#: F = 100001 a q^F of as many bits, which took 7-10 s.
 _MAX_EXACT_POWER_BITS = 4096
 
 
@@ -408,11 +410,11 @@ def _best_shift(zq: ZetaQuery, sv: mpf, logs: _Logs, step: int,
 
 
 def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
-                       base: Fraction, wp: int,
+                       base_fix: int, wp: int,
                        weights: Sequence[int] = ()) -> list[int]:
     """Fixed-point sums, at binary point wp in the caller's working digits,
     of the continuation series sum_k C(s+k-1,k) q^(yk) / (1+base^k)
-    (`_continuation_terms`), at precision P, with q^y given at wp and
+    (`_continuation_terms`), at precision P, with q^y and base given at wp and
     scale = (1-q)^s, the factor the caller puts on the sums: [plain sum]
     followed by one sum per weight w, whose term k is the plain one times
     w^k (w descending and at most 1; a sum is dropped once w^k underflows
@@ -432,7 +434,7 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     """
     one = 1 << wp
     s_fix = _to_fixed(s, wp)
-    terms = _continuation_terms(s_fix, qy_fix, _fixed(base, wp), wp)
+    terms = _continuation_terms(s_fix, qy_fix, base_fix, wp)
     threshold = _to_fixed(min(mpf(10) ** -(precision + 15) / scale,
                               mpf(10) ** (MAX_CANCELLATION_DIGITS + 20)), wp)
     # the rule can hold from k = first on, and only once |term| <= limit,
@@ -516,9 +518,12 @@ def _continued(zq: ZetaQuery, step: int,
     sum are applied in those working digits, so a value far above 1 keeps
     the absolute 10**-(P-10).
 
-    When x is an integer, each q^y and each head's 1 - q^y is the exact
-    rational rounded once, unless those powers would pass
-    _MAX_EXACT_POWER_BITS; otherwise they are exp and expm1 of y ln q.
+    Each power is taken on its own (`power`): q^y, for y = x + J step,
+    step and each d, and each head's 1 - q^y, for y = x + d and step, is
+    the exact rational rounded once when y is an integer whose power stays
+    within _MAX_EXACT_POWER_BITS, else exp or expm1 of y ln q, with ln q
+    taken once, on the first power that needs it.  The series and the
+    weights take them as ints at wp, the heads as mpfs.
     """
     q = zq.q.q
     logs = _logs(q, zq.x.value)
@@ -526,32 +531,38 @@ def _continued(zq: ZetaQuery, step: int,
         s, x = zq.s.exact_value(), zq.x.exact_value()
         shift = _shift(zq, s, logs, step, len(rows))
         wp = mp.prec + WORD_GUARD_BITS
-        exact = zq.x.exact
-        if exact is not None and exact.denominator == 1 and \
-                (exact.numerator + (shift + 1) * step) \
-                * q.denominator.bit_length() <= _MAX_EXACT_POWER_BITS:
+        exact, bits = zq.x.exact, q.denominator.bit_length()
+        if exact is not None and exact.denominator == 1:
             x = exact.numerator
+        ln_q = None
 
-            def fixed(y): return _fixed(q ** y, wp)
-            def gap(y): return to_mpf(1 - q ** y)
-        else:
-            ln_q = _ln(q)
+        def power(y, gap=False, fixed=False):
+            """q^y, or 1 - q^y with `gap`, as an mpf or an int at wp with
+            `fixed`: the exact rational rounded once when y is an int with
+            y times the bits of q's denominator at most
+            _MAX_EXACT_POWER_BITS, else exp or expm1 of y ln q."""
+            nonlocal ln_q
+            if isinstance(y, int) and y * bits <= _MAX_EXACT_POWER_BITS:
+                r = 1 - q ** y if gap else q ** y
+                return _fixed(r, wp) if fixed else to_mpf(r)
+            ln_q = _ln(q) if ln_q is None else ln_q
+            r = -mp.expm1(y * ln_q) if gap else mp.exp(y * ln_q)
+            return _to_fixed(r, wp) if fixed else r
 
-            def fixed(y): return _to_fixed(mp.exp(y * ln_q), wp)
-            def gap(y): return -mp.expm1(y * ln_q)
-        base = q ** step
         scale = mp.power(to_mpf(1 - q), s)
-        sums = _continuation_sums(s, zq.precision, scale,
-                                  fixed(x + shift * step), base, wp,
-                                  [fixed(d) for d, _, _ in rows[1:]])
-        step_gap, step_power = to_mpf(1 - base), to_mpf(base)
+        sums = _continuation_sums(
+            s, zq.precision, scale, power(x + shift * step, fixed=True),
+            power(step, fixed=True), wp,
+            [power(d, fixed=True) for d, _, _ in rows[1:]])
+        if shift:
+            step_gap, step_power = power(step, gap=True), power(step)
         by_exponent: dict[int, int] = {}
         for (d, sign, e), part in zip(rows, sums):
             if shift % 2:
                 part = -part
             if shift:
-                part += _head_sum(s, gap(x + d), step_gap, step_power, shift,
-                                  wp)
+                part += _head_sum(s, power(x + d, gap=True), step_gap,
+                                  step_power, shift, wp)
             by_exponent[e] = by_exponent.get(e, 0) + sign * part
         value = _root_sum(by_exponent, order)
         if isinstance(value, mpc):
@@ -720,8 +731,11 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
         H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F),
 
     since [a+nF]_q = [F]_q [n+a/F]_(q^F): the one row (0, (-1)^a, 0) of
-    `_continued` at x = a and step F, which takes q^(a+JF) and the head's
-    1 - q^a exactly.
+    `_continued` at x = a and step F.  Each of q^(a+JF), q^F and the
+    heads' 1 - q^a and 1 - q^F is exact, rounded once, while its bits stay
+    within _MAX_EXACT_POWER_BITS, and comes from exp or expm1 of y ln q
+    past them, so a large F or a q with a long denominator builds no huge
+    power.
     """
     _check_residue(a, period)
     x = RealP.from_rational(Fraction(a), precision)

@@ -483,7 +483,19 @@ def test_refusals_exit_one_with_their_message(capsys):
             (["verify", "--suite", "thm3", "--max-m", "0"],
              "--max-m must lie in 1..16"),
             (["verify", "--suite", "thm3", "--prec", "14"],
-             "--prec must be at least 15")):
+             "--prec must be at least 15"),
+            (["zeta", "--s", "1/2", "--x", "1", "--q", "1/2", "--prec", "14"],
+             "--prec must be at least 15"),
+            (["partial-zeta", "--s", "1/2", "--a", "1", "--f", "3", "--q",
+              "1/2", "--prec", "14"], "--prec must be at least 15"),
+            (["lfunction", "--s", "1/2", "--modulus", "3", "--char-index",
+              "1", "--q", "1/2", "--prec", "14"],
+             "--prec must be at least 15"),
+            # a period is a modulus, refused before any power of q is taken
+            (["partial-zeta", "--s", "1/2", "--a", "1", "--f", "1003", "--q",
+              "1/2"], "--f must be at most 1001"),
+            (["partial-zeta", "--s", "1/2", "--a", "1", "--f",
+              str(10 ** 400 + 1), "--q", "1/2"], "--f must be at most 1001")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.endswith(f"\nError: {message}\n")

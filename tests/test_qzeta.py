@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 from qeuler.errors import DomainError, NonConvergence
 from qeuler.exactnum import GUARD_DIGITS, RealP, rat_pow, to_mpf, tolerance
 from qeuler import qzeta
-from qeuler.characters import characters_mod, l_function
+from qeuler.characters import character, characters_mod, l_function
 from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
 from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, cancellation_digits,
                           euler_transform, partial_zeta,
@@ -616,6 +616,41 @@ def test_integer_x_takes_q_to_the_y_exactly(monkeypatch):
         with mp.workdps(wide + GUARD_DIGITS):
             for value, oracle in zip(got, (want, parts[2], want_l)):
                 assert abs(value.value - oracle) <= tolerance(P)
+
+
+def test_no_exact_power_passes_its_bound(monkeypatch):
+    # each power of q is exact only within _MAX_EXACT_POWER_BITS: a long
+    # period (q^100001 has 1.7 * 10**6 bits) or a long denominator (q^1001
+    # at q = 1/10**300 has 10**6) takes q^F from exp, so no rational past
+    # the bound is built and rounded, and the values are those of the
+    # route that takes every power from exp
+    bound, precision = qzeta._MAX_EXACT_POWER_BITS, 15
+    s = RealP.from_rational(Fraction(1, 2), precision)
+
+    def checked(convert):
+        def wrapper(r, *args):
+            if Fraction(r).denominator.bit_length() > bound:
+                raise AssertionError("an exact power past the bound")
+            return convert(r, *args)
+        return wrapper
+
+    def values():
+        return (partial_zeta(s, 1, 100001,
+                             QBase(Fraction(99999, 100000), zeta_domain=True),
+                             precision),
+                l_function(s, character(1001, 1),
+                           QBase(Fraction(1, 10 ** 300), zeta_domain=True),
+                           precision))
+
+    monkeypatch.setattr(qzeta, "_fixed", checked(qzeta._fixed))
+    monkeypatch.setattr(qzeta, "to_mpf", checked(qzeta.to_mpf))
+    got = values()
+    assert [v.digits() for v in got] == [
+        "-0.997781976951059", "-2.00000000000000+2.25694915357879e-36i"]
+    monkeypatch.setattr(qzeta, "_MAX_EXACT_POWER_BITS", 0)
+    with mp.workdps(precision + GUARD_DIGITS):
+        for value, by_exp in zip(got, values()):
+            assert abs(value.value - by_exp.value) <= tolerance(precision)
 
 
 def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
