@@ -8,7 +8,10 @@ Identical invocations produce byte-identical output; the only
 nondeterministic field anywhere is elapsed_ms inside verification report
 files.  verify passes each suite only the options it takes
 (`verify.run_suite`), and refuses a --report path it cannot open for
-writing before any suite runs.
+writing before any suite runs.  A bounded integer option is refused as
+it is parsed (`_bounded`), before the command body runs, so of two bad
+options the first given is named; verify's --max-m, --max-n and --f are
+checked at the top of its body.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
 """
@@ -35,12 +38,14 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
 from .qzeta import ZetaQuery, partial_zeta, zeta
 from .verify import SUITES, run_suite
 
-#: Hard bounds on CLI inputs (keeps runs at desk scale): the verify grids
-#: and `sums --m/--n`, the modulus of `characters` and `lfunction` and the
-#: period `partial-zeta --f`, the certified precision `--prec` (at least
-#: 15), the length of a `numbers` table and the degree `poly --n`, the
-#: period `verify --f`, and the height (largest of |numerator| and
-#: denominator) of `--q` for the exact commands and of `poly --x`.
+#: Hard bounds on CLI inputs (keeps runs at desk scale), an integer one
+#: refused as its option is parsed (`_bounded`) but for verify's: the
+#: verify grids and `sums --m/--n`, the modulus of `characters` and
+#: `lfunction` and the period `partial-zeta --f`, the certified precision
+#: `--prec` (at least 15), the length of a `numbers` table and the degree
+#: `poly --n`, the period `verify --f`, and the height (largest of
+#: |numerator| and denominator) of `--q` for the exact commands and of
+#: `poly --x`.
 MAX_M = 16
 MAX_N = 64
 MAX_MODULUS = 1001
@@ -56,17 +61,23 @@ FORMAT_OPTION = click.option("--format", "fmt",
                              help="Output format.")
 
 
-def _check_precision(_ctx: click.Context, _param: click.Parameter,
-                     prec: int) -> int:
-    if prec < 15:
-        raise click.UsageError("--prec must be at least 15")
-    if prec > MAX_PRECISION:
-        raise click.UsageError(f"--prec must be at most {MAX_PRECISION}")
-    return prec
+def _bounded(high: int, low: int | None = None) -> Callable[..., int]:
+    """A click callback that refuses an integer option outside low..high
+    (no lower bound when low is None) as the option is parsed."""
+    def check(_ctx: click.Context, param: click.Parameter, value: int) -> int:
+        option = param.opts[0]
+        if low is not None and value < low:
+            raise click.UsageError(f"{option} must be nonnegative" if low == 0
+                                   else f"{option} must be at least {low}")
+        if value > high:
+            raise click.UsageError(f"{option} must be at most {high}")
+        return value
+    return check
 
 
 PREC_OPTION = click.option("--prec", type=int, default=DEFAULT_PRECISION,
-                           show_default=True, callback=_check_precision,
+                           show_default=True,
+                           callback=_bounded(MAX_PRECISION, 15),
                            help="Certified decimal precision P.")
 
 
@@ -101,11 +112,6 @@ def _emit_value(command: str, evaluate: Callable[..., RealP | ComplexP],
                      QBase(exact.pop("q"), zeta_domain=True), **exact)
     _emit({"command": command, **row, "prec": prec},
           [{**row, "value": value.digits(), "precision": prec}], prec, fmt)
-
-
-def _check_modulus(modulus: int, option: str = "--modulus") -> None:
-    if modulus > MAX_MODULUS:
-        raise click.UsageError(f"{option} must be at most {MAX_MODULUS}")
 
 
 def _parse_q(text: str) -> Fraction:
@@ -144,6 +150,7 @@ def cli() -> None:
 
 @cli.command("numbers")
 @click.option("--max-n", "max_n", type=int, required=True,
+              callback=_bounded(MAX_NUMBERS_N, 0),
               help="Emit indices 0..max_n.")
 @click.option("--q", "q_text", default=None,
               help="Base q as 'p/q' or a finite decimal (q variants only).")
@@ -152,12 +159,9 @@ def cli() -> None:
                                  "classical-bernoulli"]),
               default="plain", show_default=True)
 @FORMAT_OPTION
-def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
+def cmd_numbers(max_n: int, q_text: str | None, variant: str,
+                fmt: str) -> None:
     """Table of q-Euler, star q-Euler, Euler, or Bernoulli numbers."""
-    if max_n < 0:
-        raise click.UsageError("--max-n must be nonnegative")
-    if max_n > MAX_NUMBERS_N:
-        raise click.UsageError(f"--max-n must be at most {MAX_NUMBERS_N}")
     query: dict = {"command": "numbers", "variant": variant, "max_n": max_n}
     if variant in ("plain", "star"):
         base = _q_base(q_text, variant, query)
@@ -172,11 +176,11 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
     results = [{"n": n, "value": format_rational(v)}
                for n, v in enumerate(values)]
     _emit(query, results, None, fmt)
-    return 0
 
 
 @cli.command("poly")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=int, required=True,
+              callback=_bounded(MAX_NUMBERS_N, 0))
 @click.option("--x", "x_text", required=True,
               help="Argument x as 'p/q' or a finite decimal.")
 @click.option("--q", "q_text", default=None)
@@ -184,15 +188,11 @@ def cmd_numbers(max_n: int, q_text: str | None, variant: str, fmt: str) -> int:
               default="plain", show_default=True)
 @FORMAT_OPTION
 def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
-             fmt: str) -> int:
+             fmt: str) -> None:
     """Evaluate a q-Euler (or classical Euler) polynomial exactly.
 
     For the q variants, q^x must be rational (integer x always works);
     otherwise the command fails rather than approximate."""
-    if n < 0:
-        raise click.UsageError("--n must be nonnegative")
-    if n > MAX_NUMBERS_N:
-        raise click.UsageError(f"--n must be at most {MAX_NUMBERS_N}")
     x = _parse_bounded(x_text, "--x", MAX_X_HEIGHT)
     query: dict = {"command": "poly", "variant": variant, "n": n,
                    "x": format_rational(x)}
@@ -205,7 +205,6 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
     results = [{"n": n, "x": format_rational(x),
                 "value": format_rational(value)}]
     _emit(query, results, None, fmt)
-    return 0
 
 
 @cli.command("sums")
@@ -213,18 +212,15 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
               type=click.Choice(["power", "alt-power", "q-alt",
                                  "q-alt-weighted"]),
               default="q-alt", show_default=True)
-@click.option("--m", type=int, required=True, help="Power exponent.")
-@click.option("--n", type=int, required=True,
+@click.option("--m", type=int, required=True, callback=_bounded(MAX_M),
+              help="Power exponent.")
+@click.option("--n", type=int, required=True, callback=_bounded(MAX_N),
               help="Summation length (sum runs over l = 0..n-1).")
 @click.option("--q", "q_text", default=None)
 @FORMAT_OPTION
 def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
-             fmt: str) -> int:
+             fmt: str) -> None:
     """Power sums: direct summation next to the closed form (always equal)."""
-    if m > MAX_M:
-        raise click.UsageError(f"--m must be at most {MAX_M}")
-    if n > MAX_N:
-        raise click.UsageError(f"--n must be at most {MAX_N}")
     query: dict = {"command": "sums", "variant": variant, "m": m, "n": n}
     if variant == "power":
         direct, closed = classical.power_sum(m, n), \
@@ -244,7 +240,6 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
                 "closed": format_rational(closed),
                 "equal": direct == closed}]
     _emit(query, results, None, fmt)
-    return 0
 
 
 @cli.command("zeta")
@@ -254,44 +249,41 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
 @PREC_OPTION
 @FORMAT_OPTION
 def cmd_zeta(s_text: str, x_text: str, q_text: str, prec: int,
-             fmt: str) -> int:
+             fmt: str) -> None:
     """Euler q-zeta value at real s, x > 0, 0 < q < 1."""
     _emit_value("zeta", lambda s, q, x: zeta(
         ZetaQuery(s, RealP.from_rational(x, prec), q, prec)),
         s_text, q_text, prec, fmt, x=x_text)
-    return 0
 
 
 @cli.command("partial-zeta")
 @click.option("--s", "s_text", required=True)
 @click.option("--a", type=int, required=True, help="Residue class, 0 < a < F.")
 @click.option("--f", "period", type=int, required=True,
-              help="Period F (odd).")
+              callback=_bounded(MAX_MODULUS), help="Period F (odd).")
 @click.option("--q", "q_text", required=True)
 @PREC_OPTION
 @FORMAT_OPTION
 def cmd_partial_zeta(s_text: str, a: int, period: int, q_text: str,
-                     prec: int, fmt: str) -> int:
+                     prec: int, fmt: str) -> None:
     """Partial q-zeta H_q(s, a; F) over one residue class mod F."""
-    _check_modulus(period, "--f")
     _emit_value("partial-zeta",
                 lambda s, q, a, f: partial_zeta(s, a, f, q, prec),
                 s_text, q_text, prec, fmt, a=a, f=period)
-    return 0
 
 
 @cli.command("lfunction")
 @click.option("--s", "s_text", required=True)
-@click.option("--modulus", type=int, required=True)
+@click.option("--modulus", type=int, required=True,
+              callback=_bounded(MAX_MODULUS))
 @click.option("--char-index", "char_index", type=int, required=True,
               help="Index into the canonical character ordering.")
 @click.option("--q", "q_text", required=True)
 @PREC_OPTION
 @FORMAT_OPTION
 def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
-                  prec: int, fmt: str) -> int:
+                  prec: int, fmt: str) -> None:
     """q-L-function value for a Dirichlet character of odd modulus."""
-    _check_modulus(modulus)
     try:
         chi = character(modulus, char_index)
     except IndexError as exc:  # "index must lie in 0..N for modulus d"
@@ -299,15 +291,14 @@ def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
     _emit_value("lfunction", lambda s, q, **_: l_function(s, chi, q, prec),
                 s_text, q_text, prec, fmt, modulus=modulus,
                 char_index=char_index)
-    return 0
 
 
 @cli.command("characters")
-@click.option("--modulus", type=int, required=True)
+@click.option("--modulus", type=int, required=True,
+              callback=_bounded(MAX_MODULUS))
 @FORMAT_OPTION
-def cmd_characters(modulus: int, fmt: str) -> int:
+def cmd_characters(modulus: int, fmt: str) -> None:
     """List the character group mod an odd modulus (exponent tables)."""
-    _check_modulus(modulus)
     group = characters_mod(modulus)
     query = {"command": "characters", "modulus": modulus}
     results = []
@@ -320,7 +311,6 @@ def cmd_characters(modulus: int, fmt: str) -> int:
         results.append({"modulus": modulus, "index": index,
                         "order": chi.order, "exponents": exponents})
     _emit(query, results, None, fmt)
-    return 0
 
 
 @cli.command("verify")

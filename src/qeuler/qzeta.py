@@ -722,11 +722,16 @@ def _check_residue(a: int, period: int) -> None:
         raise DomainError("the period F must be odd")
     if not 0 < a < period:
         raise DomainError("need 0 < a < F")
+    # `_best_shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS < 2**14,
+    # in floats, which stop short of 2**1024
+    if period.bit_length() > 1010:
+        raise DomainError("the period F must be below 2**1010")
 
 
 def partial_zeta(s: RealP, a: int, period: int, q: QBase,
                  precision: int = DEFAULT_PRECISION) -> RealP:
-    """Partial q-zeta over the residue class a mod F (F odd, 0 < a < F):
+    """Partial q-zeta over the residue class a mod F (F odd and below
+    2**1010, 0 < a < F):
 
         H_q(s, a; F) = [F]_q^(-s) (-1)^a zeta_{E,q^F}(s, a/F),
 

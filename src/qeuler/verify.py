@@ -74,19 +74,22 @@ class VerificationReport:
 
 def _run(name: str, grid: dict, cells, evaluate, describe,
          precision: int | None = None) -> VerificationReport:
-    """Run cells whose evaluator yields the two sides of an identity: exact
-    Fractions (lhs, rhs) that must agree bit for bit when precision is
-    None, else (lhs, rhs, |lhs - rhs|), which must be within 10**-(P-10).
+    """Run cells whose evaluator yields the two sides (lhs, rhs) of an
+    identity: exact Fractions that must agree bit for bit when precision
+    is None, else numeric sides (RealP, ComplexP, Fraction, mpf or mpc)
+    whose difference must be within 10**-(P-10).  Numeric cells are
+    evaluated, and |lhs - rhs| taken, at P + GUARD_DIGITS working digits.
 
     Only a failing cell is written out: its inputs (`describe`) and both
     sides as text, an exact value by `format_rational`, a RealP or
     ComplexP by its digits and an mpf or mpc by mp.nstr at P digits."""
     start = time.perf_counter()
-    outcomes = [evaluate(cell) for cell in cells]
     exact = precision is None
-    if exact:
-        outcomes = [(lhs, rhs, abs(lhs - rhs) if lhs != rhs else 0)
-                    for lhs, rhs in outcomes]
+
+    def number(side):  # an exact side as it is, a numeric one as mpf/mpc
+        if exact or not isinstance(side, (Fraction, RealP, ComplexP)):
+            return side
+        return to_mpf(side) if isinstance(side, Fraction) else side.value
 
     def text(value) -> str:
         if exact or isinstance(value, Fraction):
@@ -96,6 +99,10 @@ def _run(name: str, grid: dict, cells, evaluate, describe,
         return mp.nstr(value, precision)
 
     with mp.workdps(30 if exact else precision + GUARD_DIGITS):
+        # equal sides are 0 apart without a subtraction
+        outcomes = [(lhs, rhs, abs(number(lhs) - number(rhs))
+                     if lhs != rhs else 0)
+                    for lhs, rhs in map(evaluate, cells)]
         bound = 0 if exact else tolerance(precision)
         failures = [{"inputs": describe(cell), "lhs": text(lhs),
                      "rhs": text(rhs),
@@ -214,10 +221,7 @@ def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     def evaluate(cell):
         s, x, base = cell
         zq = ZetaQuery(reals[s], reals[x], base, precision)
-        a = zeta(zq)
-        b = zeta_euler_transform(zq)
-        with mp.workdps(precision + GUARD_DIGITS):
-            return a, b, abs(a.value - b.value)
+        return zeta(zq), zeta_euler_transform(zq)
 
     grid = {"s": list(ZETA_S), "x": list(ZETA_X),
             "q": [format_rational(q) for q in ZETA_Q],
@@ -237,10 +241,8 @@ def verify_partial_zeta(precision: int = DEFAULT_PRECISION
 
     def evaluate(cell):
         n, a, F, base = cell
-        numeric = partial_zeta(minus[n], a, F, base, precision)
-        exact = partial_zeta_special_value(n, a, F, base.q)
-        with mp.workdps(precision + GUARD_DIGITS):
-            return numeric, exact, abs(numeric.value - to_mpf(exact))
+        return (partial_zeta(minus[n], a, F, base, precision),
+                partial_zeta_special_value(n, a, F, base.q))
 
     grid = {"n": [1, SPECIAL_N], "F": list(PERIODS),
             "q": [format_rational(q) for q in LFUNCTION_Q],
@@ -268,14 +270,12 @@ def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
         _, _, chi, n, base = cell
         lhs = l_function(minus[n], chi, base, precision)
         coefficients, den = _generalized_parts(n, chi, base.q)
-        with mp.workdps(precision + GUARD_DIGITS):
-            if chi.order <= 2:
-                rhs = Fraction(sum(-c if e else c
-                                   for e, c in coefficients.items()), 2 * den)
-                return lhs, rhs, abs(lhs.value - to_mpf(rhs))
-            rhs = mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
-                          for e, c in coefficients.items()) / (2 * den)
-            return lhs, rhs, abs(lhs.value - rhs)
+        if chi.order <= 2:
+            return lhs, Fraction(sum(-c if e else c
+                                     for e, c in coefficients.items()),
+                                 2 * den)
+        return lhs, mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
+                            for e, c in coefficients.items()) / (2 * den)
 
     grid = {"n": [0, SPECIAL_N], "modulus": list(MODULI),
             "q": [format_rational(q) for q in LFUNCTION_Q],

@@ -495,7 +495,16 @@ def test_refusals_exit_one_with_their_message(capsys):
             (["partial-zeta", "--s", "1/2", "--a", "1", "--f", "1003", "--q",
               "1/2"], "--f must be at most 1001"),
             (["partial-zeta", "--s", "1/2", "--a", "1", "--f",
-              str(10 ** 400 + 1), "--q", "1/2"], "--f must be at most 1001")):
+              str(10 ** 400 + 1), "--q", "1/2"], "--f must be at most 1001"),
+            (["lfunction", "--s", "1/2", "--modulus", "1003", "--char-index",
+              "1", "--q", "1/2"], "--modulus must be at most 1001"),
+            (["verify", "--suite", "thm3", "--max-n", "65"],
+             "--max-n must lie in 1..64"),
+            # bounded options are refused as they are parsed, so of two bad
+            # ones the first given is named
+            (["lfunction", "--s", "1/2", "--modulus", "1003", "--char-index",
+              "1", "--q", "1/2", "--prec", "14"],
+             "--modulus must be at most 1001")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.endswith(f"\nError: {message}\n")

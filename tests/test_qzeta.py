@@ -716,6 +716,10 @@ def test_partial_zeta_anchors():
     s = RealP.from_rational(-1, P)
     assert_close(partial_zeta(s, 1, 3, HALF, P), Fraction(-1, 9))
     assert_close(partial_zeta(s, 2, 3, HALF, P), Fraction(5, 9))
+    # a long period within the float range of the shift's cost search
+    assert partial_zeta(RealP.from_rational(Fraction(1, 2), 15), 1,
+                        10 ** 30 + 1, HALF, 15).digits() \
+        == "-0.646446609406726"
 
 
 def test_partial_zeta_far_above_one_meets_contract():
@@ -737,6 +741,11 @@ def test_partial_zeta_validation():
         partial_zeta(s, 3, 3, HALF, P)
     with pytest.raises(DomainError):
         partial_zeta(s, 0, 3, HALF, P)
+    # past the float range of the shift's cost search, which raised a bare
+    # OverflowError at this period and s = 1/2
+    with pytest.raises(DomainError, match=r"F must be below 2\*\*1010"):
+        partial_zeta(RealP.from_rational(Fraction(1, 2), P), 1,
+                     10 ** 400 + 1, HALF, P)
     for q in (Fraction(3, 2), Fraction(-1, 2)):  # refused by its ZetaQuery
         with pytest.raises(DomainError):
             partial_zeta(s, 1, 3, QBase(q), P)
@@ -744,6 +753,8 @@ def test_partial_zeta_validation():
                  (1, Fraction(1)), (1, Fraction(3, 2)), (1, Fraction(0))):
         with pytest.raises(DomainError):
             partial_zeta_special_value(n, 1, 3, q)
+    with pytest.raises(DomainError, match=r"F must be below 2\*\*1010"):
+        partial_zeta_special_value(1, 1, 10 ** 400 + 1, Fraction(1, 2))
 
 
 def test_partial_zeta_special_value_anchors():
