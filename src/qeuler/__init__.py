@@ -15,10 +15,10 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_poly_via_numbers, q_euler_star_number,
                        q_euler_star_poly, q_int, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import (ZetaQuery, partial_zeta, partial_zeta_special_value, zeta,
-                    zeta_euler_transform)
+from .qzeta import (ZetaQuery, l_function, partial_zeta,
+                    partial_zeta_special_value, zeta, zeta_euler_transform)
 from .characters import (DirichletCharacter, character, characters_mod,
-                         generalized_q_euler, l_function)
+                         generalized_q_euler)
 
 __version__ = "0.1.0"
 

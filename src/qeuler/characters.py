@@ -1,5 +1,7 @@
-"""Dirichlet characters of odd modulus, generalized q-Euler numbers
-attached to a character, and the q-L-function.
+"""Dirichlet characters of odd modulus and the generalized q-Euler
+numbers attached to a character.  The q-L-function, the numeric side of
+the same identity, is `qzeta.l_function`; this module builds exact tables
+only and imports nothing from `qzeta`.
 
 A character mod d is stored as an exponent table: residue a maps to None
 off the units, and otherwise to an integer e with chi(a) = exp(2*pi*i*e/m),
@@ -23,12 +25,11 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from mpmath import mp, mpc
+from mpmath import mp, mpf
 
 from .errors import DomainError
-from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, RealP
-from .qnumbers import QBase, _distribution_terms
-from .qzeta import ZetaQuery, _continued, _root_sum
+from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, to_mpf
+from .qnumbers import _distribution_terms
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -170,37 +171,17 @@ def generalized_q_euler(n: int, chi: DirichletCharacter, q: Fraction,
         E_{n,chi,q} = [d]_q^n sum_{a<d} chi(a) (-1)^a E_{n,q^d}(a/d),
 
     each inner polynomial evaluated exactly through t = q^a, all of them
-    over one denominator (`_generalized_parts`).  Real characters give an
-    exact Fraction, reduced once; otherwise the exact root-of-unity
-    coefficients are materialized into an mpmath complex at `precision`.
+    over one denominator D (`_generalized_parts`).  When every root is +1
+    or -1 (order at most 2) the value is an exact Fraction, reduced once;
+    otherwise it is the mpmath complex sum_e c_e exp(2 pi i e / m) / D at
+    precision + GUARD_DIGITS working digits, each c_e rounded to them and
+    its root taken by mp.expjpi.  This root sum is the exact side's own:
+    `qzeta.l_function` sums the roots of its residue sums apart.
     """
     coefficients, den = _generalized_parts(n, chi, q)
+    if chi.order <= 2:
+        return Fraction(sum(-c if e else c for e, c in coefficients.items()),
+                        den)
     with mp.workdps(precision + GUARD_DIGITS):
-        total = _root_sum(coefficients, chi.order)
-        return total / den if isinstance(total, mpc) \
-            else Fraction(total, den)
-
-
-def l_function(s: RealP, chi: DirichletCharacter, q: QBase,
-               precision: int = DEFAULT_PRECISION):
-    """q-L-function l_{E,q}(s, chi) = sum_{n>=1} (-1)^n chi(n) / [n]_q^s,
-    computed through the residue-class decomposition
-
-        l_{E,q}(s, chi) = sum_{a=1..F} chi(a) H_q(s, a; F),  F = modulus.
-
-    Residues with gcd(a, F) > 1 drop out through chi; F = 1 leaves a = 1,
-    where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  Each unit a is one row of
-    `qzeta._continued` at step F: its offset from the smallest unit, the
-    sign (-1)^a and chi's exponent.  All rows sum in one pass of the
-    continuation series at the smallest unit, which takes each q^y by
-    `_continued`'s per-power rule; each other unit rides along with the weight (q^(a-a_min))^k,
-    and the smallest unit's stop rule covers every unit because its terms
-    dominate theirs.  Returns RealP for real characters, ComplexP
-    otherwise.
-    """
-    F = chi.modulus
-    units = [a for a in range(1, F + 1) if chi.exponents[a % F] is not None]
-    x = RealP.from_rational(Fraction(units[0]), precision)
-    return _continued(ZetaQuery(s, x, q, precision), F,
-                      [(a - units[0], (-1) ** a, chi.exponents[a % F])
-                       for a in units], chi.order)
+        return mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
+                       for e, c in coefficients.items()) / den

@@ -27,7 +27,7 @@ from typing import Callable
 import click
 
 from . import classical
-from .characters import character, characters_mod, l_function
+from .characters import character, characters_mod
 from .errors import DomainError, NonConvergence, NotExactPower
 from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
                        parse_rational)
@@ -35,7 +35,7 @@ from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        q_euler_number, q_euler_poly, q_euler_star_number,
                        q_euler_star_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import ZetaQuery, partial_zeta, zeta
+from .qzeta import ZetaQuery, l_function, partial_zeta, zeta
 from .verify import SUITES, run_suite
 
 #: Hard bounds on CLI inputs (keeps runs at desk scale), an integer one
@@ -90,8 +90,7 @@ def _emit(query: dict, results: list[dict], precision: int | None,
     else:
         click.echo(",".join(results[0]))
         for row in results:
-            click.echo(",".join("" if v is None else str(v)
-                                for v in row.values()))
+            click.echo(",".join(map(str, row.values())))
 
 
 def _emit_value(command: str, evaluate: Callable[..., RealP | ComplexP],

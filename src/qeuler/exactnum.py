@@ -14,6 +14,7 @@ absolute error is at most ``10**-(P - 10)``.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,12 +67,31 @@ def show_rational(value: Fraction | int) -> str:
             return f"about {mp.nstr(to_mpf(value), 15)}"
 
 
+#: A decimal text with an exponent: its mantissa (no slash, space or
+#: second exponent) and the exponent.
+_EXPONENT = re.compile(r"([^/\seE]*)[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a finite decimal string to an exact Fraction."""
+    """Parse "p/q" or a finite decimal string to an exact Fraction.
+
+    A text with an exponent is bounded before it is built, since Fraction
+    would take 10**|exponent| first: a nonzero mantissa whose |exponent|
+    exceeds the int-to-str digit limit plus the mantissa's length gives a
+    numerator or denominator past that limit, and is refused as too long.
+    A zero mantissa is 0 whatever its exponent."""
+    split = _EXPONENT.fullmatch(text.strip())
     try:
-        return Fraction(text.strip())
+        if split is None:
+            return Fraction(text.strip())
+        mantissa, exponent = Fraction(split[1]), int(split[2])
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc
+    limit = sys.get_int_max_str_digits()
+    if mantissa and limit and abs(exponent) > limit + len(split[1]):
+        raise DomainError(f"rational too long: {text!r} has more than "
+                          f"{limit} digits as num/den")
+    return mantissa * Fraction(10) ** exponent if mantissa else mantissa
 
 
 @dataclass(frozen=True)
@@ -111,9 +131,6 @@ class RealP:
         """Decimal string whose last digit is as fine as the contract:
         P + max(0, floor(log10|v|)) significant digits (`_printed`)."""
         return _printed(self.value, self.precision)
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 @dataclass(frozen=True)

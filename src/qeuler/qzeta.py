@@ -1,5 +1,6 @@
-"""Euler q-zeta function, its partial (residue-class) variant, and the
-negative-integer interpolation checks.
+"""Euler q-zeta function, its partial (residue-class) variant, the q-L
+function of a Dirichlet character, and the negative-integer
+interpolation checks.
 
 The defining series sum_{n>=0} (-1)^n [n+x]_q^(-s) has terms tending to
 (1-q)^s rather than zero, so its value is taken in the Abel/Euler sense.
@@ -30,7 +31,12 @@ Two independent summation routes are implemented:
 
 The partial zeta H_q(s, a; F) has one route: head terms and the
 continuation series at base q^F, x = a/F, with q^x = q^a.  Its
-cross-check is the exact special value at s = -n.
+cross-check is the exact special value at s = -n.  The q-L value
+`l_function` is the character sum of the partial zeta values over the
+units mod F; its cross-check is half the generalized number
+`characters.generalized_q_euler` at s = -n.  `l_function` reads only the
+character's modulus, order and exponent table, so this module does not
+import `characters`.
 
 `zeta`, partial zeta and the residues of one L value are one sum, run by
 one function, `_continued`: rows (d, sign, e) over the series at x + d, at
@@ -748,7 +754,33 @@ def partial_zeta(s: RealP, a: int, period: int, q: QBase,
                       [(0, (-1) ** a, 0)])
 
 
-def _root_sum(coefficients: dict[int, int | Fraction], order: int):
+def l_function(s: RealP, chi, q: QBase,
+               precision: int = DEFAULT_PRECISION) -> RealP | ComplexP:
+    """q-L-function l_{E,q}(s, chi) = sum_{n>=1} (-1)^n chi(n) / [n]_q^s,
+    computed through the residue-class decomposition
+
+        l_{E,q}(s, chi) = sum_{a=1..F} chi(a) H_q(s, a; F),  F = modulus,
+
+    for a character chi given by its modulus, order and exponent table
+    (`characters.DirichletCharacter`).  Residues with gcd(a, F) > 1 drop
+    out through chi; F = 1 leaves a = 1, where H_q(s, 1; 1) =
+    -zeta_{E,q}(s, 1).  Each unit a is one row of `_continued` at step F,
+    as in `partial_zeta`: its offset from the smallest unit, the sign
+    (-1)^a and chi's exponent.  All rows sum in one pass of the
+    continuation series at the smallest unit; each other unit rides along
+    with the weight (q^(a-a_min))^k, and the smallest unit's stop rule
+    covers every unit because its terms dominate theirs.  Returns RealP
+    for real characters, ComplexP otherwise.
+    """
+    F = chi.modulus
+    units = [a for a in range(1, F + 1) if chi.exponents[a % F] is not None]
+    x = RealP.from_rational(Fraction(units[0]), precision)
+    return _continued(ZetaQuery(s, x, q, precision), F,
+                      [(a - units[0], (-1) ** a, chi.exponents[a % F])
+                       for a in units], chi.order)
+
+
+def _root_sum(coefficients: dict[int, int], order: int):
     """sum_e c_e exp(2 pi i e / order): exact, each c_e signed, when every
     root is +1 or -1 (e = 0 or 2e = order), else an mpc at the context's
     precision, each c_e rounded to it before its root multiplies it."""

@@ -21,18 +21,18 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, RealP,
                        format_rational, to_mpf, tolerance)
 from . import classical
-from .characters import _generalized_parts, characters_mod, l_function
+from .characters import characters_mod, generalized_q_euler
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        distribution_sum, q_euler_poly,
                        q_euler_poly_via_numbers, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import ZetaQuery, partial_zeta, partial_zeta_special_value, \
-    zeta, zeta_euler_transform
+from .qzeta import ZetaQuery, l_function, partial_zeta, \
+    partial_zeta_special_value, zeta, zeta_euler_transform
 
 IDENTITY_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(3, 2), Fraction(5, 2))
@@ -254,11 +254,10 @@ def verify_partial_zeta(precision: int = DEFAULT_PRECISION
 def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     """L-function at negative integers vs generalized numbers over 2.
 
-    The right-hand side is summed here from the exact per-exponent
-    coefficients (`characters._generalized_parts`): exactly when every
-    root is +1 or -1, else as sum_e c_e exp(2 pi i e / order) with
-    mp.expjpi.  The L value sums its roots in `qzeta._root_sum`, so a
-    wrong root there is a disagreement here."""
+    The L value (`qzeta.l_function`) sums the roots of unity of its
+    residue sums in `qzeta`; the generalized number
+    (`characters.generalized_q_euler`) sums its own, so a wrong root on
+    either side is a disagreement here."""
     bases = [QBase(q, zeta_domain=True) for q in LFUNCTION_Q]
     cells = [(d, index, chi, n, base) for d in MODULI
              for index, chi in enumerate(characters_mod(d))
@@ -268,14 +267,8 @@ def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
 
     def evaluate(cell):
         _, _, chi, n, base = cell
-        lhs = l_function(minus[n], chi, base, precision)
-        coefficients, den = _generalized_parts(n, chi, base.q)
-        if chi.order <= 2:
-            return lhs, Fraction(sum(-c if e else c
-                                     for e, c in coefficients.items()),
-                                 2 * den)
-        return lhs, mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
-                            for e, c in coefficients.items()) / (2 * den)
+        return (l_function(minus[n], chi, base, precision),
+                generalized_q_euler(n, chi, base.q, precision) / 2)
 
     grid = {"n": [0, SPECIAL_N], "modulus": list(MODULI),
             "q": [format_rational(q) for q in LFUNCTION_Q],

@@ -13,13 +13,12 @@ import pytest
 from mpmath import mp, mpf
 
 from qeuler import characters, qzeta
-from qeuler.characters import (character, characters_mod,
-                               generalized_q_euler, l_function)
+from qeuler.characters import character, characters_mod, generalized_q_euler
 from qeuler.cli import main
 from qeuler.errors import DomainError
 from qeuler.exactnum import GUARD_DIGITS, RealP, to_mpf, tolerance
 from qeuler.qnumbers import QBase, q_euler_number, q_int
-from qeuler.qzeta import ZetaQuery, zeta
+from qeuler.qzeta import ZetaQuery, l_function, zeta
 
 P = 50
 MODULI = (3, 5, 9, 15)

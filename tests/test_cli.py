@@ -351,6 +351,43 @@ def test_huge_positive_s_refused_fast():
                                    for line in lines), child.stderr
 
 
+def test_long_rational_refused_as_parsed():
+    # Fraction takes 10**|exponent| before any bound could look at the
+    # value: each of these ran for minutes before it was refused, so each
+    # runs in a fresh interpreter that a timeout can kill
+    long = "1e-100000000"
+    argvs = [["zeta", "--s", long, "--x", "1", "--q", "1/2"],
+             ["zeta", "--s", "1/2", "--x", long, "--q", "1/2"],
+             ["zeta", "--s", "1/2", "--x", "1", "--q", long],
+             ["numbers", "--max-n", "3", "--q", long],
+             ["poly", "--n", "2", "--x", long, "--q", "1/2"]]
+    src = os.path.dirname(os.path.dirname(qeuler.__file__))
+    for argv in argvs + [["zeta", "--s", "0e-100000000", "--x", "1",
+                          "--q", "1/2"],
+                         ["zeta", "--s", "1/2", "--x", "1", "--q", "1e-4000"]]:
+        child = subprocess.run(
+            [sys.executable, "-c", TIMED_CHILD, json.dumps([argv])],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+        *out, timing = child.stdout.splitlines()
+        ((code, seconds),) = json.loads(timing)
+        assert seconds < 1, (argv, seconds)
+        if argv in argvs:
+            assert (code, out) == (1, []), argv
+            assert [line for line in child.stderr.splitlines()
+                    if line.startswith("Error:")] == [
+                f"Error: rational too long: {long!r} has more than "
+                f"{sys.get_int_max_str_digits()} digits as num/den"]
+        elif argv[2] == "0e-100000000":  # a zero mantissa is 0
+            assert (code, out) == (0, run_quiet(
+                ["zeta", "--s", "0", "--x", "1", "--q", "1/2"])[1]
+                .splitlines())
+        else:  # a long but printable q is served
+            assert code == 0, child.stderr
+            assert json.loads("\n".join(out))["results"][0]["q"] \
+                == "1/1" + "0" * 4000
+
+
 def test_values_above_ten_print_to_the_contract(capsys):
     # |value| is about 5.5e60: P + 60 significant digits put the last one
     # at 10^-(P-1), where P digits would stop at 10^11

@@ -86,6 +86,26 @@ def test_format_rational_print_limit():
             format_rational(value)
 
 
+def test_long_rational_text_refused_before_it_is_built():
+    # Fraction would take 10**|exponent| before anything could look at it
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("the interpreter prints ints of any length")
+    for text in ("1e-100000000", "-7.5e100000000", f"1e{limit + 2}"):
+        for parse in (parse_rational, RealP.from_rational):
+            with pytest.raises(DomainError, match="too long"):
+                parse(text)
+    assert parse_rational(f"1e-{limit + 1}") == Fraction(1, 10 ** (limit + 1))
+    assert parse_rational("12.5e-3") == Fraction(1, 80)
+    assert parse_rational("0e-100000000") == parse_rational("-0.0E99999") == 0
+    for text in ("1e5e5", "0e5e5", "0/2e5", "1 e5", "e5", "1e_5"):
+        with pytest.raises(DomainError, match="not a rational"):
+            parse_rational(text)
+    # a Fraction of any size is taken as it is
+    huge = Fraction(1, 10 ** (2 * limit))
+    assert RealP.from_rational(huge, 20).exact == huge
+
+
 def test_realp_digits_and_precision():
     v = RealP.from_rational(Fraction(1, 3), precision=30)
     text = v.digits()

@@ -10,10 +10,10 @@ from mpmath import mp, mpf
 from qeuler.errors import DomainError, NonConvergence
 from qeuler.exactnum import GUARD_DIGITS, RealP, rat_pow, to_mpf, tolerance
 from qeuler import qzeta
-from qeuler.characters import character, characters_mod, l_function
+from qeuler.characters import character, characters_mod
 from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
 from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, cancellation_digits,
-                          euler_transform, partial_zeta,
+                          euler_transform, l_function, partial_zeta,
                           partial_zeta_special_value, zeta,
                           zeta_euler_transform)
 from qeuler.cli import main

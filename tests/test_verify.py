@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 from mpmath import mp, mpf
 
-from qeuler import characters, classical, cli, qnumbers, qzeta, verify
+from qeuler import classical, cli, qnumbers, qzeta, verify
 from qeuler.exactnum import GUARD_DIGITS, RealP, format_rational, to_mpf
 from qeuler.qnumbers import QBase, alt_q_power_sum
 from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
@@ -123,6 +123,26 @@ def test_numeric_failure_is_recorded(monkeypatch, tmp_path, capsys):
     assert float(report["max_deviation"]) > 1e-31
 
 
+def test_lfunction_suite_checks_against_generalized_q_euler(monkeypatch):
+    # the suite's right-hand side is the library's generalized number: one
+    # moved by 1e-30 where it is complex fails exactly the order-4 cells
+    exact_side = verify.generalized_q_euler
+
+    def moved(n, chi, q, precision):
+        value = exact_side(n, chi, q, precision)
+        if isinstance(value, Fraction):
+            return value
+        with mp.workdps(precision + GUARD_DIGITS):
+            return value + mpf(10) ** -30
+
+    monkeypatch.setattr(verify, "generalized_q_euler", moved)
+    report = verify_lfunction(precision=50)
+    failing = {(f["inputs"]["modulus"], f["inputs"]["char_index"])
+               for f in report.failures}
+    assert failing == {(5, 1), (5, 3)}
+    assert len(report.failures) == 2 * 7 * 2  # every n and q
+
+
 def _load_report(path):
     reports = json.loads(path.read_text(encoding="utf-8"))
     with open(SCHEMA, encoding="utf-8") as handle:
@@ -185,10 +205,9 @@ def test_classical_failure_names_its_sum(monkeypatch, tmp_path):
 
 
 def test_lfunction_suite_sees_the_roots_of_unity(monkeypatch):
-    # the L value sums its roots in qzeta._root_sum, and the suite sums its
-    # right-hand side's roots itself; exp(pi i e/order) in place of
-    # exp(2 pi i e/order), wherever the library calls _root_sum, moves only
-    # the characters that are not real
+    # the L value sums its roots in qzeta._root_sum, and the generalized
+    # number sums its own; exp(pi i e/order) in place of exp(2 pi i
+    # e/order) in _root_sum moves only the characters that are not real
     def half_angle(coefficients, order):
         if all(e == 0 or 2 * e == order for e in coefficients):
             return sum(-c if e else c for e, c in coefficients.items())
@@ -197,8 +216,7 @@ def test_lfunction_suite_sees_the_roots_of_unity(monkeypatch):
             total += to_mpf(coefficients[e]) * mp.expjpi(mpf(e) / order)
         return total
 
-    for module in (qzeta, characters):
-        monkeypatch.setattr(module, "_root_sum", half_angle)
+    monkeypatch.setattr(qzeta, "_root_sum", half_angle)
     report = verify_lfunction(precision=20)
     assert not report.passed
     failing = {(f["inputs"]["modulus"], f["inputs"]["char_index"])
