@@ -11,12 +11,13 @@ from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
 from .classical import (alt_power_sum, alt_power_sum_closed, bernoulli_number,
                         euler_number, euler_poly, power_sum, power_sum_closed)
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
-                       distribution_sum, q_euler_number, q_euler_poly,
-                       q_euler_poly_via_numbers, q_euler_star_number,
-                       q_euler_star_poly, q_int, weighted_alt_q_power_sum,
+                       distribution_sum, partial_zeta_special_value,
+                       q_euler_number, q_euler_poly, q_euler_poly_via_numbers,
+                       q_euler_star_number, q_euler_star_poly, q_int,
+                       weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import (ZetaQuery, l_function, partial_zeta,
-                    partial_zeta_special_value, zeta, zeta_euler_transform)
+from .qzeta import ZetaQuery, l_function, partial_zeta, zeta
+from .cvz import zeta_euler_transform
 from .characters import (DirichletCharacter, character, characters_mod,
                          generalized_q_euler)
 

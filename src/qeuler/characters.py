@@ -1,7 +1,8 @@
 """Dirichlet characters of odd modulus and the generalized q-Euler
 numbers attached to a character.  The q-L-function, the numeric side of
 the same identity, is `qzeta.l_function`; this module builds exact tables
-only and imports nothing from `qzeta`.
+only and imports neither zeta route, `qzeta` nor `cvz`
+(tests/test_imports.py).
 
 A character mod d is stored as an exponent table: residue a maps to None
 off the units, and otherwise to an integer e with chi(a) = exp(2*pi*i*e/m),
@@ -76,7 +77,8 @@ class DirichletCharacter:
     exponents: tuple[int | None, ...]
 
 
-def _logs(d: int) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]]:
+def _discrete_logs(
+        d: int) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]]:
     """phi of each prime-power factor of odd d >= 1, ascending, and each
     residue's discrete logs, one per factor, or None off the units.  d = 1
     has no factors, so its one residue is a unit with no logs."""
@@ -121,7 +123,7 @@ def character(d: int, index: int) -> DirichletCharacter:
     """Character number `index` mod odd d >= 1, in the ordering of
     `characters_mod`, built alone in O(d).  Raises IndexError unless
     0 <= index < phi(d)."""
-    phis, logs = _logs(d)
+    phis, logs = _discrete_logs(d)
     size = prod(phis)
     if not 0 <= index < size:
         raise IndexError(f"index must lie in 0..{size - 1} for modulus {d}")
@@ -136,7 +138,7 @@ def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
     the single trivial character with chi(0) = 1, so the generalized
     numbers degenerate to the plain q-Euler numbers.
     """
-    phis, logs = _logs(d)
+    phis, logs = _discrete_logs(d)
     return tuple(_character(d, phis, logs, index)
                  for index in range(prod(phis)))
 

@@ -21,9 +21,9 @@ reducing after every term: the kernel's values, the direct sums, the
 binomial form over its recurrence numbers (put over one common
 denominator), the closed sums, which combine the kernel's unreduced
 numerator and denominator with E_{m,q} and q^n, and the distribution
-sums, whose kernels at base q^f share one denominator
-(`_distribution_terms`).  Every closed-form identity has a brute-force
-partner it can be compared with bit for bit.
+sums and the partial zeta's special values, whose kernels at base q^f
+share one denominator (`_distribution_terms`).  Every closed-form identity
+has a brute-force partner it can be compared with bit for bit.
 """
 
 from __future__ import annotations
@@ -290,6 +290,35 @@ def _distribution_terms(n: int, q: Fraction, period: int,
     a, b = q.numerator, q.denominator
     return nums, den // (base.denominator - base.numerator) ** n \
         * (b ** (period - 1) * (b - a)) ** n
+
+
+def _check_residue(a: int, period: int) -> None:
+    if period % 2 == 0:
+        raise DomainError("the period F must be odd")
+    if not 0 < a < period:
+        raise DomainError("need 0 < a < F")
+    # `qzeta._best_shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS <
+    # 2**14, in floats, which stop short of 2**1024
+    if period.bit_length() > 1010:
+        raise DomainError("the period F must be below 2**1010")
+
+
+def partial_zeta_special_value(n: int, a: int, period: int,
+                               q: Fraction) -> Fraction:
+    """Exact H_q(-n, a; F) = (-1)^a [F]_q^n E_{n,q^F}(a/F) / 2 for n >= 1,
+    the value `qzeta.partial_zeta` must reach at s = -n.
+
+    (q^F)^(a/F) = q^a is always rational, so the value is one integer over
+    one denominator (`_distribution_terms`), reduced once.
+    """
+    if n < 1:
+        raise DomainError("n must be a positive integer")
+    _check_residue(a, period)
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise DomainError("requires rational q in (0, 1)")
+    (num,), den = _distribution_terms(n, q, period, (a,))
+    return Fraction(-num if a % 2 else num, 2 * den)
 
 
 def distribution_sum(m: int, f: int, x: int, q: QBase) -> Fraction:

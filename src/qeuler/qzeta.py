@@ -1,13 +1,13 @@
-"""Euler q-zeta function, its partial (residue-class) variant, the q-L
-function of a Dirichlet character, and the negative-integer
-interpolation checks.
+"""Euler q-zeta function by its continuation series, its partial
+(residue-class) variant and the q-L function of a Dirichlet character.
 
 The defining series sum_{n>=0} (-1)^n [n+x]_q^(-s) has terms tending to
 (1-q)^s rather than zero, so its value is taken in the Abel/Euler sense.
-Two independent summation routes are implemented:
+It has two summation routes, one per module; tests/test_imports.py fails
+if either module imports the other:
 
-* `zeta` expands [n+x]_q^(-s) = (1-q)^s sum_k C(s+k-1,k) q^((n+x)k) and
-  resums the alternating n-series termwise to 1/(1+q^k), giving
+* `zeta`, here, expands [n+x]_q^(-s) = (1-q)^s sum_k C(s+k-1,k) q^((n+x)k)
+  and resums the alternating n-series termwise to 1/(1+q^k), giving
 
       zeta(s, x) = (1-q)^s sum_k C(s+k-1,k) q^(xk) / (1+q^k),
 
@@ -22,18 +22,14 @@ Two independent summation routes are implemented:
   at x: `zeta` sums J raw head terms first, with J chosen by `_shift`
   against the terms it saves (J = 0 at s = -n).
 
-* `zeta_euler_transform` is the independent cross-check: CVZ-accelerated
-  summation of the raw alternating series (Cohen, Rodriguez Villegas and
-  Zagier, Algorithm 1), whose terms are moments of a signed measure on
-  (0, 1].  Its term count is fixed in advance from an a-priori error
-  bound, so it runs in time linear in P + log10 V, and its cap admits
-  every V that `cancellation_digits` admits.
+* CVZ summation of the raw series, in `cvz`, is the cross-check.
 
 The partial zeta H_q(s, a; F) has one route: head terms and the
 continuation series at base q^F, x = a/F, with q^x = q^a.  Its
-cross-check is the exact special value at s = -n.  The q-L value
-`l_function` is the character sum of the partial zeta values over the
-units mod F; its cross-check is half the generalized number
+cross-check is the exact special value at s = -n
+(`qnumbers.partial_zeta_special_value`).  The q-L value `l_function` is
+the character sum of the partial zeta values over the units mod F; its
+cross-check is half the generalized number
 `characters.generalized_q_euler` at s = -n.  `l_function` reads only the
 character's modulus, order and exponent table, so this module does not
 import `characters`.
@@ -54,45 +50,35 @@ residue pass, and `zeta` at integer x) with y times the bits of q's
 denominator at most _MAX_EXACT_POWER_BITS; otherwise exp and expm1 of
 y ln q, with ln q taken once per pass and only when a power needs it.
 
-Both zeta routes sum in integer fixed point: each term is a Python int at
-a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
-the final integer.  CVZ's terms are made in integers too wherever 2s is an
-integer: its brackets [x+n]_q are ints at a few more bits, raised by binary
-powering and `math.isqrt` (`_bracket_powers`); other s take one mp.power
-of the bracket per term.  Their terms reach V = (1-q)^s (1-q^x)^(-|s|) in
-size, so both work at P + GUARD_DIGITS + ceil(log10 V) digits
-(`cancellation_digits`) and certify 10**-(P-10) even where the terms
-cancel.
+The pass sums in integer fixed point: each term is a Python int at a
+binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
+the final integer.  Its terms reach V = (1-q)^s (1-q^x)^(-|s|) in size, so
+it works at P + GUARD_DIGITS + ceil(log10 V) digits
+(`exactnum.cancellation_digits`) and certifies 10**-(P-10) even where the
+terms cancel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import itertools
 import math
 from math import lgamma
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergence
-from .exactnum import (ComplexP, DEFAULT_PRECISION, GUARD_DIGITS, RealP,
-                       show_rational, to_mpf)
-from .qnumbers import QBase, _distribution_terms
+from .exactnum import (ComplexP, DEFAULT_PRECISION, MAX_CANCELLATION_DIGITS,
+                       RealP, WORD_GUARD_BITS, _from_fixed, _ln, _Logs, _logs,
+                       _to_fixed, _working_digits, show_rational, to_mpf)
+from .qnumbers import QBase, _check_residue
 
 #: Most terms `zeta` sums.  The continuation series needs about
 #: (P+15) ln 10 / (x ln(1/q)) terms: about 1.5 * 10**5 at q = 999/1000,
 #: x = 1, P = 50, which takes a few seconds.
 MAX_ZETA_TERMS = 200_000
-
-#: Most digits either zeta route adds for cancellation (`cancellation_digits`),
-#: which bounds the working digits: at q = 1/2, x = 1 it admits s down to
-#: about -830.  Also the most digits the continuation's unscaled sum may
-#: reach at s > 0 (`_continuation_sums`): at q = 1/2, x = 1, s up to 1660.
-MAX_CANCELLATION_DIGITS = 500
 
 #: The cost of one head term of the shift (an mp.power at working digits)
 #: in continuation terms, against which `_shift` prices the terms a shift
@@ -106,15 +92,6 @@ ROW_COST = 0.5
 #: Most head terms the shift takes over all residues, which then cost at
 #: most MAX_ZETA_TERMS continuation terms.
 MAX_HEAD_TERMS = MAX_ZETA_TERMS // HEAD_TERM_COST
-
-#: Most CVZ weight tables (`_cvz_weights`, one per term count) kept in
-#: memory; a table of n weights holds about 2.5 n^2 bits.
-CVZ_WEIGHTS_CACHE_SIZE = 32
-
-#: Bits the fixed-point word carries beyond the context's precision, which
-#: already holds the digits of V: room for one rounding in each of up to
-#: 2**18 terms, with 6 bits to spare.
-WORD_GUARD_BITS = 24
 
 #: Most bits an exact power q^y of `_continued` may reach: y times the
 #: bits of q's denominator, for each integer y on its own.  At 4000 bits
@@ -144,90 +121,6 @@ class ZetaQuery:
             raise DomainError("precision must be at least 15")
         if not self.x.value > 0:
             raise DomainError("x must be positive")
-
-
-def cancellation_digits(q: Fraction, s: mpf, x: mpf) -> int:
-    """max(0, ceil(log10 V)) with V = (1-q)^s (1-q^x)^(-|s|).
-
-    V bounds the terms of both zeta routes, and the value, in absolute
-    size: the continuation terms sum in absolute value to at most V, and V
-    is the total variation of the measure whose moments CVZ sums.  Both
-    routes work with this many digits on top of P + GUARD_DIGITS, so
-    cancellation among terms of size V still leaves 10**-(P+20).
-
-    log10 V = s log10(1-q) - |s| log10(1-q^x) is taken in floats in the
-    log domain (`_logs`).  For s >= 0 it is
-    -s ln((1-q^x)/(1-q)) / ln 10, exactly 0 at x = 1 however large s is.
-
-    Raises DomainError when V needs more than MAX_CANCELLATION_DIGITS.
-    """
-    return _cancellation_digits(s, _logs(q, x))
-
-
-class _Logs(NamedTuple):
-    """ln q, ln(1-q) and the gap ln((1-q^x)/(1-q)) in floats, taken once
-    for a value (`_logs`) and passed to each step that reads them."""
-
-    q: float
-    one_minus_q: float
-    gap: float
-
-
-def _logs(q: Fraction, x: mpf) -> _Logs:
-    """The `_Logs` of q and x.  Near x = 1 the gap is
-    ln(1 - q (q^(x-1) - 1)/(1-q)), exactly 0 at x = 1; elsewhere
-    ln(1-q^x) - ln(1-q), with ln(1-q^x) = ln(-x ln q) once -x ln q is
-    below 10**-300, where x may lie below the float range.  DomainError
-    when ln q lies below it (q within about 10**-308 of 1)."""
-    log_q, log_one_minus_q = _log(q), _log(1 - q)
-    if not log_q:
-        raise DomainError(f"q = {show_rational(q)} lies too close to 1 "
-                          f"for the zeta series")
-    if abs(x - 1) <= 0.5 and log_q > -1000:  # q^(x-1) stays in range
-        gap = math.log1p(-float(q) * math.expm1(float(x - 1) * log_q)
-                         / float(1 - q))
-    else:
-        scaled = float(x) * -log_q
-        gap = (math.log(-math.expm1(-scaled)) if scaled > 1e-300
-               else float(mp.log(x)) + math.log(-log_q)) - log_one_minus_q
-    return _Logs(log_q, log_one_minus_q, gap)
-
-
-def _cancellation_digits(s: mpf, logs: _Logs) -> int:
-    """`cancellation_digits` from the logs of its q and x."""
-    s_float = float(s)
-    factor = -logs.gap if s_float >= 0 \
-        else 2 * logs.one_minus_q + logs.gap
-    log10_v = s_float * factor / math.log(10) if factor else 0.0
-    if log10_v > MAX_CANCELLATION_DIGITS:
-        raise DomainError(
-            f"the zeta series at s = {mp.nstr(s, 15)} cancels about "
-            f"{log10_v:.0f} digits, more than {MAX_CANCELLATION_DIGITS}")
-    return math.ceil(max(0.0, log10_v))
-
-
-def _log(r: Fraction) -> float:
-    """ln r in floats for a rational 0 < r < 1, keeping its digits near 1
-    and its range near 0."""
-    n, d = r.numerator, r.denominator
-    if 2 * n > d:
-        return math.log1p((n - d) / d)
-    return math.log(n) - math.log(d)
-
-
-def _working_digits(zq: ZetaQuery, logs: _Logs) -> int:
-    return zq.precision + GUARD_DIGITS + _cancellation_digits(zq.s.value,
-                                                              logs)
-
-
-def _to_fixed(value: mpf, wp: int) -> int:
-    """floor(value * 2**wp)."""
-    return to_fixed(value._mpf_, wp)
-
-
-def _from_fixed(man: int, wp: int) -> mpf:
-    """man * 2**-wp, rounded to the context's precision."""
-    return mpf((man, -wp))
 
 
 def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
@@ -576,164 +469,6 @@ def _continued(zq: ZetaQuery, step: int,
         return RealP(scale * _from_fixed(value, wp), zq.precision)
 
 
-def _ln(q: Fraction) -> mpf:
-    """ln q at the context's precision for a rational 0 < q < 1, keeping
-    its digits near 1 and its range near 0 (as `_log`)."""
-    return mp.log1p(to_mpf(q - 1)) if 2 * q > 1 else mp.log(to_mpf(q))
-
-
-@lru_cache(maxsize=CVZ_WEIGHTS_CACHE_SIZE)
-def _cvz_weights(count: int) -> tuple[int, tuple[int, ...]]:
-    """d and the weights c_0..c_{n-1} of CVZ Algorithm 1 for n = count, all
-    exact integers: d = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 = T_n(3), and
-    b_{k+1} = b_k * 2(k+n)(k-n) / ((2k+1)(k+1)) divides exactly.  Built
-    once per count: the counts of one precision differ only by the digits
-    of V."""
-    d, previous = 1, 3  # T_0(3) and T_{-1}(3) = T_1(3)
-    for _ in range(count):
-        d, previous = 6 * d - previous, d
-    weights = []
-    b, c = -1, -d
-    for k in range(count):
-        c = b - c
-        weights.append(c)
-        b = b * 2 * (k + count) * (k - count) // ((2 * k + 1) * (k + 1))
-    return d, tuple(weights)
-
-
-def euler_transform(terms: Callable[[int], int], precision: int,
-                    variation=1) -> mpf:
-    """Abel value of sum_{n>=0} (-1)^n a_n by the convergence acceleration
-    of Cohen, Rodriguez Villegas and Zagier (CVZ), "Convergence
-    acceleration of alternating series", Experimental Math. 9 (2000),
-    Algorithm 1.
-
-    The terms must be the moments a_n = int t^n dmu(t) of a signed measure
-    on [0, 1] of total variation at most `variation`; n terms then leave an
-    error of at most 2 * variation / (3 + sqrt 8)^n.  The term count n is
-    fixed before summing as the least one that brings this bound to
-    10**-(P+15), and `terms(j)` is called once for each j < n in increasing
-    order, in constant memory.  Each call returns a_j as an int at the
-    binary point wp = mp.prec + WORD_GUARD_BITS (a_j * 2**wp, rounded by
-    the caller); the weights are exact integers c_k over one integer d,
-    with |c_k| <= d, so n terms each within u units of 2**-wp leave the
-    sum within n u units, and one mpf is built from the integer sum.  The
-    caller must already hold the working-precision context, which must
-    carry the digits of `variation` (see `cancellation_digits`).  Raises
-    NonConvergence, before summing, when n exceeds its count at the largest
-    variation `cancellation_digits` admits, 10**MAX_CANCELLATION_DIGITS.
-    """
-    def terms_for(log_bound: float) -> int:
-        return max(0, math.ceil(((precision + 15) * math.log(10)
-                                 + math.log(2) + log_bound)
-                                / math.log(3 + math.sqrt(8))))
-
-    count = terms_for(float(mp.log(variation)))
-    cap = terms_for(MAX_CANCELLATION_DIGITS * math.log(10))
-    if count > cap:
-        raise NonConvergence(
-            f"CVZ summation needs {count} terms, more than its cap of {cap}")
-    wp = mp.prec + WORD_GUARD_BITS
-    d, weights = _cvz_weights(count)
-    total = 0
-    for k, c in enumerate(weights):
-        total += c * terms(k)
-    return _from_fixed(total // d, wp)
-
-
-def _bracket_powers(s: mpf, x: RealP, q: Fraction, log_gap: float,
-                    wp: int) -> tuple[mpf, Callable[[int], int]]:
-    """[x]_q and the terms [x+n]_q^(-s), n = 0, 1, ..., of the raw zeta
-    series as ints at binary point wp, for one call each in increasing n.
-
-    The bracket [x+n]_q is an int at the binary point wb = wp + extra: it
-    starts from [x]_q = -expm1(x ln q)/(1-q), taken to wb bits, and steps
-    [x+n+1]_q = 1 + q [x+n]_q with the exact q = a/c, rounding down once a
-    step, so it is at most n + 2 units of 2**-wb low.  When 2s is an
-    integer the power is taken in integers at wb, every product rounded
-    down: binary powering of the base [x+n]_q for s <= 0, or of its
-    inverse for s > 0 (inverted first, never raised and then inverted),
-    times the `math.isqrt` root of the base when 2s is odd.  Every other s
-    takes mp.power of the bracket rounded to the context's precision.
-
-    An absolute error in the bracket is a relative one at most 1/[x]_q
-    times larger, since [x]_q is the least bracket, and b^(-s) multiplies
-    a relative error by |s|, so extra = ceil(log2(1/[x]_q)) +
-    bit_length(|s|) + 8 bits, and one more for log2 [x]_q, which is taken
-    in floats from log_gap = ln((1-q^x)/(1-q)) (`_logs`).  Term n is then
-    within max(1, V) (n + 5) 2**-(wp+8) + 2**-wp of its value, V >= |term|
-    being the variation bound of `zeta_euler_transform`.
-    """
-    log2_first = log_gap / math.log(2)  # log2 [x]_q
-    extra = max(0, math.ceil(-log2_first)) + max(0, mp.mag(s)) + 9
-    wb = wp + extra
-    with mp.workprec(wb + max(0, math.ceil(log2_first)) + 8):
-        first = -mp.expm1(x.exact_value() * _ln(q)) / to_mpf(1 - q)
-        b = _to_fixed(first, wb)
-    one, a, c = 1 << wb, q.numerator, q.denominator
-    twice = 2 * s
-    exponent = int(twice) if mp.isint(twice) else None  # 2s
-    whole, half = divmod(abs(exponent or 0), 2)
-    digits = bin(whole)[3:] if whole else ""
-
-    def term(_n: int) -> int:
-        nonlocal b
-        bracket, b = b, one + b * a // c
-        if exponent is None:
-            return _to_fixed(mp.power(_from_fixed(bracket, wb), -s), wp)
-        base = (one << wb) // bracket if exponent > 0 else bracket
-        value = base if whole else one
-        for digit in digits:  # binary powering, left to right
-            value = value * value >> wb
-            if digit == "1":
-                value = value * base >> wb
-        if half:
-            value = value * math.isqrt(base << wb) >> wb
-        return value >> extra
-
-    return first, term
-
-
-def zeta_euler_transform(zq: ZetaQuery) -> RealP:
-    """Independent summation of the defining series sum (-1)^n [n+x]_q^(-s)
-    by CVZ acceleration (`euler_transform`).  Must agree with `zeta` within
-    tolerance.
-
-    The terms [n+x]_q^(-s) = (1-q)^s sum_j C(s+j-1,j) q^(xj) (q^j)^n are
-    the moments of a signed measure on (0, 1] whose total variation is at
-    most V = (1-q)^s (1-q^x)^(-|s|) = (1-q)^(s-|s|) [x]_q^(-|s|), since
-    |C(s+j-1,j)| <= (|s|)_j / j! for every real s.  Works at
-    P + GUARD_DIGITS + `cancellation_digits`, with s and x taken from their
-    exact rationals when they have them.  The brackets take no difference
-    of near-equal numbers, for small x or q near 1:
-    [x]_q = -expm1(x ln q)/(1-q), then [x+n+1]_q = 1 + q [x+n]_q.  The
-    terms are ints at the binary point of `euler_transform`, computed in
-    integers wherever 2s is an integer (`_bracket_powers`, which states the
-    bracket's extra bits and the rounding bound).
-    """
-    precision, q = zq.precision, zq.q.q
-    logs = _logs(q, zq.x.value)
-    with mp.workdps(_working_digits(zq, logs)):
-        sv = zq.s.exact_value()
-        first, terms = _bracket_powers(sv, zq.x, q, logs.gap,
-                                       mp.prec + WORD_GUARD_BITS)
-        variation = mp.power(to_mpf(1 - q), sv - abs(sv)) \
-            * mp.power(first, -abs(sv))
-        return RealP(euler_transform(terms, precision, variation=variation),
-                     precision)
-
-
-def _check_residue(a: int, period: int) -> None:
-    if period % 2 == 0:
-        raise DomainError("the period F must be odd")
-    if not 0 < a < period:
-        raise DomainError("need 0 < a < F")
-    # `_best_shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS < 2**14,
-    # in floats, which stop short of 2**1024
-    if period.bit_length() > 1010:
-        raise DomainError("the period F must be below 2**1010")
-
-
 def partial_zeta(s: RealP, a: int, period: int, q: QBase,
                  precision: int = DEFAULT_PRECISION) -> RealP:
     """Partial q-zeta over the residue class a mod F (F odd and below
@@ -791,19 +526,3 @@ def _root_sum(coefficients: dict[int, int], order: int):
         total += to_mpf(coefficients[e]) * mp.expjpi(mpf(2 * e) / order)
     return total
 
-
-def partial_zeta_special_value(n: int, a: int, period: int,
-                               q: Fraction) -> Fraction:
-    """Exact H_q(-n, a; F) = (-1)^a [F]_q^n E_{n,q^F}(a/F) / 2 for n >= 1.
-
-    (q^F)^(a/F) = q^a is always rational, so the value is one integer over
-    one denominator (`qnumbers._distribution_terms`), reduced once.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    _check_residue(a, period)
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("requires rational q in (0, 1)")
-    (num,), den = _distribution_terms(n, q, period, (a,))
-    return Fraction(-num if a % 2 else num, 2 * den)

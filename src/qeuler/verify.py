@@ -27,12 +27,13 @@ from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, RealP,
                        format_rational, to_mpf, tolerance)
 from . import classical
 from .characters import characters_mod, generalized_q_euler
+from .cvz import zeta_euler_transform
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
-                       distribution_sum, q_euler_poly,
-                       q_euler_poly_via_numbers, weighted_alt_q_power_sum,
+                       distribution_sum, partial_zeta_special_value,
+                       q_euler_poly, q_euler_poly_via_numbers,
+                       weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import ZetaQuery, l_function, partial_zeta, \
-    partial_zeta_special_value, zeta, zeta_euler_transform
+from .qzeta import ZetaQuery, l_function, partial_zeta, zeta
 
 IDENTITY_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(3, 2), Fraction(5, 2))
@@ -211,8 +212,9 @@ def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
 
 
 def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
-    """Dual-route zeta: continuation series vs CVZ-accelerated summation of
-    the raw series."""
+    """Dual-route zeta: the continuation series (`qzeta.zeta`) vs
+    CVZ-accelerated summation of the raw series (`cvz`), two modules that
+    share no code (tests/test_imports.py)."""
     reals = {text: RealP.from_rational(text, precision)
              for text in ZETA_S + ZETA_X}
     bases = [QBase(q, zeta_domain=True) for q in ZETA_Q]

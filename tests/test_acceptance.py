@@ -14,13 +14,13 @@ from mpmath import mp
 from qeuler.characters import characters_mod, generalized_q_euler
 from qeuler.classical import euler_number
 from qeuler.exactnum import GUARD_DIGITS, RealP, to_mpf
+from qeuler.cvz import zeta_euler_transform
 from qeuler.qnumbers import (QBase, QPower, alt_q_power_sum,
-                             alt_q_power_sum_closed, q_euler_number,
-                             q_euler_poly, weighted_alt_q_power_sum,
+                             alt_q_power_sum_closed, partial_zeta_special_value,
+                             q_euler_number, q_euler_poly,
+                             weighted_alt_q_power_sum,
                              weighted_alt_q_power_sum_closed)
-from qeuler.qzeta import (ZetaQuery, l_function, partial_zeta,
-                          partial_zeta_special_value, zeta,
-                          zeta_euler_transform)
+from qeuler.qzeta import ZetaQuery, l_function, partial_zeta, zeta
 from qeuler.verify import (verify_classical, verify_thm2, verify_thm3,
                            verify_thm4, verify_weighted, verify_zeta)
 

@@ -1,0 +1,107 @@
+"""Every verification suite catches the faults it is there for.
+
+Each row of MUTATIONS names one fault: the module that is the home of a
+name, the name, and a function that makes the faulty version from the
+real one.  The fault is applied with monkeypatch at that home, and also
+wherever the package has bound the same object under the same name
+(`from .home import name`), so every caller runs the fault.  A row whose
+name has left its home fails with AttributeError; a row whose home holds
+a stale copy that callers no longer run fails because its suites pass.
+
+At the default grids, the suites in a row's `fails` must report
+failures and every other suite must pass."""
+
+import sys
+
+import pytest
+
+from qeuler import cvz, qnumbers, qzeta
+from qeuler.verify import SUITES, run_suite
+
+
+def swap_first_weights(real):
+    """CVZ's weights c_1 and c_2 swapped (zeta: 84 of 96 cells)."""
+    def weights(count):
+        d, c = real(count)
+        c = list(c)
+        c[1], c[2] = c[2], c[1]
+        return d, tuple(c)
+    return weights
+
+
+def head_steps_twice(real):
+    """The head terms step by q^(2d) instead of q^d (zeta: 36 of 96
+    cells).  The partial-zeta and lfunction suites run only at s = -n,
+    where the shift takes no head terms, so they cannot see it."""
+    def head_sum(s, gap, step_gap, step, count, wp):
+        return real(s, gap, 1 - step ** 2, step ** 2, count, wp)
+    return head_sum
+
+
+def kernel_numerator_doubled(real):
+    """The kernel's numerator doubled.  thm4 passes: for odd f,
+    sum_(a<f) (-1)^a q^(aj) = (1+q^(fj))/(1+q^j), so the distribution
+    relation holds for the kernel times any constant."""
+    def kernel_parts(*args):
+        num, den = real(*args)
+        return 2 * num, den
+    return kernel_parts
+
+
+def odd_residue_sign_flipped(real):
+    """The special value's sign flipped for odd a (partial-zeta: 36 of 72
+    cells)."""
+    def special_value(n, a, period, q):
+        value = real(n, a, period, q)
+        return -value if a % 2 else value
+    return special_value
+
+
+MUTATIONS = {
+    "cvz-weights-swapped": (cvz, "_cvz_weights", swap_first_weights,
+                            {"zeta"}),
+    "head-sum-double-step": (qzeta, "_head_sum", head_steps_twice,
+                             {"zeta"}),
+    "kernel-numerator-doubled": (qnumbers, "_kernel_parts",
+                                 kernel_numerator_doubled,
+                                 {"thm2", "thm3", "weighted", "partial-zeta",
+                                  "lfunction"}),
+    "special-value-sign": (qnumbers, "partial_zeta_special_value",
+                           odd_residue_sign_flipped, {"partial-zeta"}),
+}
+
+
+def package_modules():
+    return [module for name, module in list(sys.modules.items())
+            if name == "qeuler" or name.startswith("qeuler.")]
+
+
+def clear_caches():
+    """Empty the package's caches, which may hold values computed with
+    or without a fault."""
+    for module in package_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    def apply(home, name, make):
+        real = getattr(home, name)
+        fault = make(real)
+        for module in package_modules():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, fault)
+
+    clear_caches()
+    yield apply
+    clear_caches()
+
+
+@pytest.mark.parametrize("row", MUTATIONS)
+def test_mutation_fails_exactly_its_suites(row, mutate):
+    home, name, make, fails = MUTATIONS[row]
+    mutate(home, name, make)
+    failed = {suite for suite in SUITES if not run_suite(suite).passed}
+    assert failed == fails

@@ -8,14 +8,15 @@ import pytest
 from mpmath import mp, mpf
 
 from qeuler.errors import DomainError, NonConvergence
-from qeuler.exactnum import GUARD_DIGITS, RealP, rat_pow, to_mpf, tolerance
-from qeuler import qzeta
+from qeuler.exactnum import (GUARD_DIGITS, RealP, _logs, cancellation_digits,
+                             rat_pow, to_mpf, tolerance)
+from qeuler import cvz, exactnum, qzeta
 from qeuler.characters import character, characters_mod
-from qeuler.qnumbers import QBase, QPower, q_euler_poly, q_int
-from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, cancellation_digits,
-                          euler_transform, l_function, partial_zeta,
-                          partial_zeta_special_value, zeta,
-                          zeta_euler_transform)
+from qeuler.cvz import euler_transform, zeta_euler_transform
+from qeuler.qnumbers import (QBase, QPower, partial_zeta_special_value,
+                             q_euler_poly, q_int)
+from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, l_function, partial_zeta,
+                          zeta)
 from qeuler.cli import main
 from qeuler.verify import ZETA_Q, ZETA_S, ZETA_X
 
@@ -101,8 +102,8 @@ def test_dual_route_subgrid():
 
 def fixed_terms(terms):
     """mpf terms as ints at the binary point `euler_transform` reads."""
-    wp = mp.prec + qzeta.WORD_GUARD_BITS
-    return lambda j: qzeta._to_fixed(terms(j), wp)
+    wp = mp.prec + exactnum.WORD_GUARD_BITS
+    return lambda j: exactnum._to_fixed(terms(j), wp)
 
 
 def test_euler_transform_known_values():
@@ -132,10 +133,10 @@ def test_euler_transform_nonconvergence():
 
 
 def record_transform(monkeypatch):
-    """Patch qzeta.euler_transform to record, per call, the variation
+    """Patch cvz.euler_transform to record, per call, the variation
     bound it was handed and how many terms it asked for."""
     calls = []
-    real = qzeta.euler_transform
+    real = cvz.euler_transform
 
     def spy(terms, precision, variation=1):
         record = {"variation": variation, "terms": 0}
@@ -147,7 +148,7 @@ def record_transform(monkeypatch):
 
         return real(counted, precision, variation)
 
-    monkeypatch.setattr(qzeta, "euler_transform", spy)
+    monkeypatch.setattr(cvz, "euler_transform", spy)
     return calls
 
 
@@ -329,8 +330,8 @@ def test_extreme_q_and_x_are_served_or_refused_cleanly():
             assert abs(zeta(zq).value - zeta_euler_transform(zq).value) \
                 <= tolerance(P)
     # [x]_q^(-1/2) = ((1-q^x)/(1-q))^(-1/2) is about 8.5e199 at x = 1e-400
-    assert cancellation_digits(Fraction(1, 2), mpf("0.5"),
-                               mpf("1e-400")) == 200
+    assert cancellation_digits(mpf("0.5"),
+                               _logs(Fraction(1, 2), mpf("1e-400"))) == 200
     value = zeta(query("1/2", "1e-400", Fraction(1, 2))).value
     with mp.workdps(260):
         x = mpf("1e-400")
@@ -421,13 +422,13 @@ def test_fixed_point_loops_match_mpf_loops(precision, monkeypatch):
     # of the integer term power (integer, half-integer and other s) and a
     # bracket [1/99]_q far below 1
     variations = []
-    real = qzeta.euler_transform
+    real = cvz.euler_transform
 
     def spy(terms, precision, variation=1):
         variations.append(variation)
         return real(terms, precision, variation)
 
-    monkeypatch.setattr(qzeta, "euler_transform", spy)
+    monkeypatch.setattr(cvz, "euler_transform", spy)
     continuation = [(s, x) for s in ZETA_S + ("7/3", "-13/4", "16", "-16")
                     for x in ZETA_X]
     raw_only = [(s, x) for s in ("-201/2", "40") for x in ZETA_X] \
@@ -438,7 +439,7 @@ def test_fixed_point_loops_match_mpf_loops(precision, monkeypatch):
             zq = query(s, x, q, precision)
             got = zeta_euler_transform(zq).value
             digits = precision + GUARD_DIGITS + cancellation_digits(
-                q, zq.s.value, zq.x.value)
+                zq.s.value, _logs(q, zq.x.value))
             with mp.workdps(digits):
                 want = euler_transform_mpf_loop(raw_series_mpf_terms(zq),
                                                 precision, variations[-1])
@@ -482,8 +483,8 @@ def test_shift_takes_zero_at_negative_integers_without_a_search(monkeypatch):
 
     monkeypatch.setattr(qzeta, "_series_start", refuse)
     zq = query(-3, 1, Fraction(1, 2))
-    logs = qzeta._logs(zq.q.q, zq.x.value)
-    with mp.workdps(qzeta._working_digits(zq, logs)):
+    logs = exactnum._logs(zq.q.q, zq.x.value)
+    with mp.workdps(exactnum._working_digits(zq, logs)):
         assert qzeta._shift(zq, zq.s.exact_value(), logs, 1) == 0
     exact = q_euler_poly(3, QPower.from_integer(QBase(Fraction(1, 2)), 1))
     assert_close(zeta(zq), exact / 2)
@@ -500,7 +501,7 @@ def test_cvz_weights_are_exact_integers():
     # division in the recurrence left a remainder
     cap = 4 * 500 + 200  # above the CVZ term cap at the largest --prec
     for n in sorted(set(range(64)) | set(range(64, cap + 1, 53)) | {cap}):
-        d, weights = qzeta._cvz_weights(n)
+        d, weights = cvz._cvz_weights(n)
         with mp.workdps(40 + n):
             assert d == mp.nint(((3 + mp.sqrt(8)) ** n
                                  + (3 - mp.sqrt(8)) ** n) / 2)
@@ -683,9 +684,9 @@ def test_cancellation_digits():
                           (-40, 1, Fraction(4, 5), 56),
                           (-60, 1, Fraction(4, 5), 84),
                           (-100, 1, Fraction(4, 5), 140)):
-        assert cancellation_digits(q, mpf(s), mpf(x)) == want
+        assert cancellation_digits(mpf(s), _logs(q, mpf(x))) == want
     with pytest.raises(DomainError):
-        cancellation_digits(Fraction(1, 2), mpf(-10 ** 30), mpf(1))
+        cancellation_digits(mpf(-10 ** 30), _logs(Fraction(1, 2), mpf(1)))
     with pytest.raises(DomainError):
         zeta(query(-1000, 1, Fraction(1, 2)))
 
@@ -695,13 +696,13 @@ def test_cancellation_digits_in_the_log_domain(capsys):
     # size 2^(-1e100) at 15 digits it read as about 4.8e82 digits
     for s in ("3", "1e30", "1e100"):
         for q in (Fraction(1, 2), Fraction(1, 3), Fraction(4, 5)):
-            assert cancellation_digits(q, mpf(s), mpf(1)) == 0
+            assert cancellation_digits(mpf(s), _logs(q, mpf(1))) == 0
     # just below x = 1, V = ((1-q)/(1-q^x))^s and log10 V is
     # s (1-x) q ln(1/q) / ((1-q) ln 10) = 10**10 log10 2 to 30 digits here
     with mp.workdps(60):
         x = 1 - mpf(10) ** -40
     with pytest.raises(DomainError, match="about 3010299957 digits"):
-        cancellation_digits(Fraction(1, 2), mpf(10) ** 50, x)
+        cancellation_digits(mpf(10) ** 50, _logs(Fraction(1, 2), x))
     # the command still fails at once, now on the true reason: the shift
     # leaves few terms past the peak, but the unscaled head term
     # (1-q)^(-s) = 2^(10^100) has about 3 * 10^99 digits
