@@ -51,8 +51,11 @@ def _extend(table: list[Fraction], n_max: int, step) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _euler_table(q: Fraction | int) -> list[Fraction]:
-    """The memo table of `_euler_recurrence` at base q, for at most 64 q."""
+def _euler_table(a: int, b: int) -> list[Fraction]:
+    """The memo table of `_euler_recurrence` at base q = a/b in lowest
+    terms, for at most 64 q.  Keyed by integers, as is
+    `_euler_over_one_denominator`: a Fraction's hash is a modular inverse,
+    taken afresh on every lookup."""
     return [Fraction(1)]
 
 
@@ -61,7 +64,7 @@ def _euler_recurrence(n_max: int, q: Fraction | int) -> list[Fraction]:
     (1+q^n) E_{n,q} = -sum_{k<n} C(n,k) q^k E_{k,q} (n >= 1), which is
     E_{n,q}(1) + E_{n,q}(0) = 2 [0]_q^n: the q-Euler numbers, and the
     Euler numbers at q = 1."""
-    table = _euler_table(q)
+    table = _euler_table(q.numerator, q.denominator)
     return _extend(table, n_max, lambda n: -sum(
         comb(n, k) * q ** k * table[k] for k in range(n)) / (1 + q ** n))
 
@@ -96,11 +99,11 @@ def _over_one_denominator(numbers: list[Fraction]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _euler_over_one_denominator(n: int, q: Fraction | int
+def _euler_over_one_denominator(n: int, a: int, b: int
                                 ) -> tuple[tuple[int, ...], int]:
-    """E_{0,q}..E_{n,q} of `_euler_recurrence` over one denominator (the
-    Euler numbers at q = 1)."""
-    return _over_one_denominator(_euler_recurrence(n, q))
+    """E_{0,q}..E_{n,q} of `_euler_recurrence` at q = a/b in lowest terms
+    over one denominator (the Euler numbers at q = 1)."""
+    return _over_one_denominator(_euler_recurrence(n, Fraction(a, b)))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -116,7 +119,7 @@ def _euler_binomial(n: int, q: Fraction | int, u: int, v: int,
     (`_euler_over_one_denominator`), one Horner sum in u over D w^n,
     reduced once.  The binomial form of the Euler polynomials at q = 1 and
     of the q-Euler polynomials (`qnumbers.q_euler_poly_via_numbers`)."""
-    e, den = _euler_over_one_denominator(n, q)
+    e, den = _euler_over_one_denominator(n, q.numerator, q.denominator)
     acc, v_power = 0, 1
     for k in range(n + 1):
         acc = acc * u + comb(n, k) * e[k] * v_power

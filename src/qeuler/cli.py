@@ -13,6 +13,12 @@ it is parsed (`_bounded`), before the command body runs, so of two bad
 options the first given is named; verify's --max-m, --max-n and --f are
 checked at the top of its body.
 
+Each command imports the routes it runs in its own body.  At the top this
+module imports click, `errors`, `exactnum` and `verify` (for the suite
+names, which brings the exact layer, `qnumbers` and `classical`), so an
+exact command loads no numeric route: `zeta` and `partial-zeta` add
+`qzeta`, `characters` adds `characters`, and `lfunction` adds both.
+
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
 """
 
@@ -22,21 +28,17 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import click
 
-from . import classical
-from .characters import character, characters_mod
 from .errors import DomainError, NonConvergence, NotExactPower
 from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
                        parse_rational)
-from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
-                       q_euler_number, q_euler_poly, q_euler_star_number,
-                       q_euler_star_poly, weighted_alt_q_power_sum,
-                       weighted_alt_q_power_sum_closed)
-from .qzeta import ZetaQuery, l_function, partial_zeta, zeta
 from .verify import SUITES, run_suite
+
+if TYPE_CHECKING:
+    from .qnumbers import QBase
 
 #: Hard bounds on CLI inputs (keeps runs at desk scale), an integer one
 #: refused as its option is parsed (`_bounded`) but for verify's: the
@@ -103,6 +105,7 @@ def _emit_value(command: str, evaluate: Callable[..., RealP | ComplexP],
     in that order, so the first bad one is named.  `evaluate` gets s as a
     RealP, q as the zeta-domain QBase and the command's inputs by name,
     the parsed ones as Fractions."""
+    from .qnumbers import QBase
     exact = {name: _parse_q(v) if isinstance(v, str) else v
              for name, v in {"s": s_text, **inputs, "q": q_text}.items()}
     row = {name: format_rational(v) if isinstance(v, Fraction) else v
@@ -134,6 +137,7 @@ def _parse_bounded(text: str, option: str, height: int) -> Fraction:
 def _q_base(q_text: str | None, variant: str, query: dict) -> QBase:
     """The bounded --q that a q variant of an exact command requires; it
     joins the query as "q"."""
+    from .qnumbers import QBase
     if q_text is None:
         raise click.UsageError(f"variant {variant} requires --q")
     base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))
@@ -161,6 +165,8 @@ def cli() -> None:
 def cmd_numbers(max_n: int, q_text: str | None, variant: str,
                 fmt: str) -> None:
     """Table of q-Euler, star q-Euler, Euler, or Bernoulli numbers."""
+    from . import classical
+    from .qnumbers import q_euler_number, q_euler_star_number
     query: dict = {"command": "numbers", "variant": variant, "max_n": max_n}
     if variant in ("plain", "star"):
         base = _q_base(q_text, variant, query)
@@ -192,6 +198,8 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
 
     For the q variants, q^x must be rational (integer x always works);
     otherwise the command fails rather than approximate."""
+    from . import classical
+    from .qnumbers import QPower, q_euler_poly, q_euler_star_poly
     x = _parse_bounded(x_text, "--x", MAX_X_HEIGHT)
     query: dict = {"command": "poly", "variant": variant, "n": n,
                    "x": format_rational(x)}
@@ -220,6 +228,7 @@ def cmd_poly(n: int, x_text: str, q_text: str | None, variant: str,
 def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
              fmt: str) -> None:
     """Power sums: direct summation next to the closed form (always equal)."""
+    from . import classical, qnumbers
     query: dict = {"command": "sums", "variant": variant, "m": m, "n": n}
     if variant == "power":
         direct, closed = classical.power_sum(m, n), \
@@ -230,11 +239,11 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
     else:
         base = _q_base(q_text, variant, query)
         if variant == "q-alt":
-            direct = alt_q_power_sum(m, n, base)
-            closed = alt_q_power_sum_closed(m, n, base)
+            direct = qnumbers.alt_q_power_sum(m, n, base)
+            closed = qnumbers.alt_q_power_sum_closed(m, n, base)
         else:
-            direct = weighted_alt_q_power_sum(m, n, base)
-            closed = weighted_alt_q_power_sum_closed(m, n, base)
+            direct = qnumbers.weighted_alt_q_power_sum(m, n, base)
+            closed = qnumbers.weighted_alt_q_power_sum_closed(m, n, base)
     results = [{"m": m, "n": n, "direct": format_rational(direct),
                 "closed": format_rational(closed),
                 "equal": direct == closed}]
@@ -250,6 +259,7 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
 def cmd_zeta(s_text: str, x_text: str, q_text: str, prec: int,
              fmt: str) -> None:
     """Euler q-zeta value at real s, x > 0, 0 < q < 1."""
+    from .qzeta import ZetaQuery, zeta
     _emit_value("zeta", lambda s, q, x: zeta(
         ZetaQuery(s, RealP.from_rational(x, prec), q, prec)),
         s_text, q_text, prec, fmt, x=x_text)
@@ -266,6 +276,7 @@ def cmd_zeta(s_text: str, x_text: str, q_text: str, prec: int,
 def cmd_partial_zeta(s_text: str, a: int, period: int, q_text: str,
                      prec: int, fmt: str) -> None:
     """Partial q-zeta H_q(s, a; F) over one residue class mod F."""
+    from .qzeta import partial_zeta
     _emit_value("partial-zeta",
                 lambda s, q, a, f: partial_zeta(s, a, f, q, prec),
                 s_text, q_text, prec, fmt, a=a, f=period)
@@ -283,6 +294,8 @@ def cmd_partial_zeta(s_text: str, a: int, period: int, q_text: str,
 def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
                   prec: int, fmt: str) -> None:
     """q-L-function value for a Dirichlet character of odd modulus."""
+    from .characters import character
+    from .qzeta import l_function
     try:
         chi = character(modulus, char_index)
     except IndexError as exc:  # "index must lie in 0..N for modulus d"
@@ -298,6 +311,7 @@ def cmd_lfunction(s_text: str, modulus: int, char_index: int, q_text: str,
 @FORMAT_OPTION
 def cmd_characters(modulus: int, fmt: str) -> None:
     """List the character group mod an odd modulus (exponent tables)."""
+    from .characters import characters_mod
     group = characters_mod(modulus)
     query = {"command": "characters", "modulus": modulus}
     results = []

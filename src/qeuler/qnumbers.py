@@ -151,13 +151,15 @@ def _kernel_parts(n: int, q: Fraction, t: Fraction | int,
 
 
 @lru_cache(maxsize=NUMBER_CACHE_SIZE)
-def _number(n: int, q: Fraction, shift: int) -> Fraction:
-    return _kernel(n, q, 1, shift)
+def _number(n: int, a: int, b: int, shift: int) -> Fraction:
+    """The kernel at t = 1 and q = a/b in lowest terms, keyed by integers:
+    a Fraction's hash is a modular inverse, taken afresh on every lookup."""
+    return _kernel(n, Fraction(a, b), 1, shift)
 
 
 def q_euler_number(n: int, q: QBase) -> Fraction:
     """E_{n,q} = 2 (1/(1-q))^n sum_j C(n,j) (-1)^j / (1+q^j)."""
-    return _number(n, q.q, 0)
+    return _number(n, q.q.numerator, q.q.denominator, 0)
 
 
 def q_euler_poly(n: int, qp: QPower) -> Fraction:
@@ -187,7 +189,7 @@ def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
 def q_euler_star_number(n: int, q: QBase) -> Fraction:
     """E*_{n,q} = [2]_q (1/(1-q))^n sum_l C(n,l) (-1)^l / (1+q^(l+1)),
     the q^l-weighted variant of E_{n,q}."""
-    return _number(n, q.q, 1)
+    return _number(n, q.q.numerator, q.q.denominator, 1)
 
 
 def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
@@ -240,7 +242,7 @@ def _closed_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
         num, den = num * a ** n, den * b ** n
     if n % 2 == 0:
         num = -num
-    number = _number(m, qq, shift)
+    number = _number(m, a, b, shift)
     e, f = number.numerator, number.denominator
     b_shift = b ** shift
     return Fraction((e * den + num * f) * b_shift,

@@ -12,6 +12,10 @@ A suite's options are its keyword parameters, read from its signature
 when this module is imported (`_SUITE_OPTIONS`); the grids no option varies
 are the module constants below.  `run_suite` looks a suite up in SUITES at
 call time and passes it only its own options; it ignores the others.
+
+The exact routes are imported at the top.  A numeric suite imports its
+own routes in its body (`qzeta`, and `cvz` or `characters`), so an exact
+suite loads no numeric module and only the zeta suite loads `cvz`.
 """
 
 from __future__ import annotations
@@ -26,14 +30,11 @@ from mpmath import mp
 from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, RealP,
                        format_rational, to_mpf, tolerance)
 from . import classical
-from .characters import characters_mod, generalized_q_euler
-from .cvz import zeta_euler_transform
 from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        distribution_sum, partial_zeta_special_value,
                        q_euler_poly, q_euler_poly_via_numbers,
                        weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
-from .qzeta import ZetaQuery, l_function, partial_zeta, zeta
 
 IDENTITY_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(3, 2), Fraction(5, 2))
@@ -215,6 +216,8 @@ def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     """Dual-route zeta: the continuation series (`qzeta.zeta`) vs
     CVZ-accelerated summation of the raw series (`cvz`), two modules that
     share no code (tests/test_imports.py)."""
+    from .cvz import zeta_euler_transform
+    from .qzeta import ZetaQuery, zeta
     reals = {text: RealP.from_rational(text, precision)
              for text in ZETA_S + ZETA_X}
     bases = [QBase(q, zeta_domain=True) for q in ZETA_Q]
@@ -235,6 +238,7 @@ def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
 def verify_partial_zeta(precision: int = DEFAULT_PRECISION
                         ) -> VerificationReport:
     """Partial zeta at negative integers vs its exact special value."""
+    from .qzeta import partial_zeta
     minus = {n: RealP.from_rational(-n, precision)
              for n in range(1, SPECIAL_N + 1)}
     bases = [QBase(q, zeta_domain=True) for q in LFUNCTION_Q]
@@ -260,6 +264,8 @@ def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     residue sums in `qzeta`; the generalized number
     (`characters.generalized_q_euler`) sums its own, so a wrong root on
     either side is a disagreement here."""
+    from .characters import characters_mod, generalized_q_euler
+    from .qzeta import l_function
     bases = [QBase(q, zeta_domain=True) for q in LFUNCTION_Q]
     cells = [(d, index, chi, n, base) for d in MODULI
              for index, chi in enumerate(characters_mod(d))

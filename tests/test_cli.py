@@ -196,15 +196,15 @@ def test_numbers_bound(capsys):
 
 
 def test_numbers_stop_at_first_unprintable_value(capsys, monkeypatch):
-    import qeuler.cli as cli_module
+    from qeuler import qnumbers
     calls = []
-    real = cli_module.q_euler_number
+    real = qnumbers.q_euler_number
 
     def counted(n, base):
         calls.append(n)
         return real(n, base)
 
-    monkeypatch.setattr(cli_module, "q_euler_number", counted)
+    monkeypatch.setattr(qnumbers, "q_euler_number", counted)
     code, out, err = run(capsys, "numbers", "--max-n", "100",
                          "--q", "1/99999")
     assert (code, out) == (1, "")

@@ -9,7 +9,8 @@ from pathlib import Path
 import jsonschema
 from mpmath import mp, mpf
 
-from qeuler import classical, cli, qnumbers, qzeta, verify
+from qeuler import (characters, classical, cli, cvz, qnumbers, qzeta,
+                    verify)
 from qeuler.exactnum import GUARD_DIGITS, RealP, format_rational, to_mpf
 from qeuler.qnumbers import QBase, alt_q_power_sum
 from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
@@ -101,13 +102,13 @@ def test_suite_options_are_the_suites_keyword_parameters(monkeypatch):
 
 def test_numeric_failure_is_recorded(monkeypatch, tmp_path, capsys):
     # the CVZ route moved by 1e-30, past the bound 1e-40 at P = 50
-    cvz = verify.zeta_euler_transform
+    real = cvz.zeta_euler_transform
 
     def moved(zq):
         with mp.workdps(zq.precision + GUARD_DIGITS):
-            return RealP(cvz(zq).value + mpf(10) ** -30, zq.precision)
+            return RealP(real(zq).value + mpf(10) ** -30, zq.precision)
 
-    monkeypatch.setattr(verify, "zeta_euler_transform", moved)
+    monkeypatch.setattr(cvz, "zeta_euler_transform", moved)
     path = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "zeta", "--report", str(path)]) == 2
     assert "suite zeta: FAIL" in capsys.readouterr().out
@@ -126,7 +127,7 @@ def test_numeric_failure_is_recorded(monkeypatch, tmp_path, capsys):
 def test_lfunction_suite_checks_against_generalized_q_euler(monkeypatch):
     # the suite's right-hand side is the library's generalized number: one
     # moved by 1e-30 where it is complex fails exactly the order-4 cells
-    exact_side = verify.generalized_q_euler
+    exact_side = characters.generalized_q_euler
 
     def moved(n, chi, q, precision):
         value = exact_side(n, chi, q, precision)
@@ -135,7 +136,7 @@ def test_lfunction_suite_checks_against_generalized_q_euler(monkeypatch):
         with mp.workdps(precision + GUARD_DIGITS):
             return value + mpf(10) ** -30
 
-    monkeypatch.setattr(verify, "generalized_q_euler", moved)
+    monkeypatch.setattr(characters, "generalized_q_euler", moved)
     report = verify_lfunction(precision=50)
     failing = {(f["inputs"]["modulus"], f["inputs"]["char_index"])
                for f in report.failures}
