@@ -151,9 +151,8 @@ def _generalized_parts(n: int, chi: DirichletCharacter,
 
     m the order of chi: c_e / D sums (-1)^a [d]_q^n E_{n,q^d}(a/d) over the
     units a with exponent e, every term over the one denominator of
-    `qnumbers._distribution_terms`.  Nothing is reduced."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    `qnumbers._distribution_terms`, which refuses n < 0.  Nothing is
+    reduced."""
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError("requires rational q in (0, 1)")

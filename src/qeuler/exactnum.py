@@ -216,8 +216,6 @@ def rat_pow(q: Fraction, r: Fraction) -> Fraction:
         raise DomainError("rat_pow requires q > 0")
     power = q ** r.numerator
     f = r.denominator
-    if f == 1:
-        return power
     num, num_exact = iroot(power.numerator, f)
     den, den_exact = iroot(power.denominator, f)
     if not (num_exact and den_exact):

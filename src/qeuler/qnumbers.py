@@ -299,7 +299,7 @@ def _check_residue(a: int, period: int) -> None:
         raise DomainError("the period F must be odd")
     if not 0 < a < period:
         raise DomainError("need 0 < a < F")
-    # `qzeta._best_shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS <
+    # `qzeta._shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS <
     # 2**14, in floats, which stop short of 2**1024
     if period.bit_length() > 1010:
         raise DomainError("the period F must be below 2**1010")

@@ -20,7 +20,8 @@ if either module imports the other:
 
   and the series at x + J needs only about x/(x+J) of the terms it needs
   at x: `zeta` sums J raw head terms first, with J chosen by `_shift`
-  against the terms it saves (J = 0 at s = -n).
+  against the terms it saves.  At s = -n its term model gives J = 0,
+  except when x is below the float range.
 
 * CVZ summation of the raw series, in `cvz`, is the cross-check.
 
@@ -235,17 +236,18 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
                + (-1)^J S(x + J step):
 
     J raw head terms and a pass at x + J step, which needs about
-    x / (x + J step) of the terms the pass at x needs.  J minimises the
-    head, J residues HEAD_TERM_COST, plus the pass, its term count times
-    1 + (residues - 1) ROW_COST, one weighted row per further residue;
-    J residues stays within MAX_HEAD_TERMS.  The count is `_geometric_count`
-    from `_series_start` for s <= 1, n + 2 at s = -n wherever the pass
-    runs, so J is 0 there, and an exact s = -n takes J = 0 without the
-    search.  For s > 1 it is
-    `_count_past_peak`: the geometric count while J is chosen, which reads
-    low, and the search for the chosen J: searching at every step of the
-    bisection cost 3.6% of numeric-values requests_per_s (10 interleaved
-    pairs of 20 s runs on a 2-CPU machine).
+    x / (x + J step) of the terms the pass at x needs.  J minimises, by
+    bisection, the head, J residues HEAD_TERM_COST, plus the pass, its
+    term count times 1 + (residues - 1) ROW_COST, one weighted row per
+    further residue; J residues stays within MAX_HEAD_TERMS.  The count
+    is `_geometric_count` from `_series_start` for s <= 1.  At s = -n that
+    reads n + 2 terms wherever the pass runs, so J is 0 there, except when
+    x is below the float range: q^x then reads as 1, the pass at x as
+    endless, and J is 1.  For s > 1 the count is `_count_past_peak`: the
+    geometric count while J is chosen, which reads low, and the search
+    for the chosen J: searching at every step of the bisection cost 3.6%
+    of numeric-values requests_per_s (10 interleaved pairs of 20 s runs
+    on a 2-CPU machine).
 
     Refuses before summing what the pass cannot finish: NonConvergence when
     its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
@@ -253,49 +255,23 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     s log10(1/(1-q^x)) digits above wp: DomainError past
     MAX_CANCELLATION_DIGITS.
     """
-    q, exact = zq.q.q, zq.s.exact
-    if exact is not None and exact.denominator == 1 and exact <= 0:
-        # J = 0, and the pass stops after the n + 1 terms of s = -n
-        lo, needed = 0, 2 - float(s)
-    else:
-        lo, needed = _best_shift(zq, s, logs, step, residues)
-    if needed > MAX_ZETA_TERMS:
-        raise NonConvergence(
-            f"the continuation series needs about {needed:.0f} terms "
-            f"at q = {show_rational(q)}, more than its cap of "
-            f"{MAX_ZETA_TERMS}")
-    growth = 0.0 if s <= 0 else \
-        -float(s) * (logs.gap + logs.one_minus_q) / math.log(10)
-    if growth > MAX_CANCELLATION_DIGITS:
-        raise DomainError(
-            f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
-            f"grows to about {growth:.0f} digits, more than "
-            f"{MAX_CANCELLATION_DIGITS}")
-    return lo
-
-
-def _best_shift(zq: ZetaQuery, sv: mpf, logs: _Logs, step: int,
-                residues: int) -> tuple[int, float]:
-    """`_shift`'s J, by bisection on its cost, and the pass's term count
-    at x + J step."""
-    s, x, log_q = float(sv), float(zq.x.value), logs.q
+    sf, x, log_q = float(s), float(zq.x.value), logs.q
     # the log of the pass's unscaled threshold (`_continuation_sums`)
-    floor = min(-(zq.precision + 15) * math.log(10) - s * logs.one_minus_q,
+    floor = min(-(zq.precision + 15) * math.log(10) - sf * logs.one_minus_q,
                 (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
-    start = None if s > 1 else _series_start(sv)
+    start = None if sf > 1 else _series_start(s)
     head_cost = residues * HEAD_TERM_COST
-    row_cost = 1 + (residues - 1) * ROW_COST
 
     def count(j: int, search: bool = False) -> float:
         log_qy = (x + j * step) * log_q
         if not log_qy < 0:
             return math.inf
         if start is None:
-            return _count_past_peak(s, log_qy, step * log_q, floor, search)
+            return _count_past_peak(sf, log_qy, step * log_q, floor, search)
         return _geometric_count(*start, log_qy, floor)
 
     def cost(j: int) -> float:
-        return j * head_cost + row_cost * count(j)
+        return j * head_cost + (1 + (residues - 1) * ROW_COST) * count(j)
 
     lo = 0
     hi = int(min(MAX_HEAD_TERMS // residues, cost(0) / head_cost))
@@ -305,7 +281,20 @@ def _best_shift(zq: ZetaQuery, sv: mpf, logs: _Logs, step: int,
             hi = mid
         else:
             lo = mid + 1
-    return lo, count(lo, search=True)
+    needed = count(lo, search=True)
+    if needed > MAX_ZETA_TERMS:
+        raise NonConvergence(
+            f"the continuation series needs about {needed:.0f} terms "
+            f"at q = {show_rational(zq.q.q)}, more than its cap of "
+            f"{MAX_ZETA_TERMS}")
+    growth = 0.0 if s <= 0 else \
+        -sf * (logs.gap + logs.one_minus_q) / math.log(10)
+    if growth > MAX_CANCELLATION_DIGITS:
+        raise DomainError(
+            f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
+            f"grows to about {growth:.0f} digits, more than "
+            f"{MAX_CANCELLATION_DIGITS}")
+    return lo
 
 
 def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,

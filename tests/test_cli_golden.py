@@ -2,9 +2,11 @@
 
 `tests/cli_golden.json` holds the exit code, stdout and stderr of each
 invocation below, recorded from the program before its q-Euler kernels,
-verification runner and character code were consolidated.  Any change to
-a single output byte fails here.  Every JSON document is also validated
-against the schemas in `docs/`.
+verification runner and character code were consolidated; the cases from
+the plans that take head terms on were recorded before the continuation's
+shift planner became one function.  Any change to a single output byte
+fails here.  Every JSON document is also validated against the schemas in
+`docs/`.
 
 To record the file afresh after an intended output change:
 
@@ -97,6 +99,20 @@ CASES = [
      "--q", "1/2"],
     ["lfunction", "--s", "-1", "--modulus", "4", "--char-index", "0",
      "--q", "1/2"],
+    # plans that take head terms: J = 31, 8 (the s > 1 search), 12, 18
+    # and 11 (a complex value)
+    ["zeta", "--s", "1/2", "--x", "1", "--q", "99/100"],
+    ["zeta", "--s", "20", "--x", "1", "--q", "9/10"],
+    ["zeta", "--s", "-7/3", "--x", "1/3", "--q", "19/20", "--prec", "30"],
+    ["partial-zeta", "--s", "1/2", "--a", "1", "--f", "3", "--q", "99/100"],
+    ["lfunction", "--s", "1/2", "--modulus", "5", "--char-index", "1",
+     "--q", "99/100"],
+    # s = -n with x below the float range, where the term model cannot
+    # see q^x < 1
+    ["zeta", "--s", "-1", "--x", "1e-400", "--q", "1/2"],
+    # q^x rounds to 1 at the binary point: only the exact truncation at
+    # s = 0 stops the series
+    ["zeta", "--s", "0", "--x", "1", "--q", "0." + "9" * 45, "--prec", "15"],
 ]
 
 

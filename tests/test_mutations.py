@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from qeuler import cvz, qnumbers, qzeta
+from qeuler import classical, cvz, qnumbers, qzeta
 from qeuler.verify import SUITES, run_suite
 
 
@@ -39,13 +39,33 @@ def head_steps_twice(real):
 
 
 def kernel_numerator_doubled(real):
-    """The kernel's numerator doubled.  thm4 passes: for odd f,
+    """The kernel's numerator doubled.  For odd f,
     sum_(a<f) (-1)^a q^(aj) = (1+q^(fj))/(1+q^j), so the distribution
-    relation holds for the kernel times any constant."""
+    relation holds for the kernel times any constant: thm4 sees the
+    fault only because its other side is the recurrence route."""
     def kernel_parts(*args):
         num, den = real(*args)
         return 2 * num, den
     return kernel_parts
+
+
+def kernel_pole_moved(real):
+    """The kernel's pole 1/(1+q^(j+shift)) moved to 1/(1+q^(j+shift+1)),
+    its prefactor (1+q^shift) kept."""
+    def kernel_parts(n, q, t, shift):
+        num, den = real(n, q, t, shift + 1)
+        a, b = q.numerator, q.denominator
+        return (num * (b ** shift + a ** shift),
+                den * (b ** (shift + 1) + a ** (shift + 1)))
+    return kernel_parts
+
+
+def recurrence_signs_flipped(real):
+    """Every E_n (n >= 1) of the Euler recurrence negated, at every q."""
+    def euler_recurrence(n_max, q):
+        values = real(n_max, q)
+        return values[:1] + [-value for value in values[1:]]
+    return euler_recurrence
 
 
 def odd_residue_sign_flipped(real):
@@ -64,8 +84,14 @@ MUTATIONS = {
                              {"zeta"}),
     "kernel-numerator-doubled": (qnumbers, "_kernel_parts",
                                  kernel_numerator_doubled,
-                                 {"thm2", "thm3", "weighted", "partial-zeta",
-                                  "lfunction"}),
+                                 {"thm2", "thm3", "thm4", "weighted",
+                                  "partial-zeta", "lfunction"}),
+    "kernel-pole-moved": (qnumbers, "_kernel_parts", kernel_pole_moved,
+                          {"thm2", "thm3", "thm4", "weighted",
+                           "partial-zeta", "lfunction"}),
+    "recurrence-signs-flipped": (classical, "_euler_recurrence",
+                                 recurrence_signs_flipped,
+                                 {"classical", "thm2", "thm4"}),
     "special-value-sign": (qnumbers, "partial_zeta_special_value",
                            odd_residue_sign_flipped, {"partial-zeta"}),
 }

@@ -476,23 +476,26 @@ def test_zeta_sums_n_plus_one_terms_at_negative_integers(monkeypatch):
             assert all(taken)
 
 
-def test_shift_takes_zero_at_negative_integers_without_a_search(monkeypatch):
-    # J is 0 at an exact s = -n, so the term model is not consulted there
-    def refuse(*_args):
-        raise AssertionError("the shift searched at s = -n")
+def test_shift_takes_zero_at_negative_integers():
+    # at an exact s = -n the term model reads |C(s+n, n+1)| = 0, so it
+    # prices the same n + 2 terms at every J and the cost search settles
+    # on J = 0, where s = -5/2 takes head terms
+    def shift(s, q, step=1, residues=1):
+        zq = query(s, 1, q)
+        logs = exactnum._logs(zq.q.q, zq.x.value)
+        with mp.workdps(exactnum._working_digits(zq, logs)):
+            return qzeta._shift(zq, zq.s.exact_value(), logs, step, residues)
 
-    monkeypatch.setattr(qzeta, "_series_start", refuse)
+    assert qzeta._series_start(mpf(-3)) == (4, -math.inf)
+    for q in (Fraction(1, 2), Fraction(99, 100), Fraction(999, 1000)):
+        assert shift(-3, q) == shift(-3, q, 5, 4) == 0
+        assert shift(Fraction(-5, 2), q) > 0
+        assert shift(Fraction(-5, 2), q, 5, 4) > 0
     zq = query(-3, 1, Fraction(1, 2))
-    logs = exactnum._logs(zq.q.q, zq.x.value)
-    with mp.workdps(exactnum._working_digits(zq, logs)):
-        assert qzeta._shift(zq, zq.s.exact_value(), logs, 1) == 0
     exact = q_euler_poly(3, QPower.from_integer(QBase(Fraction(1, 2)), 1))
     assert_close(zeta(zq), exact / 2)
     assert_close(partial_zeta(RealP.from_rational(-3, P), 1, 3, HALF, P),
                  partial_zeta_special_value(3, 1, 3, Fraction(1, 2)))
-    # s only near -3 still takes its count from the term model
-    with pytest.raises(AssertionError, match="searched"):
-        zeta(query("-2.99999999999999999999", 1, Fraction(1, 2)))
 
 
 def test_cvz_weights_are_exact_integers():
