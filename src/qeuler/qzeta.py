@@ -20,8 +20,7 @@ if either module imports the other:
 
   and the series at x + J needs only about x/(x+J) of the terms it needs
   at x: `zeta` sums J raw head terms first, with J chosen by `_shift`
-  against the terms it saves.  At s = -n its term model gives J = 0,
-  except when x is below the float range.
+  against the terms it saves.  At s = -n its term model gives J = 0.
 
 * CVZ summation of the raw series, in `cvz`, is the cross-check.
 
@@ -146,7 +145,10 @@ def _fixed(r: Fraction, wp: int) -> int:
 
 def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     """The least k >= lo at which `above` turns false, or at most 1% past
-    it, for an `above` that stays false once it turns false."""
+    it, for an `above` that stays false once it turns false: a gallop from
+    lo, then a bisection.  It is the planner's one search: `_shift` finds
+    the first rise of its cost with it, and `_count_past_peak` the first
+    k past the peak at which the stop rule holds."""
     if not above(lo):
         return lo
     step = 16
@@ -236,18 +238,19 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
                + (-1)^J S(x + J step):
 
     J raw head terms and a pass at x + J step, which needs about
-    x / (x + J step) of the terms the pass at x needs.  J minimises, by
-    bisection, the head, J residues HEAD_TERM_COST, plus the pass, its
-    term count times 1 + (residues - 1) ROW_COST, one weighted row per
-    further residue; J residues stays within MAX_HEAD_TERMS.  The count
-    is `_geometric_count` from `_series_start` for s <= 1.  At s = -n that
-    reads n + 2 terms wherever the pass runs, so J is 0 there, except when
-    x is below the float range: q^x then reads as 1, the pass at x as
-    endless, and J is 1.  For s > 1 the count is `_count_past_peak`: the
-    geometric count while J is chosen, which reads low, and the search
-    for the chosen J: searching at every step of the bisection cost 3.6%
-    of numeric-values requests_per_s (10 interleaved pairs of 20 s runs
-    on a 2-CPU machine).
+    x / (x + J step) of the terms the pass at x needs.  The cost of J is
+    the head, J residues HEAD_TERM_COST, plus the pass, its term count
+    times 1 + (residues - 1) ROW_COST, one weighted row per further
+    residue; it falls, then rises, in J, and J is its first rise, found
+    by `_first_stop`, with J residues within MAX_HEAD_TERMS.  The count
+    is `_geometric_count` from `_series_start` for s <= 1.  At s = -n it
+    is the n + 2 terms of the exact truncation wherever the pass runs,
+    read before q^x, so J is 0 there for every x.  For s > 1 the count
+    is `_count_past_peak`: the geometric count while J is chosen, which
+    reads low, and the search for the chosen J: searching at every step
+    of the search for J cost 3.6% of numeric-values requests_per_s,
+    measured with an earlier bisection over J (10 interleaved pairs of
+    20 s runs on a 2-CPU machine).
 
     Refuses before summing what the pass cannot finish: NonConvergence when
     its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
@@ -260,9 +263,10 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     floor = min(-(zq.precision + 15) * math.log(10) - sf * logs.one_minus_q,
                 (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
     start = None if sf > 1 else _series_start(s)
-    head_cost = residues * HEAD_TERM_COST
 
     def count(j: int, search: bool = False) -> float:
+        if start is not None and start[1] == -math.inf:  # s = -n
+            return start[0] + 1
         log_qy = (x + j * step) * log_q
         if not log_qy < 0:
             return math.inf
@@ -271,16 +275,11 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
         return _geometric_count(*start, log_qy, floor)
 
     def cost(j: int) -> float:
-        return j * head_cost + (1 + (residues - 1) * ROW_COST) * count(j)
+        return (j * residues * HEAD_TERM_COST
+                + (1 + (residues - 1) * ROW_COST) * count(j))
 
-    lo = 0
-    hi = int(min(MAX_HEAD_TERMS // residues, cost(0) / head_cost))
-    while lo < hi:  # cost falls, then rises, in J
-        mid = (lo + hi) // 2
-        if cost(mid + 1) >= cost(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    cap = MAX_HEAD_TERMS // residues  # cost falls, then rises, in J
+    lo = min(_first_stop(lambda j: j < cap and cost(j + 1) < cost(j), 0), cap)
     needed = count(lo, search=True)
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
@@ -305,8 +304,7 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     (`_continuation_terms`), at precision P, with q^y and base given at wp and
     scale = (1-q)^s, the factor the caller puts on the sums: [plain sum]
     followed by one sum per weight w, whose term k is the plain one times
-    w^k (w descending and at most 1; a sum is dropped once w^k underflows
-    to 0).
+    w^k (w at most 1; a sum is skipped once w^k underflows to 0).
 
     Stop after term k once the scaled tail is at most 10**-(P+15).  From
     k + s >= 0 on, the ratio |s+j|/(j+1) q^y of consecutive numerators
@@ -331,19 +329,16 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     last = first if s_fix == -first << wp else -1  # s = -last
     qy_up = qy_fix + 1  # at least q^y
     limit = threshold * (one - qy_up) // (2 * qy_up)
-    # one row [w, w^k, sum] per weight; the last row's w^k reaches 0 first
+    # one row [w, w^k, sum] per weight, skipped once its w^k is 0
     rows = [[w, one, 0] for w in weights]
-    live = rows[:]
     total = 0
     for k, term in zip(range(MAX_ZETA_TERMS), terms):
         total += term
-        if live:
-            for row in live:
-                power = row[1]
+        for row in rows:
+            power = row[1]
+            if power:
                 row[2] += term * power >> wp
                 row[1] = power * row[0] >> wp
-            while live and not live[-1][1]:
-                live.pop()
         if k == last:
             break
         if abs(term) <= limit and k >= first:

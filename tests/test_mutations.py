@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from qeuler import classical, cvz, qnumbers, qzeta
+from qeuler import characters, classical, cvz, qnumbers, qzeta
 from qeuler.verify import SUITES, run_suite
 
 
@@ -77,6 +77,45 @@ def odd_residue_sign_flipped(real):
     return special_value
 
 
+def last_row_dropped(real):
+    """The last weighted sum of the residue pass set to 0 (lfunction: 84
+    of 84 cells).  Zeta and partial zeta pass no weights."""
+    def sums(*args):
+        rows = real(*args)
+        if len(rows) > 1:
+            rows[-1] = 0
+        return rows
+    return sums
+
+
+def stop_rule_loosened(real):
+    """The continuation pass stopped 30 digits early (zeta: 48 of 96
+    cells).  The partial-zeta and lfunction suites run only at s = -n,
+    where the pass stops first at the exact truncation, so they cannot
+    see it."""
+    def sums(s, precision, *rest):
+        return real(s, precision - 30, *rest)
+    return sums
+
+
+def unit_exponents_swapped(real):
+    """The exponents of the 2nd and 3rd units swapped in every character
+    table with three units or more (mod 5: chi(2) and chi(3)).  No suite
+    fails: both sides of the lfunction suite read the same table, so a
+    wrong table stays unseen.  This row records that blind spot, not a
+    catch; a suite that sees it must move the row's set."""
+    def character(*args):
+        chi = real(*args)
+        exponents = list(chi.exponents)
+        units = [a for a, e in enumerate(exponents) if e is not None]
+        if len(units) >= 3:
+            b, c = units[1], units[2]
+            exponents[b], exponents[c] = exponents[c], exponents[b]
+        return characters.DirichletCharacter(chi.modulus, chi.order,
+                                             tuple(exponents))
+    return character
+
+
 MUTATIONS = {
     "cvz-weights-swapped": (cvz, "_cvz_weights", swap_first_weights,
                             {"zeta"}),
@@ -94,6 +133,12 @@ MUTATIONS = {
                                  {"classical", "thm2", "thm4"}),
     "special-value-sign": (qnumbers, "partial_zeta_special_value",
                            odd_residue_sign_flipped, {"partial-zeta"}),
+    "residue-row-dropped": (qzeta, "_continuation_sums", last_row_dropped,
+                            {"lfunction"}),
+    "stop-rule-loosened": (qzeta, "_continuation_sums", stop_rule_loosened,
+                           {"zeta"}),
+    "character-exponents-swapped": (characters, "_character",
+                                    unit_exponents_swapped, set()),
 }
 
 

@@ -217,7 +217,7 @@ def test_zeta_term_cap(monkeypatch):
     with pytest.raises(NonConvergence):
         zeta(query("1/2", 1, Fraction(999999999, 10 ** 9)))
     # at q = 999/1000 the best shift still leaves more than 300 terms
-    drawn = count_terms(monkeypatch)
+    drawn = record_continuation_terms(monkeypatch)
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
     with pytest.raises(NonConvergence):
         zeta(query("1/2", 1, Fraction(999, 1000)))
@@ -241,25 +241,25 @@ def test_loop_cap_stops_a_series_that_never_settles(monkeypatch):
         zeta(query("1/2", 1, Fraction(1, 5), 15))
 
 
-def count_terms(monkeypatch):
-    """Patch qzeta._continuation_terms to count the terms drawn."""
-    drawn = []
+def record_continuation_terms(monkeypatch):
+    """Patch qzeta._continuation_terms to record every term drawn."""
+    taken = []
     real = qzeta._continuation_terms
 
     def spy(*args):
         for term in real(*args):
-            drawn.append(term)
+            taken.append(term)
             yield term
 
     monkeypatch.setattr(qzeta, "_continuation_terms", spy)
-    return drawn
+    return taken
 
 
 def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
     # past the peak the terms fall like k^(s-1) q^(xk); counting q^(xk)
     # alone read 0.6-0.74 of the terms the loop takes, so an input just
     # under the cap ran the whole cap before NonConvergence
-    drawn = count_terms(monkeypatch)
+    drawn = record_continuation_terms(monkeypatch)
     for s, x, q, precision in ((20, 1, "1/2", 15), (200, 1, "1/2", 15),
                                (1000, 1, "1/2", 15), (1600, 1, "1/2", 15),
                                (40, "1/2", "9/10", 50)):
@@ -300,7 +300,7 @@ def test_precheck_takes_s_near_an_integer_from_its_exact_value(monkeypatch):
     # s = -3 +- 1e-20 reads as -3.0 in floats, but its terms do not stop
     # after k = 3: they fall from about 1e-20 by q^x per term.  Counted as
     # n + 1 = 4 terms, these inputs ran the whole cap and then failed
-    drawn = count_terms(monkeypatch)
+    drawn = record_continuation_terms(monkeypatch)
     near = ("-2.99999999999999999999", "-3.00000000000000000001")
     for s in near:
         for q in ("99999999/100000000", "999999999/1000000000"):
@@ -450,20 +450,6 @@ def test_fixed_point_loops_match_mpf_loops(precision, monkeypatch):
                     assert abs(got - want) <= tolerance(precision)
 
 
-def record_continuation_terms(monkeypatch):
-    """Patch qzeta._continuation_terms to record every term zeta takes."""
-    taken = []
-    real = qzeta._continuation_terms
-
-    def spy(*args):
-        for term in real(*args):
-            taken.append(term)
-            yield term
-
-    monkeypatch.setattr(qzeta, "_continuation_terms", spy)
-    return taken
-
-
 def test_zeta_sums_n_plus_one_terms_at_negative_integers(monkeypatch):
     taken = record_continuation_terms(monkeypatch)
     for n in (0, 1, 5, 16, 40):
@@ -480,8 +466,8 @@ def test_shift_takes_zero_at_negative_integers():
     # at an exact s = -n the term model reads |C(s+n, n+1)| = 0, so it
     # prices the same n + 2 terms at every J and the cost search settles
     # on J = 0, where s = -5/2 takes head terms
-    def shift(s, q, step=1, residues=1):
-        zq = query(s, 1, q)
+    def shift(s, q, step=1, residues=1, x=1):
+        zq = query(s, x, q)
         logs = exactnum._logs(zq.q.q, zq.x.value)
         with mp.workdps(exactnum._working_digits(zq, logs)):
             return qzeta._shift(zq, zq.s.exact_value(), logs, step, residues)
@@ -491,11 +477,42 @@ def test_shift_takes_zero_at_negative_integers():
         assert shift(-3, q) == shift(-3, q, 5, 4) == 0
         assert shift(Fraction(-5, 2), q) > 0
         assert shift(Fraction(-5, 2), q, 5, 4) > 0
+    # x below the float range reads as 0, so q^x reads as 1; the count
+    # stops at the exact truncation before it reads q^x
+    assert shift(-1, Fraction(1, 2), x="1e-400") == 0
     zq = query(-3, 1, Fraction(1, 2))
     exact = q_euler_poly(3, QPower.from_integer(QBase(Fraction(1, 2)), 1))
     assert_close(zeta(zq), exact / 2)
     assert_close(partial_zeta(RealP.from_rational(-3, P), 1, 3, HALF, P),
                  partial_zeta_special_value(3, 1, 3, Fraction(1, 2)))
+
+
+def test_values_do_not_depend_on_the_shift(monkeypatch):
+    # S(x) = sum_(m<J) (-1)^m (1-q^(x+m step))^(-s) + (-1)^J S(x + J step)
+    # holds at every J, so more head terms than `_shift` picks must give
+    # the same values within the contract
+    precision = 30
+    chi = characters_mod(5)[1]
+
+    def values(q):
+        base = QBase(q, zeta_domain=True)
+        for s in ("-7/3", "-3", "1/2", "5/3", "20"):
+            sp = RealP.from_rational(s, precision)
+            for x in ("1/3", "1", "7/2"):
+                yield zeta(query(s, x, q, precision)).value
+            yield partial_zeta(sp, 2, 5, base, precision).value
+            yield l_function(sp, chi, base, precision).value
+
+    qs = (Fraction(1, 2), Fraction(99, 100), Fraction(999, 1000))
+    want = [value for q in qs for value in values(q)]
+    real = qzeta._shift
+    for extra in (1, 7):
+        monkeypatch.setattr(qzeta, "_shift",
+                            lambda *args, extra=extra: real(*args) + extra)
+        got = [value for q in qs for value in values(q)]
+        with mp.workdps(precision + GUARD_DIGITS + 20):  # |values| < 10^10
+            for a, b in zip(got, want):
+                assert abs(a - b) <= tolerance(precision)
 
 
 def test_cvz_weights_are_exact_integers():
