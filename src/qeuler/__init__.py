@@ -19,11 +19,12 @@ _EXPORTS = (
                  "parse_rational rat_pow tolerance"),
     ("classical", "alt_power_sum alt_power_sum_closed bernoulli_number "
                   "euler_number euler_poly power_sum power_sum_closed"),
-    ("qnumbers", "QBase QPower alt_q_power_sum alt_q_power_sum_closed "
-                 "distribution_sum q_euler_number q_euler_poly "
-                 "q_euler_poly_via_numbers q_euler_star_number "
-                 "q_euler_star_poly q_int weighted_alt_q_power_sum "
-                 "weighted_alt_q_power_sum_closed"),
+    ("exactnum", "QBase"),
+    ("qnumbers", "QPower alt_q_power_sum alt_q_power_sum_closed "
+                 "distribution_sum q_euler_number q_euler_poly"),
+    ("classical", "q_euler_poly_via_numbers"),
+    ("qnumbers", "q_euler_star_number q_euler_star_poly q_int "
+                 "weighted_alt_q_power_sum weighted_alt_q_power_sum_closed"),
     ("qzeta", "ZetaQuery partial_zeta"),
     ("qnumbers", "partial_zeta_special_value"),
     ("qzeta", "zeta"),

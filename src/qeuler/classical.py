@@ -11,7 +11,11 @@ formulas they must satisfy:
 Number tables are memoized; the recurrences run once, exactly, under a
 single writer lock, after which reads are lock-free.  The Euler numbers are
 the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
-gives the q-Euler numbers their route apart from the closed form.
+gives the q-Euler numbers their route apart from the closed form: the
+binomial form of the q-Euler polynomials over them,
+`q_euler_poly_via_numbers`, which the thm2 and thm4 suites compare with
+the kernel of `qnumbers`.  This module imports no module of the package
+but `errors`, so it reads its `QPower` duck-typed.
 
 `euler_poly` and `power_sum_closed` (and so `alt_power_sum_closed`) take
 their table of Euler or Bernoulli numbers over one common denominator
@@ -118,13 +122,32 @@ def _euler_binomial(n: int, q: Fraction | int, u: int, v: int,
     `_euler_recurrence`: with E_{k,q} = e_k / D over one denominator
     (`_euler_over_one_denominator`), one Horner sum in u over D w^n,
     reduced once.  The binomial form of the Euler polynomials at q = 1 and
-    of the q-Euler polynomials (`qnumbers.q_euler_poly_via_numbers`)."""
+    of the q-Euler polynomials (`q_euler_poly_via_numbers`)."""
     e, den = _euler_over_one_denominator(n, q.numerator, q.denominator)
     acc, v_power = 0, 1
     for k in range(n + 1):
         acc = acc * u + comb(n, k) * e[k] * v_power
         v_power *= v
     return Fraction(acc, den * w ** n)
+
+
+def q_euler_poly_via_numbers(n: int, qp) -> Fraction:
+    """Binomial form sum_{k<=n} C(n,k) t^k E_{k,q} [x]_q^(n-k), where
+    [x]_q = (1-t)/(1-q).  Agrees with `qnumbers.q_euler_poly` on every
+    exact input; the sum is finite because C(n,k) kills all k > n.  The
+    numbers come from their recurrence (`_euler_recurrence`), never from
+    the kernel, so the two forms check each other's 1/(1+q^j).  `qp`, a
+    `qnumbers.QPower`, is read duck-typed: its base's q and its t = q^x.
+
+    With t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for q = a/b) the
+    value is sum_k C(n,k) E_{k,q} (ch)^k (gd)^(n-k) / (dh)^n: one integer
+    Horner sum over one denominator (`_euler_binomial`).
+    """
+    qq = qp.base.q
+    a, b = qq.numerator, qq.denominator
+    c, d = qp.t.numerator, qp.t.denominator
+    g, h = b * (d - c), d * (b - a)
+    return _euler_binomial(n, qq, g * d, c * h, d * h)
 
 
 def euler_poly(n: int, x: Fraction | int) -> Fraction:

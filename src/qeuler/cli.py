@@ -28,17 +28,14 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import click
 
 from .errors import DomainError, NonConvergence, NotExactPower
-from .exactnum import (DEFAULT_PRECISION, ComplexP, RealP, format_rational,
-                       parse_rational)
+from .exactnum import (DEFAULT_PRECISION, ComplexP, QBase, RealP,
+                       format_rational, parse_rational)
 from .verify import SUITES, run_suite
-
-if TYPE_CHECKING:
-    from .qnumbers import QBase
 
 #: Hard bounds on CLI inputs (keeps runs at desk scale), an integer one
 #: refused as its option is parsed (`_bounded`) but for verify's: the
@@ -105,7 +102,6 @@ def _emit_value(command: str, evaluate: Callable[..., RealP | ComplexP],
     in that order, so the first bad one is named.  `evaluate` gets s as a
     RealP, q as the zeta-domain QBase and the command's inputs by name,
     the parsed ones as Fractions."""
-    from .qnumbers import QBase
     exact = {name: _parse_q(v) if isinstance(v, str) else v
              for name, v in {"s": s_text, **inputs, "q": q_text}.items()}
     row = {name: format_rational(v) if isinstance(v, Fraction) else v
@@ -137,7 +133,6 @@ def _parse_bounded(text: str, option: str, height: int) -> Fraction:
 def _q_base(q_text: str | None, variant: str, query: dict) -> QBase:
     """The bounded --q that a q variant of an exact command requires; it
     joins the query as "q"."""
-    from .qnumbers import QBase
     if q_text is None:
         raise click.UsageError(f"variant {variant} requires --q")
     base = QBase(_parse_bounded(q_text, "--q", MAX_Q_HEIGHT))

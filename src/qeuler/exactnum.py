@@ -11,6 +11,12 @@ Precision contract: an operation documented as "at precision P" computes
 with at least ``P + GUARD_DIGITS`` working digits and returns a value whose
 absolute error is at most ``10**-(P - 10)``.
 
+The exact half works in Fractions and integers: `format_rational`,
+`parse_rational`, `iroot`, `rat_pow`, the validated base `QBase` and the
+residue check `_check_residue`.  The exact kernels (`qnumbers`) and the
+continuation (`qzeta`) take `QBase` and `_check_residue` from here, so
+that neither imports the other.
+
 Both zeta routes, the continuation (`qzeta`) and CVZ (`cvz`), take their
 working digits and fixed-point word from here: P + GUARD_DIGITS plus the
 digits their terms can cancel (`cancellation_digits`, from the float logs
@@ -223,6 +229,39 @@ def rat_pow(q: Fraction, r: Fraction) -> Fraction:
             f"({show_rational(q)})**({show_rational(r)}) is irrational")
     return Fraction(num, den)
 
+
+@dataclass(frozen=True)
+class QBase:
+    """A validated q parameter.
+
+    q must avoid {0, 1, -1} so that 1-q and every 1+q^j stay nonzero.
+    With `zeta_domain` set the base is additionally confined to 0 < q < 1,
+    the convergence regime of the zeta-side series; q > 0 is required
+    whenever fractional powers of q are taken.
+    """
+
+    q: Fraction
+    zeta_domain: bool = False
+
+    def __post_init__(self) -> None:
+        q = self.q if type(self.q) is Fraction else Fraction(self.q)
+        object.__setattr__(self, "q", q)
+        a, b = q.numerator, q.denominator
+        if a == 0 or abs(a) == b:
+            raise DomainError("q must avoid 0, 1 and -1")
+        if self.zeta_domain and not 0 < a < b:
+            raise DomainError("zeta domain requires 0 < q < 1")
+
+
+def _check_residue(a: int, period: int) -> None:
+    if period % 2 == 0:
+        raise DomainError("the period F must be odd")
+    if not 0 < a < period:
+        raise DomainError("need 0 < a < F")
+    # `qzeta._shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS <
+    # 2**14, in floats, which stop short of 2**1024
+    if period.bit_length() > 1010:
+        raise DomainError("the period F must be below 2**1010")
 
 
 class _Logs(NamedTuple):

@@ -18,12 +18,17 @@ q^l, shifting the denominators to 1+q^(j+1) and the prefactor to [2]_q.
 Everything is exact.  Each value is built as one integer numerator over
 one integer denominator and reduced once into a Fraction, instead of
 reducing after every term: the kernel's values, the direct sums, the
-binomial form over its recurrence numbers (put over one common
-denominator), the closed sums, which combine the kernel's unreduced
-numerator and denominator with E_{m,q} and q^n, and the distribution
-sums and the partial zeta's special values, whose kernels at base q^f
-share one denominator (`_distribution_terms`).  Every closed-form identity
-has a brute-force partner it can be compared with bit for bit.
+closed sums, which combine the kernel's unreduced numerator and
+denominator with E_{m,q} and q^n, and the distribution sums and the
+partial zeta's special values, whose kernels at base q^f share one
+denominator (`_distribution_terms`).  Every closed-form identity has a
+brute-force partner it can be compared with bit for bit.
+
+This module imports only `errors` and the exact half of `exactnum`
+(`QBase`, `_check_residue`, `rat_pow`), so it reaches neither route it is
+checked against: the binomial form over the recurrence numbers
+(`classical.q_euler_poly_via_numbers`, thm2 and thm4) and the
+continuation (`qzeta`, partial-zeta).
 """
 
 from __future__ import annotations
@@ -34,35 +39,11 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable
 
-from .classical import _euler_binomial
 from .errors import DomainError
-from .exactnum import rat_pow
+from .exactnum import QBase, _check_residue, rat_pow
 
 #: Most q-Euler numbers (plain and star, any n and q) kept in memory.
 NUMBER_CACHE_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class QBase:
-    """A validated q parameter.
-
-    q must avoid {0, 1, -1} so that 1-q and every 1+q^j stay nonzero.
-    With `zeta_domain` set the base is additionally confined to 0 < q < 1,
-    the convergence regime of the zeta-side series; q > 0 is required
-    whenever fractional powers of q are taken.
-    """
-
-    q: Fraction
-    zeta_domain: bool = False
-
-    def __post_init__(self) -> None:
-        q = self.q if type(self.q) is Fraction else Fraction(self.q)
-        object.__setattr__(self, "q", q)
-        a, b = q.numerator, q.denominator
-        if a == 0 or abs(a) == b:
-            raise DomainError("q must avoid 0, 1 and -1")
-        if self.zeta_domain and not 0 < a < b:
-            raise DomainError("zeta domain requires 0 < q < 1")
 
 
 @dataclass(frozen=True)
@@ -166,24 +147,6 @@ def q_euler_poly(n: int, qp: QPower) -> Fraction:
     """E_{n,q}(x) = 2 (1/(1-q))^n sum_j C(n,j) (-1)^j t^j / (1+q^j),
     with t = q^x carried by `qp`.  At t = 1 this is E_{n,q}."""
     return _kernel(n, qp.base.q, qp.t, 0)
-
-
-def q_euler_poly_via_numbers(n: int, qp: QPower) -> Fraction:
-    """Binomial form sum_{k<=n} C(n,k) t^k E_{k,q} [x]_q^(n-k), where
-    [x]_q = (1-t)/(1-q).  Agrees with q_euler_poly on every exact input;
-    the sum is finite because C(n,k) kills all k > n.  The numbers come
-    from their recurrence (`classical._euler_recurrence`), never from the
-    kernel, so the two forms check each other's 1/(1+q^j).
-
-    With t = c/d and [x]_q = g/h (g = b(d-c), h = d(b-a) for q = a/b) the
-    value is sum_k C(n,k) E_{k,q} (ch)^k (gd)^(n-k) / (dh)^n: one integer
-    Horner sum over one denominator (`classical._euler_binomial`).
-    """
-    qq = qp.base.q
-    a, b = qq.numerator, qq.denominator
-    c, d = qp.t.numerator, qp.t.denominator
-    g, h = b * (d - c), d * (b - a)
-    return _euler_binomial(n, qq, g * d, c * h, d * h)
 
 
 def q_euler_star_number(n: int, q: QBase) -> Fraction:
@@ -292,17 +255,6 @@ def _distribution_terms(n: int, q: Fraction, period: int,
     a, b = q.numerator, q.denominator
     return nums, den // (base.denominator - base.numerator) ** n \
         * (b ** (period - 1) * (b - a)) ** n
-
-
-def _check_residue(a: int, period: int) -> None:
-    if period % 2 == 0:
-        raise DomainError("the period F must be odd")
-    if not 0 < a < period:
-        raise DomainError("need 0 < a < F")
-    # `qzeta._shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS <
-    # 2**14, in floats, which stop short of 2**1024
-    if period.bit_length() > 1010:
-        raise DomainError("the period F must be below 2**1010")
 
 
 def partial_zeta_special_value(n: int, a: int, period: int,

@@ -31,8 +31,10 @@ cross-check is the exact special value at s = -n
 the character sum of the partial zeta values over the units mod F; its
 cross-check is half the generalized number
 `characters.generalized_q_euler` at s = -n.  `l_function` reads only the
-character's modulus, order and exponent table, so this module does not
-import `characters`.
+character's modulus, order and exponent table, and the base and residue
+checks come from `exactnum` (`QBase`, `_check_residue`), so this module
+imports neither `characters` nor `qnumbers`; tests/test_imports.py fails
+if it reaches either.
 
 `zeta`, partial zeta and the residues of one L value are one sum, run by
 one function, `_continued`: rows (d, sign, e) over the series at x + d, at
@@ -71,9 +73,9 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, NonConvergence
 from .exactnum import (ComplexP, DEFAULT_PRECISION, MAX_CANCELLATION_DIGITS,
-                       RealP, WORD_GUARD_BITS, _from_fixed, _ln, _Logs, _logs,
-                       _to_fixed, _working_digits, show_rational, to_mpf)
-from .qnumbers import QBase, _check_residue
+                       QBase, RealP, WORD_GUARD_BITS, _check_residue,
+                       _from_fixed, _ln, _Logs, _logs, _to_fixed,
+                       _working_digits, show_rational, to_mpf)
 
 #: Most terms `zeta` sums.  The continuation series needs about
 #: (P+15) ln 10 / (x ln(1/q)) terms: about 1.5 * 10**5 at q = 999/1000,

@@ -27,13 +27,12 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, RealP,
-                       format_rational, to_mpf, tolerance)
+from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, QBase,
+                       RealP, format_rational, to_mpf, tolerance)
 from . import classical
-from .qnumbers import (QBase, QPower, alt_q_power_sum, alt_q_power_sum_closed,
+from .qnumbers import (QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        distribution_sum, partial_zeta_special_value,
-                       q_euler_poly, q_euler_poly_via_numbers,
-                       weighted_alt_q_power_sum,
+                       q_euler_poly, weighted_alt_q_power_sum,
                        weighted_alt_q_power_sum_closed)
 
 IDENTITY_Q = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
@@ -163,7 +162,7 @@ def verify_thm2(max_n: int = 10) -> VerificationReport:
     def evaluate(cell):
         n, x, base = cell
         qp = QPower.from_integer(base, x)
-        return q_euler_poly(n, qp), q_euler_poly_via_numbers(n, qp)
+        return q_euler_poly(n, qp), classical.q_euler_poly_via_numbers(n, qp)
 
     grid = {"n": [0, max_n], "x": [0, POLY_X],
             "q": [format_rational(q) for q in POLY_Q]}
@@ -182,7 +181,8 @@ def verify_thm4(max_m: int = 8, fs=(1, 3, 5)) -> VerificationReport:
     def evaluate(cell):
         m, f, x, base = cell
         return (distribution_sum(m, f, x, base),
-                q_euler_poly_via_numbers(m, QPower.from_integer(base, x)))
+                classical.q_euler_poly_via_numbers(
+                    m, QPower.from_integer(base, x)))
 
     grid = {"m": [0, max_m], "f": list(fs), "x": [0, DISTRIBUTION_X],
             "q": [format_rational(q) for q in DISTRIBUTION_Q]}

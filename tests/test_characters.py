@@ -16,8 +16,8 @@ from qeuler import characters, qzeta
 from qeuler.characters import character, characters_mod, generalized_q_euler
 from qeuler.cli import main
 from qeuler.errors import DomainError
-from qeuler.exactnum import GUARD_DIGITS, RealP, to_mpf, tolerance
-from qeuler.qnumbers import QBase, q_euler_number, q_int
+from qeuler.exactnum import GUARD_DIGITS, QBase, RealP, to_mpf, tolerance
+from qeuler.qnumbers import q_euler_number, q_int
 from qeuler.qzeta import ZetaQuery, l_function, zeta
 
 P = 50

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import qeuler
 from qeuler.cli import main
-from qeuler.qnumbers import QBase, QPower, q_euler_poly
+from qeuler.exactnum import QBase
+from qeuler.qnumbers import QPower, q_euler_poly
 
 
 def run(capsys, *argv):

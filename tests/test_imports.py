@@ -1,7 +1,8 @@
-"""Route independence, read from the source: the two zeta routes, the
-continuation (`qzeta`) and CVZ (`cvz`), must share no code beyond the
-precision bookkeeping of `exactnum`, so that the zeta suite of `verify`
-is a cross-check; and the exact modules must not reach a numeric route.
+"""Route independence, read from the source: each cross-checking suite of
+`verify` compares two routes that live in modules which import neither
+each other and share no package module beyond `errors` and the exact and
+precision bookkeeping of `exactnum`; and the exact modules must not reach
+a numeric route.
 
 Each module's imports of the package's own modules are parsed with `ast`
 (every import statement, at any depth), then followed to their closure."""
@@ -11,8 +12,20 @@ from pathlib import Path
 
 import pytest
 
+from qeuler.verify import SUITES
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qeuler"
-ROUTES = ("cvz", "qzeta")
+#: The two route modules each cross-checking suite compares.
+ROUTE_PAIRS = {
+    "zeta": ("qzeta", "cvz"),
+    "thm2": ("qnumbers", "classical"),
+    "thm4": ("qnumbers", "classical"),
+    "partial-zeta": ("qzeta", "qnumbers"),
+    "lfunction": ("qzeta", "characters"),
+}
+#: The modules two routes may both reach.
+SHARED = {"errors", "exactnum"}
+ROUTES = ROUTE_PAIRS["zeta"]
 EXACT = ("classical", "qnumbers", "characters")
 
 
@@ -78,12 +91,18 @@ def test_imports_outside_the_package_are_not_counted():
                            "import qeuler\n") == set()
 
 
-def test_the_zeta_routes_import_neither_each_other():
+@pytest.mark.parametrize("suite", ROUTE_PAIRS)
+def test_the_routes_of_each_suite_import_neither_each_other(suite):
+    assert suite in SUITES
     graph = import_graph()
-    assert set(ROUTES) <= set(graph)
-    for route, other in (ROUTES, ROUTES[::-1]):
+    pair = ROUTE_PAIRS[suite]
+    assert set(pair) <= set(graph)
+    for route, other in (pair, pair[::-1]):
         assert other not in closure(graph, route), \
             f"{route} reaches {other} through its imports"
+    first, second = ({route} | closure(graph, route) for route in pair)
+    assert first & second <= SHARED, \
+        f"{suite}'s routes both reach {sorted(first & second - SHARED)}"
 
 
 def test_exact_modules_reach_no_zeta_route():

@@ -9,14 +9,22 @@ name has left its home fails with AttributeError; a row whose home holds
 a stale copy that callers no longer run fails because its suites pass.
 
 At the default grids, the suites in a row's `fails` must report
-failures and every other suite must pass."""
+failures and every other suite must pass.  The README's suite table names,
+in its "Catches" column, the rows that fail each suite, and is checked
+against MUTATIONS here."""
 
+import inspect
+import re
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from qeuler import characters, classical, cvz, qnumbers, qzeta
 from qeuler.verify import SUITES, run_suite
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def swap_first_weights(real):
@@ -116,6 +124,31 @@ def unit_exponents_swapped(real):
     return character
 
 
+def bracket_steps_past(real):
+    """The direct sum's bracket step N_(l+1) = N_l b + a^(l+1) in place of
+    N_l b + a^l (thm3 and weighted: 540 of 1000 cells each).  The real
+    function's source with that one line edited, run in its module's
+    namespace."""
+    source = textwrap.dedent(inspect.getsource(real))
+    line = "bracket = bracket * b + a_power\n"
+    assert source.count(line) == 1, "the bracket step has changed"
+    namespace = dict(vars(sys.modules[real.__module__]))
+    exec(source.replace(line, "bracket = bracket * b + a_power * a\n"),
+         namespace)
+    return namespace[real.__name__]
+
+
+def bernoulli_b1_plus(real):
+    """B_1 = +1/2, sympy's convention, in place of -1/2 (classical: 600 of
+    1200 cells, all in the plain power sums)."""
+    def bernoulli_numbers(n_max):
+        values = real(n_max)
+        if n_max >= 1:
+            values[1] = -values[1]
+        return values
+    return bernoulli_numbers
+
+
 MUTATIONS = {
     "cvz-weights-swapped": (cvz, "_cvz_weights", swap_first_weights,
                             {"zeta"}),
@@ -139,6 +172,10 @@ MUTATIONS = {
                            {"zeta"}),
     "character-exponents-swapped": (characters, "_character",
                                     unit_exponents_swapped, set()),
+    "direct-sum-bracket-step": (qnumbers, "_direct_sum", bracket_steps_past,
+                                {"thm3", "weighted"}),
+    "bernoulli-b1-convention": (classical, "bernoulli_numbers",
+                                bernoulli_b1_plus, {"classical"}),
 }
 
 
@@ -176,3 +213,25 @@ def test_mutation_fails_exactly_its_suites(row, mutate):
     mutate(home, name, make)
     failed = {suite for suite in SUITES if not run_suite(suite).passed}
     assert failed == fails
+
+
+def readme_catches() -> dict[str, set[str]]:
+    """The README's suite table: each suite's "Catches" cell, the
+    backticked row names in it."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    header = lines.index("| Suite | Checks | Options | Catches |")
+    catches = {}
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.strip("|").split("|")
+        catches[cells[0].strip(" `")] = set(re.findall(r"`([^`]+)`",
+                                                       cells[-1]))
+    return catches
+
+
+def test_readme_names_the_rows_each_suite_catches():
+    assert readme_catches() == {
+        suite: {row for row, (*_, fails) in MUTATIONS.items()
+                if suite in fails}
+        for suite in SUITES}

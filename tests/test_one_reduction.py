@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from qeuler.characters import (_generalized_parts, characters_mod,
                                generalized_q_euler)
-from qeuler.qnumbers import (QBase, QPower, distribution_sum, q_euler_poly,
-                             q_int)
+from qeuler.exactnum import QBase
+from qeuler.qnumbers import QPower, distribution_sum, q_euler_poly, q_int
 from qeuler.verify import (DISTRIBUTION_Q, DISTRIBUTION_X, LFUNCTION_Q,
                            MODULI, SPECIAL_N)
 

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import qnumbers
-from qeuler.classical import euler_number, euler_poly
+from qeuler.classical import (euler_number, euler_poly,
+                              q_euler_poly_via_numbers)
 from qeuler.errors import DomainError
-from qeuler.qnumbers import (QBase, QPower, alt_q_power_sum,
-                             alt_q_power_sum_closed, distribution_sum,
-                             q_euler_number, q_euler_poly,
-                             q_euler_poly_via_numbers, q_euler_star_number,
-                             q_euler_star_poly, q_int,
+from qeuler.exactnum import QBase
+from qeuler.qnumbers import (QPower, alt_q_power_sum, alt_q_power_sum_closed,
+                             distribution_sum, q_euler_number, q_euler_poly,
+                             q_euler_star_number, q_euler_star_poly, q_int,
                              weighted_alt_q_power_sum,
                              weighted_alt_q_power_sum_closed)
 

@@ -8,12 +8,12 @@ import pytest
 from mpmath import mp, mpf
 
 from qeuler.errors import DomainError, NonConvergence
-from qeuler.exactnum import (GUARD_DIGITS, RealP, _logs, cancellation_digits,
-                             rat_pow, to_mpf, tolerance)
+from qeuler.exactnum import (GUARD_DIGITS, QBase, RealP, _logs,
+                             cancellation_digits, rat_pow, to_mpf, tolerance)
 from qeuler import cvz, exactnum, qzeta
 from qeuler.characters import character, characters_mod
 from qeuler.cvz import euler_transform, zeta_euler_transform
-from qeuler.qnumbers import (QBase, QPower, partial_zeta_special_value,
+from qeuler.qnumbers import (QPower, partial_zeta_special_value,
                              q_euler_poly, q_int)
 from qeuler.qzeta import (MAX_ZETA_TERMS, ZetaQuery, l_function, partial_zeta,
                           zeta)

@@ -37,8 +37,8 @@ BASE = {"qeuler", "qeuler.cli", "qeuler.errors", "qeuler.exactnum",
 FOOTPRINTS = {
     "package": ("import qeuler", {"qeuler"}),
     "export": ("from qeuler import q_euler_number",
-               {"qeuler", "qeuler.qnumbers", "qeuler.classical",
-                "qeuler.errors", "qeuler.exactnum"}),
+               {"qeuler", "qeuler.qnumbers", "qeuler.errors",
+                "qeuler.exactnum"}),
     "cli": ("import qeuler.cli", BASE),
     "numbers": (["numbers", "--max-n", "3", "--q", "1/2"], BASE),
     "zeta": (["zeta", "--s", "1/2", "--x", "1", "--q", "1/2", "--prec", "20"],

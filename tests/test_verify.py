@@ -11,8 +11,9 @@ from mpmath import mp, mpf
 
 from qeuler import (characters, classical, cli, cvz, qnumbers, qzeta,
                     verify)
-from qeuler.exactnum import GUARD_DIGITS, RealP, format_rational, to_mpf
-from qeuler.qnumbers import QBase, alt_q_power_sum
+from qeuler.exactnum import (GUARD_DIGITS, QBase, RealP, format_rational,
+                             to_mpf)
+from qeuler.qnumbers import alt_q_power_sum
 from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
                            _SUITE_OPTIONS, run_suite, verify_lfunction,
                            verify_thm2, verify_thm3, verify_zeta)
