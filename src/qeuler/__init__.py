@@ -15,8 +15,10 @@ import importlib
 #: the module that defines it.
 _EXPORTS = (
     ("errors", "DomainError NonConvergence NotExactPower"),
-    ("exactnum", "DEFAULT_PRECISION ComplexP RealP format_rational "
-                 "parse_rational rat_pow tolerance"),
+    ("exactnum", "DEFAULT_PRECISION"),
+    ("realnum", "ComplexP RealP"),
+    ("exactnum", "format_rational parse_rational rat_pow"),
+    ("realnum", "tolerance"),
     ("classical", "alt_power_sum alt_power_sum_closed bernoulli_number "
                   "euler_number euler_poly power_sum power_sum_closed"),
     ("exactnum", "QBase"),

@@ -2,7 +2,12 @@
 numbers attached to a character.  The q-L-function, the numeric side of
 the same identity, is `qzeta.l_function`; this module builds exact tables
 only and imports neither zeta route, `qzeta` nor `cvz`
-(tests/test_imports.py).
+(tests/test_imports.py).  At its top it imports only `errors` and
+`exactnum`: `qnumbers` (for the distribution kernel) is imported by the
+generalized numbers, and mpmath with `realnum` only by their complex
+branch, so the tables, and the generalized numbers of a character of
+order at most 2, load no mpmath.  The modulus must be odd; the
+generalized numbers refuse a hand-built character of even modulus.
 
 A character mod d is stored as an exponent table: residue a maps to None
 off the units, and otherwise to an integer e with chi(a) = exp(2*pi*i*e/m),
@@ -26,11 +31,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from mpmath import mp, mpf
-
 from .errors import DomainError
-from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, to_mpf
-from .qnumbers import _distribution_terms
+from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -152,7 +154,11 @@ def _generalized_parts(n: int, chi: DirichletCharacter,
     m the order of chi: c_e / D sums (-1)^a [d]_q^n E_{n,q^d}(a/d) over the
     units a with exponent e, every term over the one denominator of
     `qnumbers._distribution_terms`, which refuses n < 0.  Nothing is
-    reduced."""
+    reduced.  DomainError for an even modulus, whose (-1)^(a+mF) is not
+    (-1)^(a+m)."""
+    from .qnumbers import _distribution_terms
+    if chi.modulus % 2 == 0:
+        raise DomainError("the period F must be odd")
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError("requires rational q in (0, 1)")
@@ -183,6 +189,8 @@ def generalized_q_euler(n: int, chi: DirichletCharacter, q: Fraction,
     if chi.order <= 2:
         return Fraction(sum(-c if e else c for e, c in coefficients.items()),
                         den)
+    from mpmath import mp, mpf
+    from .realnum import to_mpf
     with mp.workdps(precision + GUARD_DIGITS):
         return mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
                        for e, c in coefficients.items()) / den

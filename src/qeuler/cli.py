@@ -13,11 +13,13 @@ it is parsed (`_bounded`), before the command body runs, so of two bad
 options the first given is named; verify's --max-m, --max-n and --f are
 checked at the top of its body.
 
-Each command imports the routes it runs in its own body.  At the top this
-module imports click, `errors`, `exactnum` and `verify` (for the suite
-names, which brings the exact layer, `qnumbers` and `classical`), so an
-exact command loads no numeric route: `zeta` and `partial-zeta` add
-`qzeta`, `characters` adds `characters`, and `lfunction` adds both.
+Each command imports the modules it runs in its own body.  At the top this
+module imports click, `errors`, `exactnum` and `realnum` (for `RealP` and
+`ComplexP`, which brings mpmath); `--suite`'s choices are the tuple
+SUITE_NAMES, so only `verify` imports `verify`.  `numbers`, `poly` and
+`sums` add `qnumbers` and `classical`, `zeta` and `partial-zeta` add
+`qzeta`, `characters` adds `characters`, `lfunction` adds both, and
+`verify` adds `verify` with the routes its suites run.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
 """
@@ -33,9 +35,8 @@ from typing import Callable
 import click
 
 from .errors import DomainError, NonConvergence, NotExactPower
-from .exactnum import (DEFAULT_PRECISION, ComplexP, QBase, RealP,
-                       format_rational, parse_rational)
-from .verify import SUITES, run_suite
+from .exactnum import DEFAULT_PRECISION, QBase, format_rational, parse_rational
+from .realnum import ComplexP, RealP
 
 #: Hard bounds on CLI inputs (keeps runs at desk scale), an integer one
 #: refused as its option is parsed (`_bounded`) but for verify's: the
@@ -53,6 +54,12 @@ MAX_NUMBERS_N = 100
 MAX_F = 21
 MAX_Q_HEIGHT = 99999
 MAX_X_HEIGHT = 100
+
+#: The names of `verify.SUITES`, sorted: `--suite`'s choices beside "all",
+#: kept here so that no command but verify imports `verify`
+#: (tests/test_verify.py checks the two agree).
+SUITE_NAMES = ("classical", "lfunction", "partial-zeta", "thm2", "thm3",
+               "thm4", "weighted", "zeta")
 
 FORMAT_OPTION = click.option("--format", "fmt",
                              type=click.Choice(["json", "csv"]),
@@ -322,7 +329,7 @@ def cmd_characters(modulus: int, fmt: str) -> None:
 
 
 @cli.command("verify")
-@click.option("--suite", type=click.Choice(sorted(SUITES) + ["all"]),
+@click.option("--suite", type=click.Choice([*SUITE_NAMES, "all"]),
               required=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               default=None, help="Write the JSON report(s) to this path.")
@@ -338,6 +345,7 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
                max_n: int | None, f_only: int | None, prec: int) -> int:
     """Run an identity-verification suite, or all of them; exit 2 on any
     failure.  Each suite takes only the options it has a use for."""
+    from . import verify
     if max_m is not None and not 1 <= max_m <= MAX_M:
         raise click.UsageError(f"--max-m must lie in 1..{MAX_M}")
     if max_n is not None and not 1 <= max_n <= MAX_N:
@@ -353,8 +361,8 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
         raise click.FileError(report_path, exc.strerror) from exc
 
     with report_file as handle:
-        names = sorted(SUITES) if suite == "all" else [suite]
-        reports = [run_suite(name, max_m=max_m, max_n=max_n,
+        names = sorted(verify.SUITES) if suite == "all" else [suite]
+        reports = [verify.run_suite(name, max_m=max_m, max_n=max_n,
                              fs=None if f_only is None else (f_only,),
                              precision=prec)
                    for name in names]

@@ -6,7 +6,7 @@ convergence acceleration of Cohen, Rodriguez Villegas and Zagier
 (Algorithm 1), whose terms are moments of a signed measure on (0, 1].  Its
 term count is fixed in advance from an a-priori error bound, so it runs in
 time linear in P + log10 V, and its cap admits every V that
-`exactnum.cancellation_digits` admits.
+`realnum.cancellation_digits` admits.
 
 It sums in integer fixed point: each term is a Python int at a binary
 point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from the
@@ -15,13 +15,14 @@ integer: the brackets [x+n]_q are ints at a few more bits, raised by
 binary powering and `math.isqrt` (`_bracket_powers`); other s take one
 mp.power of the bracket per term.  The terms reach
 V = (1-q)^s (1-q^x)^(-|s|) in size, so it works at
-P + GUARD_DIGITS + ceil(log10 V) digits (`exactnum._working_digits`) and
+P + GUARD_DIGITS + ceil(log10 V) digits (`realnum._working_digits`) and
 certifies 10**-(P-10) even where the terms cancel.
 
 This module shares no code with the continuation route: it reads its
 query duck-typed (s, x, q and precision) and imports nothing from `qzeta`,
 nor `qzeta` from it.  Both take only the precision bookkeeping of
-`exactnum`; tests/test_imports.py fails if either imports the other.
+`realnum` and `exactnum`; tests/test_imports.py fails if either imports
+the other.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable
 from mpmath import mp, mpf
 
 from .errors import NonConvergence
-from .exactnum import (MAX_CANCELLATION_DIGITS, WORD_GUARD_BITS, RealP, _ln,
-                       _from_fixed, _logs, _to_fixed, _working_digits, to_mpf)
+from .realnum import (MAX_CANCELLATION_DIGITS, WORD_GUARD_BITS, RealP, _ln,
+                      _from_fixed, _logs, _to_fixed, _working_digits, to_mpf)
 
 #: Most CVZ weight tables (`_cvz_weights`, one per term count) kept in
 #: memory; a table of n weights holds about 2.5 n^2 bits.

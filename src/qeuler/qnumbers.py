@@ -24,10 +24,10 @@ partial zeta's special values, whose kernels at base q^f share one
 denominator (`_distribution_terms`).  Every closed-form identity has a
 brute-force partner it can be compared with bit for bit.
 
-This module imports only `errors` and the exact half of `exactnum`
-(`QBase`, `_check_residue`, `rat_pow`), so it reaches neither route it is
-checked against: the binomial form over the recurrence numbers
-(`classical.q_euler_poly_via_numbers`, thm2 and thm4) and the
+This module imports only `errors` and `exactnum` (`QBase`,
+`_check_residue`, `rat_pow`), so it loads no mpmath and reaches neither
+route it is checked against: the binomial form over the recurrence
+numbers (`classical.q_euler_poly_via_numbers`, thm2 and thm4) and the
 continuation (`qzeta`, partial-zeta).
 """
 

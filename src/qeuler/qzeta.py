@@ -56,7 +56,7 @@ The pass sums in integer fixed point: each term is a Python int at a
 binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
 the final integer.  Its terms reach V = (1-q)^s (1-q^x)^(-|s|) in size, so
 it works at P + GUARD_DIGITS + ceil(log10 V) digits
-(`exactnum.cancellation_digits`) and certifies 10**-(P-10) even where the
+(`realnum.cancellation_digits`) and certifies 10**-(P-10) even where the
 terms cancel.
 """
 
@@ -72,10 +72,10 @@ from typing import Callable, Iterator, Sequence
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, NonConvergence
-from .exactnum import (ComplexP, DEFAULT_PRECISION, MAX_CANCELLATION_DIGITS,
-                       QBase, RealP, WORD_GUARD_BITS, _check_residue,
-                       _from_fixed, _ln, _Logs, _logs, _to_fixed,
-                       _working_digits, show_rational, to_mpf)
+from .exactnum import DEFAULT_PRECISION, QBase, _check_residue, show_rational
+from .realnum import (ComplexP, MAX_CANCELLATION_DIGITS, RealP,
+                      WORD_GUARD_BITS, _from_fixed, _ln, _Logs, _logs,
+                      _to_fixed, _working_digits, to_mpf)
 
 #: Most terms `zeta` sums.  The continuation series needs about
 #: (P+15) ln 10 / (x ln(1/q)) terms: about 1.5 * 10**5 at q = 999/1000,
@@ -483,17 +483,21 @@ def l_function(s: RealP, chi, q: QBase,
         l_{E,q}(s, chi) = sum_{a=1..F} chi(a) H_q(s, a; F),  F = modulus,
 
     for a character chi given by its modulus, order and exponent table
-    (`characters.DirichletCharacter`).  Residues with gcd(a, F) > 1 drop
-    out through chi; F = 1 leaves a = 1, where H_q(s, 1; 1) =
-    -zeta_{E,q}(s, 1).  Each unit a is one row of `_continued` at step F,
-    as in `partial_zeta`: its offset from the smallest unit, the sign
-    (-1)^a and chi's exponent.  All rows sum in one pass of the
-    continuation series at the smallest unit; each other unit rides along
-    with the weight (q^(a-a_min))^k, and the smallest unit's stop rule
-    covers every unit because its terms dominate theirs.  Returns RealP
-    for real characters, ComplexP otherwise.
+    (`characters.DirichletCharacter`).  F must be odd, as in
+    `partial_zeta`: for even F, (-1)^(a+mF) is not (-1)^(a+m), and
+    DomainError says so.  Residues with gcd(a, F) > 1 drop out through
+    chi; F = 1 leaves a = 1, where H_q(s, 1; 1) = -zeta_{E,q}(s, 1).  Each
+    unit a is one row of `_continued` at step F, as in `partial_zeta`: its
+    offset from the smallest unit, the sign (-1)^a and chi's exponent.
+    All rows sum in one pass of the continuation series at the smallest
+    unit; each other unit rides along with the weight (q^(a-a_min))^k, and
+    the smallest unit's stop rule covers every unit because its terms
+    dominate theirs.  Returns RealP for real characters, ComplexP
+    otherwise.
     """
     F = chi.modulus
+    if F % 2 == 0:
+        raise DomainError("the period F must be odd")
     units = [a for a in range(1, F + 1) if chi.exponents[a % F] is not None]
     x = RealP.from_rational(Fraction(units[0]), precision)
     return _continued(ZetaQuery(s, x, q, precision), F,

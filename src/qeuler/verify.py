@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, ComplexP, QBase,
-                       RealP, format_rational, to_mpf, tolerance)
+from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS, QBase, format_rational
+from .realnum import ComplexP, RealP, to_mpf, tolerance
 from . import classical
 from .qnumbers import (QPower, alt_q_power_sum, alt_q_power_sum_closed,
                        distribution_sum, partial_zeta_special_value,

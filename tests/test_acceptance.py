@@ -13,7 +13,8 @@ from mpmath import mp
 
 from qeuler.characters import characters_mod, generalized_q_euler
 from qeuler.classical import euler_number
-from qeuler.exactnum import GUARD_DIGITS, QBase, RealP, to_mpf
+from qeuler.exactnum import GUARD_DIGITS, QBase
+from qeuler.realnum import RealP, to_mpf
 from qeuler.cvz import zeta_euler_transform
 from qeuler.qnumbers import (QPower, alt_q_power_sum,
                              alt_q_power_sum_closed, partial_zeta_special_value,

@@ -16,7 +16,8 @@ from qeuler import characters, qzeta
 from qeuler.characters import character, characters_mod, generalized_q_euler
 from qeuler.cli import main
 from qeuler.errors import DomainError
-from qeuler.exactnum import GUARD_DIGITS, QBase, RealP, to_mpf, tolerance
+from qeuler.exactnum import GUARD_DIGITS, QBase
+from qeuler.realnum import RealP, to_mpf, tolerance
 from qeuler.qnumbers import q_euler_number, q_int
 from qeuler.qzeta import ZetaQuery, l_function, zeta
 
@@ -196,6 +197,20 @@ def test_l_function_modulus_one():
                        QBase(Fraction(1, 2), zeta_domain=True), P)
     with mp.workdps(P + GUARD_DIGITS):
         assert abs(value.value - to_mpf(Fraction(-1, 3))) <= tolerance(P)
+
+
+def test_even_modulus_is_refused():
+    # for even F, (-1)^(a+mF) is not (-1)^(a+m): with chi the character
+    # mod 4, at s = -1 and q = 1/2 the series sum_n (-1)^n chi(n) [n]_q
+    # sums to -(1/(1-q))(1/2 - q/(1+q^2)) = -1/5, where both residue
+    # decompositions read 12/17
+    chi = characters.DirichletCharacter(4, 2, (None, 0, None, 1))
+    q = Fraction(1, 2)
+    with pytest.raises(DomainError, match="the period F must be odd"):
+        l_function(RealP.from_rational(-1, P), chi,
+                   QBase(q, zeta_domain=True), P)
+    with pytest.raises(DomainError, match="the period F must be odd"):
+        generalized_q_euler(1, chi, q)
 
 
 def test_l_special_value_n0():

@@ -485,7 +485,7 @@ def test_verify_report_path_checked_before_suites(tmp_path, capsys):
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
-    from qeuler.verify import VerificationReport
+    from qeuler.verify import SUITES, VerificationReport
 
     def broken_suite(**_kwargs):
         return VerificationReport(
@@ -494,8 +494,7 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
                        "deviation": "1/1"}],
             max_deviation="1.0")
 
-    monkeypatch.setitem(__import__("qeuler.cli", fromlist=["SUITES"]).SUITES,
-                        "thm3", broken_suite)
+    monkeypatch.setitem(SUITES, "thm3", broken_suite)
     code, out, _ = run(capsys, "verify", "--suite", "thm3")
     assert code == 2
     assert "FAIL" in out

@@ -1,4 +1,5 @@
-"""Exact arithmetic kernel: rational powers, precision reals."""
+"""Exact arithmetic kernel (`exactnum`): rational powers; and the
+precision reals of `realnum`."""
 
 import sys
 from fractions import Fraction
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from qeuler.errors import DomainError, NotExactPower
 from mpmath import mp, mpf
 
-from qeuler.exactnum import (ComplexP, RealP, format_rational, iroot,
-                             parse_rational, rat_pow)
+from qeuler.exactnum import format_rational, iroot, parse_rational, rat_pow
+from qeuler.realnum import ComplexP, RealP
 
 
 def test_iroot_exact_and_floor():

@@ -1,8 +1,9 @@
 """Route independence, read from the source: each cross-checking suite of
 `verify` compares two routes that live in modules which import neither
 each other and share no package module beyond `errors` and the exact and
-precision bookkeeping of `exactnum`; and the exact modules must not reach
-a numeric route.
+precision bookkeeping of `exactnum` and `realnum`; the exact modules must
+not reach a numeric route; and the exact layer imports neither mpmath nor
+`realnum` at its top.
 
 Each module's imports of the package's own modules are parsed with `ast`
 (every import statement, at any depth), then followed to their closure."""
@@ -24,7 +25,7 @@ ROUTE_PAIRS = {
     "lfunction": ("qzeta", "characters"),
 }
 #: The modules two routes may both reach.
-SHARED = {"errors", "exactnum"}
+SHARED = {"errors", "exactnum", "realnum"}
 ROUTES = ROUTE_PAIRS["zeta"]
 EXACT = ("classical", "qnumbers", "characters")
 
@@ -52,6 +53,20 @@ def package_imports(source: str) -> set[str]:
                 found.add(module.split(".")[0])
             else:  # `from . import x` or `from qeuler import x`
                 found.update(alias.name for alias in node.names)
+    return found
+
+
+def top_level_imports(source: str) -> set[str]:
+    """The first part of each absolute module name the source imports at
+    its top level, and the package modules it imports there."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= package_imports(ast.unparse(node))
     return found
 
 
@@ -111,3 +126,17 @@ def test_exact_modules_reach_no_zeta_route():
         assert module in graph
         reached = closure(graph, module) & set(ROUTES)
         assert not reached, f"{module} reaches {sorted(reached)}"
+
+
+def test_top_level_imports_skip_function_bodies():
+    assert top_level_imports("import math\nfrom .errors import DomainError\n"
+                             "def late():\n    from mpmath import mp\n"
+                             "    from .realnum import to_mpf\n") \
+        == {"math", "errors"}
+
+
+@pytest.mark.parametrize("module", ("exactnum",) + EXACT)
+def test_exact_layer_imports_no_mpmath_at_its_top(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    found = top_level_imports(source) & {"mpmath", "realnum"}
+    assert not found, f"{module} imports {sorted(found)} at its top"

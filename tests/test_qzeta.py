@@ -8,9 +8,10 @@ import pytest
 from mpmath import mp, mpf
 
 from qeuler.errors import DomainError, NonConvergence
-from qeuler.exactnum import (GUARD_DIGITS, QBase, RealP, _logs,
-                             cancellation_digits, rat_pow, to_mpf, tolerance)
-from qeuler import cvz, exactnum, qzeta
+from qeuler.exactnum import GUARD_DIGITS, QBase, rat_pow
+from qeuler.realnum import (RealP, _logs, cancellation_digits, to_mpf,
+                            tolerance)
+from qeuler import cvz, qzeta, realnum
 from qeuler.characters import character, characters_mod
 from qeuler.cvz import euler_transform, zeta_euler_transform
 from qeuler.qnumbers import (QPower, partial_zeta_special_value,
@@ -102,8 +103,8 @@ def test_dual_route_subgrid():
 
 def fixed_terms(terms):
     """mpf terms as ints at the binary point `euler_transform` reads."""
-    wp = mp.prec + exactnum.WORD_GUARD_BITS
-    return lambda j: exactnum._to_fixed(terms(j), wp)
+    wp = mp.prec + realnum.WORD_GUARD_BITS
+    return lambda j: realnum._to_fixed(terms(j), wp)
 
 
 def test_euler_transform_known_values():
@@ -468,8 +469,8 @@ def test_shift_takes_zero_at_negative_integers():
     # on J = 0, where s = -5/2 takes head terms
     def shift(s, q, step=1, residues=1, x=1):
         zq = query(s, x, q)
-        logs = exactnum._logs(zq.q.q, zq.x.value)
-        with mp.workdps(exactnum._working_digits(zq, logs)):
+        logs = realnum._logs(zq.q.q, zq.x.value)
+        with mp.workdps(realnum._working_digits(zq, logs)):
             return qzeta._shift(zq, zq.s.exact_value(), logs, step, residues)
 
     assert qzeta._series_start(mpf(-3)) == (4, -math.inf)

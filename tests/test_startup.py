@@ -2,11 +2,12 @@
 package's exports are lazy.
 
 The footprint cases run in a fresh interpreter each, since `sys.modules`
-of this one holds every module the other tests imported.  The exact
-commands and the exact verify suites load the exact layer alone (`BASE`);
-a numeric command adds the route it runs.  `import qeuler.cli` must still
-load mpmath and click, whose import lines the benchmark's start-up probe
-reads from `python -X importtime`."""
+of this one holds every module the other tests imported.  Every command
+loads `cli` and its top imports (`BASE`), then the modules it runs.
+`import qeuler.cli` must still load mpmath and click, whose import lines
+the benchmark's start-up probe reads from `python -X importtime`.  The
+exact API, run without the CLI, loads neither: the exact layer needs only
+the standard library."""
 
 import importlib
 import os
@@ -32,20 +33,40 @@ print("mpmath" in sys.modules, "click" in sys.modules)
 """
 
 BASE = {"qeuler", "qeuler.cli", "qeuler.errors", "qeuler.exactnum",
-        "qeuler.verify", "qeuler.qnumbers", "qeuler.classical"}
+        "qeuler.realnum"}
+EXACT = {"qeuler.qnumbers", "qeuler.classical"}
+
+#: Each exact computation of the API, characters' of order 2 included.
+EXACT_API = "\n    ".join((
+    "from fractions import Fraction",
+    "from qeuler import (QBase, QPower, alt_q_power_sum_closed, "
+    "characters_mod, classical, distribution_sum, euler_poly, "
+    "generalized_q_euler, partial_zeta_special_value, q_euler_number, "
+    "q_euler_poly)",
+    "q = Fraction(1, 2); base = QBase(q); chi = characters_mod(5)[2]",
+    "q_euler_number(5, base); alt_q_power_sum_closed(3, 4, base)",
+    "q_euler_poly(4, QPower.from_integer(base, 3))",
+    "distribution_sum(3, 3, 2, base); partial_zeta_special_value(2, 1, 3, q)",
+    "euler_poly(4, Fraction(1, 3)); classical.bernoulli_numbers(6)",
+    "assert chi.order == 2",
+    "assert type(generalized_q_euler(3, chi, q)) is Fraction",
+))
 
 FOOTPRINTS = {
     "package": ("import qeuler", {"qeuler"}),
     "export": ("from qeuler import q_euler_number",
                {"qeuler", "qeuler.qnumbers", "qeuler.errors",
                 "qeuler.exactnum"}),
+    "exact-api": (EXACT_API, {"qeuler", "qeuler.errors", "qeuler.exactnum",
+                              "qeuler.characters"} | EXACT),
     "cli": ("import qeuler.cli", BASE),
-    "numbers": (["numbers", "--max-n", "3", "--q", "1/2"], BASE),
+    "numbers": (["numbers", "--max-n", "3", "--q", "1/2"], BASE | EXACT),
     "zeta": (["zeta", "--s", "1/2", "--x", "1", "--q", "1/2", "--prec", "20"],
              BASE | {"qeuler.qzeta"}),
     "characters": (["characters", "--modulus", "5"],
                    BASE | {"qeuler.characters"}),
-    "verify-thm2": (["verify", "--suite", "thm2", "--max-n", "2"], BASE),
+    "verify-thm2": (["verify", "--suite", "thm2", "--max-n", "2"],
+                    BASE | EXACT | {"qeuler.verify"}),
 }
 
 
@@ -76,6 +97,8 @@ def test_command_loads_only_its_modules(case, footprints):
     assert modules == FOOTPRINTS[case][1]
     if case == "cli":  # the benchmark's start-up probe reads both
         assert libraries == "True True"
+    if case == "exact-api":
+        assert libraries == "False False"
 
 
 def test_every_export_is_its_home_modules_object():

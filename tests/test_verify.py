@@ -11,8 +11,8 @@ from mpmath import mp, mpf
 
 from qeuler import (characters, classical, cli, cvz, qnumbers, qzeta,
                     verify)
-from qeuler.exactnum import (GUARD_DIGITS, QBase, RealP, format_rational,
-                             to_mpf)
+from qeuler.exactnum import GUARD_DIGITS, QBase, format_rational
+from qeuler.realnum import RealP, to_mpf
 from qeuler.qnumbers import alt_q_power_sum
 from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
                            _SUITE_OPTIONS, run_suite, verify_lfunction,
@@ -38,6 +38,11 @@ def test_report_fields_and_passing():
 def test_all_suite_names_registered():
     assert set(SUITES) == {"thm2", "thm3", "thm4", "weighted", "classical",
                            "zeta", "partial-zeta", "lfunction"}
+
+
+def test_cli_suite_names_are_the_suites():
+    # `--suite`'s choices, kept in cli so that only verify imports verify
+    assert cli.SUITE_NAMES == tuple(sorted(SUITES))
 
 
 def test_numeric_report_carries_deviation():
@@ -88,7 +93,7 @@ def test_suite_options_are_the_suites_keyword_parameters(monkeypatch):
         given.append(set(options))
         return VerificationReport(suite=name, grid={}, cases_run=0)
 
-    monkeypatch.setattr(cli, "run_suite", record)
+    monkeypatch.setattr(verify, "run_suite", record)
     assert cli.main(["verify", "--suite", "thm3"]) == 0
     for name, suite in SUITES.items():
         options = tuple(inspect.signature(suite).parameters)
