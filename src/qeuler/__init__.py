@@ -11,29 +11,23 @@ alone, so an exact computation never loads the numeric routes.
 
 import importlib
 
-#: The exported names in the order of `__all__`, each run of them beside
-#: the module that defines it.
+#: The exported names, one entry per module that defines them.
 _EXPORTS = (
     ("errors", "DomainError NonConvergence NotExactPower"),
-    ("exactnum", "DEFAULT_PRECISION"),
-    ("realnum", "ComplexP RealP"),
-    ("exactnum", "format_rational parse_rational rat_pow"),
-    ("realnum", "tolerance"),
+    ("exactnum", "DEFAULT_PRECISION QBase format_rational parse_rational "
+                 "rat_pow"),
+    ("realnum", "ComplexP RealP tolerance"),
     ("classical", "alt_power_sum alt_power_sum_closed bernoulli_number "
-                  "euler_number euler_poly power_sum power_sum_closed"),
-    ("exactnum", "QBase"),
+                  "euler_number euler_poly power_sum power_sum_closed "
+                  "q_euler_poly_via_numbers"),
     ("qnumbers", "QPower alt_q_power_sum alt_q_power_sum_closed "
-                 "distribution_sum q_euler_number q_euler_poly"),
-    ("classical", "q_euler_poly_via_numbers"),
-    ("qnumbers", "q_euler_star_number q_euler_star_poly q_int "
+                 "distribution_sum generalized_q_euler "
+                 "partial_zeta_special_value q_euler_number q_euler_poly "
+                 "q_euler_star_number q_euler_star_poly q_int "
                  "weighted_alt_q_power_sum weighted_alt_q_power_sum_closed"),
-    ("qzeta", "ZetaQuery partial_zeta"),
-    ("qnumbers", "partial_zeta_special_value"),
-    ("qzeta", "zeta"),
+    ("qzeta", "ZetaQuery l_function partial_zeta zeta"),
     ("cvz", "zeta_euler_transform"),
-    ("characters", "DirichletCharacter character characters_mod "
-                   "generalized_q_euler"),
-    ("qzeta", "l_function"),
+    ("characters", "DirichletCharacter character characters_mod"),
 )
 _HOME = {name: module for module, names in _EXPORTS for name in names.split()}
 

@@ -1,13 +1,11 @@
-"""Dirichlet characters of odd modulus and the generalized q-Euler
-numbers attached to a character.  The q-L-function, the numeric side of
-the same identity, is `qzeta.l_function`; this module builds exact tables
-only and imports neither zeta route, `qzeta` nor `cvz`
-(tests/test_imports.py).  At its top it imports only `errors` and
-`exactnum`: `qnumbers` (for the distribution kernel) is imported by the
-generalized numbers, and mpmath with `realnum` only by their complex
-branch, so the tables, and the generalized numbers of a character of
-order at most 2, load no mpmath.  The modulus must be odd; the
-generalized numbers refuse a hand-built character of even modulus.
+"""Dirichlet characters of odd modulus, as exact exponent tables.
+
+This module builds character tables only.  Both sides of the identity
+they serve live elsewhere: the generalized q-Euler numbers attached to a
+character are `qnumbers.generalized_q_euler`, beside the other exact
+s = -n values, and the q-L-function is `qzeta.l_function`.  It imports
+nothing from the package but `errors` (tests/test_imports.py), and no
+mpmath.
 
 A character mod d is stored as an exponent table: residue a maps to None
 off the units, and otherwise to an integer e with chi(a) = exp(2*pi*i*e/m),
@@ -27,12 +25,10 @@ in O(d); `characters_mod` builds all phi(d) tables from one log table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DomainError
-from .exactnum import DEFAULT_PRECISION, GUARD_DIGITS
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -144,53 +140,3 @@ def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
     return tuple(_character(d, phis, logs, index)
                  for index in range(prod(phis)))
 
-
-def _generalized_parts(n: int, chi: DirichletCharacter,
-                       q: Fraction) -> tuple[dict[int, int], int]:
-    """Integers c_e and one denominator D with
-
-        E_{n,chi,q} = sum_e (c_e / D) exp(2 pi i e / m),
-
-    m the order of chi: c_e / D sums (-1)^a [d]_q^n E_{n,q^d}(a/d) over the
-    units a with exponent e, every term over the one denominator of
-    `qnumbers._distribution_terms`, which refuses n < 0.  Nothing is
-    reduced.  DomainError for an even modulus, whose (-1)^(a+mF) is not
-    (-1)^(a+m)."""
-    from .qnumbers import _distribution_terms
-    if chi.modulus % 2 == 0:
-        raise DomainError("the period F must be odd")
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("requires rational q in (0, 1)")
-    units = [a for a, e in enumerate(chi.exponents) if e is not None]
-    nums, den = _distribution_terms(n, q, chi.modulus, units)
-    coefficients: dict[int, int] = {}
-    for a, num in zip(units, nums):
-        e = chi.exponents[a]
-        coefficients[e] = coefficients.get(e, 0) + (-num if a % 2 else num)
-    return coefficients, den
-
-
-def generalized_q_euler(n: int, chi: DirichletCharacter, q: Fraction,
-                        precision: int = DEFAULT_PRECISION):
-    """Generalized q-Euler number attached to chi:
-
-        E_{n,chi,q} = [d]_q^n sum_{a<d} chi(a) (-1)^a E_{n,q^d}(a/d),
-
-    each inner polynomial evaluated exactly through t = q^a, all of them
-    over one denominator D (`_generalized_parts`).  When every root is +1
-    or -1 (order at most 2) the value is an exact Fraction, reduced once;
-    otherwise it is the mpmath complex sum_e c_e exp(2 pi i e / m) / D at
-    precision + GUARD_DIGITS working digits, each c_e rounded to them and
-    its root taken by mp.expjpi.  This root sum is the exact side's own:
-    `qzeta.l_function` sums the roots of its residue sums apart.
-    """
-    coefficients, den = _generalized_parts(n, chi, q)
-    if chi.order <= 2:
-        return Fraction(sum(-c if e else c for e, c in coefficients.items()),
-                        den)
-    from mpmath import mp, mpf
-    from .realnum import to_mpf
-    with mp.workdps(precision + GUARD_DIGITS):
-        return mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
-                       for e, c in coefficients.items()) / den

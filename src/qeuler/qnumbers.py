@@ -19,16 +19,20 @@ Everything is exact.  Each value is built as one integer numerator over
 one integer denominator and reduced once into a Fraction, instead of
 reducing after every term: the kernel's values, the direct sums, the
 closed sums, which combine the kernel's unreduced numerator and
-denominator with E_{m,q} and q^n, and the distribution sums and the
-partial zeta's special values, whose kernels at base q^f share one
-denominator (`_distribution_terms`).  Every closed-form identity has a
-brute-force partner it can be compared with bit for bit.
+denominator with E_{m,q} and q^n, and the three kinds of value whose
+kernels at base q^f share one denominator (`_distribution_terms`): the
+distribution sums and the exact s = -n values, the partial zeta's and
+the generalized q-Euler numbers of a Dirichlet character.  Every
+closed-form identity has a brute-force partner it can be compared with
+bit for bit.
 
-This module imports only `errors` and `exactnum` (`QBase`,
-`_check_residue`, `rat_pow`), so it loads no mpmath and reaches neither
-route it is checked against: the binomial form over the recurrence
-numbers (`classical.q_euler_poly_via_numbers`, thm2 and thm4) and the
-continuation (`qzeta`, partial-zeta).
+At its top this module imports only `errors` and `exactnum` (`QBase`,
+`_check_residue`, `rat_pow` and the precision constants).  mpmath and
+`realnum` load only in the complex branch of `generalized_q_euler`, for a
+character of order above 2, so every exact value loads no mpmath.  It
+reaches neither route it is checked against: the binomial form over the
+recurrence numbers (`classical.q_euler_poly_via_numbers`, thm2 and thm4)
+and the continuation (`qzeta`, partial-zeta and lfunction).
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from math import comb, lcm
 from typing import Iterable
 
 from .errors import DomainError
-from .exactnum import QBase, _check_residue, rat_pow
+from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase,
+                       _check_residue, rat_pow)
 
 #: Most q-Euler numbers (plain and star, any n and q) kept in memory.
 NUMBER_CACHE_SIZE = 4096
@@ -273,6 +278,57 @@ def partial_zeta_special_value(n: int, a: int, period: int,
         raise DomainError("requires rational q in (0, 1)")
     (num,), den = _distribution_terms(n, q, period, (a,))
     return Fraction(-num if a % 2 else num, 2 * den)
+
+
+def _generalized_parts(n: int, chi,
+                       q: Fraction) -> tuple[dict[int, int], int]:
+    """Integers c_e and one denominator D with
+
+        E_{n,chi,q} = sum_e (c_e / D) exp(2 pi i e / m),
+
+    m the order of chi: c_e / D sums (-1)^a [d]_q^n E_{n,q^d}(a/d) over the
+    units a with exponent e, every term over the one denominator of
+    `_distribution_terms`, which refuses n < 0.  Nothing is
+    reduced.  DomainError for an even modulus, whose (-1)^(a+mF) is not
+    (-1)^(a+m)."""
+    if chi.modulus % 2 == 0:
+        raise DomainError("the period F must be odd")
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise DomainError("requires rational q in (0, 1)")
+    units = [a for a, e in enumerate(chi.exponents) if e is not None]
+    nums, den = _distribution_terms(n, q, chi.modulus, units)
+    coefficients: dict[int, int] = {}
+    for a, num in zip(units, nums):
+        e = chi.exponents[a]
+        coefficients[e] = coefficients.get(e, 0) + (-num if a % 2 else num)
+    return coefficients, den
+
+
+def generalized_q_euler(n: int, chi, q: Fraction,
+                        precision: int = DEFAULT_PRECISION):
+    """Generalized q-Euler number attached to chi, given by its modulus d,
+    order and exponent table (`characters.DirichletCharacter`):
+
+        E_{n,chi,q} = [d]_q^n sum_{a<d} chi(a) (-1)^a E_{n,q^d}(a/d),
+
+    each inner polynomial evaluated exactly through t = q^a, all of them
+    over one denominator D (`_generalized_parts`).  When every root is +1
+    or -1 (order at most 2) the value is an exact Fraction, reduced once;
+    otherwise it is the mpmath complex sum_e c_e exp(2 pi i e / m) / D at
+    precision + GUARD_DIGITS working digits, each c_e rounded to them and
+    its root taken by mp.expjpi.  This root sum is the exact side's own:
+    `qzeta.l_function` sums the roots of its residue sums apart.
+    """
+    coefficients, den = _generalized_parts(n, chi, q)
+    if chi.order <= 2:
+        return Fraction(sum(-c if e else c for e, c in coefficients.items()),
+                        den)
+    from mpmath import mp, mpf
+    from .realnum import to_mpf
+    with mp.workdps(precision + GUARD_DIGITS):
+        return mp.fsum(to_mpf(c) * mp.expjpi(mpf(2 * e) / chi.order)
+                       for e, c in coefficients.items()) / den
 
 
 def distribution_sum(m: int, f: int, x: int, q: QBase) -> Fraction:

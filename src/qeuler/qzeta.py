@@ -30,11 +30,11 @@ cross-check is the exact special value at s = -n
 (`qnumbers.partial_zeta_special_value`).  The q-L value `l_function` is
 the character sum of the partial zeta values over the units mod F; its
 cross-check is half the generalized number
-`characters.generalized_q_euler` at s = -n.  `l_function` reads only the
+`qnumbers.generalized_q_euler` at s = -n.  `l_function` reads only the
 character's modulus, order and exponent table, and the base and residue
 checks come from `exactnum` (`QBase`, `_check_residue`), so this module
 imports neither `characters` nor `qnumbers`; tests/test_imports.py fails
-if it reaches either.
+if it reaches `qnumbers`.
 
 `zeta`, partial zeta and the residues of one L value are one sum, run by
 one function, `_continued`: rows (d, sign, e) over the series at x + d, at

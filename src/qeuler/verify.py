@@ -14,8 +14,10 @@ are the module constants below.  `run_suite` looks a suite up in SUITES at
 call time and passes it only its own options; it ignores the others.
 
 The exact routes are imported at the top.  A numeric suite imports its
-own routes in its body (`qzeta`, and `cvz` or `characters`), so an exact
-suite loads no numeric module and only the zeta suite loads `cvz`.
+own routes in its body: `qzeta`, and `cvz` for zeta, or for lfunction
+the character tables of `characters` and `qnumbers.generalized_q_euler`,
+looked up at call time.  So an exact suite loads no numeric module and
+only the zeta suite loads `cvz`.
 """
 
 from __future__ import annotations
@@ -265,9 +267,10 @@ def verify_lfunction(precision: int = DEFAULT_PRECISION) -> VerificationReport:
 
     The L value (`qzeta.l_function`) sums the roots of unity of its
     residue sums in `qzeta`; the generalized number
-    (`characters.generalized_q_euler`) sums its own, so a wrong root on
+    (`qnumbers.generalized_q_euler`) sums its own, so a wrong root on
     either side is a disagreement here."""
-    from .characters import characters_mod, generalized_q_euler
+    from .characters import characters_mod
+    from .qnumbers import generalized_q_euler
     from .qzeta import l_function
     bases = [QBase(q, zeta_domain=True) for q in LFUNCTION_Q]
     cells = [(d, index, chi, n, base) for d in MODULI

@@ -11,13 +11,14 @@ from math import gcd
 
 from mpmath import mp
 
-from qeuler.characters import characters_mod, generalized_q_euler
+from qeuler.characters import characters_mod
 from qeuler.classical import euler_number
 from qeuler.exactnum import GUARD_DIGITS, QBase
 from qeuler.realnum import RealP, to_mpf
 from qeuler.cvz import zeta_euler_transform
 from qeuler.qnumbers import (QPower, alt_q_power_sum,
-                             alt_q_power_sum_closed, partial_zeta_special_value,
+                             alt_q_power_sum_closed, generalized_q_euler,
+                             partial_zeta_special_value,
                              q_euler_number, q_euler_poly,
                              weighted_alt_q_power_sum,
                              weighted_alt_q_power_sum_closed)

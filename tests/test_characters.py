@@ -13,12 +13,12 @@ import pytest
 from mpmath import mp, mpf
 
 from qeuler import characters, qzeta
-from qeuler.characters import character, characters_mod, generalized_q_euler
+from qeuler.characters import character, characters_mod
 from qeuler.cli import main
 from qeuler.errors import DomainError
 from qeuler.exactnum import GUARD_DIGITS, QBase
 from qeuler.realnum import RealP, to_mpf, tolerance
-from qeuler.qnumbers import q_euler_number, q_int
+from qeuler.qnumbers import generalized_q_euler, q_euler_number, q_int
 from qeuler.qzeta import ZetaQuery, l_function, zeta
 
 P = 50

@@ -6,10 +6,10 @@ tests/test_qzeta.py."""
 
 from fractions import Fraction
 
-from qeuler.characters import (_generalized_parts, characters_mod,
-                               generalized_q_euler)
+from qeuler.characters import characters_mod
 from qeuler.exactnum import QBase
-from qeuler.qnumbers import QPower, distribution_sum, q_euler_poly, q_int
+from qeuler.qnumbers import (QPower, _generalized_parts, distribution_sum,
+                             generalized_q_euler, q_euler_poly, q_int)
 from qeuler.verify import (DISTRIBUTION_Q, DISTRIBUTION_X, LFUNCTION_Q,
                            MODULI, SPECIAL_N)
 
