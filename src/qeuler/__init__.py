@@ -6,7 +6,9 @@ and complex evaluations carry a certified decimal precision.
 
 The exports are lazy (PEP 562): ``import qeuler`` loads no submodule, and
 the first access to an exported name imports its home module (`_HOME`)
-alone, so an exact computation never loads the numeric routes.
+alone, so an exact computation never loads the numeric routes.  The
+exported names are listed once, by home module (`_EXPORTS`), and
+`__all__` follows that table.
 """
 
 import importlib

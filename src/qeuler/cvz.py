@@ -6,7 +6,8 @@ convergence acceleration of Cohen, Rodriguez Villegas and Zagier
 (Algorithm 1), whose terms are moments of a signed measure on (0, 1].  Its
 term count is fixed in advance from an a-priori error bound, so it runs in
 time linear in P + log10 V, and its cap admits every V that
-`realnum.cancellation_digits` admits.
+`realnum.cancellation_digits` admits.  V is taken from log1p(-q) where
+1 - q rounds to 1 at the working digits.
 
 It sums in integer fixed point: each term is a Python int at a binary
 point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from the
@@ -178,7 +179,9 @@ def zeta_euler_transform(zq) -> RealP:
         sv = zq.s.exact_value()
         first, terms = _bracket_powers(sv, zq.x, q, logs.gap,
                                        mp.prec + WORD_GUARD_BITS)
-        variation = mp.power(to_mpf(1 - q), sv - abs(sv)) \
+        one_minus_q = to_mpf(1 - q)  # 1 when q lies below the working digits
+        variation = (mp.power(one_minus_q, sv - abs(sv)) if one_minus_q != 1
+                     else mp.exp((sv - abs(sv)) * mp.log1p(-to_mpf(q)))) \
             * mp.power(first, -abs(sv))
         return RealP(euler_transform(terms, precision, variation=variation),
                      precision)

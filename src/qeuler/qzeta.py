@@ -57,7 +57,9 @@ binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
 the final integer.  Its terms reach V = (1-q)^s (1-q^x)^(-|s|) in size, so
 it works at P + GUARD_DIGITS + ceil(log10 V) digits
 (`realnum.cancellation_digits`) and certifies 10**-(P-10) even where the
-terms cancel.
+terms cancel.  s multiplies the rounding of 1 - q and of q^x into the
+scale and the terms, so past |s| = 10**GUARD_DIGITS it carries the
+further digits of |s| too.
 """
 
 from __future__ import annotations
@@ -412,7 +414,7 @@ def _continued(zq: ZetaQuery, step: int,
     """
     q = zq.q.q
     logs = _logs(q, zq.x.value)
-    with mp.workdps(_working_digits(zq, logs)):
+    with mp.workdps(_working_digits(zq, logs, magnified=True)):
         s, x = zq.s.exact_value(), zq.x.exact_value()
         shift = _shift(zq, s, logs, step, len(rows))
         wp = mp.prec + WORD_GUARD_BITS

@@ -124,37 +124,43 @@ def _printed(value: mpf, precision: int) -> str:
 
 
 class _Logs(NamedTuple):
-    """ln q, ln(1-q) and the gap ln((1-q^x)/(1-q)) in floats, taken once
-    for a value (`_logs`) and passed to each step that reads them."""
+    """ln q, ln(1-q), the gap ln((1-q^x)/(1-q)) and ln q^x = x ln q in
+    floats, taken once for a value (`_logs`) and passed to each step that
+    reads them."""
 
     q: float
     one_minus_q: float
     gap: float
+    qx: float
 
 
 def _logs(q: Fraction, x: mpf) -> _Logs:
     """The `_Logs` of q and x.  Near x = 1 the gap is
-    ln(1 - q (q^(x-1) - 1)/(1-q)), exactly 0 at x = 1; elsewhere
-    ln(1-q^x) - ln(1-q), with ln(1-q^x) = ln(-x ln q) once -x ln q is
-    below 10**-300, where x may lie below the float range.  DomainError
-    when ln q lies below it (q within about 10**-308 of 1)."""
+    ln(1 - q (q^(x-1) - 1)/(1-q)), exactly 0 at x = 1, while q itself
+    stays in the float range; elsewhere ln(1-q^x) - ln(1-q), with
+    ln(1-q^x) = log1p(-q^x) once q^x is below 10**-16, where
+    ln(-expm1(x ln q)) reads 0, and = ln(-x ln q) once -x ln q is below
+    10**-300, where x may lie below the float range.  DomainError when
+    ln q lies below it (q within about 10**-308 of 1)."""
     log_q, log_one_minus_q = _log(q), _log(1 - q)
     if not log_q:
         raise DomainError(f"q = {show_rational(q)} lies too close to 1 "
                           f"for the zeta series")
-    if abs(x - 1) <= 0.5 and log_q > -1000:  # q^(x-1) stays in range
+    if abs(x - 1) <= 0.5 and (log_q > -700 or x == 1):  # q, q^(x-1) too
         gap = math.log1p(-float(q) * math.expm1(float(x - 1) * log_q)
                          / float(1 - q))
     else:
         scaled = float(x) * -log_q
-        gap = (math.log(-math.expm1(-scaled)) if scaled > 1e-300
+        gap = (math.log1p(-math.exp(-scaled)) if scaled > 37
+               else math.log(-math.expm1(-scaled)) if scaled > 1e-300
                else float(mp.log(x)) + math.log(-log_q)) - log_one_minus_q
-    return _Logs(log_q, log_one_minus_q, gap)
+    return _Logs(log_q, log_one_minus_q, gap, float(x) * log_q)
 
 
-def cancellation_digits(s: mpf, logs: _Logs) -> int:
+def cancellation_digits(s: mpf, logs: _Logs, magnified: bool = False) -> int:
     """max(0, ceil(log10 V)) with V = (1-q)^s (1-q^x)^(-|s|), from the
-    logs of q and x (`_logs`).
+    logs of q and x (`_logs`), and with `magnified` the digits of |s| past
+    GUARD_DIGITS on top.
 
     V bounds the terms of both zeta routes, and the value, in absolute
     size: the continuation terms sum in absolute value to at most V, and V
@@ -164,19 +170,42 @@ def cancellation_digits(s: mpf, logs: _Logs) -> int:
 
     log10 V = s log10(1-q) - |s| log10(1-q^x) is taken in floats in the
     log domain.  For s >= 0 it is -s ln((1-q^x)/(1-q)) / ln 10, exactly 0
-    at x = 1 however large s is.
+    at x = 1 however large s is.  A float factor can leave its range:
+    ln(1-q) = -q and the gap read 0 once q and q^x fall below about
+    10**-323, and s reads +-inf past about 10**308.  There log10 V is
+    taken at the bound 2 |s| max(q, q^x) / ln 10, from the logs of q and
+    q^x as one mpf product: to first order in q and q^x, log10 V is at
+    most |s| (q + q^x) / ln 10 for s < 0, and |s| q^x / ln 10 for s >= 0,
+    where it exceeds 0 only at x < 1.  Where q or q^x is not small, |s|
+    past 10**308 puts the bound far past the cap, as V is.
 
-    Raises DomainError when V needs more than MAX_CANCELLATION_DIGITS.
+    The continuation (`qzeta._continued`) passes `magnified`: it rounds
+    1 - q and q^x to its working digits, and s multiplies each rounding
+    error, into the scale (1-q)^s and into every term past the first, so
+    it carries the digits of |s| past GUARD_DIGITS on top.  Without them,
+    at q = 10**-60, s = 10**60 and P + GUARD_DIGITS digits, 1 - q reads 1
+    and q^x reads 0, and the terms past the first are lost.  CVZ
+    carries log2 |s| more bits in its brackets instead
+    (`cvz._bracket_powers`).
+
+    Raises DomainError when V and the digits of |s| need more than
+    MAX_CANCELLATION_DIGITS.
     """
     s_float = float(s)
     factor = -logs.gap if s_float >= 0 \
         else 2 * logs.one_minus_q + logs.gap
+    if (not factor or math.isinf(s_float)) \
+            and (s_float < 0 or logs.qx > logs.q):  # out of the float range
+        s_float, factor = 1.0, float(2 * abs(s) * mp.exp(max(logs.q, logs.qx)))
     log10_v = s_float * factor / math.log(10) if factor else 0.0
-    if log10_v > MAX_CANCELLATION_DIGITS:
+    extra = max(0, math.ceil(max(0, mp.mag(s)) * math.log10(2))
+                - GUARD_DIGITS) if magnified else 0
+    if log10_v + extra > MAX_CANCELLATION_DIGITS:
         raise DomainError(
-            f"the zeta series at s = {mp.nstr(s, 15)} cancels about "
-            f"{log10_v:.0f} digits, more than {MAX_CANCELLATION_DIGITS}")
-    return math.ceil(max(0.0, log10_v))
+            f"the zeta series at s = {mp.nstr(s, 15)} loses about "
+            f"{log10_v + extra:.0f} digits, more than "
+            f"{MAX_CANCELLATION_DIGITS}")
+    return math.ceil(max(0.0, log10_v)) + extra
 
 
 def _log(r: Fraction) -> float:
@@ -188,11 +217,11 @@ def _log(r: Fraction) -> float:
     return math.log(n) - math.log(d)
 
 
-def _working_digits(zq, logs: _Logs) -> int:
+def _working_digits(zq, logs: _Logs, magnified: bool = False) -> int:
     """P + GUARD_DIGITS + `cancellation_digits` for a zeta query, read
     duck-typed: its precision and its s as a `RealP`."""
-    return zq.precision + GUARD_DIGITS + cancellation_digits(zq.s.value,
-                                                             logs)
+    return zq.precision + GUARD_DIGITS + cancellation_digits(
+        zq.s.value, logs, magnified)
 
 
 def _to_fixed(value: mpf, wp: int) -> int:

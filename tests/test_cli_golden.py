@@ -4,9 +4,10 @@
 invocation below, recorded from the program before its q-Euler kernels,
 verification runner and character code were consolidated; the cases from
 the plans that take head terms on were recorded before the continuation's
-shift planner became one function.  Any change to a single output byte
-fails here.  Every JSON document is also validated against the schemas in
-`docs/`.
+shift planner became one function, and the two at s = 1e60 once the
+continuation carried the digits of |s| past its guard digits.  Any
+change to a single output byte fails here.  Every JSON document is also
+validated against the schemas in `docs/`.
 
 To record the file afresh after an intended output change:
 
@@ -113,6 +114,11 @@ CASES = [
     # q^x rounds to 1 at the binary point: only the exact truncation at
     # s = 0 stops the series
     ["zeta", "--s", "0", "--x", "1", "--q", "0." + "9" * 45, "--prec", "15"],
+    # s = 1e60 magnifies the rounding of 1 - q and q^x = 1e-60: without
+    # the digits of s on top these printed 1/2 and -1/2
+    ["zeta", "--s", "1e60", "--x", "1", "--q", "1e-60", "--prec", "30"],
+    ["partial-zeta", "--s", "1e60", "--a", "1", "--f", "3", "--q", "1e-60",
+     "--prec", "30"],
 ]
 
 

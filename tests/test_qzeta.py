@@ -582,6 +582,82 @@ def test_deep_negative_non_integer_s_meets_contract(s):
         assert abs(value.value - (parts[1] - parts[2])) <= tolerance(P)
 
 
+@pytest.mark.parametrize("precision, s, q", (
+    (30, "1e60", "1e-60"), (50, "1e60", "1e-60"), (50, "1e80", "1e-80"),
+    (30, "1e101", "1e-100")))
+def test_huge_s_with_tiny_q_meets_contract(precision, s, q):
+    # at P + 20 digits 1 - q read 1 and q^x read 0, and s multiplied both
+    # losses: zeta printed 1/2 for 1 - e^-1/2 at P = 30, was off by 2.6e-12
+    # at P = 50, and at s = 1e101 ran to the loop cap for 1 - e^-10/2
+    q = Fraction(q)
+    want = zeta_euler_transform(query(s, 1, q, precision)).value
+    with mp.workdps(precision + GUARD_DIGITS):
+        assert abs(zeta(query(s, 1, q, precision)).value - want) \
+            <= tolerance(precision)
+
+
+def test_huge_s_partial_zeta_and_l_meet_contract():
+    # partial zeta read -1/2 for -(1 - e^-1/2) here, as zeta read 1/2; the
+    # oracle's [3]_q^(-s) = e^-1 needs the 60 digits of q on top
+    s, q, precision = Fraction(10 ** 60), Fraction(1, 10 ** 60), 30
+    base, sp = QBase(q, zeta_domain=True), RealP.from_rational(s, precision)
+    with mp.workdps(precision + GUARD_DIGITS + 60):
+        parts = {a: partial_zeta_by_cvz(s, a, 3, q, precision)
+                 for a in (1, 2)}
+        assert abs(partial_zeta(sp, 1, 3, base, precision).value - parts[1]) \
+            <= tolerance(precision)
+        chi = characters_mod(3)[1]  # the real character: chi(2) = -1
+        value = l_function(sp, chi, base, precision)
+        assert abs(value.value - (parts[1] - parts[2])) \
+            <= tolerance(precision)
+
+
+@pytest.mark.parametrize("q, s", (("1e-200", "-1e202"),
+                                  ("1e-400", "-1e402"),
+                                  ("1e-320", "-1e309")))
+def test_cvz_sizes_v_for_q_below_the_working_digits(q, s):
+    # V = (1-q)^(2s) is about 10^86.9 in the first two: 1 - q rounded to 1
+    # and V read 1, and below the float range ln(1-q) read -0.0, so CVZ
+    # took too few terms and digits and was off by 3.1e-3.  In the third
+    # V is about 1, but s read -inf and was refused as infinitely many
+    # digits.  The Abel sum of the raw series is
+    # 1 - [2]_q^|s| + [3]_q^|s| / 2 up to terms of size |s| q^3
+    q, precision = Fraction(q), 30
+    value = zeta_euler_transform(query(s, 1, q, precision)).value
+    with mp.workdps(1600):
+        n, t = -int(Fraction(s)), to_mpf(q)
+        want = 1 - (1 + t) ** n + (1 + t + t * t) ** n / 2
+        assert abs(value - want) <= tolerance(precision)
+
+
+@pytest.mark.parametrize("s, x, q", (("1e42", "2/5", "1e-100"),
+                                     ("1e242", "3/5", "1e-400"),
+                                     ("1e402", "1/5", "1e-2000")))
+@pytest.mark.parametrize("route", (zeta, zeta_euler_transform),
+                         ids=("continuation", "cvz"))
+def test_v_sees_a_q_x_below_float_rounding(route, s, x, q):
+    # V = ((1-q)/(1-q^x))^s is about e^100 here, but the float gap
+    # ln((1-q^x)/(1-q)) read 0: ln(-expm1(x ln q)) rounds to ln 1 once
+    # q^x < 1e-16, q^(x-1) q underflowed below the float range, and past
+    # it both q^x and s leave it.  V read 1, and values near 2.7e43 were
+    # off by up to 1.2e34.  The value is (1-q)^s ((1-q^x)^(-s) - 1/2) up
+    # to terms of size s q^(x+1)
+    precision = 30
+    value = route(query(s, x, Fraction(q), precision)).value
+    with mp.workdps(100):
+        s, x, q = (to_mpf(Fraction(text)) for text in (s, x, q))
+        want = mp.exp(s * mp.log1p(-q)) \
+            * (mp.exp(-s * mp.log1p(-q ** x)) - mpf(1) / 2)
+        assert abs(value - want) <= tolerance(precision)
+
+
+def test_cvz_refuses_v_past_the_cap_below_the_float_range():
+    # V is about 10^868.6 here; ln(1-q) read -0.0, V read 1, and CVZ
+    # returned a value off by 2.3e388
+    with pytest.raises(DomainError, match="about 869 digits"):
+        zeta_euler_transform(query("-1e403", 1, Fraction(1, 10 ** 400), 30))
+
+
 def test_inputs_keep_their_exact_rationals():
     # x = 1/99 rounded to P + 20 digits moved this value, about 6e92, by
     # 9.9e29 on the continuation route and by 1.6e22 on CVZ at P = 50
