@@ -139,4 +139,3 @@ def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
     phis, logs = _discrete_logs(d)
     return tuple(_character(d, phis, logs, index)
                  for index in range(prod(phis)))
-
