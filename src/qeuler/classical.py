@@ -15,7 +15,8 @@ gives the q-Euler numbers their route apart from the closed form: the
 binomial form of the q-Euler polynomials over them,
 `q_euler_poly_via_numbers`, which the thm2 and thm4 suites compare with
 the kernel of `qnumbers`.  This module imports no module of the package
-but `errors`, so it reads its `QPower` duck-typed.
+but `errors` and `exactnum`, whose `_check_sum_args` it shares with the
+sums of `qnumbers`, so it reads its `QPower` duck-typed.
 
 `euler_poly` and `power_sum_closed` (and so `alt_power_sum_closed`) take
 their table of Euler or Bernoulli numbers over one common denominator
@@ -32,6 +33,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .errors import DomainError
+from .exactnum import _check_sum_args
 
 _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
@@ -162,7 +164,7 @@ def euler_poly(n: int, x: Fraction | int) -> Fraction:
 
 def power_sum(n: int, k: int) -> Fraction:
     """sum_{l=0}^{k-1} l^n by direct summation (the brute-force twin)."""
-    _check_positive(n, k)
+    _check_sum_args(n, k)
     return Fraction(sum(l ** n for l in range(k)))
 
 
@@ -172,7 +174,7 @@ def power_sum_closed(n: int, k: int) -> Fraction:
     With B_i = b_i / D over one denominator this is
     k (sum_i C(n+1,i) b_i k^(n-i)) / ((n+1) D): one Horner sum in k,
     reduced once."""
-    _check_positive(n, k)
+    _check_sum_args(n, k)
     b, den = _bernoulli_over_one_denominator(n)
     acc = 0
     for i in range(n + 1):
@@ -182,7 +184,7 @@ def power_sum_closed(n: int, k: int) -> Fraction:
 
 def alt_power_sum(m: int, k: int) -> Fraction:
     """sum_{l=0}^{k-1} (-1)^l l^m by direct summation."""
-    _check_positive(m, k)
+    _check_sum_args(m, k)
     return Fraction(sum(l ** m if l % 2 == 0 else -(l ** m) for l in range(k)))
 
 
@@ -194,13 +196,8 @@ def alt_power_sum_closed(m: int, k: int) -> Fraction:
     (-1)^(k+1) onto the shifted tail.  Verified exhaustively against the
     direct sum.
     """
-    _check_positive(m, k)
+    _check_sum_args(m, k)
     shifted = euler_poly(m, k)
     if k % 2 == 0:
         shifted = -shifted
     return (euler_number(m) + shifted) / 2
-
-
-def _check_positive(exponent: int, length: int) -> None:
-    if exponent < 1 or length < 1:
-        raise DomainError("power sums need a positive exponent and length")

@@ -6,8 +6,9 @@ convergence acceleration of Cohen, Rodriguez Villegas and Zagier
 (Algorithm 1), whose terms are moments of a signed measure on (0, 1].  Its
 term count is fixed in advance from an a-priori error bound, so it runs in
 time linear in P + log10 V, and its cap admits every V that
-`realnum.cancellation_digits` admits.  V is taken from log1p(-q) where
-1 - q rounds to 1 at the working digits.
+`realnum.cancellation_digits` admits.  V's factor (1-q)^(s-|s|) is taken
+as exp((s-|s|) ln(1-q)), with ln(1-q) from `realnum._ln`, which keeps q
+where 1 - q rounds to 1 at the working digits and 1 - q where q does.
 
 It sums in integer fixed point: each term is a Python int at a binary
 point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from the
@@ -179,9 +180,7 @@ def zeta_euler_transform(zq) -> RealP:
         sv = zq.s.exact_value()
         first, terms = _bracket_powers(sv, zq.x, q, logs.gap,
                                        mp.prec + WORD_GUARD_BITS)
-        one_minus_q = to_mpf(1 - q)  # 1 when q lies below the working digits
-        variation = (mp.power(one_minus_q, sv - abs(sv)) if one_minus_q != 1
-                     else mp.exp((sv - abs(sv)) * mp.log1p(-to_mpf(q)))) \
+        variation = mp.exp((sv - abs(sv)) * _ln(1 - q)) \
             * mp.power(first, -abs(sv))
         return RealP(euler_transform(terms, precision, variation=variation),
                      precision)

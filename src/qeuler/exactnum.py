@@ -16,9 +16,12 @@ without loading mpmath.
 
 This module works in Fractions and integers: `format_rational`,
 `show_rational`, `parse_rational`, `iroot`, `rat_pow`, the validated base
-`QBase` and the residue check `_check_residue`.  The exact kernels
-(`qnumbers`) and the continuation (`qzeta`) take `QBase` and
-`_check_residue` from here, so that neither imports the other.
+`QBase`, the residue check `_check_residue` and the power sums' argument
+check `_check_sum_args`.  The exact kernels (`qnumbers`) and the
+continuation (`qzeta`) take `QBase` and `_check_residue` from here, so
+that neither imports the other; `qnumbers` and `classical` take
+`_check_sum_args`, so that both sum routes refuse an exponent or length
+below 1 with one text.
 `show_rational` loads mpmath only for a value past the int-to-str limit.
 """
 
@@ -168,3 +171,8 @@ def _check_residue(a: int, period: int) -> None:
     # 2**14, in floats, which stop short of 2**1024
     if period.bit_length() > 1010:
         raise DomainError("the period F must be below 2**1010")
+
+
+def _check_sum_args(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise DomainError("need exponent m >= 1 and length n >= 1")

@@ -27,7 +27,10 @@ closed-form identity has a brute-force partner it can be compared with
 bit for bit.
 
 At its top this module imports only `errors` and `exactnum` (`QBase`,
-`_check_residue`, `rat_pow` and the precision constants).  mpmath and
+`_check_residue`, `rat_pow` and the precision constants, and the sums'
+argument check `_check_sum_args`, shared with `classical`).  The exact
+s = -n values take their q through `QBase(q, zeta_domain=True)`, as
+their numeric twins do through `qzeta.ZetaQuery`.  mpmath and
 `realnum` load only in the complex branch of `generalized_q_euler`, for a
 character of order above 2, so every exact value loads no mpmath.  It
 reaches neither route it is checked against: the binomial form over the
@@ -45,7 +48,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase,
-                       _check_residue, rat_pow)
+                       _check_residue, _check_sum_args, rat_pow)
 
 #: Most q-Euler numbers (plain and star, any n and q) kept in memory.
 NUMBER_CACHE_SIZE = 4096
@@ -273,9 +276,7 @@ def partial_zeta_special_value(n: int, a: int, period: int,
     if n < 1:
         raise DomainError("n must be a positive integer")
     _check_residue(a, period)
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("requires rational q in (0, 1)")
+    q = QBase(q, zeta_domain=True).q
     (num,), den = _distribution_terms(n, q, period, (a,))
     return Fraction(-num if a % 2 else num, 2 * den)
 
@@ -293,9 +294,7 @@ def _generalized_parts(n: int, chi,
     (-1)^(a+m)."""
     if chi.modulus % 2 == 0:
         raise DomainError("the period F must be odd")
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("requires rational q in (0, 1)")
+    q = QBase(q, zeta_domain=True).q
     units = [a for a, e in enumerate(chi.exponents) if e is not None]
     nums, den = _distribution_terms(n, q, chi.modulus, units)
     coefficients: dict[int, int] = {}
@@ -339,10 +338,9 @@ def distribution_sum(m: int, f: int, x: int, q: QBase) -> Fraction:
     refused unless f = 1 and x is even.  The f terms share one denominator
     (`_distribution_terms`), so the sum is one integer over it, reduced
     once.  The distribution relation says this equals E_{m,q}(x); the
-    outer exponent is m, matching the degree on both sides.
+    outer exponent is m, matching the degree on both sides.  The kernel
+    (`_kernel_parts`) refuses m < 0.
     """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
     if f < 1 or f % 2 == 0:
         raise DomainError("f must be an odd positive integer")
     if q.q < 0 and (f > 1 or x % 2):
@@ -350,8 +348,3 @@ def distribution_sum(m: int, f: int, x: int, q: QBase) -> Fraction:
     nums, den = _distribution_terms(m, q.q, f, range(x, x + f))
     return Fraction(sum(-num if a % 2 else num
                         for a, num in enumerate(nums)), den)
-
-
-def _check_sum_args(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise DomainError("need exponent m >= 1 and length n >= 1")

@@ -77,7 +77,7 @@ from .errors import DomainError, NonConvergence
 from .exactnum import DEFAULT_PRECISION, QBase, _check_residue, show_rational
 from .realnum import (ComplexP, MAX_CANCELLATION_DIGITS, RealP,
                       WORD_GUARD_BITS, _from_fixed, _ln, _Logs, _logs,
-                      _to_fixed, _working_digits, to_mpf)
+                      _rough, _to_fixed, _working_digits, to_mpf)
 
 #: Most terms `zeta` sums.  The continuation series needs about
 #: (P+15) ln 10 / (x ln(1/q)) terms: about 1.5 * 10**5 at q = 999/1000,
@@ -260,7 +260,10 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
     head terms reach (1-q^x)^(-s), which the fixed-point ints carry in
     s log10(1/(1-q^x)) digits above wp: DomainError past
-    MAX_CANCELLATION_DIGITS.
+    MAX_CANCELLATION_DIGITS.  Where that float product leaves the range,
+    s past about 10**308 or ln(1-q^x) read 0, the digits are taken at
+    their first-order size s q^x / ln 10, as one mpf product from the log
+    of q^x, as `realnum.cancellation_digits` sizes V.
     """
     sf, x, log_q = float(s), float(zq.x.value), logs.q
     # the log of the pass's unscaled threshold (`_continuation_sums`)
@@ -287,15 +290,17 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     needed = count(lo, search=True)
     if needed > MAX_ZETA_TERMS:
         raise NonConvergence(
-            f"the continuation series needs about {needed:.0f} terms "
+            f"the continuation series needs about {_rough(needed)} terms "
             f"at q = {show_rational(zq.q.q)}, more than its cap of "
             f"{MAX_ZETA_TERMS}")
     growth = 0.0 if s <= 0 else \
         -sf * (logs.gap + logs.one_minus_q) / math.log(10)
+    if not math.isfinite(growth):  # s or ln(1-q^x) out of the float range
+        growth = float(s * mp.exp(logs.qx)) / math.log(10)
     if growth > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "
-            f"grows to about {growth:.0f} digits, more than "
+            f"grows to about {_rough(growth)} digits, more than "
             f"{MAX_CANCELLATION_DIGITS}")
     return lo
 

@@ -203,9 +203,15 @@ def cancellation_digits(s: mpf, logs: _Logs, magnified: bool = False) -> int:
     if log10_v + extra > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the zeta series at s = {mp.nstr(s, 15)} loses about "
-            f"{log10_v + extra:.0f} digits, more than "
+            f"{_rough(log10_v + extra)} digits, more than "
             f"{MAX_CANCELLATION_DIGITS}")
     return math.ceil(max(0.0, log10_v)) + extra
+
+
+def _rough(count: float) -> str:
+    """A count for a refusal's text: whole below 10**15, past it 3
+    significant digits (4.34e+99), not a float's whole expansion."""
+    return f"{count:.0f}" if count < 1e15 else f"{count:.3g}"
 
 
 def _log(r: Fraction) -> float:

@@ -352,6 +352,28 @@ def test_huge_positive_s_refused_fast():
                                    for line in lines), child.stderr
 
 
+def test_growth_past_the_float_range_refused_fast():
+    # ln(1-q^x) reads 0 in floats and s reads inf, so the growth check read
+    # nan and admitted them; each term of the pass is then about
+    # s q = 10^100 times the last, and the pass headed for the loop cap
+    argvs = [["zeta", "--s", "1e500", "--x", "1", "--q", "1e-400"],
+             ["partial-zeta", "--s", "1e500", "--a", "1", "--f", "3",
+              "--q", "1e-400"]]
+    src = os.path.dirname(os.path.dirname(qeuler.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", TIMED_CHILD,
+         json.dumps([argv + ["--prec", "30"] for argv in argvs])],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    timings = json.loads(child.stdout)
+    assert [code for code, _ in timings] == [1, 1]
+    assert all(seconds < 1 for _, seconds in timings), timings
+    lines = child.stderr.splitlines()
+    assert len(lines) == 2, child.stderr
+    assert lines[0] == ("error: the continuation series at s = 1.0e+500 "
+                        "grows to about 4.34e+99 digits, more than 500")
+
+
 def test_long_rational_refused_as_parsed():
     # Fraction takes 10**|exponent| before any bound could look at the
     # value: each of these ran for minutes before it was refused, so each

@@ -4,10 +4,11 @@
 invocation below, recorded from the program before its q-Euler kernels,
 verification runner and character code were consolidated; the cases from
 the plans that take head terms on were recorded before the continuation's
-shift planner became one function, and the two at s = 1e60 once the
-continuation carried the digits of |s| past its guard digits.  Any
-change to a single output byte fails here.  Every JSON document is also
-validated against the schemas in `docs/`.
+shift planner became one function, the two at s = 1e60 once the
+continuation carried the digits of |s| past its guard digits, and the
+one at s = 1e309 once the growth check sized s q^x past the float range.
+Any change to a single output byte fails here.  Every JSON document is
+also validated against the schemas in `docs/`.
 
 To record the file afresh after an intended output change:
 
@@ -119,6 +120,9 @@ CASES = [
     ["zeta", "--s", "1e60", "--x", "1", "--q", "1e-60", "--prec", "30"],
     ["partial-zeta", "--s", "1e60", "--a", "1", "--f", "3", "--q", "1e-60",
      "--prec", "30"],
+    # s past the float range: the growth check sizes s q^x as one mpf
+    # instead of reading the float product inf and refusing
+    ["zeta", "--s", "1e309", "--x", "1", "--q", "1e-320", "--prec", "30"],
 ]
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import qnumbers
-from qeuler.classical import (euler_number, euler_poly,
+from qeuler.characters import characters_mod
+from qeuler.classical import (euler_number, euler_poly, power_sum,
                               q_euler_poly_via_numbers)
 from qeuler.errors import DomainError
 from qeuler.exactnum import QBase
@@ -289,6 +290,28 @@ def test_distribution_rejects_even_f():
         distribution_sum(2, 2, 0, HALF)
     with pytest.raises(DomainError):
         distribution_sum(2, 0, 0, HALF)
+
+
+def test_exact_special_values_take_q_through_qbase():
+    # the text `qeuler zeta --q 2` prints
+    domain = r"^zeta domain requires 0 < q < 1$"
+    with pytest.raises(DomainError, match=domain):
+        qnumbers.partial_zeta_special_value(2, 1, 3, Fraction(3, 2))
+    with pytest.raises(DomainError, match=domain):
+        qnumbers.generalized_q_euler(1, characters_mod(5)[2], Fraction(3, 2))
+
+
+def test_both_sum_routes_share_one_argument_check():
+    need = r"^need exponent m >= 1 and length n >= 1$"
+    with pytest.raises(DomainError, match=need):
+        power_sum(0, 3)
+    with pytest.raises(DomainError, match=need):
+        alt_q_power_sum(0, 3, HALF)
+
+
+def test_distribution_sum_leaves_the_degree_to_the_kernel():
+    with pytest.raises(DomainError, match=r"^n must be nonnegative$"):
+        distribution_sum(-1, 3, 0, HALF)
 
 
 def test_q_to_one_limit_of_numbers():

@@ -584,11 +584,14 @@ def test_deep_negative_non_integer_s_meets_contract(s):
 
 @pytest.mark.parametrize("precision, s, q", (
     (30, "1e60", "1e-60"), (50, "1e60", "1e-60"), (50, "1e80", "1e-80"),
-    (30, "1e101", "1e-100")))
+    (30, "1e101", "1e-100"), (30, "1e309", "1e-320"),
+    (30, "1e309", "1e-330")))
 def test_huge_s_with_tiny_q_meets_contract(precision, s, q):
     # at P + 20 digits 1 - q read 1 and q^x read 0, and s multiplied both
     # losses: zeta printed 1/2 for 1 - e^-1/2 at P = 30, was off by 2.6e-12
-    # at P = 50, and at s = 1e101 ran to the loop cap for 1 - e^-10/2
+    # at P = 50, and at s = 1e101 ran to the loop cap for 1 - e^-10/2.  At
+    # s = 1e309, past the float range, the growth check read
+    # inf * ln(1-q) at q = 1e-320 as infinitely many digits and refused
     q = Fraction(q)
     want = zeta_euler_transform(query(s, 1, q, precision)).value
     with mp.workdps(precision + GUARD_DIGITS):
@@ -628,6 +631,19 @@ def test_cvz_sizes_v_for_q_below_the_working_digits(q, s):
         n, t = -int(Fraction(s)), to_mpf(q)
         want = 1 - (1 + t) ** n + (1 + t + t * t) ** n / 2
         assert abs(value - want) <= tolerance(precision)
+
+
+@pytest.mark.parametrize("s", ("1/2", "3"))
+def test_cvz_sizes_v_for_q_within_the_working_digits_of_1(s):
+    # V's factor (1-q)^(s-|s|) is 1 here; log1p(-q) of q rounded to 1
+    # would read -inf, and 0 times it nan.  Within 10**-80 of q = 1 the
+    # value is the alternating zeta function's to the contract
+    q = 1 - Fraction(1, 10 ** 80)
+    value = zeta_euler_transform(query(s, 1, q, P)).value
+    with mp.workdps(P + GUARD_DIGITS):
+        assert abs(value - mp.altzeta(mpf(Fraction(s).numerator)
+                                      / Fraction(s).denominator)) \
+            <= tolerance(P)
 
 
 @pytest.mark.parametrize("s, x, q", (("1e42", "2/5", "1e-100"),
