@@ -26,6 +26,14 @@ the generalized q-Euler numbers of a Dirichlet character.  Every
 closed-form identity has a brute-force partner it can be compared with
 bit for bit.
 
+The kernel (`_kernel_parts`) takes q = a/b and t = c/d as four integers.
+One memo (`_kernel`, an lru_cache of KERNEL_CACHE_SIZE entries keyed by
+n, a, b, c, d and the shift, in lowest terms) holds the reduced values of
+all four closed forms: the numbers are its entries at c = d = 1, where a
+polynomial at t = 1 finds them, and the closed sums take their number
+from it.  The unreduced parts the closed and distribution sums combine
+are not memoized.
+
 At its top this module imports only `errors` and `exactnum` (`QBase`,
 `_check_residue`, `rat_pow` and the precision constants, and the sums'
 argument check `_check_sum_args`, shared with `classical`).  The exact
@@ -43,15 +51,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Iterable
 
 from .errors import DomainError
 from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase,
                        _check_residue, _check_sum_args, rat_pow)
 
-#: Most q-Euler numbers (plain and star, any n and q) kept in memory.
-NUMBER_CACHE_SIZE = 4096
+#: Most kernel values (numbers and polynomials, plain and star, any n, q
+#: and t) kept in memory (`_kernel`).
+KERNEL_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,12 @@ class QPower:
 
     @classmethod
     def from_exponent(cls, base: QBase, y: Fraction) -> QPower:
-        """t = q^y via exact root extraction; NotExactPower if irrational."""
-        return cls(base, rat_pow(base.q, Fraction(y)), Fraction(y))
+        """t = q^y: exact powering for integer y, so for any valid base
+        (`from_integer`), else exact root extraction, which needs q > 0;
+        NotExactPower if irrational."""
+        y = Fraction(y)
+        return cls(base, base.q ** y.numerator if y.denominator == 1
+                   else rat_pow(base.q, y), y)
 
 
 def q_int(k: int, q: QBase) -> Fraction:
@@ -101,28 +114,21 @@ def q_int(k: int, q: QBase) -> Fraction:
     return (1 - q.q ** k) / (1 - q.q)
 
 
-def _kernel(n: int, q: Fraction, t: Fraction | int, shift: int) -> Fraction:
-    """The kernel value (`_kernel_parts`), reduced."""
-    return Fraction(*_kernel_parts(n, q, t, shift))
-
-
-def _kernel_parts(n: int, q: Fraction, t: Fraction | int,
+def _kernel_parts(n: int, a: int, b: int, c: int, d: int,
                   shift: int) -> tuple[int, int]:
-    """(1+q^shift) (1/(1-q))^n sum_{j<=n} C(n,j) (-1)^j t^j / (1+q^(j+shift)),
-    the one sum behind all four closed forms: shift 0 (prefactor 2) gives
-    E_{n,q}(x), shift 1 (prefactor [2]_q) gives E*_{n,q}(x), and t = 1
-    gives the numbers.
+    """(1+q^shift) (1/(1-q))^n sum_{j<=n} C(n,j) (-1)^j t^j / (1+q^(j+shift))
+    at q = a/b and t = c/d, the one sum behind all four closed forms:
+    shift 0 (prefactor 2) gives E_{n,q}(x), shift 1 (prefactor [2]_q)
+    gives E*_{n,q}(x), and t = 1 gives the numbers.
 
-    Built in integers, as one unreduced numerator over one denominator.
-    With q = a/b and t = c/d in lowest terms the value is
+    Built in integers, as one unreduced numerator over one denominator:
     (b^shift + a^shift) b^n / ((b-a)^n d^n) times
     sum_j C(n,j) (-1)^j (bc)^j d^(n-j) / (b^(j+shift) + a^(j+shift)); the
     sum is kept as one numerator over the product of its denominators.
+    Neither fraction need be in lowest terms.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    a, b = q.numerator, q.denominator
-    c, d = t.numerator, t.denominator
     num, den = 0, 1
     pole_a, pole_b = a ** shift, b ** shift  # a^(j+shift), b^(j+shift)
     bc_power, d_power = 1, d ** n  # (bc)^j, d^(n-j)
@@ -139,28 +145,32 @@ def _kernel_parts(n: int, q: Fraction, t: Fraction | int,
             (b - a) ** n * d ** n * den)
 
 
-@lru_cache(maxsize=NUMBER_CACHE_SIZE)
-def _number(n: int, a: int, b: int, shift: int) -> Fraction:
-    """The kernel at t = 1 and q = a/b in lowest terms, keyed by integers:
-    a Fraction's hash is a modular inverse, taken afresh on every lookup."""
-    return _kernel(n, Fraction(a, b), 1, shift)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel(n: int, a: int, b: int, c: int, d: int, shift: int) -> Fraction:
+    """The kernel (`_kernel_parts`) at q = a/b and t = c/d in lowest terms,
+    reduced, and the one memo of the four closed forms: the numbers are
+    its values at c = d = 1, so a polynomial at t = 1 finds its number.
+    It is keyed by integers: a Fraction's hash is a modular inverse, taken
+    afresh on every lookup."""
+    return Fraction(*_kernel_parts(n, a, b, c, d, shift))
 
 
 def q_euler_number(n: int, q: QBase) -> Fraction:
     """E_{n,q} = 2 (1/(1-q))^n sum_j C(n,j) (-1)^j / (1+q^j)."""
-    return _number(n, q.q.numerator, q.q.denominator, 0)
+    return _kernel(n, *q.q.as_integer_ratio(), 1, 1, 0)
 
 
 def q_euler_poly(n: int, qp: QPower) -> Fraction:
     """E_{n,q}(x) = 2 (1/(1-q))^n sum_j C(n,j) (-1)^j t^j / (1+q^j),
     with t = q^x carried by `qp`.  At t = 1 this is E_{n,q}."""
-    return _kernel(n, qp.base.q, qp.t, 0)
+    return _kernel(n, *qp.base.q.as_integer_ratio(),
+                   *qp.t.as_integer_ratio(), 0)
 
 
 def q_euler_star_number(n: int, q: QBase) -> Fraction:
     """E*_{n,q} = [2]_q (1/(1-q))^n sum_l C(n,l) (-1)^l / (1+q^(l+1)),
     the q^l-weighted variant of E_{n,q}."""
-    return _number(n, q.q.numerator, q.q.denominator, 1)
+    return _kernel(n, *q.q.as_integer_ratio(), 1, 1, 1)
 
 
 def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
@@ -170,7 +180,8 @@ def q_euler_star_poly(n: int, qp: QPower) -> Fraction:
     unique form consistent with the weighted generating function; validated
     through the weighted alternating-sum identity below.
     """
-    return _kernel(n, qp.base.q, qp.t, 1)
+    return _kernel(n, *qp.base.q.as_integer_ratio(),
+                   *qp.t.as_integer_ratio(), 1)
 
 
 def _direct_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
@@ -201,20 +212,18 @@ def _closed_sum(m: int, n: int, q: QBase, shift: int) -> Fraction:
     numbers and polynomials at shift 1: splitting the generating function
     at l = n puts (-1)^(n+1) and the weight q^(shift*n) on the tail.
 
-    The kernel's unreduced E_{m,q}(n) = N/M (`_kernel_parts`), the number
-    E_{m,q} = e/f, q^(shift*n) = (a/b)^(shift*n) and
-    1 + q^shift = (b^shift + a^shift)/b^shift make one numerator over one
-    denominator, reduced once."""
+    The kernel's unreduced E_{m,q}(n) = N/M (`_kernel_parts`, at
+    t = (a^n, b^n)), the memoized number E_{m,q} = e/f (`_kernel`),
+    q^(shift*n) = (a/b)^(shift*n) and 1 + q^shift = (b^shift + a^shift) /
+    b^shift make one numerator over one denominator, reduced once."""
     _check_sum_args(m, n)
-    qq = q.q
-    a, b = qq.numerator, qq.denominator
-    num, den = _kernel_parts(m, qq, qq ** n, shift)
+    a, b = q.q.as_integer_ratio()
+    num, den = _kernel_parts(m, a, b, a ** n, b ** n, shift)
     if shift:
         num, den = num * a ** n, den * b ** n
     if n % 2 == 0:
         num = -num
-    number = _number(m, a, b, shift)
-    e, f = number.numerator, number.denominator
+    e, f = _kernel(m, a, b, 1, 1, shift).as_integer_ratio()
     b_shift = b ** shift
     return Fraction((e * den + num * f) * b_shift,
                     f * den * (b_shift + a ** shift))
@@ -247,21 +256,25 @@ def _distribution_terms(n: int, q: Fraction, period: int,
     [F]_q^n E_{n,q^F}(k/F) for each k in `exponents`, F = period: the
     kernel at base q^F and t = (q^F)^(k/F) = q^k, scaled by [F]_q^n.
 
-    With q = a/b the kernels at base q^F (`_kernel_parts`) share their
-    poles and the factor (b^F - a^F)^n of their denominators; only d^n
-    differs, d the denominator of t.  Each numerator is lifted by
-    (y/d)^n, y the lcm of the d, onto the one denominator, and [F]_q^n =
-    ((b^F - a^F) / (b^(F-1) (b-a)))^n trades (b^F - a^F)^n in it for
-    (b^(F-1) (b-a))^n.  Nothing is reduced.
+    With q = a/b the kernels at base q^F = a^F / b^F (`_kernel_parts`)
+    share their poles and the factor (b^F - a^F)^n of their denominators;
+    only d^n differs, d the denominator of t.  For k >= 0, t = a^k / b^k;
+    below 0, t = b^(-k) a^(k-l) / a^(-l), l the least k, so every d is
+    a^(-l) b^max(k, 0), and lifting each numerator by b^((K - max(k, 0)) n),
+    K the greatest k and at least 0, puts all of them over one
+    denominator.  [F]_q^n = ((b^F - a^F) / (b^(F-1) (b-a)))^n trades
+    (b^F - a^F)^n in it for (b^(F-1) (b-a))^n.  Nothing is reduced.
     """
-    base = q ** period
-    ts = [q ** k for k in exponents]
-    parts = [_kernel_parts(n, base, t, 0) for t in ts]
-    y = lcm(*(t.denominator for t in ts))
-    nums = [num * (y // t.denominator) ** n for (num, _), t in zip(parts, ts)]
-    den = parts[0][1] * (y // ts[0].denominator) ** n
-    a, b = q.numerator, q.denominator
-    return nums, den // (base.denominator - base.numerator) ** n \
+    a, b = q.as_integer_ratio()
+    ks = list(exponents)
+    low, top = min(0, *ks), max(0, *ks)
+    parts = [_kernel_parts(n, a ** period, b ** period,
+                           a ** (k - low) * b ** max(-k, 0),
+                           a ** -low * b ** max(k, 0), 0) for k in ks]
+    nums = [num * b ** ((top - max(k, 0)) * n)
+            for (num, _), k in zip(parts, ks)]
+    den = parts[0][1] * b ** ((top - max(ks[0], 0)) * n)
+    return nums, den // (b ** period - a ** period) ** n \
         * (b ** (period - 1) * (b - a)) ** n
 
 

@@ -261,9 +261,11 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     head terms reach (1-q^x)^(-s), which the fixed-point ints carry in
     s log10(1/(1-q^x)) digits above wp: DomainError past
     MAX_CANCELLATION_DIGITS.  Where that float product leaves the range,
-    s past about 10**308 or ln(1-q^x) read 0, the digits are taken at
-    their first-order size s q^x / ln 10, as one mpf product from the log
-    of q^x, as `realnum.cancellation_digits` sizes V.
+    s past about 10**308, it is taken as one mpf product with s; where
+    ln(1-q^x) also reads 0, at its first-order size s q^x / ln 10, from
+    the log of q^x, as `realnum.cancellation_digits` sizes V.  Past the
+    float range the count reads inf whatever it is, so the growth, when
+    it passes the cap, is the reason given.
     """
     sf, x, log_q = float(s), float(zq.x.value), logs.q
     # the log of the pass's unscaled threshold (`_continuation_sums`)
@@ -288,15 +290,18 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     cap = MAX_HEAD_TERMS // residues  # cost falls, then rises, in J
     lo = min(_first_stop(lambda j: j < cap and cost(j + 1) < cost(j), 0), cap)
     needed = count(lo, search=True)
-    if needed > MAX_ZETA_TERMS:
+    log_gap = logs.gap + logs.one_minus_q  # ln(1-q^x)
+    growth = 0.0 if s <= 0 else -sf * log_gap / math.log(10)
+    if not math.isfinite(growth):  # s past the float range: mpf products
+        growth = (-s * log_gap if log_gap else s * mp.exp(logs.qx)) \
+            / math.log(10)
+    # past the float range s makes the count inf, and the growth is why
+    if needed > MAX_ZETA_TERMS and not (
+            math.isinf(sf) and growth > MAX_CANCELLATION_DIGITS):
         raise NonConvergence(
             f"the continuation series needs about {_rough(needed)} terms "
             f"at q = {show_rational(zq.q.q)}, more than its cap of "
             f"{MAX_ZETA_TERMS}")
-    growth = 0.0 if s <= 0 else \
-        -sf * (logs.gap + logs.one_minus_q) / math.log(10)
-    if not math.isfinite(growth):  # s or ln(1-q^x) out of the float range
-        growth = float(s * mp.exp(logs.qx)) / math.log(10)
     if growth > MAX_CANCELLATION_DIGITS:
         raise DomainError(
             f"the continuation series at s = {mp.nstr(zq.s.value, 15)} "

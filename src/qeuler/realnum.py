@@ -174,10 +174,11 @@ def cancellation_digits(s: mpf, logs: _Logs, magnified: bool = False) -> int:
     ln(1-q) = -q and the gap read 0 once q and q^x fall below about
     10**-323, and s reads +-inf past about 10**308.  There log10 V is
     taken at the bound 2 |s| max(q, q^x) / ln 10, from the logs of q and
-    q^x as one mpf product: to first order in q and q^x, log10 V is at
-    most |s| (q + q^x) / ln 10 for s < 0, and |s| q^x / ln 10 for s >= 0,
-    where it exceeds 0 only at x < 1.  Where q or q^x is not small, |s|
-    past 10**308 puts the bound far past the cap, as V is.
+    q^x as one mpf product, never a float: to first order in q and q^x,
+    log10 V is at most |s| (q + q^x) / ln 10 for s < 0, and
+    |s| q^x / ln 10 for s >= 0, where it exceeds 0 only at x < 1.  Where
+    q or q^x is not small, |s| past 10**308 puts the bound far past the
+    cap, as V is, and the refusal gives its size past the float range.
 
     The continuation (`qzeta._continued`) passes `magnified`: it rounds
     1 - q and q^x to its working digits, and s multiplies each rounding
@@ -196,7 +197,7 @@ def cancellation_digits(s: mpf, logs: _Logs, magnified: bool = False) -> int:
         else 2 * logs.one_minus_q + logs.gap
     if (not factor or math.isinf(s_float)) \
             and (s_float < 0 or logs.qx > logs.q):  # out of the float range
-        s_float, factor = 1.0, float(2 * abs(s) * mp.exp(max(logs.q, logs.qx)))
+        s_float, factor = 1.0, 2 * abs(s) * mp.exp(max(logs.q, logs.qx))
     log10_v = s_float * factor / math.log(10) if factor else 0.0
     extra = max(0, math.ceil(max(0, mp.mag(s)) * math.log10(2))
                 - GUARD_DIGITS) if magnified else 0
@@ -208,10 +209,14 @@ def cancellation_digits(s: mpf, logs: _Logs, magnified: bool = False) -> int:
     return math.ceil(max(0.0, log10_v)) + extra
 
 
-def _rough(count: float) -> str:
+def _rough(count: float | mpf) -> str:
     """A count for a refusal's text: whole below 10**15, past it 3
-    significant digits (4.34e+99), not a float's whole expansion."""
-    return f"{count:.0f}" if count < 1e15 else f"{count:.3g}"
+    significant digits (4.34e+99), not a float's whole expansion; an mpf
+    past the float range in mpmath's 3 digits (3.01e+399), not inf."""
+    rough = float(count)
+    if math.isinf(rough):
+        return mp.nstr(count, 3)
+    return f"{rough:.0f}" if rough < 1e15 else f"{rough:.3g}"
 
 
 def _log(r: Fraction) -> float:

@@ -374,6 +374,39 @@ def test_growth_past_the_float_range_refused_fast():
                         "grows to about 4.34e+99 digits, more than 500")
 
 
+def test_refusals_past_the_float_range_give_a_finite_size(capsys):
+    # float(s) reads inf, so the term count and the float products read
+    # inf; the growth of the unscaled terms and log10 V stay mpfs
+    growth = "grows to about 3.01e+399 digits, more than 500"
+    cases = [(["zeta", "--s", "1e400", "--x", "1", "--q", "1/2"], growth),
+             (["zeta", "--s", "1e400", "--x", "2", "--q", "1/2"],
+              "grows to about 1.25e+399 digits, more than 500"),
+             (["partial-zeta", "--s", "1e400", "--a", "1", "--f", "3",
+               "--q", "1/2"], growth),
+             (["lfunction", "--s", "1e400", "--modulus", "5", "--char-index",
+               "1", "--q", "1/2"], growth),
+             (["zeta", "--s", "-1e400", "--x", "1", "--q", "1/2"],
+              "loses about 4.34e+399 digits, more than 500")]
+    for argv, size in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.rstrip("\n").endswith(size), err
+        assert "inf" not in err
+
+
+def test_poly_at_negative_q_takes_integer_x_by_powering(capsys):
+    # q^x at integer x is exact for every valid base; only odd x, where
+    # t = q^x < 0, and a fractional x, which needs a root, are refused
+    for x, value in (("2", "-2/5"), ("0", "-12/5")):
+        code, out, _ = run(capsys, "poly", "--n", "2", "--x", x, "--q",
+                           "-1/2", "--format", "csv")
+        assert (code, out) == (0, f"n,x,value\n2,{x}/1,{value}\n")
+    assert run(capsys, "poly", "--n", "2", "--x", "1", "--q", "-1/2") \
+        == (1, "", "error: t must be positive\n")
+    assert run(capsys, "poly", "--n", "2", "--x", "1/2", "--q", "-1/2") \
+        == (1, "", "error: rat_pow requires q > 0\n")
+
+
 def test_long_rational_refused_as_parsed():
     # Fraction takes 10**|exponent| before any bound could look at the
     # value: each of these ran for minutes before it was refused, so each

@@ -5,8 +5,10 @@ invocation below, recorded from the program before its q-Euler kernels,
 verification runner and character code were consolidated; the cases from
 the plans that take head terms on were recorded before the continuation's
 shift planner became one function, the two at s = 1e60 once the
-continuation carried the digits of |s| past its guard digits, and the
-one at s = 1e309 once the growth check sized s q^x past the float range.
+continuation carried the digits of |s| past its guard digits, the one at
+s = 1e309 once the growth check sized s q^x past the float range, and the
+last four once integer x took exact powering at q < 0 and the refusals
+past the float range gave their sizes as mpfs.
 Any change to a single output byte fails here.  Every JSON document is
 also validated against the schemas in `docs/`.
 
@@ -123,6 +125,14 @@ CASES = [
     # s past the float range: the growth check sizes s q^x as one mpf
     # instead of reading the float product inf and refusing
     ["zeta", "--s", "1e309", "--x", "1", "--q", "1e-320", "--prec", "30"],
+    # integer x at q < 0 is taken by exact powering, which an even x
+    # keeps positive; an odd x gives t < 0, which is refused
+    ["poly", "--n", "2", "--x", "2", "--q", "-1/2"],
+    ["poly", "--n", "2", "--x", "1", "--q", "-1/2"],
+    # s past the float range: the refusals give the growth of the
+    # unscaled terms and log10 V as mpfs, not inf
+    ["zeta", "--s", "1e400", "--x", "1", "--q", "1/2"],
+    ["zeta", "--s", "-1e400", "--x", "1", "--q", "1/2"],
 ]
 
 

@@ -60,9 +60,8 @@ def kernel_numerator_doubled(real):
 def kernel_pole_moved(real):
     """The kernel's pole 1/(1+q^(j+shift)) moved to 1/(1+q^(j+shift+1)),
     its prefactor (1+q^shift) kept."""
-    def kernel_parts(n, q, t, shift):
-        num, den = real(n, q, t, shift + 1)
-        a, b = q.numerator, q.denominator
+    def kernel_parts(n, a, b, c, d, shift):
+        num, den = real(n, a, b, c, d, shift + 1)
         return (num * (b ** shift + a ** shift),
                 den * (b ** (shift + 1) + a ** (shift + 1)))
     return kernel_parts

@@ -146,13 +146,19 @@ def fraction_kernel(n, q, t, shift):
     return prefactor * total / (1 - q) ** n
 
 
+def kernel(n, q, t, shift):
+    """The memoized kernel at Fractions q and t."""
+    return qnumbers._kernel(n, *q.as_integer_ratio(),
+                            *Fraction(t).as_integer_ratio(), shift)
+
+
 def test_kernel_matches_fraction_loop():
     for q in (Fraction(1, 2), Fraction(49, 144), Fraction(5, 2),
               Fraction(-1, 3), Fraction(-7, 4)):
         for t in (1, q ** 3, Fraction(11, 7)):
             for shift in (0, 1):
                 for n in range(46):
-                    assert qnumbers._kernel(n, q, t, shift) \
+                    assert kernel(n, q, t, shift) \
                         == fraction_kernel(n, q, t, shift)
 
 
@@ -161,7 +167,6 @@ def test_kernel_matches_fraction_loop():
 def test_kernel_shift_identity_random(q, t, n):
     # E(x) + E(x+1) = 2 [x]_q^n and E*(x) + q E*(x+1) = [2]_q [x]_q^n,
     # with t = q^x, q^(x+1) = q t and [x]_q = (1-t)/(1-q)
-    kernel = qnumbers._kernel
     bracket = (1 - t) / (1 - q)
     assert kernel(n, q, t, 0) + kernel(n, q, q * t, 0) == 2 * bracket ** n
     assert kernel(n, q, t, 1) + q * kernel(n, q, q * t, 1) \
@@ -177,7 +182,7 @@ def test_direct_sums_never_call_the_kernel(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the direct sums must not use the closed form")
 
-    for name in ("_kernel", "_kernel_parts", "_number"):
+    for name in ("_kernel", "_kernel_parts"):
         monkeypatch.setattr(qnumbers, name, refuse)
     with pytest.raises(AssertionError):
         alt_q_power_sum_closed(2, 3, HALF)
@@ -193,7 +198,7 @@ def test_via_numbers_never_calls_the_kernel(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the binomial form must not use the kernel")
 
-    for name in ("_kernel", "_kernel_parts", "_number"):
+    for name in ("_kernel", "_kernel_parts"):
         monkeypatch.setattr(qnumbers, name, refuse)
     with pytest.raises(AssertionError):
         q_euler_poly(2, QPower(HALF, Fraction(1, 2)))
@@ -204,14 +209,30 @@ def test_number_cache_stays_bounded():
     base = QBase(Fraction(2, 7))
     before = (q_euler_number(5, base), q_euler_star_number(5, base))
     # more distinct q than the cache holds push the first entries out
-    for k in range(qnumbers.NUMBER_CACHE_SIZE + 10):
+    for k in range(qnumbers.KERNEL_CACHE_SIZE + 10):
         q_euler_number(1, QBase(Fraction(1, k + 11)))
-    info = qnumbers._number.cache_info()
-    assert info.maxsize == qnumbers.NUMBER_CACHE_SIZE
+    info = qnumbers._kernel.cache_info()
+    assert info.maxsize == qnumbers.KERNEL_CACHE_SIZE
     assert info.currsize <= info.maxsize
     after = (q_euler_number(5, base), q_euler_star_number(5, base))
-    assert qnumbers._number.cache_info().misses == info.misses + 2
+    assert qnumbers._kernel.cache_info().misses == info.misses + 2
     assert after == before
+
+
+def test_polynomial_at_t_one_is_a_memo_hit_on_its_number(monkeypatch):
+    # the numbers are the memo's entries at t = 1, so the polynomial there
+    # is looked up, not summed again
+    base = QBase(Fraction(13, 29))
+    numbers = [q_euler_number(9, base), q_euler_star_number(9, base)]
+    hits = qnumbers._kernel.cache_info().hits
+
+    def refuse(*_args):
+        raise AssertionError("a cached number was summed again")
+
+    monkeypatch.setattr(qnumbers, "_kernel_parts", refuse)
+    at_one = QPower.from_integer(base, 0)
+    assert [q_euler_poly(9, at_one), q_euler_star_poly(9, at_one)] == numbers
+    assert qnumbers._kernel.cache_info().hits == hits + 2
 
 
 def test_alt_q_power_sum_examples():
@@ -276,11 +297,16 @@ def test_distribution_examples():
 
 
 def test_distribution_grid():
-    for q in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+    # x < 0 puts powers of a, not of b, in the denominators of t = q^k;
+    # q < 0 keeps t > 0 only at f = 1 and even x
+    for q in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 2),
+              Fraction(-3, 7)):
         base = QBase(q)
         for m in range(9):
             for f in (1, 3, 5):
-                for x in range(6):
+                for x in range(-6, 6):
+                    if q < 0 and (f > 1 or x % 2):
+                        continue
                     assert distribution_sum(m, f, x, base) \
                         == q_euler_poly(m, QPower.from_integer(base, x))
 

@@ -69,17 +69,15 @@ def test_thm2_detects_a_wrong_kernel(monkeypatch):
     # the kernel's poles 1/(1+q^(j+shift)) become 1/(2+q^(j+shift)); the
     # second thm2 route takes its numbers from the recurrence, never from
     # the kernel, so the two routes must now disagree
-    def corrupted(n, q, t, shift):
+    def corrupted(n, a, b, c, d, shift):
+        q, t = Fraction(a, b), Fraction(c, d)
         return (1 + q ** shift) / (1 - q) ** n * sum(
             comb(n, j) * (-t) ** j / (2 + q ** (j + shift))
             for j in range(n + 1))
 
+    # the corrupted kernel replaces the memo, so no cached value is read
     monkeypatch.setattr(qnumbers, "_kernel", corrupted)
-    qnumbers._number.cache_clear()  # cached numbers came from the kernel
-    try:
-        report = verify_thm2(max_n=4)
-    finally:
-        qnumbers._number.cache_clear()
+    report = verify_thm2(max_n=4)
     assert not report.passed
     assert len(report.failures) > report.cases_run // 2
 
