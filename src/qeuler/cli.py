@@ -232,20 +232,16 @@ def cmd_sums(variant: str, m: int, n: int, q_text: str | None,
     """Power sums: direct summation next to the closed form (always equal)."""
     from . import classical, qnumbers
     query: dict = {"command": "sums", "variant": variant, "m": m, "n": n}
-    if variant == "power":
-        direct, closed = classical.power_sum(m, n), \
-            classical.power_sum_closed(m, n)
-    elif variant == "alt-power":
-        direct, closed = classical.alt_power_sum(m, n), \
-            classical.alt_power_sum_closed(m, n)
-    else:
-        base = _q_base(q_text, variant, query)
-        if variant == "q-alt":
-            direct = qnumbers.alt_q_power_sum(m, n, base)
-            closed = qnumbers.alt_q_power_sum_closed(m, n, base)
-        else:
-            direct = qnumbers.weighted_alt_q_power_sum(m, n, base)
-            closed = qnumbers.weighted_alt_q_power_sum_closed(m, n, base)
+    routes = {"power": (classical.power_sum, classical.power_sum_closed),
+              "alt-power": (classical.alt_power_sum,
+                            classical.alt_power_sum_closed),
+              "q-alt": (qnumbers.alt_q_power_sum,
+                        qnumbers.alt_q_power_sum_closed),
+              "q-alt-weighted": (qnumbers.weighted_alt_q_power_sum,
+                                 qnumbers.weighted_alt_q_power_sum_closed)}
+    args = (m, n) if variant in ("power", "alt-power") \
+        else (m, n, _q_base(q_text, variant, query))
+    direct, closed = (route(*args) for route in routes[variant])
     results = [{"m": m, "n": n, "direct": format_rational(direct),
                 "closed": format_rational(closed),
                 "equal": direct == closed}]

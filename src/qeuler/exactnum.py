@@ -128,7 +128,7 @@ def rat_pow(q: Fraction, r: Fraction) -> Fraction:
     q = Fraction(q)
     r = Fraction(r)
     if q <= 0:
-        raise DomainError("rat_pow requires q > 0")
+        raise DomainError("a fractional power q^x needs q > 0")
     power = q ** r.numerator
     f = r.denominator
     num, num_exact = iroot(power.numerator, f)

@@ -93,18 +93,16 @@ class QPower:
                 raise DomainError("t does not equal q**exponent")
 
     @classmethod
-    def from_integer(cls, base: QBase, x: int) -> QPower:
-        """t = q^x for integer x (exact for any valid base)."""
-        return cls(base, base.q ** x, Fraction(x))
-
-    @classmethod
     def from_exponent(cls, base: QBase, y: Fraction) -> QPower:
-        """t = q^y: exact powering for integer y, so for any valid base
-        (`from_integer`), else exact root extraction, which needs q > 0;
-        NotExactPower if irrational."""
+        """t = q^y: exact powering for integer y, so for any valid base,
+        else exact root extraction, which needs q > 0; NotExactPower if
+        irrational."""
         y = Fraction(y)
         return cls(base, base.q ** y.numerator if y.denominator == 1
                    else rat_pow(base.q, y), y)
+
+    #: t = q^x for integer x, exact for any valid base
+    from_integer = from_exponent
 
 
 def q_int(k: int, q: QBase) -> Fraction:

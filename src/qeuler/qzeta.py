@@ -166,17 +166,18 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     return hi
 
 
-def _series_start(s: mpf) -> tuple[int, float]:
+def _series_start(s: mpf) -> tuple[int | mpf, float]:
     """(k, ln |C(s+k-1,k)|) for s <= 1, with k + s >= 0, so that from k on
     the continuation's numerators u_j = C(s+j-1,j) q^(yj) fall by at least
     q^y per term (|s+j|/(j+1) <= 1).  k is the least such, ceil(-s), unless
     the float of s is an integer -n, where s is -n or within its rounding:
     then k = n + 1, and C(s+n, n+1) = (s+n)/(n+1) C(s+n-1, n) with
     |C(s+n-1, n)| about 1 and |s+n| bounded from the mpf s.  At s = -n
-    that is 0, the exact truncation."""
+    that is 0, the exact truncation.  Past the float range k is -s, an
+    mpf, so that a refusal gives its size."""
     sf = float(s)
     if sf == -math.inf:  # more terms than any count
-        return math.inf, 0.0
+        return -s, 0.0
     if sf <= 0 and sf.is_integer():
         n = int(-sf)
         return n + 1, float(mp.mag(s + n)) * math.log(2) - math.log(n + 1)

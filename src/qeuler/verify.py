@@ -5,6 +5,14 @@ every cell, and collects the disagreements.  Exact suites compare Fractions
 bit for bit and report deviation "exact"; numeric suites compare
 precision-P reals against the certified bound 10**-(P-10).
 
+A suite whose cells are the product of its axes (thm2, thm3, weighted,
+thm4, zeta) names each axis once, in cell order, to `_grid_suite`, which
+derives from them the cells, the report's grid (a range axis as its
+first and last value, any other as its values, then the precision of a
+numeric suite) and a failing cell's inputs; a QBase shows as its rational
+text in both (`_shown`).  partial-zeta, lfunction and classical build
+their own cells, which are not a product, and call `_run` directly.
+
 Cells run one after another in canonical grid order, so the reports are
 deterministic apart from the elapsed_ms measurement.
 
@@ -23,6 +31,7 @@ only the zeta suite loads `cvz`.
 from __future__ import annotations
 
 import inspect
+import itertools
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -122,25 +131,40 @@ def _run(name: str, grid: dict, cells, evaluate, describe,
         elapsed_ms=int((time.perf_counter() - start) * 1000))
 
 
+def _shown(value):
+    """An input as a report shows it: a QBase as its rational text."""
+    return format_rational(value.q) if isinstance(value, QBase) else value
+
+
 def _named(*names: str | None):
-    """The inputs of a cell whose fields are the named inputs in order: q,
-    a QBase, as its rational text, and a field named None left out."""
-    return lambda cell: {name: format_rational(value.q) if name == "q"
-                         else value for name, value in zip(names, cell)
-                         if name}
+    """The inputs of a cell whose fields are the named inputs in order, a
+    field named None left out (`_shown`)."""
+    return lambda cell: {name: _shown(value)
+                         for name, value in zip(names, cell) if name}
+
+
+def _grid_suite(name: str, evaluate, precision: int | None = None,
+                **axes) -> VerificationReport:
+    """Run `evaluate(*cell)` on every cell of the product of the axes,
+    given by name in cell order (`_run`).  The report's grid shows a range
+    axis as [first, last] and any other as its values (`_shown`), then the
+    precision of a numeric suite; a failing cell names its inputs by the
+    axes' names."""
+    grid = {axis: [values.start, values.stop - 1]
+            if isinstance(values, range) else [_shown(v) for v in values]
+            for axis, values in axes.items()}
+    if precision is not None:
+        grid["precision"] = precision
+    return _run(name, grid, list(itertools.product(*axes.values())),
+                lambda cell: evaluate(*cell), _named(*axes), precision)
 
 
 def _sum_suite(name: str, closed, direct, max_m: int,
               max_n: int) -> VerificationReport:
     """Power sums over (m, n, q): closed form vs brute force, exact."""
-    bases = [QBase(q) for q in IDENTITY_Q]
-    cells = [(m, n, base) for m in range(1, max_m + 1)
-             for n in range(1, max_n + 1) for base in bases]
-    grid = {"m": [1, max_m], "n": [1, max_n],
-            "q": [format_rational(q) for q in IDENTITY_Q]}
-    return _run(name, grid, cells,
-                lambda cell: (closed(*cell), direct(*cell)),
-                _named("m", "n", "q"))
+    return _grid_suite(name, lambda *cell: (closed(*cell), direct(*cell)),
+                       m=range(1, max_m + 1), n=range(1, max_n + 1),
+                       q=[QBase(q) for q in IDENTITY_Q])
 
 
 def verify_thm3(max_m: int = 10, max_n: int = 20) -> VerificationReport:
@@ -157,18 +181,12 @@ def verify_weighted(max_m: int = 10, max_n: int = 20) -> VerificationReport:
 
 def verify_thm2(max_n: int = 10) -> VerificationReport:
     """The two q-Euler polynomial forms agree on exact inputs."""
-    bases = [QBase(q) for q in POLY_Q]
-    cells = [(n, x, base) for n in range(max_n + 1)
-             for x in range(POLY_X + 1) for base in bases]
-
-    def evaluate(cell):
-        n, x, base = cell
+    def evaluate(n, x, base):
         qp = QPower.from_integer(base, x)
         return q_euler_poly(n, qp), classical.q_euler_poly_via_numbers(n, qp)
 
-    grid = {"n": [0, max_n], "x": [0, POLY_X],
-            "q": [format_rational(q) for q in POLY_Q]}
-    return _run("thm2", grid, cells, evaluate, _named("n", "x", "q"))
+    return _grid_suite("thm2", evaluate, n=range(max_n + 1),
+                       x=range(POLY_X + 1), q=[QBase(q) for q in POLY_Q])
 
 
 def verify_thm4(max_m: int = 8, fs=(1, 3, 5)) -> VerificationReport:
@@ -176,20 +194,14 @@ def verify_thm4(max_m: int = 8, fs=(1, 3, 5)) -> VerificationReport:
     reproduces E_{m,q}(x), taken in its binomial form over the recurrence
     numbers.  The relation holds for the kernel times any constant, so
     only a route without the kernel sees its scale."""
-    bases = [QBase(q) for q in DISTRIBUTION_Q]
-    cells = [(m, f, x, base) for m in range(max_m + 1) for f in fs
-             for x in range(DISTRIBUTION_X + 1) for base in bases]
-
-    def evaluate(cell):
-        m, f, x, base = cell
+    def evaluate(m, f, x, base):
         return (distribution_sum(m, f, x, base),
                 classical.q_euler_poly_via_numbers(
                     m, QPower.from_integer(base, x)))
 
-    grid = {"m": [0, max_m], "f": list(fs), "x": [0, DISTRIBUTION_X],
-            "q": [format_rational(q) for q in DISTRIBUTION_Q]}
-    return _run("thm4", grid, cells, evaluate,
-                _named("m", "f", "x", "q"))
+    return _grid_suite("thm4", evaluate, m=range(max_m + 1), f=fs,
+                       x=range(DISTRIBUTION_X + 1),
+                       q=[QBase(q) for q in DISTRIBUTION_Q])
 
 
 def verify_classical(max_m: int = 12, max_n: int = 50) -> VerificationReport:
@@ -225,19 +237,13 @@ def verify_zeta(precision: int = DEFAULT_PRECISION) -> VerificationReport:
     from .qzeta import ZetaQuery, zeta
     reals = {text: RealP.from_rational(text, precision)
              for text in ZETA_S + ZETA_X}
-    bases = [QBase(q, zeta_domain=True) for q in ZETA_Q]
-    cells = [(s, x, base) for s in ZETA_S for x in ZETA_X for base in bases]
 
-    def evaluate(cell):
-        s, x, base = cell
+    def evaluate(s, x, base):
         zq = ZetaQuery(reals[s], reals[x], base, precision)
         return zeta(zq), zeta_euler_transform(zq)
 
-    grid = {"s": list(ZETA_S), "x": list(ZETA_X),
-            "q": [format_rational(q) for q in ZETA_Q],
-            "precision": precision}
-    return _run("zeta", grid, cells, evaluate, _named("s", "x", "q"),
-                precision)
+    return _grid_suite("zeta", evaluate, precision, s=ZETA_S, x=ZETA_X,
+                       q=[QBase(q, zeta_domain=True) for q in ZETA_Q])
 
 
 def verify_partial_zeta(precision: int = DEFAULT_PRECISION

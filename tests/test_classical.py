@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from qeuler import classical
 from qeuler.classical import (alt_power_sum, alt_power_sum_closed,
-                              bernoulli_number, euler_number, euler_poly,
-                              power_sum, power_sum_closed)
+                              bernoulli_number, euler_number,
+                              euler_numbers, euler_poly, power_sum,
+                              power_sum_closed)
 from qeuler.errors import DomainError
 
 
@@ -141,6 +142,8 @@ def test_power_sum_rejects_nonpositive_args():
         power_sum(0, 3)
     with pytest.raises(DomainError):
         alt_power_sum_closed(2, 0)
+    with pytest.raises(DomainError, match="^n must be nonnegative$"):
+        euler_numbers(-1)
 
 
 @given(st.integers(min_value=1, max_value=10),

@@ -387,6 +387,13 @@ def test_refusals_past_the_float_range_give_a_finite_size(capsys):
                "1", "--q", "1/2"], growth),
              (["zeta", "--s", "-1e400", "--x", "1", "--q", "1/2"],
               "loses about 4.34e+399 digits, more than 500")]
+    # s <= 1 past the float range: the count starts at k = -s, an mpf
+    terms = (f"needs about 1.0e+400 terms at q = 1/1{'0' * 500}, "
+             "more than its cap of 200000")
+    for command in (["zeta", "--x", "1"], ["partial-zeta", "--a", "1",
+                                           "--f", "3"]):
+        cases.append(([*command, "--s", "-1e400", "--q", "1e-500",
+                       "--prec", "30"], terms))
     for argv, size in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -404,7 +411,7 @@ def test_poly_at_negative_q_takes_integer_x_by_powering(capsys):
     assert run(capsys, "poly", "--n", "2", "--x", "1", "--q", "-1/2") \
         == (1, "", "error: t must be positive\n")
     assert run(capsys, "poly", "--n", "2", "--x", "1/2", "--q", "-1/2") \
-        == (1, "", "error: rat_pow requires q > 0\n")
+        == (1, "", "error: a fractional power q^x needs q > 0\n")
 
 
 def test_long_rational_refused_as_parsed():

@@ -20,6 +20,9 @@ def test_iroot_exact_and_floor():
     assert iroot(28, 3) == (3, False)
     assert iroot(1, 7) == (1, True)
     assert iroot(0, 2) == (0, True)
+    for n, k in ((-1, 2), (4, 0)):
+        with pytest.raises(DomainError, match=r"^iroot requires n >= 0"):
+            iroot(n, k)
     big = 123456789 ** 11
     assert iroot(big, 11) == (123456789, True)
     assert iroot(big + 1, 11) == (123456789, False)

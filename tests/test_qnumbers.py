@@ -62,6 +62,8 @@ def test_q_int_values():
     assert q_int(0, HALF) == 0
     assert q_int(1, HALF) == 1
     assert q_int(3, HALF) == Fraction(7, 4)  # 1 + 1/2 + 1/4
+    with pytest.raises(DomainError, match="^k must be nonnegative$"):
+        q_int(-1, HALF)
 
 
 def test_q_int_additivity():
@@ -298,7 +300,7 @@ def test_distribution_examples():
 
 def test_distribution_grid():
     # x < 0 puts powers of a, not of b, in the denominators of t = q^k;
-    # q < 0 keeps t > 0 only at f = 1 and even x
+    # q < 0 keeps t > 0 only at f = 1 and even x, and refuses the rest
     for q in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 2),
               Fraction(-3, 7)):
         base = QBase(q)
@@ -306,6 +308,9 @@ def test_distribution_grid():
             for f in (1, 3, 5):
                 for x in range(-6, 6):
                     if q < 0 and (f > 1 or x % 2):
+                        with pytest.raises(DomainError,
+                                           match="^t must be positive$"):
+                            distribution_sum(m, f, x, base)
                         continue
                     assert distribution_sum(m, f, x, base) \
                         == q_euler_poly(m, QPower.from_integer(base, x))

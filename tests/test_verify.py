@@ -32,6 +32,11 @@ def test_report_fields_and_passing():
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["grid"]["m"] == [1, 3]
     assert doc["grid"]["q"] == ["1/3", "1/2", "2/3", "3/2", "5/2"]
+    # a range axis shows as [first, last] even when empty, any other axis
+    # as its values
+    empty = verify_thm3(max_m=0)
+    assert (empty.cases_run, empty.grid["m"]) == (0, [1, 0])
+    assert verify.verify_thm4(max_m=1, fs=(3,)).grid["f"] == [3]
 
 
 def test_all_suite_names_registered():
