@@ -20,7 +20,9 @@ if either module imports the other:
 
   and the series at x + J needs only about x/(x+J) of the terms it needs
   at x: `zeta` sums J raw head terms first, with J chosen by `_shift`
-  against the terms it saves.  At s = -n its term model gives J = 0.
+  against the terms it saves.  At s = -n its term model counts at most
+  the n+1 terms of the exact truncation, so J is 0 unless the stop rule
+  ends the series sooner.
 
 * CVZ summation of the raw series, in `cvz`, is the cross-check.
 
@@ -44,13 +46,19 @@ per row (`_shift`, which holds the term-count precheck), then one pass,
 `_continuation_sums`, which alone holds the stop rule and the loop cap:
 the series at x + J step, each further row's term being x's times
 (q^d)^k.  Those weights are at most 1, so x's stop rule covers every row.
-The stop rule is absolute: it stops once a geometric bound on the scaled
-tail is at most 10**-(P+15), and at once on the exact truncation at
-s = -n.  One rule takes each power the pass needs, q^y and each head's
-1 - q^y: the exact rational rounded once when y is an integer (every
-residue pass, and `zeta` at integer x) with y times the bits of q's
-denominator at most _MAX_EXACT_POWER_BITS; otherwise exp and expm1 of
-y ln q, with ln q taken once per pass and only when a power needs it.
+The stop rule is absolute.  The ratio of consecutive numerators is at
+most R_k = q^y max(1, |s+k|/(k+1)), which never rises in k for any real
+s, so from any k with R_k < 1 the pass stops once the geometric bound
+2 |term| R_k / (1-R_k) on the scaled tail is at most 10**-(P+15), and at
+once on the exact truncation at s = -n.  The precheck's count
+(`_series_count`) starts from the least such k, so pass and precheck
+apply one rule: at s = -10**20, q^x = 10**-40 both stop after a few
+terms, where |s| q^x < 1.  One rule takes each power the pass needs, q^y
+and each head's 1 - q^y: the exact rational rounded once when y is an
+integer (every residue pass, and `zeta` at integer x) with y times the
+bits of q's denominator at most _MAX_EXACT_POWER_BITS; otherwise exp and
+expm1 of y ln q, with ln q taken once per pass and only when a power
+needs it.
 
 The pass sums in integer fixed point: each term is a Python int at a
 binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -151,8 +159,8 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     """The least k >= lo at which `above` turns false, or at most 1% past
     it, for an `above` that stays false once it turns false: a gallop from
     lo, then a bisection.  It is the planner's one search: `_shift` finds
-    the first rise of its cost with it, and `_count_past_peak` the first
-    k past the peak at which the stop rule holds."""
+    the first rise of its cost with it, and `_series_count` the first k at
+    which the stop rule holds."""
     if not above(lo):
         return lo
     step = 16
@@ -166,66 +174,90 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     return hi
 
 
-def _series_start(s: mpf) -> tuple[int | mpf, float]:
-    """(k, ln |C(s+k-1,k)|) for s <= 1, with k + s >= 0, so that from k on
-    the continuation's numerators u_j = C(s+j-1,j) q^(yj) fall by at least
-    q^y per term (|s+j|/(j+1) <= 1).  k is the least such, ceil(-s), unless
-    the float of s is an integer -n, where s is -n or within its rounding:
-    then k = n + 1, and C(s+n, n+1) = (s+n)/(n+1) C(s+n-1, n) with
-    |C(s+n-1, n)| about 1 and |s+n| bounded from the mpf s.  At s = -n
-    that is 0, the exact truncation.  Past the float range k is -s, an
-    mpf, so that a refusal gives its size."""
+def _series_count(s: mpf, floor: float, x: float, step: int,
+                  log_q: float) -> Callable[..., float]:
+    """count(j, search=False): the terms the continuation pass at s and
+    q^y, y = x + j step, with base q^step takes, floor being the log of
+    its stop rule's unscaled threshold (see `_continuation_sums`).
+
+    The rule may stop the pass from any k with R_k = q^y max(1,
+    |s+k|/(k+1)) < 1, as R_k never rises in k.  The least such k0 is one
+    past (|s| q^y - 1)/(1 - q^y) for s > 0, the peak of the numerators
+    u_k = C(s+k-1,k) q^(yk), and one past (|s| q^y - 1)/(1 + q^y) for
+    s <= 0.  The count from k is k + 1 terms and as many more as bring the
+    rule's bound 2 |u_j| q^y / (1-q^y) to e^floor, |u_j| falling by q^y
+    per term; `_shift` reads it while it chooses J.  For s <= 1 the u_k
+    fall at least that fast from m = floor(-s) + 1 on, where
+    |s+k|/(k+1) <= 1, so the count is the lesser of those from k0 and
+    from m; as |C(s+k-1,k)| falls from at least 1 at k0 to below 1 at m,
+    the one from k0 is the lesser only where the bound is met by k = m.
+    Where the float of s is an integer -n, m = n + 1 and u_m takes the
+    factor |s+n|, read from the mpf s: the count from m is n + 2, the
+    exact truncation, at s = -n.  From k0 the u_k can fall more slowly
+    than q^y per term (past the peak for s > 1 the count reads 1.4-1.7
+    times low), so with `search`, where the count from k0 is the lesser,
+    the first k >= k0 at which the rule holds is searched for
+    (`_first_stop`) instead.
+
+    ln |C(s+k-1,k)| is a difference of `lgamma`s, which loses every digit
+    past |s| = 10**15; there it is bounded by k ln|s| - ln k!, and |s| q^y
+    is one mpf product past the float range.  A q^y that underflows to 0
+    reads 1 term, and one that reads 1 meets the rule only at s = -n.
+    """
     sf = float(s)
-    if sf == -math.inf:  # more terms than any count
-        return -s, 0.0
-    if sf <= 0 and sf.is_integer():
-        n = int(-sf)
-        return n + 1, float(mp.mag(s + n)) * math.log(2) - math.log(n + 1)
-    k = max(0, math.ceil(-sf))
-    return k, lgamma(sf + k) - lgamma(sf) - lgamma(k + 1)
+    n = int(-sf) if sf <= 0 and sf.is_integer() else None
+    # lgamma(s), or lgamma(1-s) for s <= 0, where |C(s+k-1,k)| = |C(-s,k)|
+    ref = lgamma(sf) if sf > 0 else lgamma(1 - sf)
 
+    def log_c(k: int) -> float:  # ln |C(s+k-1,k)|
+        if n is not None and k > n:  # |s+n|, from the mpf s, is a factor
+            return (float(mp.log(abs(s + n))) + lgamma(n + 1) + lgamma(k - n)
+                    - lgamma(k + 1))
+        if not abs(sf) < 1e15:  # |s+j| <= |s| (1 + k/|s|) for j < k
+            return k * float(mp.log(abs(s))) - lgamma(k + 1)
+        return (lgamma(sf + k) - ref if sf > 0
+                else ref - lgamma(1 - sf - k)) - lgamma(k + 1)
 
-def _geometric_count(k: int, log_c: float, log_qy: float,
-                     floor: float) -> float:
-    """The terms the continuation pass at q^y = e^log_qy < 1 takes when its
-    numerators fall by at least q^y per term from u_k on, |C(s+k-1,k)| =
-    e^log_c (`_series_start`): k + 1, and then as many as bring the stop
-    rule's bound 2 |u_j| q^y / (1-q^y) to e^floor."""
-    over = (log_c + (k + 1) * log_qy + math.log(2 / -math.expm1(log_qy))
-            - floor)
-    return k + 1 + max(0.0, over) / -log_qy
+    # from m = floor(-s) + 1 on, for s <= 1, the u_k fall by at least q^y
+    # per term
+    m = math.floor(-sf) + 1 if -math.inf < sf <= 1 else None
+    c_m = 0.0 if m is None else log_c(m)
 
+    def geometric(k: int, c: float, log_qy: float, over: float) -> float:
+        return k + 1 + max(0.0, c + (k + 1) * log_qy + over) / -log_qy
 
-def _count_past_peak(s: float, log_qy: float, log_base: float,
-                     floor: float, search: bool) -> float:
-    """The terms the continuation pass at q^y = e^log_qy < 1 and base
-    e^log_base takes for s > 1, floor being the log of its stop rule's
-    unscaled threshold (see `_continuation_sums`).  The numerators
-    u_k = C(s+k-1,k) q^(yk) rise to a peak near (s q^y - 1)/(1-q^y) and
-    then fall like k^(s-1) q^(yk), more slowly than q^y per term: the
-    geometric count from the peak (`_geometric_count`) reads 1.4-1.7 times
-    low.  With `search` the first k past the peak at which the rule holds
-    is searched for (`_first_stop`) instead."""
-    qy = math.exp(log_qy)
-    if qy == 0:
-        return 1
-    peak = (s * qy - 1) / -math.expm1(log_qy)
-    if peak > 1e18:  # at least the peak, and falling in y
-        return peak
-    k0 = max(0, math.floor(peak) + 1)
-    if s >= 1e15:  # every u_k is positive and they sum to (1-q^y)^(-s)
-        return k0 + 1 + max(0.0, (-s * math.log1p(-qy) - floor) / -log_qy)
-    if not search:
-        return _geometric_count(
-            k0, lgamma(s + k0) - lgamma(s) - lgamma(k0 + 1), log_qy, floor)
+    def count(j: int, search: bool = False) -> float:
+        log_qy = (x + j * step) * log_q
+        qy = math.exp(log_qy)
+        if qy == 0 or not log_qy < 0:  # q^y underflows to 0, or reads 1
+            return 1 if qy == 0 else m + 1 if c_m == -math.inf else math.inf
+        gap = -math.expm1(log_qy)  # 1 - q^y
+        over = math.log(2 / gap) - floor
+        stop = math.inf if m is None else geometric(m, c_m, log_qy, over)
+        # the count from k0 is the lesser only where the bound is met by m
+        if m is not None and stop > m + 1:
+            return stop
+        # |s| q^y, one mpf product past the float range
+        sq = abs(sf) * qy if math.isfinite(sf) else float(abs(s) * qy)
+        peak = (sq - 1) / (gap if sf > 0 else 1 + qy)
+        if peak > 1e18:  # at least the peak
+            return min(stop, peak)
+        k0 = max(0, math.floor(peak) + 1)
+        estimate = geometric(k0, log_c(k0), log_qy, over)
+        if not (search and estimate < min(stop, 1e18)):
+            return min(stop, estimate)
 
-    def above(k: int) -> bool:
-        r = qy * (s + k) / (k + 1)
-        return r >= 1 or (lgamma(s + k) - lgamma(s) - lgamma(k + 1)
-                          + k * log_qy - math.log1p(math.exp(k * log_base))
-                          + math.log(2 * r / (1 - r))) > floor
+        def above(k: int) -> bool:
+            # R_k = q^y max(1, |s+k|/(k+1)), and 1 - R_k
+            r = abs(math.copysign(sq, sf) + k * qy) / (k + 1)
+            rest = gap if r <= qy else 1 - r
+            bound = 2 * max(r, qy) / (1 + math.exp(k * step * log_q))
+            return rest <= 0 or (log_c(k) + k * log_qy
+                                 + math.log(bound / rest) > floor)
 
-    return 1 + _first_stop(above, k0)
+        return min(stop, 1 + _first_stop(above, k0))
+
+    return count
 
 
 def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
@@ -247,13 +279,13 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     the head, J residues HEAD_TERM_COST, plus the pass, its term count
     times 1 + (residues - 1) ROW_COST, one weighted row per further
     residue; it falls, then rises, in J, and J is its first rise, found
-    by `_first_stop`, with J residues within MAX_HEAD_TERMS.  The count
-    is `_geometric_count` from `_series_start` for s <= 1.  At s = -n it
-    is the n + 2 terms of the exact truncation wherever the pass runs,
-    read before q^x, so J is 0 there for every x.  For s > 1 the count
-    is `_count_past_peak`: the geometric count while J is chosen, which
-    reads low, and the search for the chosen J: searching at every step
-    of the search for J cost 3.6% of numeric-values requests_per_s,
+    by `_first_stop`, with J residues within MAX_HEAD_TERMS.  The count is
+    `_series_count`, from the least k at which the pass's stop rule may
+    hold, for every real s: its geometric count while J is chosen, and
+    its search for the chosen J.  At s = -n the count is at most the
+    n + 2 terms of the exact truncation, also where q^x reads 1, so J is
+    0 there unless the rule stops the pass sooner.  Searching at every
+    step of the search for J cost 3.6% of numeric-values requests_per_s,
     measured with an earlier bisection over J (10 interleaved pairs of
     20 s runs on a 2-CPU machine).
 
@@ -265,24 +297,17 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     s past about 10**308, it is taken as one mpf product with s; where
     ln(1-q^x) also reads 0, at its first-order size s q^x / ln 10, from
     the log of q^x, as `realnum.cancellation_digits` sizes V.  Past the
-    float range the count reads inf whatever it is, so the growth, when
-    it passes the cap, is the reason given.
+    float range a count that passes the cap comes from a |s| q^x that
+    the growth check refuses too, and the growth is the reason given.
     """
     sf, x, log_q = float(s), float(zq.x.value), logs.q
-    # the log of the pass's unscaled threshold (`_continuation_sums`)
-    floor = min(-(zq.precision + 15) * math.log(10) - sf * logs.one_minus_q,
-                (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
-    start = None if sf > 1 else _series_start(s)
+    # the log of the pass's unscaled threshold (`_continuation_sums`), with
+    # ln (1-q)^s one mpf product past the float range
+    floor = min(-(zq.precision + 15) * math.log(10) - float(
+        s * logs.one_minus_q if math.isinf(sf) else sf * logs.one_minus_q),
+        (MAX_CANCELLATION_DIGITS + 20) * math.log(10))
 
-    def count(j: int, search: bool = False) -> float:
-        if start is not None and start[1] == -math.inf:  # s = -n
-            return start[0] + 1
-        log_qy = (x + j * step) * log_q
-        if not log_qy < 0:
-            return math.inf
-        if start is None:
-            return _count_past_peak(sf, log_qy, step * log_q, floor, search)
-        return _geometric_count(*start, log_qy, floor)
+    count = _series_count(s, floor, x, step, log_q)
 
     def cost(j: int) -> float:
         return (j * residues * HEAD_TERM_COST
@@ -296,7 +321,6 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     if not math.isfinite(growth):  # s past the float range: mpf products
         growth = (-s * log_gap if log_gap else s * mp.exp(logs.qx)) \
             / math.log(10)
-    # past the float range s makes the count inf, and the growth is why
     if needed > MAX_ZETA_TERMS and not (
             math.isinf(sf) and growth > MAX_CANCELLATION_DIGITS):
         raise NonConvergence(
@@ -321,13 +345,14 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     followed by one sum per weight w, whose term k is the plain one times
     w^k (w at most 1; a sum is skipped once w^k underflows to 0).
 
-    Stop after term k once the scaled tail is at most 10**-(P+15).  From
-    k + s >= 0 on, the ratio |s+j|/(j+1) q^y of consecutive numerators
-    u_j = C(s+j-1,j) q^(yj) stays at most R = q^y max(1, |s+k|/(k+1)),
-    and |u_k| <= 2 |term|, so once R < 1 the tail is at most
-    2 |term| R / (1-R); that must be at most 10**-(P+15) / scale.  The
-    weighted terms are at most the plain ones, so the rule covers every
-    sum.  At s = -n the terms are exactly 0 past k = n: stop there.  The
+    Stop after term k once the scaled tail is at most 10**-(P+15).  The
+    ratio |s+j|/(j+1) q^y of consecutive numerators u_j = C(s+j-1,j) q^(yj)
+    is at most R_j = q^y max(1, |s+j|/(j+1)), which never rises in j, for
+    every real s, and |u_k| <= 2 |term|; so from any k with R_k < 1 the
+    tail is at most 2 |term| R_k / (1-R_k), which must be at most
+    10**-(P+15) / scale.  The weighted terms are at most the plain ones,
+    so the rule covers every sum.  At s = -n the terms are exactly 0 past
+    k = n: stop there, unless the rule stops the pass sooner.  The
     unscaled threshold is capped at 10**(MAX_CANCELLATION_DIGITS + 20),
     above every term the precheck (`_shift`) admits, so it stays a bounded
     int.  Raises NonConvergence when the loop reaches MAX_ZETA_TERMS
@@ -338,10 +363,10 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     terms = _continuation_terms(s_fix, qy_fix, base_fix, wp)
     threshold = _to_fixed(min(mpf(10) ** -(precision + 15) / scale,
                               mpf(10) ** (MAX_CANCELLATION_DIGITS + 20)), wp)
-    # the rule can hold from k = first on, and only once |term| <= limit,
-    # its bound at the least R, q^y
-    first = max(0, -(s_fix >> wp))
-    last = first if s_fix == -first << wp else -1  # s = -last
+    # s = -last: the terms are exactly 0 past k = last
+    last = -(s_fix >> wp) if not s_fix & (one - 1) else -1
+    # the rule can hold only once |term| <= limit, its bound at the least
+    # R, q^y
     qy_up = qy_fix + 1  # at least q^y
     limit = threshold * (one - qy_up) // (2 * qy_up)
     # one row [w, w^k, sum] per weight, skipped once its w^k is 0
@@ -356,7 +381,7 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
                 row[1] = power * row[0] >> wp
         if k == last:
             break
-        if abs(term) <= limit and k >= first:
+        if abs(term) <= limit:
             r = (qy_up * max(one, abs(s_fix + k * one) // (k + 1)) >> wp) + 1
             if r < one and 2 * abs(term) * r <= threshold * (one - r):
                 break
@@ -384,8 +409,9 @@ def _head_sum(s: mpf, gap: mpf, step_gap: mpf, step: mpf, count: int,
 def zeta(zq: ZetaQuery) -> RealP:
     """Euler q-zeta value: the one row (0, +1, 0) of `_continued` at step
     1, J head terms plus (-1)^J times the continuation series at x + J,
-    in P + GUARD_DIGITS + `cancellation_digits` working digits.  At s = -n,
-    J = 0 and the sum has exactly n+1 nonzero terms.  s and x are taken
+    in P + GUARD_DIGITS + `cancellation_digits` working digits.  At s = -n
+    the series has exactly n+1 nonzero terms, and J = 0 unless the stop
+    rule ends it sooner.  s and x are taken
     from their exact rationals when they have them.  Raises NonConvergence
     past MAX_ZETA_TERMS terms.
     """

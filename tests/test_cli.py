@@ -12,11 +12,15 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 import qeuler
 from qeuler.cli import main
+from qeuler.cvz import zeta_euler_transform
 from qeuler.exactnum import QBase
 from qeuler.qnumbers import QPower, q_euler_poly
+from qeuler.qzeta import ZetaQuery
+from qeuler.realnum import RealP, tolerance
 
 
 def run(capsys, *argv):
@@ -387,18 +391,29 @@ def test_refusals_past_the_float_range_give_a_finite_size(capsys):
                "1", "--q", "1/2"], growth),
              (["zeta", "--s", "-1e400", "--x", "1", "--q", "1/2"],
               "loses about 4.34e+399 digits, more than 500")]
-    # s <= 1 past the float range: the count starts at k = -s, an mpf
-    terms = (f"needs about 1.0e+400 terms at q = 1/1{'0' * 500}, "
-             "more than its cap of 200000")
-    for command in (["zeta", "--x", "1"], ["partial-zeta", "--a", "1",
-                                           "--f", "3"]):
-        cases.append(([*command, "--s", "-1e400", "--q", "1e-500",
-                       "--prec", "30"], terms))
     for argv, size in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.rstrip("\n").endswith(size), err
         assert "inf" not in err
+    # s <= 1 past the float range with |s| q^x = 10^-100: the stop rule
+    # holds from k = 0, so zeta and partial zeta are served, to the
+    # contract against CVZ; counted from k = -s they were refused as
+    # 10^400 terms.  H_q(s, 1; 3) = -[3]_q^(-s) zeta_{q^3}(s, 1/3), and
+    # [3]_q^(-s) = e^(10^-100) is 1 to the contract
+    with mp.workdps(60):
+        s, q = RealP.from_rational("-1e400", 30), Fraction(1, 10 ** 500)
+        want = [zeta_euler_transform(ZetaQuery(
+            s, RealP.from_rational(x, 30), QBase(base, zeta_domain=True),
+            30)).value for x, base in ((1, q), (Fraction(1, 3), q ** 3))]
+        for command, value in ((["zeta", "--x", "1"], want[0]),
+                               (["partial-zeta", "--a", "1", "--f", "3"],
+                                -want[1])):
+            code, out, err = run(capsys, *command, "--s", "-1e400", "--q",
+                                 "1e-500", "--prec", "30", "--format", "csv")
+            assert (code, err) == (0, ""), command
+            served = mpf(out.splitlines()[1].split(",")[-2])
+            assert abs(served - value) <= tolerance(30)
 
 
 def test_poly_at_negative_q_takes_integer_x_by_powering(capsys):

@@ -6,9 +6,10 @@ verification runner and character code were consolidated; the cases from
 the plans that take head terms on were recorded before the continuation's
 shift planner became one function, the two at s = 1e60 once the
 continuation carried the digits of |s| past its guard digits, the one at
-s = 1e309 once the growth check sized s q^x past the float range, and the
-last four once integer x took exact powering at q < 0 and the refusals
-past the float range gave their sizes as mpfs.
+s = 1e309 once the growth check sized s q^x past the float range, the
+four after it once integer x took exact powering at q < 0 and the refusals
+past the float range gave their sizes as mpfs, and the last one once the
+continuation's stop rule held from the least k with R_k < 1.
 Any change to a single output byte fails here.  Every JSON document is
 also validated against the schemas in `docs/`.
 
@@ -133,6 +134,9 @@ CASES = [
     # unscaled terms and log10 V as mpfs, not inf
     ["zeta", "--s", "1e400", "--x", "1", "--q", "1/2"],
     ["zeta", "--s", "-1e400", "--x", "1", "--q", "1/2"],
+    # |s| q^x = 10^-20: the stop rule holds from k = 0, so this prints
+    # CVZ's digits, where counted from k = -s it was refused as 10^20 terms
+    ["zeta", "--s", "-1e20", "--x", "1", "--q", "1e-40", "--prec", "30"],
 ]
 
 

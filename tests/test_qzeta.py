@@ -259,11 +259,16 @@ def record_continuation_terms(monkeypatch):
 def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
     # past the peak the terms fall like k^(s-1) q^(xk); counting q^(xk)
     # alone read 0.6-0.74 of the terms the loop takes, so an input just
-    # under the cap ran the whole cap before NonConvergence
+    # under the cap ran the whole cap before NonConvergence.  Past
+    # |s| = 10^15 a difference of lgammas reads |C(s+k-1,k)| as 1/k!, not
+    # about |s|^k / k!, and the count as too few terms
     drawn = record_continuation_terms(monkeypatch)
     for s, x, q, precision in ((20, 1, "1/2", 15), (200, 1, "1/2", 15),
                                (1000, 1, "1/2", 15), (1600, 1, "1/2", 15),
-                               (40, "1/2", "9/10", 50)):
+                               (40, "1/2", "9/10", 50),
+                               (10 ** 60, 1, "1e-60", 30),
+                               (Fraction(-3 * 10 ** 20 + 1, 3), 1, "1e-40",
+                                30)):
         zq = query(s, x, Fraction(q), precision)
         monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 200_000)
         drawn.clear()
@@ -355,8 +360,13 @@ def test_extreme_q_and_x_are_served_or_refused_cleanly():
     # q past the int-to-str digit limit still prints in the refusal
     with pytest.raises(DomainError, match="q = about 1.0 lies too close"):
         zeta(query("1/2", 1, 1 - Fraction(1, 10 ** 5000)))
-    with pytest.raises(NonConvergence, match="at q = about 1.0e-5000,"):
-        zeta(query(-10 ** 400, 1, Fraction(1, 10 ** 5000)))
+    # s = -10^400, past the float range, at q = 10^-5000: |s| q^x is
+    # 10^-4600, so the stop rule holds from k = 0; counted from k = -s it
+    # was refused as 10^400 terms
+    zq = query(-10 ** 400, 1, Fraction(1, 10 ** 5000), 30)
+    with mp.workdps(30 + GUARD_DIGITS):
+        assert abs(zeta(zq).value - zeta_euler_transform(zq).value) \
+            <= tolerance(30)
 
 
 def zeta_mpf_loop(zq):
@@ -473,14 +483,21 @@ def test_shift_takes_zero_at_negative_integers():
         with mp.workdps(realnum._working_digits(zq, logs)):
             return qzeta._shift(zq, zq.s.exact_value(), logs, step, residues)
 
-    assert qzeta._series_start(mpf(-3)) == (4, -math.inf)
+    floor = -(P + 15) * math.log(10)
+    count = qzeta._series_count(mpf(-3), floor, 1.0, 1, math.log(0.5))
+    assert [count(j) for j in (0, 1, 10)] == [5, 5, 5]
+    assert count(0, search=True) == 5
     for q in (Fraction(1, 2), Fraction(99, 100), Fraction(999, 1000)):
         assert shift(-3, q) == shift(-3, q, 5, 4) == 0
         assert shift(Fraction(-5, 2), q) > 0
         assert shift(Fraction(-5, 2), q, 5, 4) > 0
     # x below the float range reads as 0, so q^x reads as 1; the count
-    # stops at the exact truncation before it reads q^x
+    # stops at the exact truncation all the same
     assert shift(-1, Fraction(1, 2), x="1e-400") == 0
+    # past the float range |s| q^x = 10^-11 and ln (1-q)^s are mpf
+    # products: read in floats as inf q^x and inf ln(1-q), the count at
+    # J = 0 is inf
+    assert shift(-10 ** 309, Fraction(1, 10 ** 320)) == 0
     zq = query(-3, 1, Fraction(1, 2))
     exact = q_euler_poly(3, QPower.from_integer(QBase(Fraction(1, 2)), 1))
     assert_close(zeta(zq), exact / 2)
@@ -491,9 +508,14 @@ def test_shift_takes_zero_at_negative_integers():
 def test_values_do_not_depend_on_the_shift(monkeypatch):
     # S(x) = sum_(m<J) (-1)^m (1-q^(x+m step))^(-s) + (-1)^J S(x + J step)
     # holds at every J, so more head terms than `_shift` picks must give
-    # the same values within the contract
+    # the same values within the contract.  At s = -10^20, q = 10^-40 the
+    # stop rule holds from k = 0, where |s| q^x < 1: counted from k = -s,
+    # zeta and partial zeta there were refused as 10^20 terms, while CVZ
+    # gives them to the contract
     precision = 30
     chi = characters_mod(5)[1]
+    deep = (-10 ** 20, Fraction(-3 * 10 ** 20 + 1, 3))
+    tiny = Fraction(1, 10 ** 40)
 
     def values(q):
         base = QBase(q, zeta_domain=True)
@@ -504,13 +526,26 @@ def test_values_do_not_depend_on_the_shift(monkeypatch):
             yield partial_zeta(sp, 2, 5, base, precision).value
             yield l_function(sp, chi, base, precision).value
 
+    def deep_values():
+        for s in deep:
+            yield zeta(query(s, 1, tiny, precision)).value
+            yield partial_zeta(RealP.from_rational(s, precision), 1, 3,
+                               QBase(tiny, zeta_domain=True), precision).value
+
     qs = (Fraction(1, 2), Fraction(99, 100), Fraction(999, 1000))
-    want = [value for q in qs for value in values(q)]
+    want = [value for q in qs for value in values(q)] + list(deep_values())
+    with mp.workdps(precision + GUARD_DIGITS + 40):  # [3]_q = 1 + 10^-40
+        oracles = [f(s) for s in deep for f in (
+            lambda s: zeta_euler_transform(query(s, 1, tiny, precision)).value,
+            lambda s: partial_zeta_by_cvz(s, 1, 3, tiny, precision))]
+        for value, oracle in zip(want[-len(oracles):], oracles):
+            assert abs(value - oracle) <= tolerance(precision)
     real = qzeta._shift
     for extra in (1, 7):
         monkeypatch.setattr(qzeta, "_shift",
                             lambda *args, extra=extra: real(*args) + extra)
-        got = [value for q in qs for value in values(q)]
+        got = [value for q in qs for value in values(q)] \
+            + list(deep_values())
         with mp.workdps(precision + GUARD_DIGITS + 20):  # |values| < 10^10
             for a, b in zip(got, want):
                 assert abs(a - b) <= tolerance(precision)
@@ -781,7 +816,7 @@ def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
         raise AssertionError("CVZ must not use the continuation series")
 
     for name in ("_continuation_terms", "_continuation_sums", "_head_sum",
-                 "_shift"):
+                 "_shift", "_series_count"):
         monkeypatch.setattr(qzeta, name, refuse)
     with pytest.raises(AssertionError):
         zeta(query("1/2", 1, Fraction(1, 2)))
