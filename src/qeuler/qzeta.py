@@ -184,44 +184,52 @@ def _series_count(s: mpf, floor: float, x: float, step: int,
     |s+k|/(k+1)) < 1, as R_k never rises in k.  The least such k0 is one
     past (|s| q^y - 1)/(1 - q^y) for s > 0, the peak of the numerators
     u_k = C(s+k-1,k) q^(yk), and one past (|s| q^y - 1)/(1 + q^y) for
-    s <= 0.  The count from k is k + 1 terms and as many more as bring the
+    s <= 0.  The count is k0 + 1 terms and as many more as bring the
     rule's bound 2 |u_j| q^y / (1-q^y) to e^floor, |u_j| falling by q^y
-    per term; `_shift` reads it while it chooses J.  For s <= 1 the u_k
-    fall at least that fast from m = floor(-s) + 1 on, where
-    |s+k|/(k+1) <= 1, so the count is the lesser of those from k0 and
-    from m; as |C(s+k-1,k)| falls from at least 1 at k0 to below 1 at m,
-    the one from k0 is the lesser only where the bound is met by k = m.
-    Where the float of s is an integer -n, m = n + 1 and u_m takes the
-    factor |s+n|, read from the mpf s: the count from m is n + 2, the
-    exact truncation, at s = -n.  From k0 the u_k can fall more slowly
-    than q^y per term (past the peak for s > 1 the count reads 1.4-1.7
-    times low), so with `search`, where the count from k0 is the lesser,
-    the first k >= k0 at which the rule holds is searched for
-    (`_first_stop`) instead.
+    per term; `_shift` reads it while it chooses J.  From k0 the u_k can
+    fall more slowly than that (past the peak for s > 1 the count reads
+    1.4-1.7 times low), so with `search` the first k >= k0 at which the
+    rule holds is searched for (`_first_stop`) instead.  Where the float
+    of s is an integer -n, the count is at most that from k = n + 1, where
+    u_k takes the factor |s+n|, read from the mpf s: n + 2, the exact
+    truncation, at s = -n.
 
-    ln |C(s+k-1,k)| is a difference of `lgamma`s, which loses every digit
-    past |s| = 10**15; there it is bounded by k ln|s| - ln k!, and |s| q^y
-    is one mpf product past the float range.  A q^y that underflows to 0
-    reads 1 term, and one that reads 1 meets the rule only at s = -n.
+    ln |C(s+k-1,k)| is a difference of `lgamma`s.  For s <= 0 past the
+    integer n nearest -s it is taken through -s = n + d, so no `lgamma`
+    meets a pole where s is within float rounding of an integer.  The
+    difference loses every digit past |s| = 10**15; there it is taken as
+    k ln|s| - ln k!.  For s < 0 that bounds it, as |s+j| <= |s| for j < k;
+    for s > 0 it drops the factor prod_(j<k) (1 + j/s), about e^(k^2/2s),
+    and is a first-order estimate, which holds because the growth check
+    (`_shift`) keeps s q^x below about 1150, so the k counted stay far
+    below sqrt(s).  A wrong count moves only J and the refusal, never the
+    pass's own stop.  |s| q^y is one mpf product past the float range.  A
+    q^y that underflows to 0 reads 1 term, and one that reads 1 meets the
+    rule only at s = -n.
     """
     sf = float(s)
-    n = int(-sf) if sf <= 0 and sf.is_integer() else None
     # lgamma(s), or lgamma(1-s) for s <= 0, where |C(s+k-1,k)| = |C(-s,k)|
     ref = lgamma(sf) if sf > 0 else lgamma(1 - sf)
+    # for s <= 0, -s = n + d with n the nearest integer and |d| <= 1/2,
+    # both from the mpf s where the float of s is an integer; past k = n,
+    # |C(-s,k)| = Gamma(1-s) |d| Gamma(k-n-d) / (Gamma(1+d) Gamma(1-d) k!)
+    n = round(-sf) if -math.inf < sf <= 0 else None
+    if n is not None:
+        n = int(mp.nint(-s)) if sf.is_integer() else n
+        d = float(-s - n) if sf.is_integer() else -sf - n
+        log_d = math.log(abs(d)) if d else float(mp.log(abs(s + n)))
+        past = ref + log_d - lgamma(1 + d) - lgamma(1 - d)
 
     def log_c(k: int) -> float:  # ln |C(s+k-1,k)|
-        if n is not None and k > n:  # |s+n|, from the mpf s, is a factor
-            return (float(mp.log(abs(s + n))) + lgamma(n + 1) + lgamma(k - n)
-                    - lgamma(k + 1))
-        if not abs(sf) < 1e15:  # |s+j| <= |s| (1 + k/|s|) for j < k
-            return k * float(mp.log(abs(s))) - lgamma(k + 1)
-        return (lgamma(sf + k) - ref if sf > 0
+        # past |s| = 10**15, |s+j| ~ |s| for j < k (see above)
+        return (past + lgamma(k - n - d) if n is not None and k > n
+                else k * float(mp.log(abs(s))) if not abs(sf) < 1e15
+                else lgamma(sf + k) - ref if sf > 0
                 else ref - lgamma(1 - sf - k)) - lgamma(k + 1)
 
-    # from m = floor(-s) + 1 on, for s <= 1, the u_k fall by at least q^y
-    # per term
-    m = math.floor(-sf) + 1 if -math.inf < sf <= 1 else None
-    c_m = 0.0 if m is None else log_c(m)
+    # where the float of s is an integer -n, the count from n + 1: the
+    # exact truncation at s = -n, where ln |C(s+n,n+1)| is -inf
+    c_n = log_c(n + 1) if n is not None and sf.is_integer() else None
 
     def geometric(k: int, c: float, log_qy: float, over: float) -> float:
         return k + 1 + max(0.0, c + (k + 1) * log_qy + over) / -log_qy
@@ -230,13 +238,10 @@ def _series_count(s: mpf, floor: float, x: float, step: int,
         log_qy = (x + j * step) * log_q
         qy = math.exp(log_qy)
         if qy == 0 or not log_qy < 0:  # q^y underflows to 0, or reads 1
-            return 1 if qy == 0 else m + 1 if c_m == -math.inf else math.inf
+            return 1 if qy == 0 else n + 2 if c_n == -math.inf else math.inf
         gap = -math.expm1(log_qy)  # 1 - q^y
         over = math.log(2 / gap) - floor
-        stop = math.inf if m is None else geometric(m, c_m, log_qy, over)
-        # the count from k0 is the lesser only where the bound is met by m
-        if m is not None and stop > m + 1:
-            return stop
+        stop = math.inf if c_n is None else geometric(n + 1, c_n, log_qy, over)
         # |s| q^y, one mpf product past the float range
         sq = abs(sf) * qy if math.isfinite(sf) else float(abs(s) * qy)
         peak = (sq - 1) / (gap if sf > 0 else 1 + qy)

@@ -325,6 +325,17 @@ def test_precheck_takes_s_near_an_integer_from_its_exact_value(monkeypatch):
                                           P + 100))
         with mp.workdps(P + GUARD_DIGITS):
             assert abs(zeta(zq).value - want.value) <= tolerance(P)
+    # past the integer n nearest -s the count reads ln |C(s+k-1,k)| through
+    # -s = n + d, |d| <= 1/2: a difference of lgammas meets a pole of lgamma
+    # (ValueError) where the float of s is within rounding of -3 but not
+    # -3, and so does d = -1 where n is read from the float -10^17 of
+    # s = 1 - 10^17
+    for s, q in (("-3000000000000001/1000000000000000", Fraction(29, 50)),
+                 ("-99999999999999999", Fraction(1, 10 ** 37))):
+        want = zeta_euler_transform(query(s, 1, q, P + 20))
+        with mp.workdps(P + GUARD_DIGITS):
+            assert abs(zeta(query(s, 1, q)).value - want.value) \
+                <= tolerance(P)
 
 
 def test_extreme_q_and_x_are_served_or_refused_cleanly():
