@@ -16,8 +16,8 @@ import importlib
 #: The exported names, one entry per module that defines them.
 _EXPORTS = (
     ("errors", "DomainError NonConvergence NotExactPower"),
-    ("exactnum", "DEFAULT_PRECISION QBase format_rational parse_rational "
-                 "rat_pow"),
+    ("exactnum", "DEFAULT_PRECISION QBase ZetaQuery format_rational "
+                 "parse_rational rat_pow"),
     ("realnum", "ComplexP RealP tolerance"),
     ("classical", "alt_power_sum alt_power_sum_closed bernoulli_number "
                   "euler_number euler_poly power_sum power_sum_closed "
@@ -27,7 +27,7 @@ _EXPORTS = (
                  "partial_zeta_special_value q_euler_number q_euler_poly "
                  "q_euler_star_number q_euler_star_poly q_int "
                  "weighted_alt_q_power_sum weighted_alt_q_power_sum_closed"),
-    ("qzeta", "ZetaQuery l_function partial_zeta zeta"),
+    ("qzeta", "l_function partial_zeta zeta"),
     ("cvz", "zeta_euler_transform"),
     ("characters", "DirichletCharacter character characters_mod"),
 )

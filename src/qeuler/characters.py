@@ -24,7 +24,7 @@ in O(d); `characters_mod` builds all phi(d) tables from one log table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -61,8 +61,8 @@ def _primitive_root(p: int, e: int) -> int:
     raise DomainError(f"no primitive root mod {pe}")  # unreachable for odd p
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(namedtuple("DirichletCharacter",
+                                    "modulus order exponents")):
     """Root-of-unity valued character mod an odd modulus.
 
     exponents[a] is None exactly when gcd(a, d) > 1; otherwise
@@ -70,9 +70,7 @@ class DirichletCharacter:
     exponents[a*b mod d] = (exponents[a] + exponents[b]) mod order.
     """
 
-    modulus: int
-    order: int
-    exponents: tuple[int | None, ...]
+    __slots__ = ()
 
 
 def _discrete_logs(

@@ -9,8 +9,11 @@ formulas they must satisfy:
   sum_{l<k} l^n = (1/(n+1)) sum_i C(n+1,i) B_i k^{n+1-i}.
 
 Number tables are memoized; the recurrences run once, exactly, under a
-single writer lock, after which reads are lock-free.  The Euler numbers are
-the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
+single writer lock, after which reads are lock-free.  Each new entry is
+one integer sum over the least common multiple of the table's
+denominators (`_extend` hands the table over it to the recurrence),
+reduced once.  The Euler numbers
+are the q = 1 case of the q-Euler recurrence (`_euler_recurrence`), which also
 gives the q-Euler numbers their route apart from the closed form: the
 binomial form of the q-Euler polynomials over them,
 `q_euler_poly_via_numbers`, which the thm2 and thm4 suites compare with
@@ -45,14 +48,15 @@ TABLE_CACHE_SIZE = 1024
 
 
 def _extend(table: list[Fraction], n_max: int, step) -> list[Fraction]:
-    """table[0..n_max], appending step(n) for each missing index n under the
-    writer lock."""
+    """table[0..n_max], appending step(n, c, D) for each missing index n
+    under the writer lock, with the entries so far table[k] = c[k] / D over
+    one denominator (`_over_one_denominator`)."""
     if n_max < 0:
         raise DomainError("n must be nonnegative")
     if len(table) <= n_max:
         with _lock:
             while len(table) <= n_max:
-                table.append(step(len(table)))
+                table.append(step(len(table), *_over_one_denominator(table)))
     return table[: n_max + 1]
 
 
@@ -69,10 +73,22 @@ def _euler_recurrence(n_max: int, q: Fraction | int) -> list[Fraction]:
     """E_{0,q}..E_{n,q} from E_0 = 1 and
     (1+q^n) E_{n,q} = -sum_{k<n} C(n,k) q^k E_{k,q} (n >= 1), which is
     E_{n,q}(1) + E_{n,q}(0) = 2 [0]_q^n: the q-Euler numbers, and the
-    Euler numbers at q = 1."""
-    table = _euler_table(q.numerator, q.denominator)
-    return _extend(table, n_max, lambda n: -sum(
-        comb(n, k) * q ** k * table[k] for k in range(n)) / (1 + q ** n))
+    Euler numbers at q = 1.
+
+    With q = a/b and E_{k,q} = e_k / D over one denominator
+    (`_over_one_denominator`), E_{n,q} is
+    -sum_k C(n,k) e_k a^k b^(n-k) / (D (b^n + a^n)): one Horner sum in b,
+    reduced once, where adding n Fractions reduced n times."""
+    a, b = q.numerator, q.denominator
+
+    def step(n: int, e: tuple[int, ...], den: int) -> Fraction:
+        acc, a_power = 0, 1
+        for k in range(n):
+            acc = acc * b + comb(n, k) * e[k] * a_power
+            a_power *= a
+        return Fraction(-acc * b, den * (b ** n + a ** n))
+
+    return _extend(_euler_table(a, b), n_max, step)
 
 
 def euler_numbers(n_max: int) -> list[Fraction]:
@@ -86,9 +102,11 @@ def euler_number(n: int) -> Fraction:
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_n from sum_{k<=n} C(n+1,k) B_k = 0 (n >= 1), so B_1 = -1/2."""
-    return _extend(_bernoulli, n_max, lambda n: Fraction(-sum(
-        comb(n + 1, k) * _bernoulli[k] for k in range(n)), n + 1))
+    """B_0..B_n from sum_{k<=n} C(n+1,k) B_k = 0 (n >= 1), so B_1 = -1/2:
+    with B_k = c_k / D over one denominator, B_n is
+    -sum_k C(n+1,k) c_k / ((n+1) D), one integer sum reduced once."""
+    return _extend(_bernoulli, n_max, lambda n, c, den: Fraction(
+        -sum(comb(n + 1, k) * c[k] for k in range(n)), (n + 1) * den))
 
 
 def bernoulli_number(n: int) -> Fraction:

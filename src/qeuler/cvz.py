@@ -20,11 +20,10 @@ V = (1-q)^s (1-q^x)^(-|s|) in size, so it works at
 P + GUARD_DIGITS + ceil(log10 V) digits (`realnum._working_digits`) and
 certifies 10**-(P-10) even where the terms cancel.
 
-This module shares no code with the continuation route: it reads its
-query duck-typed (s, x, q and precision) and imports nothing from `qzeta`,
-nor `qzeta` from it.  Both take only the precision bookkeeping of
-`realnum` and `exactnum`; tests/test_imports.py fails if either imports
-the other.
+This module shares no code with the continuation route: it imports
+nothing from `qzeta`, nor `qzeta` from it.  Both take their query,
+`exactnum.ZetaQuery`, and only the precision bookkeeping of `realnum` and
+`exactnum`; tests/test_imports.py fails if either imports the other.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from typing import Callable
 from mpmath import mp, mpf
 
 from .errors import NonConvergence
+from .exactnum import ZetaQuery
 from .realnum import (MAX_CANCELLATION_DIGITS, WORD_GUARD_BITS, RealP, _ln,
                       _from_fixed, _logs, _to_fixed, _working_digits, to_mpf)
 
@@ -157,10 +157,10 @@ def _bracket_powers(s: mpf, x: RealP, q: Fraction, log_gap: float,
     return first, term
 
 
-def zeta_euler_transform(zq) -> RealP:
+def zeta_euler_transform(zq: ZetaQuery) -> RealP:
     """Independent summation of the defining series sum (-1)^n [n+x]_q^(-s)
-    by CVZ acceleration (`euler_transform`), for a query read duck-typed
-    as `qzeta.ZetaQuery`.  Must agree with `qzeta.zeta` within tolerance.
+    by CVZ acceleration (`euler_transform`), for the query `zq`.  Must
+    agree with `qzeta.zeta` within tolerance.
 
     The terms [n+x]_q^(-s) = (1-q)^s sum_j C(s+j-1,j) q^(xj) (q^j)^n are
     the moments of a signed measure on (0, 1] whose total variation is at

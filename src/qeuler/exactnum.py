@@ -16,12 +16,18 @@ without loading mpmath.
 
 This module works in Fractions and integers: `format_rational`,
 `show_rational`, `parse_rational`, `iroot`, `rat_pow`, the validated base
-`QBase`, the residue check `_check_residue` and the power sums' argument
-check `_check_sum_args`.  The exact kernels (`qnumbers`) and the
-continuation (`qzeta`) take `QBase` and `_check_residue` from here, so
-that neither imports the other; `qnumbers` and `classical` take
-`_check_sum_args`, so that both sum routes refuse an exponent or length
-below 1 with one text.
+`QBase`, the validated zeta arguments `ZetaQuery`, the residue check
+`_check_residue` and the power sums' argument check `_check_sum_args`.
+The exact kernels (`qnumbers`) and the continuation (`qzeta`) take
+`QBase` and `_check_residue` from here, so that neither imports the
+other; both zeta routes (`qzeta`, `cvz`) take `ZetaQuery`, whose s and
+x are `realnum.RealP` values it reads without importing `realnum`;
+`qnumbers` and `classical` take `_check_sum_args`, so that both sum
+routes refuse an exponent or length below 1 with one text.
+The records `QBase` and `ZetaQuery` are `collections.namedtuple`
+subclasses that check their fields in `__new__`, as are the package's
+other records, so the import path loads no `dataclasses` (nor the
+`inspect` it imports).
 `show_rational` loads mpmath only for a value past the int-to-str limit.
 """
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, NotExactPower
@@ -139,8 +145,7 @@ def rat_pow(q: Fraction, r: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class QBase:
+class QBase(namedtuple("QBase", "q zeta_domain")):
     """A validated q parameter.
 
     q must avoid {0, 1, -1} so that 1-q and every 1+q^j stay nonzero.
@@ -149,17 +154,35 @@ class QBase:
     whenever fractional powers of q are taken.
     """
 
-    q: Fraction
-    zeta_domain: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        q = self.q if type(self.q) is Fraction else Fraction(self.q)
-        object.__setattr__(self, "q", q)
+    def __new__(cls, q: Fraction, zeta_domain: bool = False) -> QBase:
+        q = q if type(q) is Fraction else Fraction(q)
         a, b = q.numerator, q.denominator
         if a == 0 or abs(a) == b:
             raise DomainError("q must avoid 0, 1 and -1")
-        if self.zeta_domain and not 0 < a < b:
+        if zeta_domain and not 0 < a < b:
             raise DomainError("zeta domain requires 0 < q < 1")
+        return super().__new__(cls, q, zeta_domain)
+
+
+class ZetaQuery(namedtuple("ZetaQuery", "s x q precision")):
+    """Arguments for a q-zeta evaluation: real s, real x > 0 (each a
+    `realnum.RealP`, read here only for x's value), rational 0 < q < 1,
+    and the certified output precision (P >= 15)."""
+
+    __slots__ = ()
+
+    def __new__(cls, s, x, q: QBase,
+                precision: int = DEFAULT_PRECISION) -> ZetaQuery:
+        # assert the zeta-side domain 0 < q < 1 unless the base already has
+        if not q.zeta_domain:
+            q = QBase(q.q, zeta_domain=True)
+        if precision < 15:
+            raise DomainError("precision must be at least 15")
+        if not x.value > 0:
+            raise DomainError("x must be positive")
+        return super().__new__(cls, s, x, q, precision)
 
 
 def _check_residue(a: int, period: int) -> None:

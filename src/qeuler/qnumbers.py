@@ -38,7 +38,7 @@ At its top this module imports only `errors` and `exactnum` (`QBase`,
 `_check_residue`, `rat_pow` and the precision constants, and the sums'
 argument check `_check_sum_args`, shared with `classical`).  The exact
 s = -n values take their q through `QBase(q, zeta_domain=True)`, as
-their numeric twins do through `qzeta.ZetaQuery`.  mpmath and
+their numeric twins do through `exactnum.ZetaQuery`.  mpmath and
 `realnum` load only in the complex branch of `generalized_q_euler`, for a
 character of order above 2, so every exact value loads no mpmath.  It
 reaches neither route it is checked against: the binomial form over the
@@ -48,11 +48,11 @@ and the continuation (`qzeta`, partial-zeta and lfunction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 from .errors import DomainError
 from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase,
@@ -63,8 +63,7 @@ from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase,
 KERNEL_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class QPower:
+class QPower(namedtuple("QPower", "base t exponent")):
     """An exact power t = q^y of a QBase, with an optional witness exponent.
 
     When `exponent` y = a/f is present, t^f == q^a holds exactly; the pair
@@ -72,25 +71,23 @@ class QPower:
     loss of exactness.
     """
 
-    base: QBase
-    t: Fraction
-    exponent: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        t = self.t if type(self.t) is Fraction else Fraction(self.t)
-        object.__setattr__(self, "t", t)
+    def __new__(cls, base: QBase, t: Fraction,
+                exponent: Fraction | None = None) -> QPower:
+        t = t if type(t) is Fraction else Fraction(t)
         if t.numerator <= 0:
             raise DomainError("t must be positive")
-        y = self.exponent
+        y = exponent
         if y is not None:
             y = y if type(y) is Fraction else Fraction(y)
-            object.__setattr__(self, "exponent", y)
             # t^f == r^|a| for y = a/f and r = q^sign(a), in integers
             a, f = y.numerator, y.denominator
-            r = self.base.q if a >= 0 else 1 / self.base.q
+            r = base.q if a >= 0 else 1 / base.q
             if t.numerator ** f * r.denominator ** abs(a) \
                     != r.numerator ** abs(a) * t.denominator ** f:
                 raise DomainError("t does not equal q**exponent")
+        return super().__new__(cls, base, t, y)
 
     @classmethod
     def from_exponent(cls, base: QBase, y: Fraction) -> QPower:

@@ -26,6 +26,10 @@ if either module imports the other:
 
 * CVZ summation of the raw series, in `cvz`, is the cross-check.
 
+Both routes take their arguments as `exactnum.ZetaQuery`, whose checks
+are input rules beside `QBase`'s; this module imports it from there, so
+`from qeuler.qzeta import ZetaQuery` still works.
+
 The partial zeta H_q(s, a; F) has one route: head terms and the
 continuation series at base q^F, x = a/F, with q^x = q^a.  Its
 cross-check is the exact special value at s = -n
@@ -72,7 +76,6 @@ further digits of |s| too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math
@@ -82,7 +85,8 @@ from typing import Callable, Iterator, Sequence
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, NonConvergence
-from .exactnum import DEFAULT_PRECISION, QBase, _check_residue, show_rational
+from .exactnum import (DEFAULT_PRECISION, QBase, ZetaQuery, _check_residue,
+                       show_rational)
 from .realnum import (ComplexP, MAX_CANCELLATION_DIGITS, RealP,
                       WORD_GUARD_BITS, _from_fixed, _ln, _Logs, _logs,
                       _rough, _to_fixed, _working_digits, to_mpf)
@@ -115,26 +119,6 @@ MAX_HEAD_TERMS = MAX_ZETA_TERMS // HEAD_TERM_COST
 _MAX_EXACT_POWER_BITS = 4096
 
 
-@dataclass(frozen=True)
-class ZetaQuery:
-    """Arguments for a q-zeta evaluation: real s, real x > 0, rational
-    0 < q < 1, and the certified output precision (P >= 15)."""
-
-    s: RealP
-    x: RealP
-    q: QBase
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self) -> None:
-        # assert the zeta-side domain 0 < q < 1 unless the base already has
-        if not self.q.zeta_domain:
-            object.__setattr__(self, "q", QBase(self.q.q, zeta_domain=True))
-        if self.precision < 15:
-            raise DomainError("precision must be at least 15")
-        if not self.x.value > 0:
-            raise DomainError("x must be positive")
-
-
 def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
                         wp: int) -> Iterator[int]:
     """The terms C(s+k-1,k) q^(xk) / (1+q^k), k = 0, 1, ..., of the
@@ -160,7 +144,7 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     it, for an `above` that stays false once it turns false: a gallop from
     lo, then a bisection.  It is the planner's one search: `_shift` finds
     the first rise of its cost with it, and `_series_count` the first k at
-    which the stop rule holds."""
+    which the stop rule holds, to size a refusal."""
     if not above(lo):
         return lo
     step = 16
@@ -176,7 +160,7 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
 
 def _series_count(s: mpf, floor: float, x: float, step: int,
                   log_q: float) -> Callable[..., float]:
-    """count(j, search=False): the terms the continuation pass at s and
+    """count(j, cap=None): the terms the continuation pass at s and
     q^y, y = x + j step, with base q^step takes, floor being the log of
     its stop rule's unscaled threshold (see `_continuation_sums`).
 
@@ -188,11 +172,14 @@ def _series_count(s: mpf, floor: float, x: float, step: int,
     rule's bound 2 |u_j| q^y / (1-q^y) to e^floor, |u_j| falling by q^y
     per term; `_shift` reads it while it chooses J.  From k0 the u_k can
     fall more slowly than that (past the peak for s > 1 the count reads
-    1.4-1.7 times low), so with `search` the first k >= k0 at which the
-    rule holds is searched for (`_first_stop`) instead.  Where the float
-    of s is an integer -n, the count is at most that from k = n + 1, where
-    u_k takes the factor |s+n|, read from the mpf s: n + 2, the exact
-    truncation, at s = -n.
+    1.4-1.7 times low), so with a `cap` the rule itself is read.  From k0
+    it holds at every k past the first at which it holds, so one probe at
+    k = cap - 1, the pass's last term, decides whether the pass ends
+    within the cap, and the count is then at most cap; past the cap the
+    first k >= k0 at which the rule holds is searched for (`_first_stop`),
+    to size the refusal.  Where the float of s is an integer -n, the
+    count is at most that from k = n + 1, where u_k takes the factor
+    |s+n|, read from the mpf s: n + 2, the exact truncation, at s = -n.
 
     ln |C(s+k-1,k)| is a difference of `lgamma`s.  For s <= 0 past the
     integer n nearest -s it is taken through -s = n + d, so no `lgamma`
@@ -203,9 +190,10 @@ def _series_count(s: mpf, floor: float, x: float, step: int,
     and is a first-order estimate, which holds because the growth check
     (`_shift`) keeps s q^x below about 1150, so the k counted stay far
     below sqrt(s).  A wrong count moves only J and the refusal, never the
-    pass's own stop.  |s| q^y is one mpf product past the float range.  A
-    q^y that underflows to 0 reads 1 term, and one that reads 1 meets the
-    rule only at s = -n.
+    pass's own stop.  |s| q^y is one mpf product past the float range, and
+    so is a count past it (as at q within 10**-300 of 1), so a refusal
+    gives its size, not inf.  A q^y that underflows to 0 reads 1 term, and
+    one that reads 1 meets the rule only at s = -n.
     """
     sf = float(s)
     # lgamma(s), or lgamma(1-s) for s <= 0, where |C(s+k-1,k)| = |C(-s,k)|
@@ -232,24 +220,26 @@ def _series_count(s: mpf, floor: float, x: float, step: int,
     c_n = log_c(n + 1) if n is not None and sf.is_integer() else None
 
     def geometric(k: int, c: float, log_qy: float, over: float) -> float:
-        return k + 1 + max(0.0, c + (k + 1) * log_qy + over) / -log_qy
+        rest = max(0.0, c + (k + 1) * log_qy + over)
+        count = k + 1 + rest / -log_qy
+        return count if count < math.inf else k + 1 + rest / -mpf(log_qy)
 
-    def count(j: int, search: bool = False) -> float:
+    def count(j: int, cap: int | None = None) -> float:
         log_qy = (x + j * step) * log_q
         qy = math.exp(log_qy)
         if qy == 0 or not log_qy < 0:  # q^y underflows to 0, or reads 1
             return 1 if qy == 0 else n + 2 if c_n == -math.inf else math.inf
         gap = -math.expm1(log_qy)  # 1 - q^y
-        over = math.log(2 / gap) - floor
+        over = math.log(2) - math.log(gap) - floor
         stop = math.inf if c_n is None else geometric(n + 1, c_n, log_qy, over)
         # |s| q^y, one mpf product past the float range
         sq = abs(sf) * qy if math.isfinite(sf) else float(abs(s) * qy)
         peak = (sq - 1) / (gap if sf > 0 else 1 + qy)
         if peak > 1e18:  # at least the peak
-            return min(stop, peak)
-        k0 = max(0, math.floor(peak) + 1)
+            return min(stop, peak if peak < math.inf else (mpf(sq) - 1) / gap)
+        k0 = math.floor(max(peak, -1.0)) + 1
         estimate = geometric(k0, log_c(k0), log_qy, over)
-        if not (search and estimate < min(stop, 1e18)):
+        if cap is None or not estimate < min(stop, 1e18):
             return min(stop, estimate)
 
         def above(k: int) -> bool:
@@ -260,6 +250,8 @@ def _series_count(s: mpf, floor: float, x: float, step: int,
             return rest <= 0 or (log_c(k) + k * log_qy
                                  + math.log(bound / rest) > floor)
 
+        if stop <= cap or k0 < cap and not above(cap - 1):
+            return min(stop, cap)
         return min(stop, 1 + _first_stop(above, k0))
 
     return count
@@ -287,12 +279,13 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     by `_first_stop`, with J residues within MAX_HEAD_TERMS.  The count is
     `_series_count`, from the least k at which the pass's stop rule may
     hold, for every real s: its geometric count while J is chosen, and
-    its search for the chosen J.  At s = -n the count is at most the
-    n + 2 terms of the exact truncation, also where q^x reads 1, so J is
-    0 there unless the rule stops the pass sooner.  Searching at every
-    step of the search for J cost 3.6% of numeric-values requests_per_s,
-    measured with an earlier bisection over J (10 interleaved pairs of
-    20 s runs on a 2-CPU machine).
+    for the chosen J its count against the cap, from one probe of the
+    rule at the cap and a search only to size a refusal.  At s = -n the
+    count is at most the n + 2 terms of the exact truncation, also where
+    q^x reads 1, so J is 0 there unless the rule stops the pass sooner.
+    Searching at every step of the search for J cost 3.6% of
+    numeric-values requests_per_s, measured with an earlier bisection
+    over J (10 interleaved pairs of 20 s runs on a 2-CPU machine).
 
     Refuses before summing what the pass cannot finish: NonConvergence when
     its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
@@ -320,7 +313,7 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
 
     cap = MAX_HEAD_TERMS // residues  # cost falls, then rises, in J
     lo = min(_first_stop(lambda j: j < cap and cost(j + 1) < cost(j), 0), cap)
-    needed = count(lo, search=True)
+    needed = count(lo, MAX_ZETA_TERMS)
     log_gap = logs.gap + logs.one_minus_q  # ln(1-q^x)
     growth = 0.0 if s <= 0 else -sf * log_gap / math.log(10)
     if not math.isfinite(growth):  # s past the float range: mpf products

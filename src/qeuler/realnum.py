@@ -22,7 +22,7 @@ function, so an exact computation loads no mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,8 +58,7 @@ def tolerance(precision: int) -> mpf:
     return mpf(10) ** (-(precision - 10))
 
 
-@dataclass(frozen=True)
-class RealP:
+class RealP(namedtuple("RealP", "value precision exact")):
     """An arbitrary-precision real certified to `precision` decimal digits.
 
     The wrapped mpf was produced under at least ``precision + GUARD_DIGITS``
@@ -69,13 +68,13 @@ class RealP:
     value from it (`exact_value`).
     """
 
-    value: mpf
-    precision: int = DEFAULT_PRECISION
-    exact: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.precision < 1:
+    def __new__(cls, value: mpf, precision: int = DEFAULT_PRECISION,
+                exact: Fraction | None = None) -> RealP:
+        if precision < 1:
             raise DomainError("precision must be a positive digit count")
+        return super().__new__(cls, value, precision, exact)
 
     @classmethod
     def from_rational(cls, value: Fraction | int | str,
@@ -97,13 +96,12 @@ class RealP:
         return _printed(self.value, self.precision)
 
 
-@dataclass(frozen=True)
-class ComplexP:
+class ComplexP(namedtuple("ComplexP", "value precision",
+                          defaults=(DEFAULT_PRECISION,))):
     """Precision-tagged complex companion of :class:`RealP`, used where
-    character values leave the real line."""
+    character values leave the real line: `value` is an mpmath.mpc."""
 
-    value: object  # mpmath.mpc
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ()
 
     def digits(self) -> str:
         """Real and imaginary parts, each printed as `RealP.digits`."""

@@ -391,6 +391,11 @@ def test_refusals_past_the_float_range_give_a_finite_size(capsys):
                "1", "--q", "1/2"], growth),
              (["zeta", "--s", "-1e400", "--x", "1", "--q", "1/2"],
               "loses about 4.34e+399 digits, more than 500")]
+    # q within 10^-300 of 1: 2 / (1 - q^x) and the count passed the float
+    # range and read inf
+    cap = "more than its cap of 200000"
+    cases += [(["zeta", "--s", s, "--x", "1", "--q", "0." + "9" * nines],
+               cap) for s, nines in (("1/2", 308), ("5", 320))]
     for argv, size in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv

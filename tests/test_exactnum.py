@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from qeuler.errors import DomainError, NotExactPower
 from mpmath import mp, mpf
 
-from qeuler.exactnum import format_rational, iroot, parse_rational, rat_pow
+from qeuler.characters import DirichletCharacter, character
+from qeuler.exactnum import (QBase, ZetaQuery, format_rational, iroot,
+                             parse_rational, rat_pow)
+from qeuler.qnumbers import QPower
 from qeuler.realnum import ComplexP, RealP
 
 
@@ -128,3 +131,59 @@ def test_digits_grow_with_the_size_of_the_value():
     with mp.workdps(40):
         value = ComplexP(mp.mpc(mpf(1000) / 3, mpf(1) / 3), 20)
     assert value.digits() == "333." + "3" * 19 + "+0." + "3" * 20 + "i"
+
+
+def records():
+    """Each of the package's six records, built twice from arguments that
+    give equal fields, and one of its field names."""
+    half, mpc = Fraction(1, 2), mp.mpc(1, 2)
+    s, x = RealP.from_rational("1/2", 20), RealP.from_rational(1, 20)
+    return [(QBase(half), QBase("1/2"), "q"),
+            (QPower(QBase(half), Fraction(1, 4), 2),
+             QPower(QBase(half), "1/4", Fraction(2)), "t"),
+            (s, RealP.from_rational(half, 20), "value"),
+            (ComplexP(mpc, 20), ComplexP(mpc, precision=20), "value"),
+            (character(5, 1), DirichletCharacter(5, 4, (None, 0, 1, 3, 2)),
+             "exponents"),
+            # the base is put in the zeta domain by the query
+            (ZetaQuery(s, x, QBase(half), 20),
+             ZetaQuery(s, x, QBase(half, zeta_domain=True), 20), "q")]
+
+
+@pytest.mark.parametrize("record, twin, field", records(),
+                         ids=lambda value: type(value).__name__)
+def test_records_are_frozen_and_hash_by_value(record, twin, field):
+    assert record == twin and hash(record) == hash(twin)
+    assert not hasattr(record, "__dict__")  # its __slots__ are empty
+    for name in (field, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_records_keep_defaults_and_refusals_by_keyword():
+    half = Fraction(1, 2)
+    value = RealP(value=mpf(1))
+    assert (value.precision, value.exact) == (50, None)
+    assert QBase(q=half).zeta_domain is False
+    assert QPower(base=QBase(q=half), t=half).exponent is None
+    assert ComplexP(value=mp.mpc(1, 1)).precision == 50
+    query = ZetaQuery(s=value, x=value, q=QBase(q=half))
+    assert query.precision == 50 and query.q.zeta_domain is True
+    refusals = [
+        (lambda: QBase(q=1), "q must avoid 0, 1 and -1"),
+        (lambda: QBase(q=2, zeta_domain=True),
+         "zeta domain requires 0 < q < 1"),
+        (lambda: QPower(base=QBase(q=half), t=-half), "t must be positive"),
+        (lambda: QPower(base=QBase(q=half), t=half, exponent=2),
+         "t does not equal q\\*\\*exponent"),
+        (lambda: RealP(value=mpf(1), precision=0),
+         "precision must be a positive digit count"),
+        (lambda: ZetaQuery(s=value, x=value, q=QBase(q=half), precision=14),
+         "precision must be at least 15"),
+        (lambda: ZetaQuery(s=value, x=RealP(value=mpf(0)), q=QBase(q=half)),
+         "x must be positive"),
+        (lambda: ZetaQuery(s=value, x=value, q=QBase(q=Fraction(3, 2))),
+         "zeta domain requires 0 < q < 1")]
+    for build, text in refusals:
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            build()

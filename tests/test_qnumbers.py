@@ -111,6 +111,17 @@ def test_q_euler_poly_forms_agree():
                 assert q_euler_poly(n, qp) == q_euler_poly_via_numbers(n, qp)
 
 
+def test_recurrence_numbers_match_the_kernel():
+    # the recurrence sums each entry over one denominator; at t = 1,
+    # [x]_q = 0 leaves its E_{n,q} alone in the binomial form
+    for q in (Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(-1, 2),
+              Fraction(5, 2), Fraction(7, 11)):
+        base = QBase(q)
+        qp = QPower(base, Fraction(1))
+        for n in range(61):
+            assert q_euler_poly_via_numbers(n, qp) == q_euler_number(n, base)
+
+
 def test_q_euler_poly_via_numbers_n1_identity():
     # (1-t)/(1-q) - t/(1+q), cleared denominators by hand
     for q in IDENTITY_Q:

@@ -358,9 +358,11 @@ def test_extreme_q_and_x_are_served_or_refused_cleanly():
             < mpf(10) ** -40
     # small x: CVZ took 1 - q^x from q^x, which cancelled (off by 3e-32 at
     # x = 1e-40, a ZeroDivisionError at 1e-400); at q = 1e-5000, below the
-    # working digits, zeta took ln q as log1p(-1) = -inf and q^x as 0
+    # working digits, zeta took ln q as log1p(-1) = -inf and q^x as 0; at
+    # x = 1e-310, where x ln q is subnormal, the count's least k was -inf
+    # (an OverflowError)
     for q in (Fraction(1, 2), Fraction(1, 10 ** 5000)):
-        for x in ("1e-40", "1e-60", "1e-400"):
+        for x in ("1e-40", "1e-60", "1e-310", "1e-400"):
             zq = query("1/2", x, q)
             with mp.workdps(P + GUARD_DIGITS + 200):
                 assert abs(zeta(zq).value - zeta_euler_transform(zq).value) \
@@ -497,7 +499,7 @@ def test_shift_takes_zero_at_negative_integers():
     floor = -(P + 15) * math.log(10)
     count = qzeta._series_count(mpf(-3), floor, 1.0, 1, math.log(0.5))
     assert [count(j) for j in (0, 1, 10)] == [5, 5, 5]
-    assert count(0, search=True) == 5
+    assert count(0, qzeta.MAX_ZETA_TERMS) == 5
     for q in (Fraction(1, 2), Fraction(99, 100), Fraction(999, 1000)):
         assert shift(-3, q) == shift(-3, q, 5, 4) == 0
         assert shift(Fraction(-5, 2), q) > 0

@@ -7,7 +7,8 @@ loads `cli` and its top imports (`BASE`), then the modules it runs.
 `import qeuler.cli` must still load mpmath and click, whose import lines
 the benchmark's start-up probe reads from `python -X importtime`.  The
 exact API, run without the CLI, loads neither: the exact layer needs only
-the standard library."""
+the standard library.  Nor does it load `dataclasses`, which imports
+`inspect`: the package's records are named tuples."""
 
 import importlib
 import os
@@ -22,14 +23,15 @@ import qeuler
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Run one statement, then print the qeuler modules loaded, one line, and
-#: whether mpmath and click are loaded; a command's own output is dropped.
+#: whether mpmath, click and dataclasses are loaded; a command's own output
+#: is dropped.
 CHILD = """\
 import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()):
     {statement}
 print(" ".join(sorted(name for name in sys.modules
                       if name.split(".")[0] == "qeuler")))
-print("mpmath" in sys.modules, "click" in sys.modules)
+print(*(name in sys.modules for name in ("mpmath", "click", "dataclasses")))
 """
 
 BASE = {"qeuler", "qeuler.cli", "qeuler.errors", "qeuler.exactnum",
@@ -39,7 +41,7 @@ EXACT = {"qeuler.qnumbers", "qeuler.classical"}
 #: Each exact computation of the API, characters' of order 2 included.
 EXACT_API = "\n    ".join((
     "from fractions import Fraction",
-    "from qeuler import (QBase, QPower, alt_q_power_sum_closed, "
+    "from qeuler import (QBase, QPower, ZetaQuery, alt_q_power_sum_closed, "
     "characters_mod, classical, distribution_sum, euler_poly, "
     "generalized_q_euler, partial_zeta_special_value, q_euler_number, "
     "q_euler_poly)",
@@ -96,9 +98,9 @@ def test_command_loads_only_its_modules(case, footprints):
     modules, libraries = footprints[case]
     assert modules == FOOTPRINTS[case][1]
     if case == "cli":  # the benchmark's start-up probe reads both
-        assert libraries == "True True"
+        assert libraries.split()[:2] == ["True", "True"]
     if case == "exact-api":
-        assert libraries == "False False"
+        assert libraries == "False False False"
 
 
 def test_every_export_is_its_home_modules_object():
