@@ -8,10 +8,13 @@ Identical invocations produce byte-identical output; the only
 nondeterministic field anywhere is elapsed_ms inside verification report
 files.  verify passes each suite only the options it takes
 (`verify.run_suite`), and refuses a --report path it cannot open for
-writing before any suite runs.  A bounded integer option is refused as
-it is parsed (`_bounded`), before the command body runs, so of two bad
-options the first given is named; verify's --max-m, --max-n and --f are
-checked at the top of its body.
+writing before any suite runs.  `verify --suite all` runs the exact
+suites in a forked child beside the numeric ones where the process may
+use two CPUs (`verify.run_suites`), and one after another otherwise; it
+prints the same lines and writes the same reports either way.  A bounded
+integer option is refused as it is parsed (`_bounded`), before the
+command body runs, so of two bad options the first given is named;
+verify's --max-m, --max-n and --f are checked at the top of its body.
 
 Each command imports the modules it runs in its own body.  At the top this
 module imports click, `errors`, `exactnum` and `realnum` (for `RealP` and
@@ -358,10 +361,9 @@ def cmd_verify(suite: str, report_path: str | None, max_m: int | None,
 
     with report_file as handle:
         names = sorted(verify.SUITES) if suite == "all" else [suite]
-        reports = [verify.run_suite(name, max_m=max_m, max_n=max_n,
-                             fs=None if f_only is None else (f_only,),
-                             precision=prec)
-                   for name in names]
+        reports = verify.run_suites(names, max_m=max_m, max_n=max_n,
+                                    fs=None if f_only is None else (f_only,),
+                                    precision=prec)
         for report in reports:
             status = "PASS" if report.passed else "FAIL"
             click.echo(f"suite {report.suite}: {status} "

@@ -21,6 +21,17 @@ when this module is imported (`_SUITE_OPTIONS`); the grids no option varies
 are the module constants below.  `run_suite` looks a suite up in SUITES at
 call time and passes it only its own options; it ignores the others.
 
+`run_suites` runs several suites.  Given exact and numeric suites both (a
+numeric suite is one that takes `precision`), where this process may use
+two CPUs and can say which (os.sched_getaffinity, as on Linux), it runs
+the exact suites in a forked child while this process runs the numeric
+ones; the two kinds share no state.  Processes, not threads: the suites
+are pure-Python work, which threads would take turns at under the GIL,
+and mpmath's precision context is global to a process.  One CPU, no
+affinity call (so no way to keep the two processes apart), threads
+running or one kind of suite: the suites run one after another in this
+process.
+
 The exact routes are imported at the top.  A numeric suite imports its
 own routes in its body: `qzeta`, and `cvz` for zeta, or for lfunction
 the character tables of `characters` and `qnumbers.generalized_q_euler`,
@@ -32,6 +43,8 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -323,3 +336,63 @@ def run_suite(name: str, **options) -> VerificationReport:
     replacing one of its entries replaces the suite everywhere."""
     return SUITES[name](**{key: options[key] for key in _SUITE_OPTIONS[name]
                            if options.get(key) is not None})
+
+
+def _outcome(name: str, options: dict):
+    """The suite's report (`run_suite`), or the exception it raised."""
+    try:
+        return run_suite(name, **options)
+    except Exception as exc:  # noqa: BLE001 - raised again by run_suites
+        return exc
+
+
+def run_suites(names, **options) -> list[VerificationReport]:
+    """Run each named suite with the options (`run_suite`); return their
+    reports in the order of `names`.
+
+    Where `names` holds exact suites and numeric ones (those taking
+    `precision`), this process runs one thread and may use two CPUs, and
+    the platform lets it read and set them (os.sched_getaffinity, as on
+    Linux), a forked child runs the exact suites while this process runs
+    the numeric ones, each process kept to half of those CPUs.  The child
+    sends its reports, and the exceptions its suites raised, back through
+    a pipe, pickled, and leaves by os._exit, so it flushes none of the
+    buffers it inherited (stdout, a report file).  This process reads the
+    pipe to its end, reaps the child and takes back all its CPUs even when
+    one of its own suites raises.  Otherwise the suites run here, one
+    after another.  Either way, where suites raise, the one first in
+    `names` is raised, as a run one after another raises it (in the split,
+    once each process has run all of its own suites)."""
+    numeric = [name for name in names if "precision" in _SUITE_OPTIONS[name]]
+    exact = [name for name in names if name not in numeric]
+    # the split keeps each process to half the CPUs this one may use: a
+    # scheduler may leave a forked child on its parent's CPU, where the two
+    # take turns (each suite twice as slow on a 2-CPU Linux VM).  fork
+    # copies only the calling thread: a lock another one holds would stay
+    # held in the child
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda _pid: ())(0))
+    if not (numeric and exact and cpus[1:] and threading.active_count() == 1):
+        return [run_suite(name, **options) for name in names]
+    import pickle
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:  # the child
+        try:
+            os.sched_setaffinity(0, cpus[1::2])
+            with open(write, "wb") as pipe:
+                pickle.dump({n: _outcome(n, options) for n in exact}, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        os.sched_setaffinity(0, cpus[::2])
+        outcomes = {name: _outcome(name, options) for name in numeric}
+    finally:
+        os.sched_setaffinity(0, cpus)
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+        os.waitpid(pid, 0)
+    outcomes.update(pickle.loads(data))
+    for name in names:
+        if isinstance(outcomes[name], Exception):
+            raise outcomes[name]
+    return [outcomes[name] for name in names]

@@ -9,9 +9,12 @@ name has left its home fails with AttributeError; a row whose home holds
 a stale copy that callers no longer run fails because its suites pass.
 
 At the default grids, the suites in a row's `fails` must report
-failures and every other suite must pass.  The README's suite table names,
-in its "Catches" column, the rows that fail each suite, and is checked
-against MUTATIONS here."""
+failures and every other suite must pass.  They run as `verify --suite
+all` runs them, in one `run_suites` call: on a host with two CPUs the
+exact suites run in a forked child, so a row that fails an exact suite
+shows that its fault reaches the child through the fork.  The README's
+suite table names, in its "Catches" column, the rows that fail each
+suite, and is checked against MUTATIONS here."""
 
 import inspect
 import re
@@ -22,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from qeuler import characters, classical, cvz, qnumbers, qzeta
-from qeuler.verify import SUITES, run_suite
+from qeuler.verify import SUITES, run_suites
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -210,7 +213,8 @@ def mutate(monkeypatch):
 def test_mutation_fails_exactly_its_suites(row, mutate):
     home, name, make, fails = MUTATIONS[row]
     mutate(home, name, make)
-    failed = {suite for suite in SUITES if not run_suite(suite).passed}
+    failed = {report.suite for report in run_suites(list(SUITES))
+              if not report.passed}
     assert failed == fails
 
 

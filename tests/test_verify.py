@@ -2,11 +2,13 @@
 
 import inspect
 import json
+import os
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import jsonschema
+import pytest
 from mpmath import mp, mpf
 
 from qeuler import classical, cli, cvz, qnumbers, qzeta, verify
@@ -14,8 +16,9 @@ from qeuler.exactnum import GUARD_DIGITS, QBase, format_rational
 from qeuler.realnum import RealP, to_mpf
 from qeuler.qnumbers import alt_q_power_sum
 from qeuler.verify import (IDENTITY_Q, SUITES, VerificationReport,
-                           _SUITE_OPTIONS, run_suite, verify_lfunction,
-                           verify_thm2, verify_thm3, verify_zeta)
+                           _SUITE_OPTIONS, run_suite, run_suites,
+                           verify_lfunction, verify_thm2, verify_thm3,
+                           verify_zeta)
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" \
     / "verification-report.schema.json"
@@ -234,3 +237,123 @@ def test_lfunction_suite_sees_the_roots_of_unity(monkeypatch):
     for failure in report.failures:  # ComplexP digits against mp.nstr
         assert failure["lhs"].endswith("i")
         assert failure["rhs"].endswith("j)")
+
+
+# -- run_suites: the exact suites in a forked child beside the numeric ones
+
+can_split = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _pid: ())(0)) < 2,
+    reason="the split needs os.sched_getaffinity and two CPUs")
+
+
+def one_cpu(monkeypatch):
+    """Let run_suites see one CPU, as the affinity read gives it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0},
+                        raising=False)
+
+
+def ran_in(monkeypatch, tmp_path, name, raises=None):
+    """Wrap SUITES[name] so that it writes the id of the process it runs
+    in to a file, then raises `raises` if given; return a reader of that
+    id.  A file, since the child's memory dies with it."""
+    suite = SUITES[name]
+    path = tmp_path / f"{name}.pid"
+
+    def wrapped(**options):
+        path.write_text(str(os.getpid()))
+        if raises is not None:
+            raise raises
+        return suite(**options)
+
+    monkeypatch.setitem(SUITES, name, wrapped)
+    return lambda: int(path.read_text())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def untimed(reports):
+    return [{key: value for key, value in report.to_dict().items()
+             if key != "elapsed_ms"} for report in reports]
+
+
+@can_split
+def test_split_gives_the_reports_of_one_cpu(monkeypatch, tmp_path):
+    # the default grids: every suite of `verify --suite all`
+    names = sorted(SUITES)
+    pid_of = {name: ran_in(monkeypatch, tmp_path, name)
+              for name in ("thm2", "zeta")}
+    cpus = os.sched_getaffinity(0)
+    split = run_suites(names)
+    assert pid_of["thm2"]() != os.getpid() == pid_of["zeta"]()
+    assert os.sched_getaffinity(0) == cpus  # the parent takes them back
+    assert_no_child_left()
+    one_cpu(monkeypatch)
+    one = run_suites(names)
+    assert pid_of["thm2"]() == os.getpid()
+    assert [report.suite for report in split] == names
+    assert all(report.passed for report in split)
+    assert untimed(split) == untimed(one)
+
+
+def test_one_kind_of_suite_runs_here(monkeypatch, tmp_path):
+    pid_of = ran_in(monkeypatch, tmp_path, "thm2")
+    (report,) = run_suites(["thm2"], max_n=2)
+    assert (report.suite, pid_of()) == ("thm2", os.getpid())
+
+
+SMALL = ["--max-m", "2", "--max-n", "3", "--prec", "20"]
+
+
+def verify_all(monkeypatch, capsys, split, *options):
+    if not split:
+        one_cpu(monkeypatch)
+    code = cli.main(["verify", "--suite", "all", *SMALL, *options])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@can_split
+@pytest.mark.parametrize("raising, shown", [
+    (("thm2",), "thm2"),                # in the child alone
+    (("thm2", "lfunction"), "lfunction"),  # the parent's comes first
+    (("classical", "zeta"), "classical"),  # the child's comes first
+])
+def test_a_raising_suite_exits_as_on_one_cpu(monkeypatch, capsys, tmp_path,
+                                              raising, shown):
+    from qeuler.errors import DomainError
+    pid_of = {name: ran_in(monkeypatch, tmp_path, name,
+                           DomainError(f"{name} refused"))
+              for name in raising}
+    split = verify_all(monkeypatch, capsys, True)
+    assert pid_of[raising[0]]() != os.getpid()  # an exact suite: the child
+    assert_no_child_left()
+    assert split == verify_all(monkeypatch, capsys, False) \
+        == (1, "", f"error: {shown} refused\n")
+
+
+@can_split
+def test_a_failing_cell_in_the_child_exits_two(monkeypatch, capsys,
+                                               tmp_path):
+    closed = verify.alt_q_power_sum_closed
+    monkeypatch.setattr(verify, "alt_q_power_sum_closed",
+                        lambda m, n, q: closed(m, n, q) + Fraction(1, 7))
+    pid_of = ran_in(monkeypatch, tmp_path, "thm3")
+    runs = []
+    for split in (True, False):
+        path = tmp_path / f"report-{split}.json"
+        code, out, err = verify_all(monkeypatch, capsys, split,
+                                    "--report", str(path))
+        reports = json.loads(path.read_text(encoding="utf-8"))
+        for report in reports:
+            report.pop("elapsed_ms")
+        runs.append((code, out, err, reports, pid_of() == os.getpid()))
+    assert_no_child_left()
+    assert runs[0][:4] == runs[1][:4]
+    assert [run[4] for run in runs] == [False, True]
+    code, out, _, reports, _ = runs[0]
+    assert code == 2 and "suite thm3: FAIL cases=30 " in out
+    (thm3,) = [report for report in reports if report["failures"]]
+    assert thm3["suite"] == "thm3" and len(thm3["failures"]) == 30
