@@ -19,16 +19,22 @@ root for each, and read discrete logs off the root, so a unit a has one log
 l_i per factor.  Character number `index` is the mixed-radix choice
 (c_1, ..., c_k), c_i < phi_i and the first factor most significant, and it
 maps a to sum_i c_i l_i / phi_i mod 1.  `character` builds that one table
-in O(d); `characters_mod` builds all phi(d) tables from one log table.
+in O(d); `characters_mod` builds all phi(d) tables from one log table,
+and keeps the last CHARACTERS_CACHE_SIZE groups in a bounded lru_cache.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DomainError
+
+#: Most character groups kept in memory (`characters_mod`, keyed by the
+#: modulus d); a group holds phi(d) tables of d entries each.
+CHARACTERS_CACHE_SIZE = 16
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -126,8 +132,10 @@ def character(d: int, index: int) -> DirichletCharacter:
     return _character(d, phis, logs, index)
 
 
+@lru_cache(maxsize=CHARACTERS_CACHE_SIZE)
 def characters_mod(d: int) -> tuple[DirichletCharacter, ...]:
-    """The complete character group mod odd d >= 1, all phi(d) characters.
+    """The complete character group mod odd d >= 1, all phi(d) characters,
+    built once per d: the group is an immutable tuple, so callers share it.
 
     Ordering is deterministic: prime-power factors ascending, one exponent
     choice per factor, tuples enumerated lexicographically.  d = 1 yields

@@ -58,11 +58,14 @@ once on the exact truncation at s = -n.  The precheck's count
 (`_series_count`) starts from the least such k, so pass and precheck
 apply one rule: at s = -10**20, q^x = 10**-40 both stop after a few
 terms, where |s| q^x < 1.  One rule takes each power the pass needs, q^y
-and each head's 1 - q^y: the exact rational rounded once when y is an
+and each head's 1 - q^y: the exact rational, built from the integers a^y
+and b^y of q = a/b (`_exact_power`) and rounded once, when y is an
 integer (every residue pass, and `zeta` at integer x) with y times the
 bits of q's denominator at most _MAX_EXACT_POWER_BITS; otherwise exp and
 expm1 of y ln q, with ln q taken once per pass and only when a power
-needs it.
+needs it.  The stop rule's powers of ten and the roots of unity of the
+character sum are memos (`_power_of_ten`, `_root`), each keyed by the
+working bits.
 
 The pass sums in integer fixed point: each term is a Python int at a
 binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
@@ -77,12 +80,15 @@ further digits of |s| too.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 import math
 from math import lgamma
 from typing import Callable, Iterator, Sequence
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_mul, mpf_pow,
+                          mpf_pow_int, round_nearest, to_fixed)
 
 from .errors import DomainError, NonConvergence
 from .exactnum import (DEFAULT_PRECISION, QBase, ZetaQuery, _check_residue,
@@ -118,6 +124,14 @@ MAX_HEAD_TERMS = MAX_ZETA_TERMS // HEAD_TERM_COST
 #: F = 100001 a q^F of as many bits, which took 7-10 s.
 _MAX_EXACT_POWER_BITS = 4096
 
+#: Most roots of unity exp(2 pi i e / order) kept in memory (`_root`, keyed
+#: by e, the order and the working bits).
+ROOT_CACHE_SIZE = 1024
+
+#: Most powers of ten of the stop rule kept in memory (`_power_of_ten`,
+#: keyed by the exponent and the working bits).
+POWER_OF_TEN_CACHE_SIZE = 256
+
 
 def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
                         wp: int) -> Iterator[int]:
@@ -134,9 +148,29 @@ def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
         qk = qk * q_fix >> wp
 
 
-def _fixed(r: Fraction, wp: int) -> int:
-    """floor(r * 2**wp) for a rational r > 0."""
-    return (r.numerator << wp) // r.denominator
+def _fixed(num: int, den: int, wp: int) -> int:
+    """floor(num / den * 2**wp) for integers num >= 0, den > 0."""
+    return (num << wp) // den
+
+
+def _exact_power(q: Fraction, y: int, gap: bool, wp: int | None):
+    """q^y, or 1 - q^y with `gap`, for an int y >= 0, from the integers
+    a^y and b^y of q = a/b: an int at binary point wp (`_fixed`), or with
+    wp None the exact rational rounded once to nearest at the context's
+    precision, as `realnum.to_mpf` rounds it."""
+    den = q.denominator ** y
+    num = den - q.numerator ** y if gap else q.numerator ** y
+    if wp is not None:
+        return _fixed(num, den, wp)
+    return mp.make_mpf(from_rational(num, den, mp.prec, round_nearest))
+
+
+@lru_cache(maxsize=POWER_OF_TEN_CACHE_SIZE)
+def _power_of_ten(exponent: int, prec: int) -> mpf:
+    """10**exponent rounded to nearest at prec bits, as mpf(10)**exponent
+    is at that precision."""
+    return mp.make_mpf(mpf_pow_int(from_int(10), exponent, prec,
+                                   round_nearest))
 
 
 def _first_stop(above: Callable[[int], bool], lo: int) -> int:
@@ -359,8 +393,9 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     one = 1 << wp
     s_fix = _to_fixed(s, wp)
     terms = _continuation_terms(s_fix, qy_fix, base_fix, wp)
-    threshold = _to_fixed(min(mpf(10) ** -(precision + 15) / scale,
-                              mpf(10) ** (MAX_CANCELLATION_DIGITS + 20)), wp)
+    threshold = _to_fixed(min(
+        _power_of_ten(-(precision + 15), mp.prec) / scale,
+        _power_of_ten(MAX_CANCELLATION_DIGITS + 20, mp.prec)), wp)
     # s = -last: the terms are exactly 0 past k = last
     last = -(s_fix >> wp) if not s_fix & (one - 1) else -1
     # the rule can hold only once |term| <= limit, its bound at the least
@@ -395,12 +430,18 @@ def _head_sum(s: mpf, gap: mpf, step_gap: mpf, step: mpf, count: int,
     """sum_(m<count) (-1)^m (1-q^(y+md))^(-s) at binary point wp, from
     gap = 1 - q^y, step_gap = 1 - q^d and step = q^d.  Each gap is
     1 - q^(y+(m+1)d) = (1-q^d) + q^d (1-q^(y+md)), a sum of positive parts,
-    so no gap cancels, however near 1 q^(y+md) is."""
+    so no gap cancels, however near 1 q^(y+md) is.  -s is taken once, and
+    each term's power and gap run on mpmath's raw values at the context's
+    precision and rounding, as mp.power and the mpf operators round them."""
+    prec, rounding = mp._prec_rounding
+    neg, gap = (-s)._mpf_, gap._mpf_
+    step_gap, step = step_gap._mpf_, step._mpf_
     total = 0
     for m in range(count):
-        term = _to_fixed(mp.power(gap, -s), wp)
+        term = to_fixed(mpf_pow(gap, neg, prec, rounding), wp)
         total += -term if m % 2 else term
-        gap = step_gap + step * gap
+        gap = mpf_add(step_gap, mpf_mul(step, gap, prec, rounding), prec,
+                      rounding)
     return total
 
 
@@ -442,8 +483,9 @@ def _continued(zq: ZetaQuery, step: int,
 
     Each power is taken on its own (`power`): q^y, for y = x + J step,
     step and each d, and each head's 1 - q^y, for y = x + d and step, is
-    the exact rational rounded once when y is an integer whose power stays
-    within _MAX_EXACT_POWER_BITS, else exp or expm1 of y ln q, with ln q
+    the exact rational, from a^y and b^y for q = a/b (`_exact_power`),
+    rounded once when y is an integer whose power stays within
+    _MAX_EXACT_POWER_BITS, else exp or expm1 of y ln q, with ln q
     taken once, on the first power that needs it.  The series and the
     weights take them as ints at wp, the heads as mpfs.
     """
@@ -465,8 +507,7 @@ def _continued(zq: ZetaQuery, step: int,
             _MAX_EXACT_POWER_BITS, else exp or expm1 of y ln q."""
             nonlocal ln_q
             if isinstance(y, int) and y * bits <= _MAX_EXACT_POWER_BITS:
-                r = 1 - q ** y if gap else q ** y
-                return _fixed(r, wp) if fixed else to_mpf(r)
+                return _exact_power(q, y, gap, wp if fixed else None)
             ln_q = _ln(q) if ln_q is None else ln_q
             r = -mp.expm1(y * ln_q) if gap else mp.exp(y * ln_q)
             return _to_fixed(r, wp) if fixed else r
@@ -550,6 +591,13 @@ def _root_sum(coefficients: dict[int, int], order: int):
         return sum(-c if e else c for e, c in coefficients.items())
     total = mp.mpc(0)
     for e in sorted(coefficients):
-        total += to_mpf(coefficients[e]) * mp.expjpi(mpf(2 * e) / order)
+        total += to_mpf(coefficients[e]) * _root(e, order, mp.prec)
     return total
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _root(e: int, order: int, prec: int) -> mpc:
+    """exp(2 pi i e / order) at prec bits."""
+    with mp.workprec(prec):
+        return mp.expjpi(mpf(2 * e) / order)
 

@@ -37,6 +37,14 @@ def test_group_sizes():
         assert len(characters_mod(d)) == phi(d)
 
 
+def test_each_group_is_built_once():
+    # characters_mod keeps its immutable groups in a bounded memo
+    for d in MODULI:
+        assert characters_mod(d) is characters_mod(d)
+    assert characters_mod.cache_info().maxsize \
+        == characters.CHARACTERS_CACHE_SIZE
+
+
 def test_rejects_even_modulus():
     with pytest.raises(DomainError):
         characters_mod(6)

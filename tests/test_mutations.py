@@ -20,11 +20,14 @@ import inspect
 import re
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qeuler import characters, classical, cvz, qnumbers, qzeta
+from qeuler.exactnum import QBase
+from qeuler.realnum import RealP
 from qeuler.verify import SUITES, run_suites
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -108,6 +111,16 @@ def stop_rule_loosened(real):
     return sums
 
 
+def exact_gap_one_power_up(real):
+    """Each exact head gap 1 - q^(y+1) in place of 1 - q^y (zeta: 40 of
+    96 cells, those that take head terms: the step's gap 1 - q is exact
+    at every x).  The partial-zeta and lfunction suites run only at
+    s = -n, where the shift takes no head terms, so they cannot see it."""
+    def exact_power(q, y, gap, wp):
+        return real(q, y + 1 if gap else y, gap, wp)
+    return exact_power
+
+
 def unit_exponents_swapped(real):
     """The exponents of the 2nd and 3rd units swapped in every character
     table with three units or more (mod 5: chi(2) and chi(3)).  No suite
@@ -172,6 +185,8 @@ MUTATIONS = {
                             {"lfunction"}),
     "stop-rule-loosened": (qzeta, "_continuation_sums", stop_rule_loosened,
                            {"zeta"}),
+    "exact-gap-power-up": (qzeta, "_exact_power", exact_gap_one_power_up,
+                           {"zeta"}),
     "character-exponents-swapped": (characters, "_character",
                                     unit_exponents_swapped, set()),
     "direct-sum-bracket-step": (qnumbers, "_direct_sum", bracket_steps_past,
@@ -193,6 +208,21 @@ def clear_caches():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def test_clear_caches_empties_the_value_memos():
+    # the memos of the numeric values, each bounded by its named constant
+    memos = ((qzeta._root, qzeta.ROOT_CACHE_SIZE),
+             (qzeta._power_of_ten, qzeta.POWER_OF_TEN_CACHE_SIZE),
+             (characters.characters_mod, characters.CHARACTERS_CACHE_SIZE))
+    chi = characters.characters_mod(7)[1]
+    qzeta.l_function(RealP.from_rational(1, 30), chi,
+                     QBase(Fraction(1, 2), zeta_domain=True), 30)
+    for memo, size in memos:
+        assert memo.cache_info().maxsize == size
+        assert memo.cache_info().currsize > 0
+    clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo, _ in memos)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qeuler.errors import DomainError, NonConvergence
 from qeuler.exactnum import GUARD_DIGITS, QBase, rat_pow
@@ -815,6 +815,27 @@ def test_no_exact_power_passes_its_bound(monkeypatch):
             assert abs(value.value - by_exp.value) <= tolerance(precision)
 
 
+def test_exact_powers_stay_within_their_bound(monkeypatch):
+    # each exact power is built from the integers a^y and b^y
+    # (`_exact_power`) only while y times the bits of b stays within
+    # _MAX_EXACT_POWER_BITS: q^1 here, not q^100001 nor q^(1000 d) at a
+    # 997-bit denominator, which come from exp
+    bits = []
+    real = qzeta._exact_power
+
+    def spy(q, y, gap, wp):
+        bits.append(y * q.denominator.bit_length())
+        return real(q, y, gap, wp)
+
+    monkeypatch.setattr(qzeta, "_exact_power", spy)
+    s = RealP.from_rational(Fraction(1, 2), 15)
+    partial_zeta(s, 1, 100001,
+                 QBase(Fraction(99999, 100000), zeta_domain=True), 15)
+    l_function(s, character(1001, 1),
+               QBase(Fraction(1, 10 ** 300), zeta_domain=True), 15)
+    assert bits and max(bits) <= qzeta._MAX_EXACT_POWER_BITS
+
+
 def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
     # every branch of the term power (integer, half-integer and other s)
     # and a bracket far below 1, against the continuation at P + 100
@@ -957,3 +978,80 @@ def test_partial_zeta_matches_special_values():
                                            a, F, base, P)
                     assert_close(numeric,
                                  partial_zeta_special_value(n, a, F, q))
+
+
+#: (kind, s, x or (a, F) or (modulus, index), q, P, texts): values at cells
+#: that reach each step of the continuation's set-up, as mp.nstr text at
+#: P + 20 digits, real and imaginary parts apart.  Exact powers at integer
+#: x and in residue passes, exp at x = 9/8, head terms (J > 0) at q = 4/5
+#: with exact (x = 1) and exp (x = 1/2) gaps, s = 7/3 and s = -25/4,
+#: complex characters mod 7 and 13, the exact truncation at s = -n, and
+#: P = 50 and 100.  The texts were recorded before the exact powers were
+#: built from integers and the roots, powers of ten and character groups
+#: memoized, and every value kept them.
+PINNED = (
+    ("zeta", "7/3", "1", "4/5", 50,
+     ("0.8241983071060246888547319901665181695616786804269408297012"
+      "325840001198",)),
+    ("zeta", "-25/4", "1", "4/5", 100,
+     ("0.8206586889275024377366682253231996189038184479441407158129"
+      "526977114264601841859171116264277857314144727099415415621597"
+      "74",)),
+    ("zeta", "7/3", "1/2", "4/5", 100,
+     ("4.1121114977579310290648212639101978317037038338202838266336"
+      "557626703669416670302237208530993860327482413423389417103455"
+      "5",)),
+    ("zeta", "-25/4", "1/2", "4/5", 50,
+     ("-0.356878531127574393716421991671711279592720491794745762980"
+      "3092559393476",)),
+    ("zeta", "3/2", "9/8", "2/3", 50,
+     ("0.6054203012441317927001035586590655323108628357610048575803"
+      "50299818518",)),
+    ("zeta", "-5", "2", "1/3", 100,
+     ("1.3817044610727137716342034614725538356086136973781915805106"
+      "528817044610727137716342034614725538356086136973781915805106"
+      "5",)),
+    ("partial", "5/2", (2, 5), "1/2", 50,
+     ("0.2711032606003935167274026348585969862186532430027132352203"
+      "681178857309",)),
+    ("partial", "-4", (1, 3), "4/5", 100,
+     ("-2.282856502733826814980401358694504244279274331821851006265"
+      "320272235948719044930957183470518263077723783321339081760104"
+      "01",)),
+    ("partial", "7/3", (1, 3), "4/5", 50,
+     ("-0.943944483313125896793483772014398511166332729986782982363"
+      "4500115579164",)),
+    ("l", "5/3", (7, 1), "1/2", 50,
+     ("-1.482882303736501090470099112258459061675616084523920794916"
+      "09570141967",
+      "0.0833392178701240433443001174412998742311473184505985903049"
+      "502244831204")),
+    ("l", "-3", (13, 5), "2/3", 100,
+     ("19.976997263801687898804613083873924909317623654306065745716"
+      "354923463485631770072712290185100787754536101743919714108627"
+      "4",
+      "21.377267526388277961341765902596179307710128054031811592607"
+      "489317844360010933632902577570191981551624593330959712348087"
+      "9")),
+    ("l", "-25/4", (7, 2), "4/5", 50,
+     ("-3707.252226692685288514477689226957170544129422388389207705"
+      "991962590858",
+      "-2485.409514796806248803363517128018264893989354322281794331"
+      "395279197536")),
+)
+
+
+@pytest.mark.parametrize("kind, s, arg, q, precision, texts", PINNED)
+def test_values_keep_their_pinned_digits(kind, s, arg, q, precision, texts):
+    base = QBase(Fraction(q), zeta_domain=True)
+    sp = RealP.from_rational(s, precision)
+    if kind == "zeta":
+        value = zeta(query(s, arg, Fraction(q), precision)).value
+    elif kind == "partial":
+        value = partial_zeta(sp, *arg, base, precision).value
+    else:
+        chi = characters_mod(arg[0])[arg[1]]
+        value = l_function(sp, chi, base, precision).value
+    parts = (value.real, value.imag) if isinstance(value, mpc) else (value,)
+    with mp.workdps(precision + 20):
+        assert tuple(mp.nstr(part, precision + 20) for part in parts) == texts
