@@ -14,8 +14,9 @@ It sums in integer fixed point: each term is a Python int at a binary
 point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from the
 final integer.  Its terms are made in integers too wherever 2s is an
 integer: the brackets [x+n]_q are ints at a few more bits, raised by
-binary powering and `math.isqrt` (`_bracket_powers`); other s take one
-mp.power of the bracket per term.  The terms reach
+binary powering and `math.isqrt` (`_bracket_powers`); other s raise the
+full-width bracket once per term, on mpmath's raw values, so |s| does not
+magnify a rounding of it to the context's precision.  The terms reach
 V = (1-q)^s (1-q^x)^(-|s|) in size, so it works at
 P + GUARD_DIGITS + ceil(log10 V) digits (`realnum._working_digits`) and
 certifies 10**-(P-10) even where the terms cancel.
@@ -34,6 +35,7 @@ import math
 from typing import Callable
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_pow, to_fixed
 
 from .errors import NonConvergence
 from .exactnum import ZetaQuery
@@ -117,7 +119,10 @@ def _bracket_powers(s: mpf, x: RealP, q: Fraction, log_gap: float,
     down: binary powering of the base [x+n]_q for s <= 0, or of its
     inverse for s > 0 (inverted first, never raised and then inverted),
     times the `math.isqrt` root of the base when 2s is odd.  Every other s
-    takes mp.power of the bracket rounded to the context's precision.
+    raises the full-width bracket, all wb bits of it, on mpmath's raw
+    values at the context's precision and rounding, as mp.power rounds:
+    rounding the bracket to the context's precision first would drop the
+    extra bits that |s| magnifies.
 
     An absolute error in the bracket is a relative one at most 1/[x]_q
     times larger, since [x]_q is the least bracket, and b^(-s) multiplies
@@ -138,12 +143,14 @@ def _bracket_powers(s: mpf, x: RealP, q: Fraction, log_gap: float,
     exponent = int(twice) if mp.isint(twice) else None  # 2s
     whole, half = divmod(abs(exponent or 0), 2)
     digits = bin(whole)[3:] if whole else ""
+    (prec, rounding), neg = mp._prec_rounding, (-s)._mpf_
 
     def term(_n: int) -> int:
         nonlocal b
         bracket, b = b, one + b * a // c
         if exponent is None:
-            return _to_fixed(mp.power(_from_fixed(bracket, wb), -s), wp)
+            return to_fixed(mpf_pow(from_man_exp(bracket, -wb), neg, prec,
+                                    rounding), wp)
         base = (one << wb) // bracket if exponent > 0 else bracket
         value = base if whole else one
         for digit in digits:  # binary powering, left to right

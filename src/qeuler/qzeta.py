@@ -53,8 +53,9 @@ the series at x + J step, each further row's term being x's times
 The stop rule is absolute.  The ratio of consecutive numerators is at
 most R_k = q^y max(1, |s+k|/(k+1)), which never rises in k for any real
 s, so from any k with R_k < 1 the pass stops once the geometric bound
-2 |term| R_k / (1-R_k) on the scaled tail is at most 10**-(P+15), and at
-once on the exact truncation at s = -n.  The precheck's count
+2 |term| R_k / (1-R_k) on the scaled tail is at most 10**-(P+15), and
+once its numerator is exactly 0, as it is from k = n+1 at s = -n, where
+every later term is 0 too.  The precheck's count
 (`_series_count`) starts from the least such k, so pass and precheck
 apply one rule: at s = -10**20, q^x = 10**-40 both stop after a few
 terms, where |s| q^x < 1.  One rule takes each power the pass needs, q^y
@@ -67,10 +68,11 @@ needs it.  The stop rule's powers of ten and the roots of unity of the
 character sum are memos (`_power_of_ten`, `_root`), each keyed by the
 working bits.
 
-The pass sums in integer fixed point: each term is a Python int at a
-binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built from
-the final integer.  Its terms reach V = (1-q)^s (1-q^x)^(-|s|) in size, so
-it works at P + GUARD_DIGITS + ceil(log10 V) digits
+The pass makes and sums its terms in one loop, in integer fixed point:
+the numerator C(s+k-1,k) q^(yk), base^k and each term are Python ints at
+a binary point of mp.prec + WORD_GUARD_BITS bits, and one mpf is built
+from the final integer.  Its terms reach V = (1-q)^s (1-q^x)^(-|s|) in
+size, so it works at P + GUARD_DIGITS + ceil(log10 V) digits
 (`realnum.cancellation_digits`) and certifies 10**-(P-10) even where the
 terms cancel.  s multiplies the rounding of 1 - q and of q^x into the
 scale and the terms, so past |s| = 10**GUARD_DIGITS it carries the
@@ -81,10 +83,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-import itertools
 import math
 from math import lgamma
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_mul, mpf_pow,
@@ -133,35 +134,15 @@ ROOT_CACHE_SIZE = 1024
 POWER_OF_TEN_CACHE_SIZE = 256
 
 
-def _continuation_terms(s_fix: int, qx_fix: int, q_fix: int,
-                        wp: int) -> Iterator[int]:
-    """The terms C(s+k-1,k) q^(xk) / (1+q^k), k = 0, 1, ..., of the
-    continuation series at binary point wp, from s, q^x and q at that
-    point.  u_k = C(s+k-1,k) q^(xk) is carried as one int and updated by
-    *(s+k) q^x / (k+1), so at s = -n it is exactly 0 from k = n+1 on."""
-    one = 1 << wp
-    u = one   # C(s+k-1, k) q^(xk)
-    qk = one  # q^k
-    for k in itertools.count():
-        yield (u << wp) // (one + qk)
-        u = ((u * (s_fix + k * one) >> wp) * qx_fix >> wp) // (k + 1)
-        qk = qk * q_fix >> wp
-
-
-def _fixed(num: int, den: int, wp: int) -> int:
-    """floor(num / den * 2**wp) for integers num >= 0, den > 0."""
-    return (num << wp) // den
-
-
 def _exact_power(q: Fraction, y: int, gap: bool, wp: int | None):
     """q^y, or 1 - q^y with `gap`, for an int y >= 0, from the integers
-    a^y and b^y of q = a/b: an int at binary point wp (`_fixed`), or with
-    wp None the exact rational rounded once to nearest at the context's
-    precision, as `realnum.to_mpf` rounds it."""
+    a^y and b^y of q = a/b: an int at binary point wp, rounded down, or
+    with wp None the exact rational rounded once to nearest at the
+    context's precision, as `realnum.to_mpf` rounds it."""
     den = q.denominator ** y
     num = den - q.numerator ** y if gap else q.numerator ** y
     if wp is not None:
-        return _fixed(num, den, wp)
+        return (num << wp) // den
     return mp.make_mpf(from_rational(num, den, mp.prec, round_nearest))
 
 
@@ -369,35 +350,36 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
 
 def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
                        base_fix: int, wp: int,
-                       weights: Sequence[int] = ()) -> list[int]:
+                       weights: Sequence[int] = ()) -> tuple[list[int], int]:
     """Fixed-point sums, at binary point wp in the caller's working digits,
-    of the continuation series sum_k C(s+k-1,k) q^(yk) / (1+base^k)
-    (`_continuation_terms`), at precision P, with q^y and base given at wp and
-    scale = (1-q)^s, the factor the caller puts on the sums: [plain sum]
-    followed by one sum per weight w, whose term k is the plain one times
-    w^k (w at most 1; a sum is skipped once w^k underflows to 0).
+    of the continuation series sum_k C(s+k-1,k) q^(yk) / (1+base^k), at
+    precision P, with q^y and base given at wp and scale = (1-q)^s, the
+    factor the caller puts on the sums: [plain sum] followed by one sum
+    per weight w, whose term k is the plain one times w^k (w at most 1; a
+    sum is skipped once w^k underflows to 0), and the number of terms
+    summed.
 
-    Stop after term k once the scaled tail is at most 10**-(P+15).  The
-    ratio |s+j|/(j+1) q^y of consecutive numerators u_j = C(s+j-1,j) q^(yj)
-    is at most R_j = q^y max(1, |s+j|/(j+1)), which never rises in j, for
+    One loop makes and sums the terms: the numerator
+    u_k = C(s+k-1,k) q^(yk) is one int, updated by *(s+k) q^y / (k+1),
+    and base^k another.  Stop after term k once the scaled tail is at most
+    10**-(P+15).  The ratio |s+j|/(j+1) q^y of consecutive numerators is
+    at most R_j = q^y max(1, |s+j|/(j+1)), which never rises in j, for
     every real s, and |u_k| <= 2 |term|; so from any k with R_k < 1 the
     tail is at most 2 |term| R_k / (1-R_k), which must be at most
     10**-(P+15) / scale.  The weighted terms are at most the plain ones,
-    so the rule covers every sum.  At s = -n the terms are exactly 0 past
-    k = n: stop there, unless the rule stops the pass sooner.  The
-    unscaled threshold is capped at 10**(MAX_CANCELLATION_DIGITS + 20),
-    above every term the precheck (`_shift`) admits, so it stays a bounded
-    int.  Raises NonConvergence when the loop reaches MAX_ZETA_TERMS
-    terms.
+    so the rule covers every sum.  Stop too once u is exactly 0, as it is
+    from k = n+1 at s = -n, unless the rule stops the pass sooner: every
+    later term and weighted term is then 0, so every sum keeps its bits.
+    The unscaled threshold is capped at
+    10**(MAX_CANCELLATION_DIGITS + 20), above every term the precheck
+    (`_shift`) admits, so it stays a bounded int.  Raises NonConvergence
+    when the loop reaches MAX_ZETA_TERMS terms.
     """
     one = 1 << wp
     s_fix = _to_fixed(s, wp)
-    terms = _continuation_terms(s_fix, qy_fix, base_fix, wp)
     threshold = _to_fixed(min(
         _power_of_ten(-(precision + 15), mp.prec) / scale,
         _power_of_ten(MAX_CANCELLATION_DIGITS + 20, mp.prec)), wp)
-    # s = -last: the terms are exactly 0 past k = last
-    last = -(s_fix >> wp) if not s_fix & (one - 1) else -1
     # the rule can hold only once |term| <= limit, its bound at the least
     # R, q^y
     qy_up = qy_fix + 1  # at least q^y
@@ -405,24 +387,29 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
     # one row [w, w^k, sum] per weight, skipped once its w^k is 0
     rows = [[w, one, 0] for w in weights]
     total = 0
-    for k, term in zip(range(MAX_ZETA_TERMS), terms):
+    u = one      # C(s+k-1, k) q^(yk)
+    power = one  # base^k
+    for k in range(MAX_ZETA_TERMS):
+        term = (u << wp) // (one + power)
         total += term
         for row in rows:
-            power = row[1]
-            if power:
-                row[2] += term * power >> wp
-                row[1] = power * row[0] >> wp
-        if k == last:
-            break
+            weight = row[1]
+            if weight:
+                row[2] += term * weight >> wp
+                row[1] = weight * row[0] >> wp
         if abs(term) <= limit:
             r = (qy_up * max(one, abs(s_fix + k * one) // (k + 1)) >> wp) + 1
             if r < one and 2 * abs(term) * r <= threshold * (one - r):
                 break
+        u = ((u * (s_fix + k * one) >> wp) * qy_fix >> wp) // (k + 1)
+        if not u:  # every later term is 0
+            break
+        power = power * base_fix >> wp
     else:
         raise NonConvergence(
             f"the continuation series did not settle within "
             f"{MAX_ZETA_TERMS} terms")
-    return [total] + [row[2] for row in rows]
+    return [total] + [row[2] for row in rows], k + 1
 
 
 def _head_sum(s: mpf, gap: mpf, step_gap: mpf, step: mpf, count: int,
@@ -513,7 +500,7 @@ def _continued(zq: ZetaQuery, step: int,
             return _to_fixed(r, wp) if fixed else r
 
         scale = mp.power(to_mpf(1 - q), s)
-        sums = _continuation_sums(
+        sums, _ = _continuation_sums(
             s, zq.precision, scale, power(x + shift * step, fixed=True),
             power(step, fixed=True), wp,
             [power(d, fixed=True) for d, _, _ in rows[1:]])

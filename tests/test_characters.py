@@ -250,13 +250,13 @@ def partial_zeta_by_zeta(s, a, period, q, precision):
 
 def test_l_function_is_one_pass_over_the_residue_sums(monkeypatch):
     passes = []
-    real = qzeta._continuation_terms
+    real = qzeta._continuation_sums
 
     def spy(*args):
         passes.append(args)
         return real(*args)
 
-    monkeypatch.setattr(qzeta, "_continuation_terms", spy)
+    monkeypatch.setattr(qzeta, "_continuation_sums", spy)
     for precision in (20, 50):
         for q in (Fraction(1, 3), Fraction(4, 5)):
             base = QBase(q, zeta_domain=True)

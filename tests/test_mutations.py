@@ -94,10 +94,10 @@ def last_row_dropped(real):
     """The last weighted sum of the residue pass set to 0 (lfunction: 84
     of 84 cells).  Zeta and partial zeta pass no weights."""
     def sums(*args):
-        rows = real(*args)
+        rows, count = real(*args)
         if len(rows) > 1:
             rows[-1] = 0
-        return rows
+        return rows, count
     return sums
 
 

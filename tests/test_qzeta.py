@@ -218,7 +218,7 @@ def test_zeta_term_cap(monkeypatch):
     with pytest.raises(NonConvergence):
         zeta(query("1/2", 1, Fraction(999999999, 10 ** 9)))
     # at q = 999/1000 the best shift still leaves more than 300 terms
-    drawn = record_continuation_terms(monkeypatch)
+    passes = record_passes(monkeypatch)
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 300)
     with pytest.raises(NonConvergence):
         zeta(query("1/2", 1, Fraction(999, 1000)))
@@ -229,31 +229,37 @@ def test_zeta_term_cap(monkeypatch):
         partial_zeta(s, 1, 3, q, P)
     with pytest.raises(NonConvergence):
         l_function(s, characters_mod(5)[1], q, P)
-    assert drawn == []
+    assert passes == []
 
 
 def test_loop_cap_stops_a_series_that_never_settles(monkeypatch):
-    # the precheck admits this input; terms that never fall must still
-    # stop at the cap
+    # with the precheck (in `_shift`) out of the way, a pass that needs
+    # more terms than the cap must still stop at the cap
+    zq = query("1/2", 1, Fraction(1, 2), 15)
+    passes = record_passes(monkeypatch)
+    monkeypatch.setattr(qzeta, "_shift", lambda *args: 0)
+    zeta(zq)
+    assert passes[0] > 50
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 50)
-    monkeypatch.setattr(qzeta, "_continuation_terms",
-                        lambda *args: iter(lambda: 1 << args[-1], None))
     with pytest.raises(NonConvergence, match="did not settle"):
-        zeta(query("1/2", 1, Fraction(1, 5), 15))
+        zeta(zq)
+    assert passes[1:] == [None]  # the pass started and did not return
 
 
-def record_continuation_terms(monkeypatch):
-    """Patch qzeta._continuation_terms to record every term drawn."""
-    taken = []
-    real = qzeta._continuation_terms
+def record_passes(monkeypatch):
+    """Patch qzeta._continuation_sums to record each pass: None when it
+    starts, replaced by the number of terms it summed once it returns."""
+    passes = []
+    real = qzeta._continuation_sums
 
     def spy(*args):
-        for term in real(*args):
-            taken.append(term)
-            yield term
+        passes.append(None)
+        sums, count = real(*args)
+        passes[-1] = count
+        return sums, count
 
-    monkeypatch.setattr(qzeta, "_continuation_terms", spy)
-    return taken
+    monkeypatch.setattr(qzeta, "_continuation_sums", spy)
+    return passes
 
 
 def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
@@ -262,7 +268,7 @@ def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
     # under the cap ran the whole cap before NonConvergence.  Past
     # |s| = 10^15 a difference of lgammas reads |C(s+k-1,k)| as 1/k!, not
     # about |s|^k / k!, and the count as too few terms
-    drawn = record_continuation_terms(monkeypatch)
+    passes = record_passes(monkeypatch)
     for s, x, q, precision in ((20, 1, "1/2", 15), (200, 1, "1/2", 15),
                                (1000, 1, "1/2", 15), (1600, 1, "1/2", 15),
                                (40, "1/2", "9/10", 50),
@@ -271,24 +277,24 @@ def test_precheck_counts_the_slow_fall_past_the_peak(monkeypatch):
                                 30)):
         zq = query(s, x, Fraction(q), precision)
         monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 200_000)
-        drawn.clear()
+        passes.clear()
         zeta(zq)
-        taken = len(drawn)
-        drawn.clear()
+        [taken] = passes
+        passes.clear()
         monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", taken - 1)
         with pytest.raises(NonConvergence, match="needs about"):
             zeta(zq)
-        assert drawn == []  # refused before summing
+        assert passes == []  # refused before summing
         monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", taken * 21 // 20)
         zeta(zq)
     monkeypatch.setattr(qzeta, "MAX_ZETA_TERMS", 200_000)
     # past the best shift these still need more terms than the cap
     for s, x, q in ((20, 1, "9999999/10000000"),
                     (50, Fraction(1, 2), "9999999/10000000")):
-        drawn.clear()
+        passes.clear()
         with pytest.raises(NonConvergence, match="needs about"):
             zeta(query(s, x, Fraction(q), 500))
-        assert drawn == []
+        assert passes == []
 
 
 def test_shift_serves_what_the_unshifted_count_refused():
@@ -306,7 +312,7 @@ def test_precheck_takes_s_near_an_integer_from_its_exact_value(monkeypatch):
     # s = -3 +- 1e-20 reads as -3.0 in floats, but its terms do not stop
     # after k = 3: they fall from about 1e-20 by q^x per term.  Counted as
     # n + 1 = 4 terms, these inputs ran the whole cap and then failed
-    drawn = record_continuation_terms(monkeypatch)
+    passes = record_passes(monkeypatch)
     near = ("-2.99999999999999999999", "-3.00000000000000000001")
     for s in near:
         for q in ("99999999/100000000", "999999999/1000000000"):
@@ -316,7 +322,7 @@ def test_precheck_takes_s_near_an_integer_from_its_exact_value(monkeypatch):
             partial_zeta(RealP.from_rational(s, P), 1, 3,
                          QBase(Fraction(99999999, 10 ** 8), zeta_domain=True),
                          P)
-    assert drawn == []
+    assert passes == []
     # at q = 99999/100000 the shift serves them within the contract, and
     # s within 1e-400 of 0 stops after two terms
     for s in near + ("-1e-400", "1e-400"):
@@ -475,15 +481,15 @@ def test_fixed_point_loops_match_mpf_loops(precision, monkeypatch):
 
 
 def test_zeta_sums_n_plus_one_terms_at_negative_integers(monkeypatch):
-    taken = record_continuation_terms(monkeypatch)
+    passes = record_passes(monkeypatch)
     for n in (0, 1, 5, 16, 40):
         for x, q in (("1", Fraction(1, 2)), ("7/2", Fraction(4, 5)),
                      ("1/3", Fraction(1, 8))):
-            taken.clear()
+            passes.clear()
             zeta(query(-n, x, q))
-            # the pass stops at once on the exact truncation
-            assert len(taken) == n + 1
-            assert all(taken)
+            # the pass stops at once on the exact truncation, at its first
+            # numerator that is 0: so u_0, ..., u_n are not
+            assert passes == [n + 1]
 
 
 def test_shift_takes_zero_at_negative_integers():
@@ -804,7 +810,6 @@ def test_no_exact_power_passes_its_bound(monkeypatch):
                            QBase(Fraction(1, 10 ** 300), zeta_domain=True),
                            precision))
 
-    monkeypatch.setattr(qzeta, "_fixed", checked(qzeta._fixed))
     monkeypatch.setattr(qzeta, "to_mpf", checked(qzeta.to_mpf))
     got = values()
     assert [v.digits() for v in got] == [
@@ -842,15 +847,17 @@ def test_cvz_shares_no_code_with_the_continuation(monkeypatch):
     cells = (("-3", "1", Fraction(1, 2)), ("-1/2", "1/2", Fraction(4, 5)),
              ("1/2", "7/2", Fraction(1, 5)), ("7/3", "1", Fraction(1, 2)),
              ("-13/4", "2", Fraction(4, 5)), ("40", "1/99", Fraction(1, 2)),
-             ("-201/2", "1", Fraction(4, 5)))
+             ("-201/2", "1", Fraction(4, 5)),
+             # |s| = 10^40 magnifies any rounding of the bracket
+             (Fraction(3 * 10 ** 40 + 1, 3), "1", Fraction(1, 3 * 10 ** 40)))
     wide = P + 100
     want = [zeta(query(s, x, q, wide)).value for s, x, q in cells]
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("CVZ must not use the continuation series")
 
-    for name in ("_continuation_terms", "_continuation_sums", "_head_sum",
-                 "_shift", "_series_count"):
+    for name in ("_continuation_sums", "_head_sum", "_shift",
+                 "_series_count"):
         monkeypatch.setattr(qzeta, name, refuse)
     with pytest.raises(AssertionError):
         zeta(query("1/2", 1, Fraction(1, 2)))
