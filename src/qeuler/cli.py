@@ -379,8 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     """Programmatic entry point returning the process exit code."""
     try:
         result = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -16,18 +16,20 @@ without loading mpmath.
 
 This module works in Fractions and integers: `format_rational`,
 `show_rational`, `parse_rational`, `iroot`, `rat_pow`, the validated base
-`QBase`, the validated zeta arguments `ZetaQuery`, the residue check
-`_check_residue` and the power sums' argument check `_check_sum_args`.
-The exact kernels (`qnumbers`) and the continuation (`qzeta`) take
-`QBase` and `_check_residue` from here, so that neither imports the
-other; both zeta routes (`qzeta`, `cvz`) take `ZetaQuery`, whose s and
-x are `realnum.RealP` values it reads without importing `realnum`;
-`qnumbers` and `classical` take `_check_sum_args`, so that both sum
-routes refuse an exponent or length below 1 with one text.
+`QBase`, the validated zeta arguments `ZetaQuery`, the odd-period check
+`_check_period`, the residue check `_check_residue` (which runs it first)
+and the power sums' argument check `_check_sum_args`.  The exact kernels
+(`qnumbers`) and the continuation (`qzeta`) take `QBase` and both period
+checks from here, so that neither imports the other; both zeta routes
+(`qzeta`, `cvz`) take `ZetaQuery`, whose s and x are `realnum.RealP`
+values it reads without importing `realnum`; `qnumbers` and `classical`
+take `_check_sum_args`, so that both sum routes refuse an exponent or
+length below 1 with one text.
 The records `QBase` and `ZetaQuery` are `collections.namedtuple`
-subclasses that check their fields in `__new__`, as are the package's
-other records, so the import path loads no `dataclasses` (nor the
-`inspect` it imports).
+subclasses that check their fields in `__new__`.  Every other record of
+the package is a `collections.namedtuple` subclass too, so no module of
+the package imports `dataclasses`, and the exact layer loads neither it
+nor the `inspect` it imports.
 `show_rational` loads mpmath only for a value past the int-to-str limit.
 """
 
@@ -185,9 +187,13 @@ class ZetaQuery(namedtuple("ZetaQuery", "s x q precision")):
         return super().__new__(cls, s, x, q, precision)
 
 
-def _check_residue(a: int, period: int) -> None:
+def _check_period(period: int) -> None:
     if period % 2 == 0:
         raise DomainError("the period F must be odd")
+
+
+def _check_residue(a: int, period: int) -> None:
+    _check_period(period)
     if not 0 < a < period:
         raise DomainError("need 0 < a < F")
     # `qzeta._shift` prices x + J F, x < F and J <= MAX_HEAD_TERMS <

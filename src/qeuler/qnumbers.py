@@ -35,15 +35,16 @@ from it.  The unreduced parts the closed and distribution sums combine
 are not memoized.
 
 At its top this module imports only `errors` and `exactnum` (`QBase`,
-`_check_residue`, `rat_pow` and the precision constants, and the sums'
-argument check `_check_sum_args`, shared with `classical`).  The exact
-s = -n values take their q through `QBase(q, zeta_domain=True)`, as
-their numeric twins do through `exactnum.ZetaQuery`.  mpmath and
-`realnum` load only in the complex branch of `generalized_q_euler`, for a
-character of order above 2, so every exact value loads no mpmath.  It
-reaches neither route it is checked against: the binomial form over the
-recurrence numbers (`classical.q_euler_poly_via_numbers`, thm2 and thm4)
-and the continuation (`qzeta`, partial-zeta and lfunction).
+the period checks `_check_period` and `_check_residue`, `rat_pow` and the
+precision constants, and the sums' argument check `_check_sum_args`,
+shared with `classical`).  The exact s = -n values take their q through
+`QBase(q, zeta_domain=True)`, as their numeric twins do through
+`exactnum.ZetaQuery`.  mpmath and `realnum` load only in the complex
+branch of `generalized_q_euler`, for a character of order above 2, so
+every exact value loads no mpmath.  It reaches neither route it is
+checked against: the binomial form over the recurrence numbers
+(`classical.q_euler_poly_via_numbers`, thm2 and thm4) and the
+continuation (`qzeta`, partial-zeta and lfunction).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DomainError
-from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase,
+from .exactnum import (DEFAULT_PRECISION, GUARD_DIGITS, QBase, _check_period,
                        _check_residue, _check_sum_args, rat_pow)
 
 #: Most kernel values (numbers and polynomials, plain and star, any n, q
@@ -300,8 +301,7 @@ def _generalized_parts(n: int, chi,
     `_distribution_terms`, which refuses n < 0.  Nothing is
     reduced.  DomainError for an even modulus, whose (-1)^(a+mF) is not
     (-1)^(a+m)."""
-    if chi.modulus % 2 == 0:
-        raise DomainError("the period F must be odd")
+    _check_period(chi.modulus)
     q = QBase(q, zeta_domain=True).q
     units = [a for a, e in enumerate(chi.exponents) if e is not None]
     nums, den = _distribution_terms(n, q, chi.modulus, units)

@@ -38,9 +38,9 @@ the character sum of the partial zeta values over the units mod F; its
 cross-check is half the generalized number
 `qnumbers.generalized_q_euler` at s = -n.  `l_function` reads only the
 character's modulus, order and exponent table, and the base and residue
-checks come from `exactnum` (`QBase`, `_check_residue`), so this module
-imports neither `characters` nor `qnumbers`; tests/test_imports.py fails
-if it reaches `qnumbers`.
+checks come from `exactnum` (`QBase`, `_check_period`, `_check_residue`),
+so this module imports neither `characters` nor `qnumbers`;
+tests/test_imports.py fails if it reaches `qnumbers`.
 
 `zeta`, partial zeta and the residues of one L value are one sum, run by
 one function, `_continued`: rows (d, sign, e) over the series at x + d, at
@@ -92,8 +92,8 @@ from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_mul, mpf_pow,
                           mpf_pow_int, round_nearest, to_fixed)
 
 from .errors import DomainError, NonConvergence
-from .exactnum import (DEFAULT_PRECISION, QBase, ZetaQuery, _check_residue,
-                       show_rational)
+from .exactnum import (DEFAULT_PRECISION, QBase, ZetaQuery, _check_period,
+                       _check_residue, show_rational)
 from .realnum import (ComplexP, MAX_CANCELLATION_DIGITS, RealP,
                       WORD_GUARD_BITS, _from_fixed, _ln, _Logs, _logs,
                       _rough, _to_fixed, _working_digits, to_mpf)
@@ -298,9 +298,6 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     rule at the cap and a search only to size a refusal.  At s = -n the
     count is at most the n + 2 terms of the exact truncation, also where
     q^x reads 1, so J is 0 there unless the rule stops the pass sooner.
-    Searching at every step of the search for J cost 3.6% of
-    numeric-values requests_per_s, measured with an earlier bisection
-    over J (10 interleaved pairs of 20 s runs on a 2-CPU machine).
 
     Refuses before summing what the pass cannot finish: NonConvergence when
     its count at x + J step passes MAX_ZETA_TERMS.  For s > 0 the unscaled
@@ -561,8 +558,7 @@ def l_function(s: RealP, chi, q: QBase,
     otherwise.
     """
     F = chi.modulus
-    if F % 2 == 0:
-        raise DomainError("the period F must be odd")
+    _check_period(F)
     units = [a for a in range(1, F + 1) if chi.exponents[a % F] is not None]
     x = RealP.from_rational(Fraction(units[0]), precision)
     return _continued(ZetaQuery(s, x, q, precision), F,

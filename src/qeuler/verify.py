@@ -46,7 +46,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from mpmath import mp
@@ -74,27 +74,24 @@ PERIODS = (3, 5)
 MODULI = (3, 5)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "suite grid cases_run failures max_deviation elapsed_ms",
+        defaults=((), "exact", 0))):
     """Outcome of one suite run.
 
     failures is empty exactly when the suite passed; max_deviation is the
     string "exact" only when every rational comparison held bit for bit.
     """
 
-    suite: str
-    grid: dict
-    cases_run: int
-    failures: list[dict] = field(default_factory=list)
-    max_deviation: str = "exact"
-    elapsed_ms: int = 0
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _run(name: str, grid: dict, cells, evaluate, describe,
