@@ -82,14 +82,15 @@ further digits of |s| too.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 import math
 from math import lgamma
 from typing import Callable, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_mul, mpf_pow,
-                          mpf_pow_int, round_nearest, to_fixed)
+from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_mul,
+                          mpf_nthroot, mpf_pow, mpf_pow_int, round_nearest,
+                          to_fixed)
 
 from .errors import DomainError, NonConvergence
 from .exactnum import (DEFAULT_PRECISION, QBase, ZetaQuery, _check_period,
@@ -125,6 +126,19 @@ MAX_HEAD_TERMS = MAX_ZETA_TERMS // HEAD_TERM_COST
 #: F = 100001 a q^F of as many bits, which took 7-10 s.
 _MAX_EXACT_POWER_BITS = 4096
 
+#: Where a power g^(p/r), r >= 3, is cheaper as the rth root of g^p
+#: (`_head_sum`) than by mpf_pow's log and exp: rows (bits, r, p), each
+#: taking r up to its r and |p| up to its p from that many working bits
+#: on.  Timed per power against mpf_pow at 100 to 1750 bits; P = 50, 100
+#: and 500 work at 236-306, 402-475 and about 1750 bits.  Inside the rows
+#: the root was 1.0-2.7 times as fast at P = 50 and 100 and 1.7-9 times at
+#: P = 500, and past them down to half as fast (2-CPU machine, mpmath
+#: 1.3.0, python backend).  mpf_pow itself takes r <= 2 by integer powers
+#: and sqrt, and mpf_nthroot takes r > 20 by log and exp below about 420
+#: bits.
+ROOT_POWERS = ((160, 3, 23), (230, 3, 63), (290, 3, 1000), (400, 5, 63),
+               (640, 19, 1000), (1500, 20, 4000))
+
 #: Most roots of unity exp(2 pi i e / order) kept in memory (`_root`, keyed
 #: by e, the order and the working bits).
 ROOT_CACHE_SIZE = 1024
@@ -158,8 +172,8 @@ def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     """The least k >= lo at which `above` turns false, or at most 1% past
     it, for an `above` that stays false once it turns false: a gallop from
     lo, then a bisection.  It is the planner's one search: `_shift` finds
-    the first rise of its cost with it, and `_series_count` the first k at
-    which the stop rule holds, to size a refusal."""
+    the first rise of its cost past J = 16 with it, and `_series_count`
+    the first k at which the stop rule holds, to size a refusal."""
     if not above(lo):
         return lo
     step = 16
@@ -290,8 +304,11 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     x / (x + J step) of the terms the pass at x needs.  The cost of J is
     the head, J residues HEAD_TERM_COST, plus the pass, its term count
     times 1 + (residues - 1) ROW_COST, one weighted row per further
-    residue; it falls, then rises, in J, and J is its first rise, found
-    by `_first_stop`, with J residues within MAX_HEAD_TERMS.  The count is
+    residue; it falls, then rises, in J, and J is its first rise, with J
+    residues within MAX_HEAD_TERMS.  J steps up from 0 to that rise below
+    16, and past 16 `_first_stop` searches for it, each cost taken once:
+    a plan with 0 < J < 16 takes J + 3 counts, the one against the cap
+    included, where the search took 13.  The count is
     `_series_count`, from the least k at which the pass's stop rule may
     hold, for every real s: its geometric count while J is chosen, and
     for the chosen J its count against the cap, from one probe of the
@@ -319,12 +336,18 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
 
     count = _series_count(s, floor, x, step, log_q)
 
+    @cache
     def cost(j: int) -> float:
         return (j * residues * HEAD_TERM_COST
                 + (1 + (residues - 1) * ROW_COST) * count(j))
 
     cap = MAX_HEAD_TERMS // residues  # cost falls, then rises, in J
-    lo = min(_first_stop(lambda j: j < cap and cost(j + 1) < cost(j), 0), cap)
+
+    def falls(j: int) -> bool:
+        return j < cap and cost(j + 1) < cost(j)
+
+    lo = next((j for j in range(16) if not falls(j)), None)
+    lo = min(_first_stop(falls, 0) if lo is None else lo, cap)
     needed = count(lo, MAX_ZETA_TERMS)
     log_gap = logs.gap + logs.one_minus_q  # ln(1-q^x)
     growth = 0.0 if s <= 0 else -sf * log_gap / math.log(10)
@@ -410,19 +433,42 @@ def _continuation_sums(s: mpf, precision: int, scale: mpf, qy_fix: int,
 
 
 def _head_sum(s: mpf, gap: mpf, step_gap: mpf, step: mpf, count: int,
-              wp: int) -> int:
+              wp: int, exact: Fraction | None) -> int:
     """sum_(m<count) (-1)^m (1-q^(y+md))^(-s) at binary point wp, from
     gap = 1 - q^y, step_gap = 1 - q^d and step = q^d.  Each gap is
     1 - q^(y+(m+1)d) = (1-q^d) + q^d (1-q^(y+md)), a sum of positive parts,
-    so no gap cancels, however near 1 q^(y+md) is.  -s is taken once, and
-    each term's power and gap run on mpmath's raw values at the context's
-    precision and rounding, as mp.power and the mpf operators round them."""
+    so no gap cancels, however near 1 q^(y+md) is.  Each term's power and
+    gap run on mpmath's raw values at the context's precision and rounding,
+    as mp.power and the mpf operators round them.
+
+    Where s is `exact`ly p/r, r >= 3, and ROOT_POWERS says the root is
+    cheaper at the working bits, a term g^(-s) is the rth root
+    (mpf_nthroot) of g^(-p), which mpf_pow_int takes at prec + guard bits,
+    guard = bit_length(|p|) + 10; else it is mpf_pow at -s.  mpf_pow_int
+    carries 4 bit_length(|p|) + 4 bits more through its products and
+    rounds once, so g^(-p) is within 2^(1-prec-guard) of its value
+    relatively.  The root divides that by r, adds its Newton steps' few
+    units at prec + 10 bits and rounds to nearest at prec bits, so a term
+    is within 2^-prec (1 + 2^(1-guard)/r) and those few units of
+    g^(-p/r) relatively: a unit in its last place, where mpf_pow's log
+    and exp add an error that grows with |s ln g|."""
     prec, rounding = mp._prec_rounding
     neg, gap = (-s)._mpf_, gap._mpf_
     step_gap, step = step_gap._mpf_, step._mpf_
+    p, r = (0, 1) if exact is None else (-exact.numerator, exact.denominator)
+    if r > 2 and any(prec >= bits and r <= most_r and abs(p) <= most_p
+                     for bits, most_r, most_p in ROOT_POWERS):
+        wide = prec + abs(p).bit_length() + 10
+
+        def power(g):
+            return mpf_nthroot(mpf_pow_int(g, p, wide, rounding), r, prec,
+                               rounding)
+    else:
+        def power(g):
+            return mpf_pow(g, neg, prec, rounding)
     total = 0
     for m in range(count):
-        term = to_fixed(mpf_pow(gap, neg, prec, rounding), wp)
+        term = to_fixed(power(gap), wp)
         total += -term if m % 2 else term
         gap = mpf_add(step_gap, mpf_mul(step, gap, prec, rounding), prec,
                       rounding)
@@ -509,7 +555,7 @@ def _continued(zq: ZetaQuery, step: int,
                 part = -part
             if shift:
                 part += _head_sum(s, power(x + d, gap=True), step_gap,
-                                  step_power, shift, wp)
+                                  step_power, shift, wp, zq.s.exact)
             by_exponent[e] = by_exponent.get(e, 0) + sign * part
         value = _root_sum(by_exponent, order)
         if isinstance(value, mpc):

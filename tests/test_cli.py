@@ -639,6 +639,20 @@ def test_usage_error_on_missing_required(capsys):
     assert code == 1
 
 
+def test_interrupt_exits_one(capsys, monkeypatch):
+    # click turns Ctrl-C in a command into click.Abort, which main reports
+    # as "aborted" on stderr with exit code 1, not as a traceback
+    from qeuler import characters
+
+    def interrupted(_modulus):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(characters, "characters_mod", interrupted)
+    code, out, err = run(capsys, "characters", "--modulus", "5")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "aborted"
+
+
 def test_determinism_byte_identical(capsys):
     outputs = set()
     for _ in range(2):

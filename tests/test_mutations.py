@@ -47,8 +47,8 @@ def head_steps_twice(real):
     """The head terms step by q^(2d) instead of q^d (zeta: 36 of 96
     cells).  The partial-zeta and lfunction suites run only at s = -n,
     where the shift takes no head terms, so they cannot see it."""
-    def head_sum(s, gap, step_gap, step, count, wp):
-        return real(s, gap, 1 - step ** 2, step ** 2, count, wp)
+    def head_sum(s, gap, step_gap, step, count, wp, exact):
+        return real(s, gap, 1 - step ** 2, step ** 2, count, wp, exact)
     return head_sum
 
 

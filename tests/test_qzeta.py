@@ -342,6 +342,14 @@ def test_precheck_takes_s_near_an_integer_from_its_exact_value(monkeypatch):
         with mp.workdps(P + GUARD_DIGITS):
             assert abs(zeta(query(s, 1, q)).value - want.value) \
                 <= tolerance(P)
+    # within 1e-400 of -3 the float of s reads -3 and d reads 0, so the
+    # count past k = 3 takes ln |d| from the mpf s: read as -inf, it prices
+    # 5 terms at every J, and the plan takes no head terms and a pass of
+    # 24407 terms where J = 42 leaves 594
+    passes.clear()
+    zeta(query(Fraction(-3) + Fraction(1, 10 ** 400), 1, Fraction(99, 100),
+               500))
+    assert passes == [594]
 
 
 def test_extreme_q_and_x_are_served_or_refused_cleanly():
@@ -995,7 +1003,9 @@ def test_partial_zeta_matches_special_values():
 #: complex characters mod 7 and 13, the exact truncation at s = -n, and
 #: P = 50 and 100.  The texts were recorded before the exact powers were
 #: built from integers and the roots, powers of ten and character groups
-#: memoized, and every value kept them.
+#: memoized, and every value kept them.  Head terms by nth root moved the
+#: partial value at s = 7/3 by one unit in its last digit, toward the CVZ
+#: value at P + 40 (7.2298e-67 -> 7.2288e-67 from it).
 PINNED = (
     ("zeta", "7/3", "1", "4/5", 50,
      ("0.8241983071060246888547319901665181695616786804269408297012"
@@ -1027,7 +1037,7 @@ PINNED = (
       "01",)),
     ("partial", "7/3", (1, 3), "4/5", 50,
      ("-0.943944483313125896793483772014398511166332729986782982363"
-      "4500115579164",)),
+      "4500115579165",)),
     ("l", "5/3", (7, 1), "1/2", 50,
      ("-1.482882303736501090470099112258459061675616084523920794916"
       "09570141967",

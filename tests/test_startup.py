@@ -2,7 +2,9 @@
 package's exports are lazy.
 
 The footprint cases run in a fresh interpreter each, since `sys.modules`
-of this one holds every module the other tests imported.  Every command
+of this one holds every module the other tests imported.  A home
+module's own name, read from the package, loads that module and its own
+imports.  Every command
 loads `cli` and its top imports (`BASE`), then the modules it runs.
 `import qeuler.cli` must still load mpmath and click, whose import lines
 the benchmark's start-up probe reads from `python -X importtime`.  The
@@ -57,6 +59,9 @@ EXACT_API = "\n    ".join((
 
 FOOTPRINTS = {
     "package": ("import qeuler", {"qeuler"}),
+    "module": ("import qeuler; qeuler.classical",
+               {"qeuler", "qeuler.classical", "qeuler.errors",
+                "qeuler.exactnum"}),
     "export": ("from qeuler import q_euler_number",
                {"qeuler", "qeuler.qnumbers", "qeuler.errors",
                 "qeuler.exactnum"}),
@@ -100,7 +105,7 @@ def test_command_loads_only_its_modules(case, footprints):
     assert modules == FOOTPRINTS[case][1]
     if case == "cli":  # the benchmark's start-up probe reads both
         assert libraries.split()[:2] == ["True", "True"]
-    if case == "exact-api":
+    if case in ("module", "exact-api"):
         assert libraries == "False False False"
     if case == "verify-thm2":  # the verifier's report is a named tuple
         assert libraries.split()[2] == "False"
