@@ -4,14 +4,14 @@ package's exports are lazy.
 The footprint cases run in a fresh interpreter each, since `sys.modules`
 of this one holds every module the other tests imported.  A home
 module's own name, read from the package, loads that module and its own
-imports.  Every command
-loads `cli` and its top imports (`BASE`), then the modules it runs.
-`import qeuler.cli` must still load mpmath and click, whose import lines
-the benchmark's start-up probe reads from `python -X importtime`.  The
-exact API, run without the CLI, loads neither: the exact layer needs only
-the standard library.  Nor does it load `dataclasses`, which imports
-`inspect`.  Every record of the package is a named tuple, the verifier's
-report too, so `verify --suite thm2` does not load `dataclasses` either."""
+imports.  Every command loads `cli` and its top imports (`BASE`), then
+the modules it runs.  `import qeuler.cli` must still load mpmath and
+click, whose import lines the benchmark's start-up probe reads from
+`python -X importtime`.  The exact API, run without the CLI, loads
+neither: the exact layer needs only the standard library.  Nor does it
+load `dataclasses`, which imports `inspect`.  Every record of the package
+is a named tuple, the verifier's report too, so `verify --suite thm2`
+does not load `dataclasses` either."""
 
 import importlib
 import os
