@@ -129,15 +129,14 @@ _MAX_EXACT_POWER_BITS = 4096
 #: Where a power g^(p/r), r >= 3, is cheaper as the rth root of g^p
 #: (`_head_sum`) than by mpf_pow's log and exp: rows (bits, r, p), each
 #: taking r up to its r and |p| up to its p from that many working bits
-#: on.  Timed per power against mpf_pow at 100 to 1750 bits; P = 50, 100
-#: and 500 work at 236-306, 402-475 and about 1750 bits.  Inside the rows
-#: the root was 1.0-2.7 times as fast at P = 50 and 100 and 1.7-9 times at
-#: P = 500, and past them down to half as fast (2-CPU machine, mpmath
-#: 1.3.0, python backend).  mpf_pow itself takes r <= 2 by integer powers
-#: and sqrt, and mpf_nthroot takes r > 20 by log and exp below about 420
-#: bits.
-ROOT_POWERS = ((160, 3, 23), (230, 3, 63), (290, 3, 1000), (400, 5, 63),
-               (640, 19, 1000), (1500, 20, 4000))
+#: on.  Timed per power against mpf_pow; P = 50, 100 and 500 work at
+#: 236-306, 402-475 and about 1750 bits.  Inside the rows the root was
+#: 1.0-2.7 times as fast at P = 50 and 100 and 1.7-9 times at P = 500;
+#: r = 4 below 400 bits was down to 0.87 times as fast (2-CPU machine,
+#: mpmath 1.3.0, python backend).  The rows hold only the s that the
+#: continuation is benchmarked and tested at, denominators 3 and 4 with
+#: |p| <= 63; mpf_pow itself takes r <= 2 by integer powers and sqrt.
+ROOT_POWERS = ((160, 3, 23), (230, 3, 63), (400, 4, 63))
 
 #: Most roots of unity exp(2 pi i e / order) kept in memory (`_root`, keyed
 #: by e, the order and the working bits).
@@ -168,15 +167,20 @@ def _power_of_ten(exponent: int, prec: int) -> mpf:
                                    round_nearest))
 
 
+#: `_first_stop`'s first step, and the J below which `_shift` scans for
+#: its cost's first rise one J at a time.
+GALLOP_STEP = 16
+
+
 def _first_stop(above: Callable[[int], bool], lo: int) -> int:
     """The least k >= lo at which `above` turns false, or at most 1% past
     it, for an `above` that stays false once it turns false: a gallop from
     lo, then a bisection.  It is the planner's one search: `_shift` finds
-    the first rise of its cost past J = 16 with it, and `_series_count`
+    the first rise of its cost past J = GALLOP_STEP with it, and `_series_count`
     the first k at which the stop rule holds, to size a refusal."""
     if not above(lo):
         return lo
-    step = 16
+    step = GALLOP_STEP
     hi = lo + step
     while above(hi):
         lo, step = hi, 2 * step
@@ -306,9 +310,9 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     times 1 + (residues - 1) ROW_COST, one weighted row per further
     residue; it falls, then rises, in J, and J is its first rise, with J
     residues within MAX_HEAD_TERMS.  J steps up from 0 to that rise below
-    16, and past 16 `_first_stop` searches for it, each cost taken once:
-    a plan with 0 < J < 16 takes J + 3 counts, the one against the cap
-    included, where the search took 13.  The count is
+    GALLOP_STEP, 16, and past it `_first_stop` searches for it, each cost
+    taken once: a plan with 0 < J < 16 takes J + 3 counts, the one
+    against the cap included, where the search took 13.  The count is
     `_series_count`, from the least k at which the pass's stop rule may
     hold, for every real s: its geometric count while J is chosen, and
     for the chosen J its count against the cap, from one probe of the
@@ -346,7 +350,8 @@ def _shift(zq: ZetaQuery, s: mpf, logs: _Logs, step: int,
     def falls(j: int) -> bool:
         return j < cap and cost(j + 1) < cost(j)
 
-    lo = next((j for j in range(16) if not falls(j)), None)
+    # the scan ends where `_first_stop`'s first step would reach
+    lo = next((j for j in range(GALLOP_STEP) if not falls(j)), None)
     lo = min(_first_stop(falls, 0) if lo is None else lo, cap)
     needed = count(lo, MAX_ZETA_TERMS)
     log_gap = logs.gap + logs.one_minus_q  # ln(1-q^x)
